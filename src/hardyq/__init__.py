@@ -40,7 +40,6 @@ from .laurent import (
     LaurentPoly,
     act,
     harmonic_extension,
-    poly_arith,
     sphere_inner,
     sphere_pair_integral,
     torus_inner,

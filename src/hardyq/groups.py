@@ -165,7 +165,6 @@ class Group:
         self.identity = GroupElement(tuple(range(spec.n)), (0,) * spec.n, spec.m)
         if self.identity not in self.index:
             raise GroupSpecError("enumeration is missing the identity")
-        self._exponent: int | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -202,23 +201,6 @@ class Group:
 
     def det_of(self, g: GroupElement) -> complex:
         return root_of_unity(self.det_turn(g))
-
-    def element_order(self, g: GroupElement) -> int:
-        k = 1
-        h = g
-        while not h.is_identity():
-            h = self.mul(h, g)
-            k += 1
-        return k
-
-    @property
-    def exponent(self) -> int:
-        if self._exponent is None:
-            e = 1
-            for g in self.elements:
-                e = math.lcm(e, self.element_order(g))
-            self._exponent = e
-        return self._exponent
 
     def perm_images(self) -> list[tuple[int, ...]]:
         """Distinct permutation parts, sorted (full S_n for G(m,p,n))."""

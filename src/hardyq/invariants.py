@@ -6,14 +6,16 @@ quotient Hardy space and the isotypic component upstairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from .groups import Character, Group, Hyperplane
+from .groups import Character, Group, Hyperplane, _perm_parity
 from .laurent import (
     Expo,
+    HarmonicPoly,
     LaurentPoly,
+    _compose,
     act,
     sphere_norm,
     torus_norm,
@@ -40,11 +42,18 @@ def _elementary_symmetric(n: int, i: int, inner_power: int) -> LaurentPoly:
 
 @dataclass
 class BasicMap:
-    """The components theta_1..theta_n generating the invariant ring."""
+    """The components theta_1..theta_n generating the invariant ring.
+
+    Holds the only table of theta powers: every substitution t = theta(z)
+    goes through pull(), so reuse one map rather than rebuilding it.
+    """
 
     group: Group
     components: tuple[LaurentPoly, ...]
     q: int
+    _powers: dict[tuple[int, int], LaurentPoly] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
@@ -52,6 +61,29 @@ class BasicMap:
 
     def eval(self, z: tuple[complex, ...]) -> tuple[complex, ...]:
         return tuple(c.eval(z) for c in self.components)
+
+    def power(self, k: int, e: int) -> LaurentPoly:
+        """theta_{k+1}^e for k < n, and conj(theta_{k-n+1})^e on the torus
+        for n <= k < 2n; memoised."""
+        got = self._powers.get((k, e))
+        if got is None:
+            n = self.dim
+            comp = self.components[k] if k < n else self.components[k - n].conj_torus()
+            got = self._powers[(k, e)] = comp ** e
+        return got
+
+    def pull(self, f: LaurentPoly | HarmonicPoly) -> LaurentPoly:
+        """f o theta on the torus: an analytic LaurentPoly in t, or a
+        HarmonicPoly read as a polynomial in (t, conj t)."""
+        if f.dim != self.dim:
+            raise ValueError("polynomial dimension does not match the basic map")
+        if isinstance(f, HarmonicPoly):
+            terms = {beta + gamma: c for (beta, gamma), c in f.terms.items()}
+        elif f.is_analytic():
+            terms = f.terms
+        else:
+            raise ValueError("substitution requires an analytic polynomial")
+        return _compose(self.dim, terms, self.power)
 
 
 def basic_map(group: Group) -> BasicMap:
@@ -83,20 +115,12 @@ def jacobian(bmap: BasicMap) -> LaurentPoly:
     rows = [[bmap.components[i].dz(j) for j in range(n)] for i in range(n)]
     total = LaurentPoly.zero(n)
     for perm in permutations(range(n)):
-        sign = 1.0 if _parity(perm) == 0 else -1.0
+        sign = 1.0 if _perm_parity(perm) == 0 else -1.0
         term = LaurentPoly.constant(n, sign)
         for i in range(n):
             term = term * rows[i][perm[i]]
         total = total + term
     return total
-
-
-def _parity(perm) -> int:
-    p = 0
-    for i, j in combinations(range(len(perm)), 2):
-        if perm[i] > perm[j]:
-            p ^= 1
-    return p
 
 
 def jacobian_closed_form(group: Group) -> LaurentPoly:
@@ -267,13 +291,20 @@ def basis_element(iset: BasisIndexSet, mvec: Expo, domain: str = "polydisc") -> 
     if mvec not in iset:
         raise KeyError(f"{mvec} is not a canonical representative of this index set")
     char = iset.character
-    f = project(char, LaurentPoly.monomial(char.group.n, mvec))
     if domain == "polydisc":
-        nsq = projection_norm_sq(char, mvec)
-        return f * (1.0 / math.sqrt(nsq))
+        return unit_projection(char, mvec)
     if domain == "ball":
+        f = project(char, LaurentPoly.monomial(char.group.n, mvec))
         return f * (1.0 / sphere_norm(f))
     raise ValueError(f"unknown domain tag {domain!r}")
+
+
+def unit_projection(char: Character, mvec: Expo) -> LaurentPoly:
+    """P_rho z^m scaled to unit torus norm by the exact 1/sqrt(|S_m|/|G|)."""
+    nsq = projection_norm_sq(char, mvec)
+    if nsq == 0:
+        raise KeyError(f"projection of z^{mvec} vanishes")
+    return project(char, LaurentPoly.monomial(char.group.n, mvec)) * (1.0 / math.sqrt(nsq))
 
 
 # -- exact division and the theta rewrite ------------------------------------
@@ -384,11 +415,7 @@ def rewrite_in_theta(bmap: BasicMap, h: LaurentPoly, rel_tol: float = 1e-9) -> L
             )
         a = tuple(exps)
         out[a] = out.get(a, 0j) + c
-        prod = LaurentPoly.constant(n, c)
-        for comp, ai in zip(bmap.components, a):
-            if ai:
-                prod = prod * (comp ** ai)
-        diff = work - prod
+        diff = work - bmap.pull(LaurentPoly.monomial(n, a, c))
         work = LaurentPoly(n, {e: v for e, v in diff.terms.items() if abs(v) > floor})
     return LaurentPoly(n, out)
 
@@ -399,7 +426,7 @@ def rewrite_in_theta(bmap: BasicMap, h: LaurentPoly, rel_tol: float = 1e-9) -> L
 def lift(ellp: EllPoly, bmap: BasicMap, f: LaurentPoly) -> LaurentPoly:
     """(1/c_rho) ell_rho * (f o theta): carries polynomials on the quotient
     into the isotypic component upstairs."""
-    return ellp.poly * f.substitute(list(bmap.components)) * (1.0 / ellp.cnorm)
+    return ellp.poly * bmap.pull(f) * (1.0 / ellp.cnorm)
 
 
 def lower(ellp: EllPoly, bmap: BasicMap, F: LaurentPoly) -> LaurentPoly:

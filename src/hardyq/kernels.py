@@ -263,20 +263,7 @@ def pushforward_integral(spec: KernelSpec, f: HarmonicPoly) -> complex:
     the torus constant term.  Exact (polydisc quotients)."""
     if not spec.is_quotient or spec.domain != "polydisc":
         raise DomainError("pushforward integrals are defined for polydisc quotients")
-    comps = list(spec.bmap.components)
-    comps_bar = [c.conj_torus() for c in comps]
-    total = LaurentPoly.zero(spec.group.n)
-    for (beta, gamma) in sorted(f.terms):
-        c = f.terms[(beta, gamma)]
-        term = LaurentPoly.constant(spec.group.n, c)
-        for comp, b in zip(comps, beta):
-            if b:
-                term = term * (comp ** b)
-        for comp, g in zip(comps_bar, gamma):
-            if g:
-                term = term * (comp ** g)
-        total = total + term
-    weighted = total * spec.ellp.poly * spec.ellp.poly.conj_torus()
+    weighted = spec.bmap.pull(f) * spec.ellp.poly * spec.ellp.poly.conj_torus()
     return weighted.coeff((0,) * spec.group.n)
 
 

@@ -193,16 +193,7 @@ class LaurentPoly:
             raise ValueError("need one polynomial per variable")
         if not self.is_analytic():
             raise ValueError("substitution requires an analytic polynomial")
-        out_dim = polys[0].dim
-        total = LaurentPoly.zero(out_dim)
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            mono = LaurentPoly.constant(out_dim, c)
-            for pk, ek in zip(polys, e):
-                if ek:
-                    mono = mono * (pk ** ek)
-            total = total + mono
-        return total
+        return _compose(polys[0].dim, self.terms, lambda k, e: polys[k] ** e)
 
     # -- serialization ----------------------------------------------------
 
@@ -223,21 +214,19 @@ class LaurentPoly:
         return cls(int(data["dim"]), terms)
 
 
-def poly_arith(op: str, *operands) -> LaurentPoly:
-    """Named dispatch kept for the CLI: add / mul / scale / conj_torus."""
-    if op == "add":
-        a, b = operands
-        return a + b
-    if op == "mul":
-        a, b = operands
-        return a * b
-    if op == "scale":
-        a, s = operands
-        return a * s
-    if op == "conj_torus":
-        (a,) = operands
-        return a.conj_torus()
-    raise ValueError(f"unknown operation {op!r}")
+def _compose(dim: int, terms: dict[Expo, complex], power) -> LaurentPoly:
+    """The one composition loop: sum of c * prod_k power(k, e_k) over the
+    sorted exponent vectors e of `terms`, with power(k, e_k) the k-th
+    substituted polynomial raised to e_k.  Factor order is fixed (constant,
+    then k ascending), so results are reproducible to the bit."""
+    total = LaurentPoly.zero(dim)
+    for e in sorted(terms):
+        mono = LaurentPoly.constant(dim, terms[e])
+        for k, ek in enumerate(e):
+            if ek:
+                mono = mono * power(k, ek)
+        total = total + mono
+    return total
 
 
 # -- group action ------------------------------------------------------------

@@ -26,6 +26,7 @@ from .invariants import (
     lower,
     project,
     projection_norm_sq,
+    unit_projection,
 )
 from .laurent import (
     Expo,
@@ -94,8 +95,7 @@ class SymbolPair:
         for e in self.pullback.terms:
             worst = max(worst, max((-x for x in e), default=0))
         K = -(-worst // q)  # ceil
-        theta_n = bmap.components[-1]
-        cleared = self.pullback * (theta_n ** K)
+        cleared = self.pullback * bmap.power(n - 1, K)
         from .invariants import rewrite_in_theta
 
         analytic_t = rewrite_in_theta(bmap, cleared)
@@ -110,20 +110,7 @@ class SymbolPair:
 
 def symbol_from_theta(group: Group, bmap: BasicMap, u: HarmonicPoly) -> SymbolPair:
     """Pull a quotient-coordinate symbol back to the torus."""
-    comps = list(bmap.components)
-    comps_bar = [c.conj_torus() for c in comps]
-    total = LaurentPoly.zero(group.n)
-    for (beta, gamma) in sorted(u.terms):
-        c = u.terms[(beta, gamma)]
-        term = LaurentPoly.constant(group.n, c)
-        for comp, b in zip(comps, beta):
-            if b:
-                term = term * (comp ** b)
-        for comp, g in zip(comps_bar, gamma):
-            if g:
-                term = term * (comp ** g)
-        total = total + term
-    return SymbolPair(group, total)
+    return SymbolPair(group, bmap.pull(u))
 
 
 # -- Hardy projections and the operator action --------------------------------
@@ -140,9 +127,10 @@ def hol_project(f: LaurentPoly, character: Character | None = None) -> LaurentPo
     return out
 
 
-def apply_toeplitz(symbol: SymbolPair, character: Character, f: LaurentPoly,
+def apply_toeplitz(symbol: SymbolPair, character: Character | None, f: LaurentPoly,
                    validate: bool = False) -> LaurentPoly:
-    """T_u f = P(u f) for f in the isotypic Hardy component; exact.
+    """T_u f = P(u f) for f in the isotypic Hardy component; exact.  With no
+    character, P is the plain negative-exponent cut of the full Hardy space.
 
     With validate=True the input's relative invariance is checked first.
     """
@@ -169,14 +157,7 @@ class GammaBasis:
         rep = tuple(rep)
         got = self._cache.get(rep)
         if got is None:
-            nsq = projection_norm_sq(self.character, rep)
-            if nsq == 0:
-                raise KeyError(f"projection of z^{rep} vanishes")
-            f = project(
-                self.character, LaurentPoly.monomial(self.group.n, rep)
-            )
-            got = f * (1.0 / math.sqrt(nsq))
-            self._cache[rep] = got
+            got = self._cache[rep] = unit_projection(self.character, rep)
         return got
 
     def expand(self, poly: LaurentPoly, tol: float = 1e-9) -> dict[Expo, complex]:
@@ -263,20 +244,6 @@ def toeplitz_window(symbol: SymbolPair, character: Character, bound: int,
         prod = symbol.pullback * g_col
         for i, g_row in enumerate(gammas):
             entries[i, j] = torus_inner(prod, g_row)
-    return ToeplitzWindow(character, bound, reps, entries)
-
-
-def operator_window(op_columns: dict[Expo, LaurentPoly], character: Character,
-                    bound: int, basis: GammaBasis | None = None) -> ToeplitzWindow:
-    """Window of an operator given by its exact action on basis columns."""
-    basis = basis or GammaBasis(character)
-    iset = index_set(character, bound, holomorphic=True)
-    reps = list(iset.reps)
-    entries = np.zeros((len(reps), len(reps)), dtype=complex)
-    for j, rep in enumerate(reps):
-        col = op_columns[rep]
-        for i, r in enumerate(reps):
-            entries[i, j] = torus_inner(col, basis(r))
     return ToeplitzWindow(character, bound, reps, entries)
 
 
@@ -411,7 +378,7 @@ class CompareReport:
         }
 
 
-def _column_fn(mode: str, symbols: list[SymbolPair], character: Character):
+def _column_fn(mode: str, symbols: list[SymbolPair], character: Character | None):
     """Column map g -> (compared operator) g, built once per comparison."""
     if mode == "semi":
         u, v = symbols
@@ -509,29 +476,13 @@ class QuotientRealization:
             self._down[tuple(rep)] = got
         return got
 
-    def _substitute(self, f: HarmonicPoly) -> LaurentPoly:
-        comps = list(self.bmap.components)
-        comps_bar = [c.conj_torus() for c in comps]
-        total = LaurentPoly.zero(self.group.n)
-        for (beta, gamma) in sorted(f.terms):
-            c = f.terms[(beta, gamma)]
-            term = LaurentPoly.constant(self.group.n, c)
-            for comp, b in zip(comps, beta):
-                if b:
-                    term = term * (comp ** b)
-            for comp, g in zip(comps_bar, gamma):
-                if g:
-                    term = term * (comp ** g)
-            total = total + term
-        return total
-
     def inner(self, f: HarmonicPoly, g: HarmonicPoly) -> complex:
         """<f, g> in L^2 of the pushforward measure, scaled by 1/c^2 so the
         lowered basis is orthonormal."""
         gbar = HarmonicPoly(
             g.dim, {(gam, beta): c.conjugate() for (beta, gam), c in g.terms.items()}
         )
-        integrand = self._substitute(f * gbar) * self._weight
+        integrand = self.bmap.pull(f * gbar) * self._weight
         return integrand.coeff((0,) * self.group.n) / self.ellp.cnorm ** 2
 
     def project_hardy(self, f: HarmonicPoly, exp_bound: int) -> HarmonicPoly:
@@ -559,6 +510,8 @@ def _monomial_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
     to the isotypic basis: columns use the plain negative-exponent cut with
     no isotypic projection step (multiplication by invariant symbols keeps
     the component invariant, so the verdicts must match product_compare)."""
+    if mode not in ("semi", "commute"):
+        raise ValueError("monomial route supports semi and commute modes")
     symbols = [u, v]
     radius = sum(s.radius() for s in symbols)
     if bound < radius:
@@ -570,20 +523,10 @@ def _monomial_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
     iset = index_set(character, bound, holomorphic=True)
     reps = list(iset.reps)
     res = np.zeros((len(reps), len(reps)), dtype=complex)
-
-    def T(sym: SymbolPair, f: LaurentPoly) -> LaurentPoly:
-        return hol_project(sym.pullback * f)
-
-    uv = SymbolPair(u.group, u.pullback * v.pullback)
     scale = max(u.pullback.max_abs_coeff() * v.pullback.max_abs_coeff(), 1.0)
+    column = _column_fn(mode, symbols, None)
     for j, a in enumerate(reps):
-        g = basis(a)
-        if mode == "semi":
-            col = T(u, T(v, g)) - T(uv, g)
-        elif mode == "commute":
-            col = T(u, T(v, g)) - T(v, T(u, g))
-        else:
-            raise ValueError("monomial route supports semi and commute modes")
+        col = column(basis(a))
         for i, b in enumerate(reps):
             res[i, j] = torus_inner(col, basis(b))
     max_res = float(np.max(np.abs(res))) if res.size else 0.0
@@ -748,7 +691,6 @@ class RecoveryResult:
 def _invariant_monomial(group: Group, rep: Expo) -> LaurentPoly | None:
     """Trivial-isotypic orbit sum with unit leading coefficient, or None when
     the orbit dies under averaging."""
-    triv_nsq = None
     from .groups import make_character
 
     char = make_character(group, "trivial")

@@ -4,6 +4,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyq.groups import builtin_characters, make_character, make_group
 from hardyq.invariants import (
@@ -22,7 +24,7 @@ from hardyq.invariants import (
     projection_norm_sq,
     rewrite_in_theta,
 )
-from hardyq.laurent import LaurentPoly, act, torus_inner
+from hardyq.laurent import CLEANUP_REL, HarmonicPoly, LaurentPoly, act, torus_inner
 
 
 def P(dim, terms):
@@ -66,6 +68,63 @@ class TestBasicMap:
         assert bm.components[0].same_terms(P(3, {(3, 0, 0): 1}))
         assert bm.components[1].same_terms(P(3, {(0, 1, 0): 1}))
         assert bm.components[2].same_terms(P(3, {(0, 0, 1): 1}))
+
+
+PULL_MAPS = {
+    spec: basic_map(make_group(spec))
+    for spec in ["G(1,1,2)", "G(2,1,2)", "G(2,2,2)", "G(1,1,3)", "Z(3)@1^2"]
+}
+
+
+@st.composite
+def pull_cases(draw):
+    """A basic map, an analytic LaurentPoly or a HarmonicPoly in its
+    quotient coordinates, and a point on the torus."""
+    bm = PULL_MAPS[draw(st.sampled_from(sorted(PULL_MAPS)))]
+    n = bm.dim
+    expo = st.tuples(*[st.integers(0, 3)] * n)
+    coeff = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        f = HarmonicPoly(n, draw(st.dictionaries(st.tuples(expo, expo), coeff, max_size=4)))
+    else:
+        f = LaurentPoly(n, draw(st.dictionaries(expo, coeff, max_size=5)))
+    angles = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n))
+    return bm, f, tuple(complex(math.cos(a), math.sin(a)) for a in angles)
+
+
+class TestPull:
+    @given(pull_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_pointwise_composition(self, case):
+        """Oracle: f evaluated at theta(z) (HarmonicPoly.eval conjugates the
+        second half), with theta(z) from the components' own eval."""
+        bm, f, z = case
+        pulled = bm.pull(f)
+        got = pulled.eval(z)
+        want = f.eval(bm.eval(z))
+        # On the torus |theta_k(z)| <= ||theta_k||_1, so every partial sum on
+        # either side is bounded by B.  Each multiply/add stage of the
+        # composition and each evaluated term perturbs by at most a few
+        # roundings, or by the relative cleanup per stored term, times B.
+        n = bm.dim
+        l1 = [sum(abs(c) for c in comp.terms.values()) for comp in bm.components]
+        terms = f.terms
+        if isinstance(f, HarmonicPoly):
+            terms = {beta + gamma: c for (beta, gamma), c in f.terms.items()}
+        B = sum(abs(c) * math.prod(l1[k % n] ** e for k, e in enumerate(ex))
+                for ex, c in terms.items())
+        stages = sum(1 + sum(ex) for ex in terms)
+        width = len(pulled.terms) + len(terms) + 1
+        tol = (CLEANUP_REL + 8 * 2.0 ** -52) * B * stages * width
+        assert abs(got - want) <= tol
+
+    def test_memoises_powers(self, bm112):
+        assert bm112.power(0, 3) is bm112.power(0, 3)
+        assert bm112.power(2, 2).same_terms(bm112.components[0].conj_torus() ** 2)
+
+    def test_rejects_non_analytic(self, bm112):
+        with pytest.raises(ValueError):
+            bm112.pull(P(2, {(-1, 0): 1}))
 
 
 class TestJacobian:
