@@ -229,14 +229,16 @@ def cmd_toeplitz(args) -> tuple[int, dict]:
     raise argparse.ArgumentTypeError(f"unknown toeplitz verb {verb}")
 
 
+_SEEDED_SUITES = ("kernel-identity", "projections", "bh", "recovery",
+                 "correspondence", "compactness")
+
+
 def cmd_verify(args) -> tuple[int, dict]:
     kwargs = {}
-    if args.suite == "kernel-identity":
-        kwargs = {"pairs": args.pairs, "seed": args.seed}
-    elif args.suite in ("bh", "compactness"):
-        kwargs = {"seed": args.seed}
-    elif args.suite in ("recovery", "correspondence", "projections"):
-        kwargs = {"seed": args.seed}
+    if args.seed is not None and args.suite in _SEEDED_SUITES:
+        kwargs["seed"] = args.seed
+    if args.pairs is not None and args.suite == "kernel-identity":
+        kwargs["pairs"] = args.pairs
     report = run_suite(args.suite, **kwargs)
     return (0 if report["ok"] else FAIL_EXIT), report
 
@@ -303,9 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="bundled verification suites")
     v.add_argument("suite", choices=sorted(ALL_SUITES) + ["all"])
-    v.add_argument("--pairs", type=int, default=100)
-    v.add_argument("--seed", type=int, default=7,
-                   help="seed for randomized point and symbol sampling")
+    v.add_argument("--pairs", type=int, help="kernel-identity pairs (default: 100)")
+    v.add_argument("--seed", type=int,
+                   help="seed for randomized point and symbol sampling "
+                        "(default: the suite's own)")
 
     return parser
 

@@ -309,13 +309,17 @@ def unit_projection(char: Character, mvec: Expo) -> LaurentPoly:
 
 # -- exact division and the theta rewrite ------------------------------------
 
+# Remainder exact division may leave, relative to the input's largest
+# coefficient; the theta rewrite drops terms below 1e-3 of it.
+_EXACT_REL_TOL = 1e-9
 
-def divide_exact(F: LaurentPoly, ell_poly: LaurentPoly, rel_tol: float = 1e-9) -> LaurentPoly:
+
+def divide_exact(F: LaurentPoly, ell_poly: LaurentPoly) -> LaurentPoly:
     """Exact polynomial division F / ell for analytic inputs.
 
     Single-divisor reduction in lex order; terms never divisible by the
     divisor's leading term accumulate as a remainder, which must vanish up
-    to rel_tol times the input scale.
+    to _EXACT_REL_TOL times the input scale.
     """
     if not (F.is_analytic() and ell_poly.is_analytic()):
         raise NotInIsotypicError("division expects analytic polynomials")
@@ -350,7 +354,7 @@ def divide_exact(F: LaurentPoly, ell_poly: LaurentPoly, rel_tol: float = 1e-9) -
             if abs(rem[te]) < 1e-15 * max(F.max_abs_coeff(), 1.0):
                 del rem[te]
     scale = max(F.max_abs_coeff(), 1.0)
-    if remainder_mass > rel_tol * scale:
+    if remainder_mass > _EXACT_REL_TOL * scale:
         raise NotInIsotypicError(
             f"nonzero division remainder (mass {remainder_mass:.3g}); "
             "input is not in the isotypic component"
@@ -358,7 +362,7 @@ def divide_exact(F: LaurentPoly, ell_poly: LaurentPoly, rel_tol: float = 1e-9) -
     return LaurentPoly(F.dim, quot)
 
 
-def rewrite_in_theta(bmap: BasicMap, h: LaurentPoly, rel_tol: float = 1e-9) -> LaurentPoly:
+def rewrite_in_theta(bmap: BasicMap, h: LaurentPoly) -> LaurentPoly:
     """Write a G-invariant analytic polynomial as a polynomial in the basic
     invariants, by leading-term elimination against the triangular system.
 
@@ -385,7 +389,7 @@ def rewrite_in_theta(bmap: BasicMap, h: LaurentPoly, rel_tol: float = 1e-9) -> L
 
     m, q = group.m, group.q
     scale = max(h.max_abs_coeff(), 1.0)
-    floor = rel_tol * scale * 1e-3
+    floor = _EXACT_REL_TOL * scale * 1e-3
     work = LaurentPoly(n, {e: c for e, c in h.terms.items() if abs(c) > floor})
     out: dict[Expo, complex] = {}
     guard = 0

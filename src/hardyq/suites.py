@@ -68,13 +68,12 @@ def random_point(rng: random.Random, n: int, radius: float = 0.8) -> tuple:
     )
 
 
-def random_invariant_symbol(group: Group, rng: random.Random, radius: int = 2,
-                            terms: int = 4) -> SymbolPair:
-    """Random G-invariant Laurent polynomial of sup-norm degree <= radius:
-    a complex combination of averaged monomial orbits."""
+def _orbit_sum(group: Group, rng: random.Random, span: range, terms: int) -> LaurentPoly:
+    """Complex combination of `terms` trivial-isotypic orbit sums of monomials
+    with every exponent in `span`."""
     triv = make_character(group, "trivial")
     cands = [
-        a for a in iproduct(range(-radius, radius + 1), repeat=group.n)
+        a for a in iproduct(span, repeat=group.n)
         if projection_norm_sq(triv, a) > 0
     ]
     total = LaurentPoly.zero(group.n)
@@ -82,23 +81,21 @@ def random_invariant_symbol(group: Group, rng: random.Random, radius: int = 2,
         rep = cands[rng.randrange(len(cands))]
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         total = total + c * project(triv, LaurentPoly.monomial(group.n, rep))
-    return SymbolPair(group, total)
+    return total
+
+
+def random_invariant_symbol(group: Group, rng: random.Random, radius: int = 2,
+                            terms: int = 4) -> SymbolPair:
+    """Random G-invariant Laurent polynomial of sup-norm degree <= radius:
+    a complex combination of averaged monomial orbits."""
+    return SymbolPair(group, _orbit_sum(group, rng, range(-radius, radius + 1), terms))
 
 
 def random_onesided_symbol(group: Group, rng: random.Random, radius: int,
                            side: str) -> SymbolPair:
     """Random invariant symbol that is analytic (side='analytic') or
     co-analytic (side='coanalytic')."""
-    triv = make_character(group, "trivial")
-    cands = [
-        a for a in iproduct(range(0, radius + 1), repeat=group.n)
-        if projection_norm_sq(triv, a) > 0
-    ]
-    total = LaurentPoly.zero(group.n)
-    for _ in range(3):
-        rep = cands[rng.randrange(len(cands))]
-        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        total = total + c * project(triv, LaurentPoly.monomial(group.n, rep))
+    total = _orbit_sum(group, rng, range(0, radius + 1), 3)
     if side == "coanalytic":
         total = total.conj_torus()
     return SymbolPair(group, total)

@@ -43,6 +43,7 @@ from .laurent import (
 )
 
 RESIDUAL_TOL = 1e-10
+_EXPAND_TOL = 1e-9  # relative residual GammaBasis.expand leaves unexplained
 
 
 class SymbolError(ValueError):
@@ -127,18 +128,10 @@ def hol_project(f: LaurentPoly, character: Character | None = None) -> LaurentPo
     return out
 
 
-def apply_toeplitz(symbol: SymbolPair, character: Character | None, f: LaurentPoly,
-                   validate: bool = False) -> LaurentPoly:
+def apply_toeplitz(symbol: SymbolPair, character: Character | None,
+                   f: LaurentPoly) -> LaurentPoly:
     """T_u f = P(u f) for f in the isotypic Hardy component; exact.  With no
-    character, P is the plain negative-exponent cut of the full Hardy space.
-
-    With validate=True the input's relative invariance is checked first.
-    """
-    if validate:
-        scale = max(f.max_abs_coeff(), 1.0)
-        for g in character.group.elements:
-            if not (act(g, f) - character.value(g) * f).is_zero(tol=1e-9 * scale):
-                raise SymbolError("input is not in this isotypic component")
+    character, P is the plain negative-exponent cut of the full Hardy space."""
     return hol_project(symbol.pullback * f, character)
 
 
@@ -160,7 +153,7 @@ class GammaBasis:
             got = self._cache[rep] = unit_projection(self.character, rep)
         return got
 
-    def expand(self, poly: LaurentPoly, tol: float = 1e-9) -> dict[Expo, complex]:
+    def expand(self, poly: LaurentPoly) -> dict[Expo, complex]:
         """Coefficients of an analytic isotypic polynomial over the basis;
         raises if a residual remains (input outside the component)."""
         group = self.group
@@ -176,12 +169,24 @@ class GammaBasis:
                 out[rep] = c
                 recon = recon + c * g
         scale = max(poly.max_abs_coeff(), 1.0)
-        if not (poly - recon).is_zero(tol=tol * scale):
+        if not (poly - recon).is_zero(tol=_EXPAND_TOL * scale):
             raise NotInIsotypicError("polynomial is not in this isotypic component")
         return out
 
 
 # -- windows ------------------------------------------------------------------
+
+
+def _fill(items: list, column, pair) -> np.ndarray:
+    """out[i, j] = pair(column(items[j]), items[i]), with column evaluated
+    once per item.  The only square-window loop: each window in this module
+    passes its own items (indices or basis vectors), column map and pairing."""
+    out = np.zeros((len(items), len(items)), dtype=complex)
+    for j, a in enumerate(items):
+        col = column(a)
+        for i, b in enumerate(items):
+            out[i, j] = pair(col, b)
+    return out
 
 
 @dataclass
@@ -236,14 +241,8 @@ def toeplitz_window(symbol: SymbolPair, character: Character, bound: int,
             stacklevel=2,
         )
     basis = basis or GammaBasis(character)
-    iset = index_set(character, bound, holomorphic=True)
-    reps = list(iset.reps)
-    gammas = [basis(r) for r in reps]
-    entries = np.zeros((len(reps), len(reps)), dtype=complex)
-    for j, g_col in enumerate(gammas):
-        prod = symbol.pullback * g_col
-        for i, g_row in enumerate(gammas):
-            entries[i, j] = torus_inner(prod, g_row)
+    reps = list(index_set(character, bound, holomorphic=True).reps)
+    entries = _fill([basis(r) for r in reps], lambda g: symbol.pullback * g, torus_inner)
     return ToeplitzWindow(character, bound, reps, entries)
 
 
@@ -369,6 +368,13 @@ class CompareReport:
     reps: list[Expo]
     residuals: np.ndarray
 
+    @classmethod
+    def _judge(cls, mode: str, reps: list[Expo], residuals: np.ndarray,
+               scale: float) -> CompareReport:
+        """Verdict: the largest residual entry is at most RESIDUAL_TOL * scale."""
+        max_res = float(np.max(np.abs(residuals))) if residuals.size else 0.0
+        return cls(mode, max_res <= RESIDUAL_TOL * scale, max_res, reps, residuals)
+
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
@@ -425,6 +431,17 @@ def product_compare(u: SymbolPair, v: SymbolPair | None, mode: str,
         symbols = [s for s in symbols if s is not None]
     else:
         symbols = [u, v]
+    scale = max(
+        math.prod(max(s.pullback.max_abs_coeff(), 1.0) for s in symbols), 1.0
+    )
+    return _ambient_compare(mode, symbols, character, character, bound, scale)
+
+
+def _ambient_compare(mode: str, symbols: list[SymbolPair], character: Character,
+                     cut: Character | None, bound: int, scale: float) -> CompareReport:
+    """Residual window of the compared operator over the gamma basis of
+    `character`, with columns projected by `cut` (None: the plain
+    negative-exponent cut).  Shared by the isotypic and monomial routes."""
     radius = sum(s.radius() for s in symbols)
     if bound < radius:
         raise WindowMarginError(
@@ -432,20 +449,9 @@ def product_compare(u: SymbolPair, v: SymbolPair | None, mode: str,
             f"need D >= {radius}"
         )
     basis = GammaBasis(character)
-    iset = index_set(character, bound, holomorphic=True)
-    reps = list(iset.reps)
-    res = np.zeros((len(reps), len(reps)), dtype=complex)
-    scale = max(
-        math.prod(max(s.pullback.max_abs_coeff(), 1.0) for s in symbols), 1.0
-    )
-    column = _column_fn(mode, symbols, character)
-    for j, a in enumerate(reps):
-        col = column(basis(a))
-        for i, b in enumerate(reps):
-            res[i, j] = torus_inner(col, basis(b))
-    max_res = float(np.max(np.abs(res))) if res.size else 0.0
-    verdict = max_res <= RESIDUAL_TOL * scale
-    return CompareReport(mode, verdict, max_res, reps, res)
+    reps = list(index_set(character, bound, holomorphic=True).reps)
+    res = _fill([basis(r) for r in reps], _column_fn(mode, symbols, cut), torus_inner)
+    return CompareReport._judge(mode, reps, res, scale)
 
 
 # -- quotient-realization entries via the pushforward measure ------------------
@@ -512,25 +518,8 @@ def _monomial_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
     the component invariant, so the verdicts must match product_compare)."""
     if mode not in ("semi", "commute"):
         raise ValueError("monomial route supports semi and commute modes")
-    symbols = [u, v]
-    radius = sum(s.radius() for s in symbols)
-    if bound < radius:
-        raise WindowMarginError(
-            f"window bound {bound} is below the combined symbol radius; "
-            f"need D >= {radius}"
-        )
-    basis = GammaBasis(character)
-    iset = index_set(character, bound, holomorphic=True)
-    reps = list(iset.reps)
-    res = np.zeros((len(reps), len(reps)), dtype=complex)
     scale = max(u.pullback.max_abs_coeff() * v.pullback.max_abs_coeff(), 1.0)
-    column = _column_fn(mode, symbols, None)
-    for j, a in enumerate(reps):
-        col = column(basis(a))
-        for i, b in enumerate(reps):
-            res[i, j] = torus_inner(col, basis(b))
-    max_res = float(np.max(np.abs(res))) if res.size else 0.0
-    return CompareReport(mode, max_res <= RESIDUAL_TOL * scale, max_res, reps, res)
+    return _ambient_compare(mode, [u, v], character, None, bound, scale)
 
 
 def _quotient_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
@@ -538,29 +527,27 @@ def _quotient_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
                             bound: int) -> CompareReport:
     """Same comparison computed entirely on the quotient side: functions in
     theta coordinates, inner products through the pushforward measure."""
+    if mode not in ("semi", "commute"):
+        raise ValueError("quotient route supports semi and commute modes")
     qr = QuotientRealization(character, bmap)
     uh = u.theta_form(bmap)
     vh = v.theta_form(bmap)
-    iset = index_set(character, bound, holomorphic=True)
-    reps = list(iset.reps)
-    res = np.zeros((len(reps), len(reps)), dtype=complex)
+    reps = list(index_set(character, bound, holomorphic=True).reps)
     scale = max(u.pullback.max_abs_coeff() * v.pullback.max_abs_coeff(), 1.0)
-    for j, a in enumerate(reps):
-        fa = qr.basis_down(a)
+
+    def column(fa: HarmonicPoly) -> tuple[HarmonicPoly, HarmonicPoly]:
         if mode == "semi":
             mid = qr.toeplitz_apply(vh, fa, v.radius() + bound)
-            colL, colR = uh * mid, (uh * vh) * fa
-        elif mode == "commute":
-            mid_v = qr.toeplitz_apply(vh, fa, v.radius() + bound)
-            mid_u = qr.toeplitz_apply(uh, fa, u.radius() + bound)
-            colL, colR = uh * mid_v, vh * mid_u
-        else:
-            raise ValueError("quotient route supports semi and commute modes")
-        for i, b in enumerate(reps):
-            eb = qr.basis_down(b)
-            res[i, j] = qr.inner(colL, eb) - qr.inner(colR, eb)
-    max_res = float(np.max(np.abs(res))) if res.size else 0.0
-    return CompareReport(mode, max_res <= RESIDUAL_TOL * scale, max_res, reps, res)
+            return uh * mid, (uh * vh) * fa
+        mid_v = qr.toeplitz_apply(vh, fa, v.radius() + bound)
+        mid_u = qr.toeplitz_apply(uh, fa, u.radius() + bound)
+        return uh * mid_v, vh * mid_u
+
+    def pair(cols: tuple[HarmonicPoly, HarmonicPoly], eb: HarmonicPoly) -> complex:
+        return qr.inner(cols[0], eb) - qr.inner(cols[1], eb)
+
+    res = _fill([qr.basis_down(r) for r in reps], column, pair)
+    return CompareReport._judge(mode, reps, res, scale)
 
 
 @dataclass
@@ -635,7 +622,7 @@ class Semd2Report:
 
 
 def semd2_check(u: SymbolPair, v: SymbolPair, character: Character,
-                bound: int | None = None, tol: float = 1e-10) -> Semd2Report:
+                bound: int | None = None) -> Semd2Report:
     """Symbolic test of the three derivative conditions for T_u T_v = T_{uv}
     on quotients of the bidisc, cross-checked against the exact window
     residual.
@@ -648,11 +635,11 @@ def semd2_check(u: SymbolPair, v: SymbolPair, character: Character,
         raise ValueError("the derivative criterion applies to bidisc quotients")
     uh = harmonic_extension(u.pullback)
     vh = harmonic_extension(v.pullback)
-    scale = max(u.pullback.max_abs_coeff() * v.pullback.max_abs_coeff(), 1.0)
+    tol = RESIDUAL_TOL * max(u.pullback.max_abs_coeff() * v.pullback.max_abs_coeff(), 1.0)
 
     def reduced_zero(p: HarmonicPoly, coords: tuple[int, ...]) -> bool:
-        return all(abs(c) <= tol * scale for c in p.reduce_coords_to_torus(coords).values()) \
-            if coords else p.is_zero(tol=tol * scale)
+        return all(abs(c) <= tol for c in p.reduce_coords_to_torus(coords).values()) \
+            if coords else p.is_zero(tol=tol)
 
     d1 = wirtinger_D(uh, vh, "D1")
     d2 = wirtinger_D(uh, vh, "D2")
@@ -702,8 +689,7 @@ def _invariant_monomial(group: Group, rep: Expo) -> LaurentPoly | None:
 
 
 def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
-                   base_bound: int = 4, max_shifts: int = 8,
-                   tol: float = 1e-10) -> RecoveryResult:
+                   base_bound: int = 4, max_shifts: int = 8) -> RecoveryResult:
     """Recover the symbol of an operator given entry access on the gamma
     basis.
 
@@ -716,16 +702,11 @@ def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
     group = character.group
     q = group.q
     basis = GammaBasis(character)
-    iset = index_set(character, base_bound, holomorphic=True)
-    reps = list(iset.reps)
+    reps = list(index_set(character, base_bound, holomorphic=True).reps)
     if not reps:
         raise RecoveryError("empty index window; increase base_bound")
 
-    entries = np.zeros((len(reps), len(reps)), dtype=complex)
-    for j, a in enumerate(reps):
-        for i, b in enumerate(reps):
-            entries[i, j] = entry_fn(a, b)
-    window = ToeplitzWindow(character, base_bound, reps, entries)
+    window = ToeplitzWindow(character, base_bound, reps, _fill(reps, lambda a: a, entry_fn))
     report = bh_check(window, bmap, basis=basis)
     if not report.ok:
         raise RecoveryError(
@@ -735,31 +716,32 @@ def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
         )
 
     scale = window.scale()
-    stabilized = np.zeros_like(entries)
-    shifts_used = 0
-    for j, a in enumerate(reps):
-        for i, b in enumerate(reps):
-            prev = entry_fn(a, b)
-            r = 0
-            while True:
-                r += 1
-                cur = entry_fn(_shift(a, q * r), _shift(b, q * r))
-                if abs(cur - prev) < tol * scale:
-                    stabilized[i, j] = cur
-                    shifts_used = max(shifts_used, r)
-                    break
-                if r >= max_shifts:
-                    raise RecoveryError(
-                        f"entry at ({a}, {b}) does not stabilize along the "
-                        f"diagonal shift after {max_shifts} steps"
-                    )
-                prev = cur
+    shifts: list[int] = []
+
+    def stabilize(a: Expo, b: Expo) -> complex:
+        prev = window.entry(b, a)
+        r = 0
+        while True:
+            r += 1
+            cur = entry_fn(_shift(a, q * r), _shift(b, q * r))
+            if abs(cur - prev) < RESIDUAL_TOL * scale:
+                shifts.append(r)
+                return cur
+            if r >= max_shifts:
+                raise RecoveryError(
+                    f"entry at ({a}, {b}) does not stabilize along the "
+                    f"diagonal shift after {max_shifts} steps"
+                )
+            prev = cur
+
+    stabilized = _fill(reps, lambda a: a, stabilize)
+    shifts_used = max(shifts, default=0)
 
     # candidate exponent lattice from observed entry differences
     cands: set[Expo] = set()
     for j, a in enumerate(reps):
         for i, b in enumerate(reps):
-            if abs(stabilized[i, j]) <= tol * scale:
+            if abs(stabilized[i, j]) <= RESIDUAL_TOL * scale:
                 continue
             for ob in orbit_exponents(group, b):
                 for oa in orbit_exponents(group, a):
@@ -780,7 +762,6 @@ def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
     r_cand = max(max(abs(x) for x in rep) for rep, _ in monomials)
     spread = 2 * r_cand + q + 2
     anchor = _spread_anchor(character, spread)
-    gammas = [basis(r) for r in reps]
     rows = []
     rhs = []
     for rep, _ in monomials:
@@ -795,13 +776,13 @@ def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
         gp, gm = basis(p_s), basis(m_s)
         rows.append([torus_inner(mono * gp, gm) for _, mono in monomials])
         rhs.append(entry_fn(p_s, m_s))
-    for j, a in enumerate(reps):
-        prod_cache = [mono * gammas[j] for _, mono in monomials]
-        for i, b in enumerate(reps):
-            rows.append([torus_inner(pc, gammas[i]) for pc in prod_cache])
-            rhs.append(stabilized[i, j])
-    A = np.array(rows, dtype=complex)
-    y = np.array(rhs, dtype=complex)
+    # then every stabilized entry, against each candidate's own window
+    gammas = [basis(r) for r in reps]
+    windows = [_fill(gammas, lambda g, mono=mono: mono * g, torus_inner).T.ravel()
+               for _, mono in monomials]
+    A = np.vstack([np.array(rows, dtype=complex).reshape(-1, len(monomials)),
+                   np.stack(windows, axis=1)])
+    y = np.concatenate([np.array(rhs, dtype=complex), stabilized.T.ravel()])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     residual = float(np.linalg.norm(A @ coef - y))
 
@@ -884,8 +865,7 @@ class CompactnessReport:
         }
 
 
-def compactness_probe(windows: list[ToeplitzWindow], bmap: BasicMap,
-                      tol: float = RESIDUAL_TOL) -> CompactnessReport:
+def compactness_probe(windows: list[ToeplitzWindow], bmap: BasicMap) -> CompactnessReport:
     """Check entry constancy along the diagonal shift inside and across a
     family of windows; persistent nonzero entries rule out compactness."""
     q = bmap.group.q
@@ -897,9 +877,9 @@ def compactness_probe(windows: list[ToeplitzWindow], bmap: BasicMap,
     for a in base.reps:
         for b in base.reps:
             v0 = base.entry(b, a)
-            if abs(v0) > tol * scale:
+            persists = abs(v0) > RESIDUAL_TOL * scale
+            if persists:
                 all_zero = False
-            persists = abs(v0) > tol * scale
             for w in windows:
                 r = 1
                 while True:

@@ -176,5 +176,20 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[0] == "key,value"
 
+    def test_seed_and_pairs_passed_only_when_given(self, capsys, monkeypatch):
+        # without --seed each suite runs its own default seed
+        seen = []
+
+        def fake_run_suite(name, **kwargs):
+            seen.append((name, kwargs))
+            return {"ok": True}
+
+        monkeypatch.setattr("hardyq.cli.run_suite", fake_run_suite)
+        for argv in (["bh"], ["bh", "--seed", "5"], ["kernel-identity", "--pairs", "3"],
+                     ["gram", "--seed", "5"]):
+            assert run_cli(capsys, "verify", *argv)[0] == 0
+        assert seen == [("bh", {}), ("bh", {"seed": 5}),
+                        ("kernel-identity", {"pairs": 3}), ("gram", {})]
+
     def test_unknown_verb_usage_exit(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -1,14 +1,16 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from hardyq.groups import make_character, make_group
+from hardyq.groups import builtin_characters, make_character, make_group
 from hardyq.invariants import basic_map, ell, index_set, lower, project
 from hardyq.laurent import HarmonicPoly, LaurentPoly, torus_inner
 from hardyq.suites import random_invariant_symbol
 from hardyq.toeplitz import (
+    RESIDUAL_TOL,
     GammaBasis,
     QuotientRealization,
     RecoveryError,
@@ -27,6 +29,7 @@ from hardyq.toeplitz import (
     symbol_from_theta,
     symbol_recover,
     toeplitz_window,
+    _monomial_route_compare,
     window_entry_fn,
 )
 
@@ -328,6 +331,21 @@ class TestCorrespondence:
         rep = correspondence_check(u, v, [triv, sgn], 4, mode="commute")
         assert rep.agree
 
+    @pytest.mark.parametrize("gname", ["G(1,1,2)", "G(2,2,2)", "G(2,1,2)", "G(1,1,3)"])
+    @pytest.mark.parametrize("mode", ["semi", "commute"])
+    def test_isotypic_and_monomial_residuals_agree_entrywise(self, gname, mode):
+        g = make_group(gname)
+        rng = random.Random(21)
+        u = random_invariant_symbol(g, rng, radius=1, terms=3)
+        v = random_invariant_symbol(g, rng, radius=1, terms=3)
+        scale = max(u.pullback.max_abs_coeff() * v.pullback.max_abs_coeff(), 1.0)
+        for ch in builtin_characters(g):
+            iso = product_compare(u, v, mode, ch, 3)
+            mono = _monomial_route_compare(u, v, mode, ch, 3)
+            assert iso.reps == mono.reps
+            diff = np.max(np.abs(iso.residuals - mono.residuals), initial=0.0)
+            assert diff <= RESIDUAL_TOL * scale, (ch.name, diff)
+
     def test_unitary_equivalence_entrywise(self, ctx):
         # quotient-side pushforward entries equal the ambient window entries
         g, sgn, triv, bm = ctx
@@ -441,6 +459,26 @@ class TestRecovery:
 
         with pytest.raises(RecoveryError, match="shift relations"):
             symbol_recover(bad, sgn, bm, base_bound=3)
+
+    def test_base_entries_requested_once(self, ctx):
+        # the shift walk starts from the stored base entry, so a base pair is
+        # requested again only as the one-step shift of another base pair
+        g, sgn, triv, bm = ctx
+        sym = random_invariant_symbol(g, random.Random(22), radius=2, terms=3)
+        fn = window_entry_fn(sym, sgn)
+        calls = Counter()
+
+        def counted(a, b):
+            calls[(tuple(a), tuple(b))] += 1
+            return fn(a, b)
+
+        res = symbol_recover(counted, sgn, bm, base_bound=4)
+        assert res.stabilization_shifts == 1
+        reps = index_set(sgn, 4).reps
+        base = {(a, b) for a in reps for b in reps}
+        for a, b in base:
+            back = (tuple(x - g.q for x in a), tuple(x - g.q for x in b))
+            assert calls[(a, b)] == 1 + (back in base), (a, b)
 
     def test_non_stabilizing_oracle_rejected(self, ctx):
         g, sgn, triv, bm = ctx
