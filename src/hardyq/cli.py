@@ -234,10 +234,18 @@ _SEEDED_SUITES = ("kernel-identity", "projections", "bh", "recovery",
 
 
 def cmd_verify(args) -> tuple[int, dict]:
+    """Run one suite; --seed and --pairs are usage errors on a suite that
+    does not take them ("all" takes neither)."""
     kwargs = {}
-    if args.seed is not None and args.suite in _SEEDED_SUITES:
+    if args.seed is not None:
+        if args.suite not in _SEEDED_SUITES:
+            raise ValueError(f"--seed does not apply to suite {args.suite!r}; "
+                             f"seeded suites: {', '.join(_SEEDED_SUITES)}")
         kwargs["seed"] = args.seed
-    if args.pairs is not None and args.suite == "kernel-identity":
+    if args.pairs is not None:
+        if args.suite != "kernel-identity":
+            raise ValueError(f"--pairs does not apply to suite {args.suite!r}; "
+                             "only kernel-identity takes it")
         kwargs["pairs"] = args.pairs
     report = run_suite(args.suite, **kwargs)
     return (0 if report["ok"] else FAIL_EXIT), report

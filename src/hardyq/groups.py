@@ -18,7 +18,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product
+
+import numpy as np
 
 
 def root_of_unity(turn: Fraction | int) -> complex:
@@ -150,8 +153,13 @@ def _perm_parity(perm: tuple[int, ...]) -> int:
 class Group:
     """Eagerly enumerated group with exact multiplication data.
 
-    Supports |G| up to desk scale (~1e5); every downstream formula is a full
-    group sum, so nothing lazier is needed.
+    Supports |G| up to desk scale (~1e5).  Both kinds split as G = A x| S:
+    A is the diagonal-phase subgroup and S the zero-phase permutation
+    elements (all of S_n for G(m,p,n), the identity for Z(m)@k^n), and
+    every element is g = D_phase * P_perm.  Isotypic projections and their
+    norms use that split (orbit sums over S after an exact test on A's
+    generators); the quotient kernel sums over all of G through the numpy
+    tables in point_tables.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -202,9 +210,44 @@ class Group:
     def det_of(self, g: GroupElement) -> complex:
         return root_of_unity(self.det_turn(g))
 
-    def perm_images(self) -> list[tuple[int, ...]]:
-        """Distinct permutation parts, sorted (full S_n for G(m,p,n))."""
-        return sorted({g.perm for g in self.elements})
+    def perm_images(self) -> tuple[tuple[int, ...], ...]:
+        """Distinct permutation parts, sorted (full S_n for G(m,p,n));
+        computed once per group."""
+        return self._perm_images
+
+    @cached_property
+    def _perm_images(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted({g.perm for g in self.elements}))
+
+    @cached_property
+    def diagonal_generators(self) -> tuple[GroupElement, ...]:
+        """Generators of the diagonal-phase subgroup A: e_i - e_n (i < n) and
+        p*e_n for G(m,p,n), e_k for Z(m)@k^n; reduced mod m, identities
+        dropped."""
+        n, m = self.n, self.m
+
+        def unit(i: int, k: int = 1) -> list[int]:
+            return [k if j == i else 0 for j in range(n)]
+
+        if self.spec.kind == "Gmpn":
+            vecs = [[a - b for a, b in zip(unit(i), unit(n - 1))] for i in range(n - 1)]
+            vecs.append(unit(n - 1, self.p))
+        else:
+            vecs = [unit(self.spec.coord - 1)]
+        phases = [tuple(x % m for x in v) for v in vecs]
+        return tuple(GroupElement(tuple(range(n)), ph, m) for ph in phases if any(ph))
+
+    @cached_property
+    def point_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(roots, phase, src) with (g z)_i = roots[phase[g, i]] * z[src[g, i]]
+        for element g in enumeration order: one root_of_unity per phase
+        value, and |G| x n index tables in the smallest integer types."""
+        roots = np.array([root_of_unity(Fraction(k, self.m)) for k in range(self.m)])
+        phase = np.array([g.phase for g in self.elements],
+                         dtype=np.min_scalar_type(self.m - 1)).reshape(-1, self.n)
+        perm = np.array([g.perm for g in self.elements],
+                        dtype=np.min_scalar_type(self.n - 1)).reshape(-1, self.n)
+        return roots, phase, np.argsort(perm, axis=1).astype(perm.dtype)
 
     # -- reflections -------------------------------------------------------
 
@@ -365,6 +408,29 @@ class Character:
     def value_inv(self, g: GroupElement) -> complex:
         """chi(g^{-1}) = conj(chi(g))."""
         return root_of_unity(-self.turn(g))
+
+    @cached_property
+    def conj_values(self) -> np.ndarray:
+        """conj(chi(g)) for every element in enumeration order; one
+        root_of_unity per distinct turn."""
+        memo = {t: root_of_unity(-t) for t in set(self._turns)}
+        return np.array([memo[t] for t in self._turns], dtype=complex)
+
+    @cached_property
+    def diagonal_turns(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+        """(phase, turn) on each generator of the diagonal-phase subgroup."""
+        return tuple((d.phase, self.turn(d)) for d in self.group.diagonal_generators)
+
+    @cached_property
+    def perm_part(self) -> tuple[tuple[tuple[int, ...], Fraction, complex], ...]:
+        """(perm, turn, conj(chi)) on each zero-phase permutation element."""
+        group = self.group
+        zero = (0,) * group.n
+        out = []
+        for perm in group.perm_images():
+            t = self.turn(GroupElement(perm, zero, group.m))
+            out.append((perm, t, root_of_unity(-t)))
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return (

@@ -16,7 +16,6 @@ from .laurent import (
     HarmonicPoly,
     LaurentPoly,
     _compose,
-    act,
     sphere_norm,
     torus_norm,
 )
@@ -152,39 +151,61 @@ def hyperplane_form(group: Group, plane: Hyperplane) -> LaurentPoly:
 # -- projections -------------------------------------------------------------
 
 
+def _diagonal_match(char: Character, alpha: Expo) -> bool:
+    """chi(D_phi) = zeta^(phi . alpha) on every generator of the diagonal
+    subgroup A, compared in exact turns: the sum over A in the projection
+    of z^alpha is |A| when this holds and 0 otherwise."""
+    m = char.group.m
+    return all(
+        (turn - Fraction(sum(p * x for p, x in zip(phase, alpha)), m)) % 1 == 0
+        for phase, turn in char.diagonal_turns
+    )
+
+
 def project(char: Character, f: LaurentPoly) -> LaurentPoly:
-    """Group-averaged projection (1/|G|) sum_g conj(chi(g)) R_g f onto the
-    isotypic component of a one-dimensional character."""
-    group = char.group
-    total = LaurentPoly.zero(f.dim)
-    for g in group.elements:
-        total = total + char.value_inv(g) * act(g, f)
-    return total * (1.0 / len(group))
+    """Projection (1/|G|) sum_g conj(chi(g)) R_g f onto the isotypic
+    component of a one-dimensional character, as an orbit sum.
 
-
-def monomial_stabilizer_turns(group: Group, alpha: Expo):
-    """For every g fixing the exponent vector, the turn of the scalar with
-    R_g z^alpha = zeta^turn z^alpha.  Exact."""
-    alpha = tuple(alpha)
-    out = []
-    for g in group.elements:
-        b = tuple(alpha[g.perm[j]] for j in range(len(alpha)))
-        if b != alpha:
+    With g = D_phi P_sigma, R_g z^a = zeta^(phi . a) z^(sigma . a) and
+    chi(g) = chi(D_phi) chi(P_sigma), so a term c z^a survives only the
+    diagonal test and then projects to (c/|S|) sum_sigma
+    conj(chi(P_sigma)) z^(sigma . a) over the permutation elements S.  The
+    weight of each image is summed exactly before it is scaled.
+    """
+    n = f.dim
+    if n != char.group.n:
+        raise ValueError("character dimension does not match polynomial")
+    perms = char.perm_part
+    out: dict[Expo, complex] = {}
+    for a, c in f.terms.items():
+        if not _diagonal_match(char, a):
             continue
-        turn = Fraction(sum(p * x for p, x in zip(g.phase, alpha)), g.mod) % 1
-        out.append((g, turn))
-    return out
+        weights: dict[Expo, complex] = {}
+        for perm, _, conj_chi in perms:
+            b = tuple(a[perm[j]] for j in range(n))
+            weights[b] = weights.get(b, 0j) + conj_chi
+        scaled = c / len(perms)
+        for b, w in weights.items():
+            if w != 0:
+                out[b] = out.get(b, 0j) + scaled * w
+    return LaurentPoly(n, out)
 
 
 def projection_norm_sq(char: Character, alpha: Expo) -> Fraction:
-    """Exact squared torus norm of the projected monomial: |S_alpha|/|G| when
-    the character matches the stabilizer's monomial character, else 0."""
-    group = char.group
-    stab = monomial_stabilizer_turns(group, alpha)
-    for g, turn in stab:
-        if char.turn(g) != turn:
-            return Fraction(0)
-    return Fraction(len(stab), len(group))
+    """Exact squared torus norm of the projected monomial: |Stab_S(alpha)|/|S|
+    when the diagonal test passes and chi is trivial on the permutation
+    stabilizer Stab_S(alpha), else 0."""
+    alpha = tuple(alpha)
+    if not _diagonal_match(char, alpha):
+        return Fraction(0)
+    perms = char.perm_part
+    stab = 0
+    for perm, turn, _ in perms:
+        if all(alpha[perm[j]] == x for j, x in enumerate(alpha)):
+            if turn != 0:
+                return Fraction(0)
+            stab += 1
+    return Fraction(stab, len(perms))
 
 
 # -- relative invariants -----------------------------------------------------

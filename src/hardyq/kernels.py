@@ -7,7 +7,10 @@ integrals; and reproducing-property residuals.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .groups import Character, Group, make_character, make_group, parse_group_spec
 from .invariants import (
@@ -171,20 +174,47 @@ def base_kernel(spec: KernelSpec | str, z: Point, w: Point) -> complex:
 # -- quotient kernels --------------------------------------------------------
 
 
-def _singularity_floor(ellp: EllPoly, z: Point) -> float:
-    deg = ellp.poly.total_degree()
-    margin = 1.0 - max(abs(x) for x in z)
-    return 1e-6 * margin ** max(deg, 1)
+def _singularity_floor(spec: KernelSpec, z: Point) -> float:
+    """1e-6 * margin^deg(ell), with margin the distance of z to the boundary:
+    1 - max|z_i| on the polydisc, 1 - ||z|| on the ball."""
+    if spec.domain == "ball":
+        margin = 1.0 - math.sqrt(sum(abs(x) ** 2 for x in z))
+    else:
+        margin = 1.0 - max(abs(x) for x in z)
+    return 1e-6 * margin ** max(spec.ellp.poly.total_degree(), 1)
+
+
+# membership of each row of an array of points, for the quotient domains
+_ROW_PREDICATES = {
+    "polydisc": lambda pts: np.abs(pts).max(axis=1) < 1.0,
+    "ball": lambda pts: (np.abs(pts) ** 2).sum(axis=1) < 1.0,
+}
+
+
+def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b elementwise by Smith's method with true divisions, as Python's
+    complex division does it.  numpy's complex division multiplies by a
+    rounded reciprocal instead; the cancelling signed sum of the quotient
+    kernel amplifies that extra rounding.  The branch np.where discards may
+    divide by zero or overflow; the kept one has |ratio| <= 1."""
+    with np.errstate(all="ignore"):
+        wide = np.abs(b.real) >= np.abs(b.imag)
+        ratio = np.where(wide, b.imag / b.real, b.real / b.imag)
+        denom = np.where(wide, b.real + b.imag * ratio, b.real * ratio + b.imag)
+        re = np.where(wide, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom
+        im = np.where(wide, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom
+    return re + 1j * im
 
 
 def quotient_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
     """Group-averaged kernel on the quotient, evaluated at base points:
 
-        (c^2/|G|) * (1/(ell(z) conj(ell(w)))) * sum_g conj(chi(g)) S(g^{-1}z, w).
+        (c^2/|G|) * (1/(ell(z) conj(ell(w)))) * sum_g conj(chi(g)) S(g z, w),
 
-    Depends on (z, w) only through (theta(z), theta(w)).  Near the zero set
-    of ell the removable singularity is not evaluated here; use
-    series_kernel instead.
+    summed in one numpy pass over the group's point tables and the
+    character's conj(chi) vector.  Depends on (z, w) only through
+    (theta(z), theta(w)).  Near the zero set of ell the removable
+    singularity is not evaluated here; use series_kernel instead.
     """
     if not spec.is_quotient:
         raise DomainError("quotient_kernel needs a group and character")
@@ -192,20 +222,33 @@ def quotient_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
     ellp = spec.ellp
     lz = ellp.poly.eval(z)
     lw = ellp.poly.eval(w)
-    if abs(lz) <= _singularity_floor(ellp, z) or abs(lw) <= _singularity_floor(ellp, w):
+    if abs(lz) <= _singularity_floor(spec, z) or abs(lw) <= _singularity_floor(spec, w):
         raise SingularPointError(
             "ell_rho vanishes at an evaluation point; the kernel extends "
             "holomorphically there, evaluate via series_kernel"
         )
-    group = spec.group
-    char = spec.character
-    total = 0j
-    for g in group.elements:
-        # matches the function action R_g f = f o g: the kernel section
-        # transforms through the matrix itself
-        gz = g.apply_point(z)
-        total += char.value_inv(g) * base_kernel(spec.domain, gz, w)
-    scale = ellp.cnorm ** 2 / len(group)
+    # matches the function action R_g f = f o g: the kernel section
+    # transforms through the matrix itself
+    roots, phase, src = spec.group.point_tables
+    images = roots[phase]
+    images *= np.array(z, dtype=complex)[src]
+    inside = _ROW_PREDICATES[spec.domain](images)
+    if not inside.all():
+        bad = tuple(complex(x) for x in images[int(np.argmin(inside))])
+        raise DomainError(f"point {bad} is not in the {spec.domain}")
+    check_point(spec.domain, w)
+    wbar = np.conj(np.array(w, dtype=complex))
+    if spec.domain == "polydisc":
+        # one division per coordinate, in base_kernel's order: a single
+        # division by the product loses about five times more precision
+        # to the cancellation in the signed sum
+        values = np.ones(len(images), dtype=complex)
+        for i, wb in enumerate(wbar):
+            values = _quotient(values, 1.0 - images[:, i] * wb)
+    else:
+        values = (1.0 - images @ wbar) ** (-len(w))
+    total = complex(spec.character.conj_values @ values)
+    scale = ellp.cnorm ** 2 / len(spec.group)
     return scale * total / (lz * lw.conjugate())
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import Character, Group
+from .groups import Character, Group, make_character
 from .invariants import (
     BasicMap,
     EllPoly,
@@ -675,15 +675,12 @@ class RecoveryResult:
         }
 
 
-def _invariant_monomial(group: Group, rep: Expo) -> LaurentPoly | None:
+def _invariant_monomial(trivial: Character, rep: Expo) -> LaurentPoly | None:
     """Trivial-isotypic orbit sum with unit leading coefficient, or None when
     the orbit dies under averaging."""
-    from .groups import make_character
-
-    char = make_character(group, "trivial")
-    if projection_norm_sq(char, rep) == 0:
+    if projection_norm_sq(trivial, rep) == 0:
         return None
-    f = project(char, LaurentPoly.monomial(group.n, rep))
+    f = project(trivial, LaurentPoly.monomial(trivial.group.n, rep))
     lead = f.coeff(tuple(rep))
     return f * (1.0 / lead)
 
@@ -723,7 +720,10 @@ def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
         r = 0
         while True:
             r += 1
-            cur = entry_fn(_shift(a, q * r), _shift(b, q * r))
+            sa, sb = _shift(a, q * r), _shift(b, q * r)
+            cur = window.entry(sb, sa)
+            if cur is None:
+                cur = entry_fn(sa, sb)
             if abs(cur - prev) < RESIDUAL_TOL * scale:
                 shifts.append(r)
                 return cur
@@ -747,9 +747,10 @@ def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
                 for oa in orbit_exponents(group, a):
                     d = tuple(x - y for x, y in zip(ob, oa))
                     cands.add(canonical_exponent(group, d))
+    trivial = make_character(group, "trivial")
     monomials: list[tuple[Expo, LaurentPoly]] = []
     for rep in sorted(cands):
-        mono = _invariant_monomial(group, rep)
+        mono = _invariant_monomial(trivial, rep)
         if mono is not None:
             monomials.append((rep, mono))
     if not monomials:

@@ -1,0 +1,50 @@
+"""Plain O(|G|) group sums: the reference implementations that the orbit-sum
+projection, its exact norm and the vectorised quotient kernel are tested
+against.  Test oracles only; nothing in the package calls them."""
+
+from fractions import Fraction
+
+from hardyq.kernels import KernelSpec, base_kernel
+from hardyq.laurent import Expo, LaurentPoly, act
+
+
+def group_sum_project(char, f: LaurentPoly) -> LaurentPoly:
+    """(1/|G|) sum_g conj(chi(g)) R_g f, one act() per element."""
+    group = char.group
+    total = LaurentPoly.zero(f.dim)
+    for g in group.elements:
+        total = total + char.value_inv(g) * act(g, f)
+    return total * (1.0 / len(group))
+
+
+def stabilizer_norm_sq(char, alpha: Expo) -> Fraction:
+    """|S_alpha|/|G| over the full stabilizer list S_alpha of the exponent
+    vector when chi(g) equals the turn of R_g z^alpha = zeta^turn z^alpha on
+    all of it, else 0."""
+    group = char.group
+    alpha = tuple(alpha)
+    stab = 0
+    for g in group.elements:
+        if tuple(alpha[g.perm[j]] for j in range(len(alpha))) != alpha:
+            continue
+        turn = Fraction(sum(p * x for p, x in zip(g.phase, alpha)), g.mod) % 1
+        if char.turn(g) != turn:
+            return Fraction(0)
+        stab += 1
+    return Fraction(stab, len(group))
+
+
+def group_sum_kernel(spec: KernelSpec, z, w) -> tuple[complex, float]:
+    """The quotient kernel as one base_kernel call per element, and the
+    magnitude (c^2/|G|) sum_g |S(g z, w)| / |ell(z) ell(w)| that bounds the
+    rounding of any summation order of it."""
+    z, w = tuple(z), tuple(w)
+    total = 0j
+    mass = 0.0
+    for g in spec.group.elements:
+        s = base_kernel(spec.domain, g.apply_point(z), w)
+        total += spec.character.value_inv(g) * s
+        mass += abs(s)
+    ell_z, ell_w = spec.ellp.poly.eval(z), spec.ellp.poly.eval(w)
+    scale = spec.ellp.cnorm ** 2 / len(spec.group)
+    return scale * total / (ell_z * ell_w.conjugate()), scale * mass / abs(ell_z * ell_w)

@@ -177,7 +177,8 @@ class TestVerify:
         assert out.splitlines()[0] == "key,value"
 
     def test_seed_and_pairs_passed_only_when_given(self, capsys, monkeypatch):
-        # without --seed each suite runs its own default seed
+        # without --seed each suite runs its own default seed; a flag the
+        # suite does not take is a usage error that names flag and suite
         seen = []
 
         def fake_run_suite(name, **kwargs):
@@ -185,11 +186,16 @@ class TestVerify:
             return {"ok": True}
 
         monkeypatch.setattr("hardyq.cli.run_suite", fake_run_suite)
-        for argv in (["bh"], ["bh", "--seed", "5"], ["kernel-identity", "--pairs", "3"],
-                     ["gram", "--seed", "5"]):
+        for argv in (["bh"], ["bh", "--seed", "5"], ["kernel-identity", "--pairs", "3"]):
             assert run_cli(capsys, "verify", *argv)[0] == 0
-        assert seen == [("bh", {}), ("bh", {"seed": 5}),
-                        ("kernel-identity", {"pairs": 3}), ("gram", {})]
+        assert seen == [("bh", {}), ("bh", {"seed": 5}), ("kernel-identity", {"pairs": 3})]
+        for argv in (["gram", "--seed", "5"], ["all", "--seed", "5"],
+                     ["bh", "--pairs", "3"], ["all", "--pairs", "3"]):
+            code, _, err = run_cli(capsys, "verify", *argv)
+            assert code == 2, argv
+            message = json.loads(err)["error"]
+            assert argv[1] in message and repr(argv[0]) in message, message
+        assert len(seen) == 3
 
     def test_unknown_verb_usage_exit(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -143,6 +143,21 @@ class TestQuotientKernel:
         with pytest.raises(SingularPointError):
             quotient_kernel(spec, (0.0, 0.0), (0.3, 0.1))
 
+    def test_ball_singularity_floor_uses_ball_margin(self):
+        # ell_sgn = 2 z_1 on Z(2)@1^3.  At z = (eps, 0.6, 0.6) the ball margin
+        # 1 - ||z|| = 0.151 is well below the polydisc margin 1 - max|z_i| =
+        # 0.4, so the floors are 1.51e-7 and 4e-7: |ell| = 2e-7 lies between
+        # them and is evaluated, |ell| = 1e-7 lies below both and is refused.
+        spec = make_kernel_spec("ball", "Z(2)@1^3", "sgn")
+        w = (0.3, -0.2j, 0.1)
+        far = quotient_kernel(spec, (1e-3, 0.6, 0.6), w)
+        near = quotient_kernel(spec, (1e-7, 0.6, 0.6), w)
+        # the kernel depends on z_1 only through z_1^2, so the two values
+        # differ by O(1e-6) relative
+        assert abs(near - far) <= 1e-5 * abs(far)
+        with pytest.raises(SingularPointError):
+            quotient_kernel(spec, (5e-8, 0.6, 0.6), w)
+
     def test_trivial_character_kernel(self):
         # invariant-function kernel: group average of the product kernel
         spec = make_kernel_spec("polydisc", "G(1,1,2)", "trivial")
