@@ -10,6 +10,8 @@ import csv
 import io
 import json
 import sys
+import traceback
+from contextlib import contextmanager
 
 from .groups import (
     CharacterError,
@@ -27,9 +29,9 @@ from .invariants import (
 )
 from .kernels import (
     DomainError,
-    KernelSpec,
     SingularPointError,
     base_kernel,
+    make_kernel_spec,
     quotient_kernel,
     series_kernel,
 )
@@ -37,6 +39,7 @@ from .laurent import LaurentPoly
 from .suites import ALL_SUITES, run_suite
 from .toeplitz import (
     RecoveryError,
+    SymbolError,
     SymbolPair,
     WindowMarginError,
     bh_check,
@@ -49,6 +52,28 @@ from .toeplitz import (
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
+FAULT_EXIT = 3
+
+
+class UsageError(ValueError):
+    """Malformed input: bad JSON, a missing key, a flag the verb does not
+    take."""
+
+
+# errors that name a fault in the input, not in the program: exit 2
+INPUT_ERRORS = (UsageError, GroupSpecError, CharacterError, DomainError, SymbolError,
+                WindowMarginError, RecoveryError)
+
+
+@contextmanager
+def _reading_input():
+    """Report what goes wrong while parsing arguments as a UsageError."""
+    try:
+        yield
+    except INPUT_ERRORS:
+        raise
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError, OSError) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _strip_volatile(obj):
@@ -94,7 +119,9 @@ def _read_json_arg(text: str):
 
 
 def _load_symbol(group, text: str) -> SymbolPair:
-    return SymbolPair(group, LaurentPoly.from_json(_read_json_arg(text)))
+    with _reading_input():
+        poly = LaurentPoly.from_json(_read_json_arg(text))
+    return SymbolPair(group, poly)
 
 
 def _complex_pairs(vals) -> tuple:
@@ -166,12 +193,15 @@ def cmd_invariant(args) -> tuple[int, dict]:
 
 
 def cmd_kernel(args) -> tuple[int, dict]:
-    spec = KernelSpec.from_json(_read_json_arg(args.spec))
-    points = _read_json_arg(args.points)
+    with _reading_input():
+        data = _read_json_arg(args.spec)
+        domain, group_text = data["domain"], data.get("group")
+        character = data.get("character", "sgn")
+        points = [(_complex_pairs(item["z"]), _complex_pairs(item["w"]))
+                  for item in _read_json_arg(args.points)]
+    spec = make_kernel_spec(domain, group_text, character)
     records = []
-    for item in points:
-        z = _complex_pairs(item["z"])
-        w = _complex_pairs(item["w"])
+    for z, w in points:
         if not spec.is_quotient:
             value = base_kernel(spec, z, w)
             method = "base"
@@ -239,12 +269,12 @@ def cmd_verify(args) -> tuple[int, dict]:
     kwargs = {}
     if args.seed is not None:
         if args.suite not in _SEEDED_SUITES:
-            raise ValueError(f"--seed does not apply to suite {args.suite!r}; "
+            raise UsageError(f"--seed does not apply to suite {args.suite!r}; "
                              f"seeded suites: {', '.join(_SEEDED_SUITES)}")
         kwargs["seed"] = args.seed
     if args.pairs is not None:
         if args.suite != "kernel-identity":
-            raise ValueError(f"--pairs does not apply to suite {args.suite!r}; "
+            raise UsageError(f"--pairs does not apply to suite {args.suite!r}; "
                              "only kernel-identity takes it")
         kwargs["pairs"] = args.pairs
     report = run_suite(args.suite, **kwargs)
@@ -336,10 +366,13 @@ def main(argv=None) -> int:
     }
     try:
         code, report = handlers[args.verb](args)
-    except (GroupSpecError, CharacterError, DomainError, WindowMarginError,
-            RecoveryError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         _emit({"error": str(exc)}, args.output, sys.stderr)
         return USAGE_EXIT
+    except Exception as exc:  # a program fault, not an input error
+        _emit({"error": f"{type(exc).__name__}: {exc}",
+               "traceback": traceback.format_exc()}, args.output, sys.stderr)
+        return FAULT_EXIT
     _emit(report, args.output, sys.stdout)
     return code
 

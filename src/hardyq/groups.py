@@ -7,8 +7,9 @@ unity phases.  The element g acts on points by
     (g z)_i = zeta_m^(phase_i) * z_{perm^{-1}(i)},
 
 and on functions by composition, (R_g f)(z) = f(g z).  All phase arithmetic
-is exact: phases are integers mod m, character values are rational turns
-(value = exp(2*pi*i*turn)).
+is exact: phases are integers mod m, and a one-dimensional character's
+value exp(2*pi*i*turn) is stored as the integer numerator of its turn over
+the group's turn_den = lcm(2, m).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -238,6 +239,43 @@ class Group:
         return tuple(GroupElement(tuple(range(n)), ph, m) for ph in phases if any(ph))
 
     @cached_property
+    def generators(self) -> tuple[GroupElement, ...]:
+        """A generating set of G: diagonal_generators, plus the n-1 adjacent
+        zero-phase transpositions (i i+1) for G(m,p,n)."""
+        if self.spec.kind != "Gmpn":
+            return self.diagonal_generators
+        zero = (0,) * self.n
+        swaps = []
+        for i in range(self.n - 1):
+            perm = list(range(self.n))
+            perm[i], perm[i + 1] = i + 1, i
+            swaps.append(GroupElement(tuple(perm), zero, self.m))
+        return self.diagonal_generators + tuple(swaps)
+
+    @cached_property
+    def turn_den(self) -> int:
+        """N = lcm(2, m).  The abelianisation of G is generated by the images
+        of a transposition (order 2) and the diagonal phases (order | m), so
+        every one-dimensional character takes its values among the N-th
+        roots of unity."""
+        return math.lcm(2, self.m)
+
+    @cached_property
+    def det_nums(self) -> np.ndarray:
+        """det(g) = sign(perm) * zeta_m^(sum of phases) for every element in
+        enumeration order, as numerators over turn_den: the sign is the
+        parity of the inversion count of the source table, the phase sum
+        comes from the phase table."""
+        _, phase, src = self.point_tables
+        inversions = np.zeros(len(self), dtype=np.int64)
+        for i, j in combinations(range(self.n), 2):
+            inversions += src[:, i] > src[:, j]
+        den = self.turn_den
+        nums = (inversions % 2) * (den // 2) \
+            + phase.sum(axis=1, dtype=np.int64) * (den // self.m)
+        return nums % den
+
+    @cached_property
     def point_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(roots, phase, src) with (g z)_i = roots[phase[g, i]] * z[src[g, i]]
         for element g in enumeration order: one root_of_unity per phase
@@ -365,6 +403,8 @@ def _enumerate_elements(spec: GroupSpec):
 def make_group(spec: GroupSpec | str) -> Group:
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
+    elif not isinstance(spec, GroupSpec):
+        raise GroupSpecError(f"cannot parse group spec {spec!r}")
     group = Group(spec)
     expected = spec.m ** spec.n * math.factorial(spec.n) // spec.p \
         if spec.kind == "Gmpn" else spec.m
@@ -384,23 +424,26 @@ class CharacterError(ValueError):
 
 
 class Character:
-    """One-dimensional character stored as exact turns per element.
+    """One-dimensional character stored as integer turns over N = turn_den.
 
-    chi(g) = exp(2*pi*i*turn(g)).  Multiplicativity is validated on
-    construction: exhaustively for |G| <= 200, on seeded random pairs above.
+    chi(g) = exp(2*pi*i*nums[g]/N), nums[g] in 0..N-1 for element g in
+    enumeration order.  Multiplicativity is validated on construction:
+    exhaustively for |G| <= 200, on seeded random pairs above.
     """
 
-    def __init__(self, group: Group, name: str, turns: list[Fraction], validate=True):
-        if len(turns) != len(group):
+    def __init__(self, group: Group, name: str, nums: np.ndarray, validate=True):
+        nums = np.asarray(nums, dtype=np.int64)
+        if nums.shape != (len(group),):
             raise CharacterError("one turn per group element required")
         self.group = group
         self.name = name
-        self._turns = [Fraction(t) % 1 for t in turns]
+        self.den = group.turn_den
+        self.nums = nums % self.den
         if validate:
             self.validate()
 
     def turn(self, g: GroupElement) -> Fraction:
-        return self._turns[self.group.index[g]]
+        return Fraction(int(self.nums[self.group.index[g]]), self.den)
 
     def value(self, g: GroupElement) -> complex:
         return root_of_unity(self.turn(g))
@@ -412,9 +455,10 @@ class Character:
     @cached_property
     def conj_values(self) -> np.ndarray:
         """conj(chi(g)) for every element in enumeration order; one
-        root_of_unity per distinct turn."""
-        memo = {t: root_of_unity(-t) for t in set(self._turns)}
-        return np.array([memo[t] for t in self._turns], dtype=complex)
+        root_of_unity per residue mod N."""
+        roots = np.array([root_of_unity(Fraction(-k, self.den)) for k in range(self.den)],
+                         dtype=complex)
+        return roots[self.nums]
 
     @cached_property
     def diagonal_turns(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
@@ -436,11 +480,11 @@ class Character:
         return (
             isinstance(other, Character)
             and self.group is other.group
-            and self._turns == other._turns
+            and np.array_equal(self.nums, other.nums)
         )
 
     def __hash__(self):
-        return hash((id(self.group), tuple(self._turns)))
+        return hash((id(self.group), self.nums.tobytes()))
 
     def validate(self):
         group = self.group
@@ -455,21 +499,21 @@ class Character:
                 (rng.choice(group.elements), rng.choice(group.elements))
                 for _ in range(2000)
             )
+        nums, index = self.nums.tolist(), group.index
         for a, b in pairs:
-            if (self.turn(a) + self.turn(b) - self.turn(group.mul(a, b))) % 1 != 0:
+            if (nums[index[a]] + nums[index[b]] - nums[index[group.mul(a, b)]]) % self.den:
                 raise CharacterError(
                     f"character {self.name!r} is not multiplicative at "
                     f"({a.perm},{a.phase}) * ({b.perm},{b.phase})"
                 )
 
     def to_json(self) -> dict:
-        return {
-            "group": str(self.group.spec),
-            "name": self.name,
-            "values": [
-                [i, t.numerator, t.denominator] for i, t in enumerate(self._turns)
-            ],
-        }
+        """Turns as reduced fractions [index, numerator, denominator]."""
+        values = []
+        for i, k in enumerate(self.nums.tolist()):
+            d = math.gcd(k, self.den)
+            values.append([i, k // d, self.den // d])
+        return {"group": str(self.group.spec), "name": self.name, "values": values}
 
 
 def _dihedral_generators(group: Group) -> tuple[GroupElement, GroupElement]:
@@ -485,33 +529,44 @@ def extend_from_generators(
 ) -> Character:
     """Extend generator turn assignments multiplicatively over the group.
 
-    Breadth-first closure from the identity; any conflicting product is
-    reported with the violating pair, and generators that fail to generate
-    the whole group are rejected.
+    Each turn must be a multiple of 1/turn_den, the only values a character
+    of the group can take.  Breadth-first closure from the identity; any
+    conflicting product is reported with the violating pair, and generators
+    that fail to generate the whole group are rejected.
     """
-    turns: dict[GroupElement, Fraction] = {group.identity: Fraction(0)}
+    den = group.turn_den
+    gens = []
+    for s, t in assignments.items():
+        k = Fraction(t) * den
+        if k.denominator != 1:
+            raise CharacterError(
+                f"inconsistent generator value: turn {Fraction(t)} of "
+                f"({s.perm},{s.phase}) is not a multiple of 1/{den}, so no "
+                f"character of {group.spec} takes it"
+            )
+        gens.append((s, int(k) % den))
+    nums: dict[GroupElement, int] = {group.identity: 0}
     frontier = [group.identity]
-    gens = list(assignments.items())
     while frontier:
         nxt = []
         for g in frontier:
-            for s, ts in gens:
+            for s, ks in gens:
                 h = group.mul(g, s)
-                t = (turns[g] + ts) % 1
-                if h in turns:
-                    if turns[h] != t:
+                k = (nums[g] + ks) % den
+                if h in nums:
+                    if nums[h] != k:
                         raise CharacterError(
                             f"inconsistent generator values: element reached with "
-                            f"turns {turns[h]} and {t} via ({g.perm},{g.phase})*"
-                            f"({s.perm},{s.phase})"
+                            f"turns {Fraction(nums[h], den)} and {Fraction(k, den)} via "
+                            f"({g.perm},{g.phase})*({s.perm},{s.phase})"
                         )
                 else:
-                    turns[h] = t
+                    nums[h] = k
                     nxt.append(h)
         frontier = nxt
-    if len(turns) != len(group):
+    if len(nums) != len(group):
         raise CharacterError("generators do not generate the group")
-    return Character(group, name, [turns[g] for g in group.elements])
+    return Character(group, name, np.array([nums[g] for g in group.elements]))
 
 
 def make_character(group: Group, source: str | dict[GroupElement, Fraction]) -> Character:
@@ -524,13 +579,11 @@ def make_character(group: Group, source: str | dict[GroupElement, Fraction]) -> 
         return extend_from_generators(group, source)
     name = source
     if name == "trivial":
-        return Character(group, name, [Fraction(0)] * len(group), validate=False)
+        return Character(group, name, np.zeros(len(group), dtype=np.int64), validate=False)
     if name == "det":
-        return Character(group, name, [group.det_turn(g) for g in group.elements],
-                         validate=False)
+        return Character(group, name, group.det_nums, validate=False)
     if name == "sgn":
-        return Character(group, name, [-group.det_turn(g) % 1 for g in group.elements],
-                         validate=False)
+        return Character(group, name, -group.det_nums, validate=False)
     if name in ("rho1", "rho2"):
         spec = group.spec
         if spec.kind != "Gmpn" or spec.n != 2 or spec.p != spec.m or spec.m % 2:

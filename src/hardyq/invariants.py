@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from .groups import Character, Group, Hyperplane, _perm_parity
+from .groups import Character, Group, Hyperplane, _perm_parity, make_character
 from .laurent import (
     Expo,
     HarmonicPoly,
@@ -232,8 +232,7 @@ def ell(char: Character, domain: str = "polydisc", bmap: BasicMap | None = None)
     group = char.group
     if bmap is None:
         bmap = basic_map(group)
-    sgn = [(-group.det_turn(g)) % 1 for g in group.elements]
-    if char._turns == sgn:
+    if char == make_character(group, "sgn"):
         poly = jacobian(bmap)
     else:
         poly = LaurentPoly.constant(group.n, 1.0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import Character, Group, make_character, make_group, parse_group_spec
+from .groups import Character, Group, make_character, make_group
 from .invariants import (
     BasicMap,
     EllPoly,
@@ -116,15 +116,6 @@ class KernelSpec:
     @property
     def is_quotient(self) -> bool:
         return self.group is not None
-
-    @classmethod
-    def from_json(cls, data: dict) -> "KernelSpec":
-        group = None
-        character = None
-        if data.get("group"):
-            group = make_group(parse_group_spec(data["group"]))
-            character = make_character(group, data.get("character", "sgn"))
-        return cls(domain=data["domain"], group=group, character=character)
 
 
 def make_kernel_spec(domain: str, group_text: str | None = None,

@@ -67,7 +67,15 @@ class SymbolPair:
     """A bounded symbol on the quotient boundary, stored through its
     pullback u o theta: a G-invariant Laurent polynomial on the torus.  The
     representation in quotient coordinates (a polynomial in t and conj t) is
-    computed on demand and cached."""
+    computed on demand and cached.
+
+    Invariance is checked on Group.generators only: a symbol fixed by every
+    generator is fixed by G.  act permutes coefficients and multiplies them
+    by roots of unity, so it preserves the coefficient sup-norm, and
+    R_{gh} u - u = R_h (R_g u - u) + (R_h u - u): the residual of a word of
+    length L in the generators (G is finite, so no inverses are needed) is
+    at most L times the largest generator residual.  Each generator
+    residual must stay within 1e-9 * scale."""
 
     group: Group
     pullback: LaurentPoly
@@ -77,7 +85,7 @@ class SymbolPair:
         if self.pullback.dim != self.group.n:
             raise SymbolError("symbol dimension does not match the group")
         scale = max(self.pullback.max_abs_coeff(), 1.0)
-        for g in self.group.elements:
+        for g in self.group.generators:
             if not (act(g, self.pullback) - self.pullback).is_zero(tol=1e-9 * scale):
                 raise SymbolError("pullback symbol is not G-invariant")
 

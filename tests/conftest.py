@@ -25,6 +25,11 @@ def g222():
 
 
 @pytest.fixture(scope="session")
+def g315():
+    return make_group("G(3,1,5)")
+
+
+@pytest.fixture(scope="session")
 def sgn112(g112):
     return make_character(g112, "sgn")
 

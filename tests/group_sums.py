@@ -1,11 +1,62 @@
 """Plain O(|G|) group sums: the reference implementations that the orbit-sum
-projection, its exact norm and the vectorised quotient kernel are tested
-against.  Test oracles only; nothing in the package calls them."""
+projection, its exact norm, the vectorised quotient kernel, the integer
+character tables and the generator-set invariance test are tested against.
+Test oracles only; nothing in the package calls them."""
 
 from fractions import Fraction
 
+import numpy as np
+
+from hardyq.groups import root_of_unity
 from hardyq.kernels import KernelSpec, base_kernel
 from hardyq.laurent import Expo, LaurentPoly, act
+
+
+def det_turns(group) -> list[Fraction]:
+    """det(g) as a turn per element from Group.det_turn (Fraction arithmetic
+    on the permutation parity and the phase sum), each cross-checked against
+    the numerical determinant of the element's monomial matrix."""
+    turns = []
+    for g in group.elements:
+        t = group.det_turn(g)
+        numeric = np.linalg.det(np.array(g.matrix()))
+        assert abs(numeric - root_of_unity(t)) < 1e-12, (g, t, numeric)
+        turns.append(t)
+    return turns
+
+
+def sgn_turns(group) -> list[Fraction]:
+    """sgn = det^{-1} per element."""
+    return [(-t) % 1 for t in det_turns(group)]
+
+
+def closure_turns(group, assignments) -> list[Fraction]:
+    """Turns per element of the character with the given generator turns,
+    by breadth-first closure in Fractions; None if the assignments are
+    inconsistent or do not generate the group."""
+    turns = {group.identity: Fraction(0)}
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s, ts in assignments.items():
+                h, t = group.mul(g, s), (turns[g] + Fraction(ts)) % 1
+                if h not in turns:
+                    turns[h] = t
+                    nxt.append(h)
+                elif turns[h] != t:
+                    return None
+        frontier = nxt
+    if len(turns) != len(group):
+        return None
+    return [turns[g] for g in group.elements]
+
+
+def invariant_under_every_element(group, f: LaurentPoly) -> bool:
+    """The G-invariance check with one act() per element, at the symbol
+    tolerance 1e-9 * max(max |coefficient|, 1)."""
+    scale = max(f.max_abs_coeff(), 1.0)
+    return all((act(g, f) - f).is_zero(tol=1e-9 * scale) for g in group.elements)
 
 
 def group_sum_project(char, f: LaurentPoly) -> LaurentPoly:

@@ -199,3 +199,37 @@ class TestVerify:
 
     def test_unknown_verb_usage_exit(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestExitCodes:
+    def test_non_invariant_symbol_is_usage_error(self, capsys):
+        # z_3 is fixed by the swap (1 2) but not by (2 3)
+        sym = json.dumps({"dim": 3, "terms": [{"c": [1, 0], "e": [0, 0, 1]}]})
+        code, out, err = run_cli(capsys, "toeplitz", "window", "--group", "G(1,1,3)",
+                                 "--symbol", sym, "-D", "2")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "pullback symbol is not G-invariant"}
+
+    def test_program_fault_has_its_own_exit_code_and_traceback(self, capsys, monkeypatch):
+        from hardyq.invariants import NotInIsotypicError
+
+        def broken(spec, z, w):
+            raise NotInIsotypicError("leading exponent is incompatible")
+
+        monkeypatch.setattr("hardyq.cli.quotient_kernel", broken)
+        points = '[{"z": [[0.3, 0.0], [0.0, 0.1]], "w": [[0.2, 0.0], [-0.4, 0.0]]}]'
+        code, out, err = run_cli(capsys, "kernel", "eval", "--spec", TestKernelVerb.SPEC,
+                                 "--points", points)
+        assert code == 3 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "NotInIsotypicError: leading exponent is incompatible"
+        assert "Traceback" in report["traceback"] and "broken" in report["traceback"]
+
+    def test_malformed_kernel_request_is_usage_error(self, capsys):
+        points = '[{"z": [[0.3, 0.0], [0.0, 0.1]]}]'
+        code, _, err = run_cli(capsys, "kernel", "eval", "--spec", TestKernelVerb.SPEC,
+                               "--points", points)
+        assert code == 2 and json.loads(err) == {"error": "'w'"}
+        code, _, err = run_cli(capsys, "kernel", "eval", "--spec",
+                               '{"domain": "polydisc", "group": 5}', "--points", "[]")
+        assert code == 2 and json.loads(err) == {"error": "cannot parse group spec 5"}

@@ -7,6 +7,7 @@ import pytest
 
 from hardyq.groups import (
     CharacterError,
+    Group,
     GroupElement,
     GroupSpecError,
     builtin_characters,
@@ -191,6 +192,35 @@ class TestCharacters:
         data = make_character(g112, "sgn").to_json()
         assert data["group"] == "G(1,1,2)"
         assert sorted(data["values"]) == [[0, 0, 1], [1, 1, 2]] or len(data["values"]) == 2
+
+
+class TestCharacterTables:
+    """Structural guards: characters come from integer tables, and no
+    per-element Fraction loop builds them."""
+
+    @pytest.mark.parametrize("spec", ["G(1,1,3)", "G(2,1,2)", "G(4,2,3)", "G(3,3,4)",
+                                      "Z(3)@1^2"])
+    def test_generators_generate(self, spec):
+        g = make_group(spec)
+        reached = frontier = {g.identity}
+        while frontier:
+            frontier = {g.mul(x, s) for x in frontier for s in g.generators} - reached
+            reached = reached | frontier
+        assert len(reached) == len(g)
+
+    def test_builtin_characters_never_call_det_turn(self, g315, monkeypatch):
+        def forbidden(self, x):
+            raise AssertionError("det_turn called")
+
+        monkeypatch.setattr(Group, "det_turn", forbidden)
+        assert [c.name for c in builtin_characters(g315)] == ["trivial", "sgn", "det"]
+
+    def test_turn_not_a_multiple_of_the_table_denominator(self, g212):
+        # characters of G(2,1,2) take values among the lcm(2, 2) = 2nd roots
+        e1 = GroupElement((0, 1), (1, 0), 2)
+        swap = GroupElement((1, 0), (0, 0), 2)
+        with pytest.raises(CharacterError, match="not a multiple of 1/2"):
+            extend_from_generators(g212, {e1: Fraction(1, 4), swap: Fraction(0)})
 
 
 def rank_of_i_minus(g):

@@ -1,5 +1,6 @@
-"""The orbit-sum projection, its exact norm and the table-driven quotient
-kernel against the plain group sums in group_sums.py.
+"""The orbit-sum projection, its exact norm, the table-driven quotient
+kernel, the integer character tables and the generator-set invariance test
+against the plain group sums in group_sums.py.
 
 Tolerances.  eps is the double-precision machine epsilon (u = eps/2 the unit
 roundoff).
@@ -14,20 +15,44 @@ roundoff).
   in a different order, and each S takes n divisions computed by different
   code (Python and numpy complex division): at most (|G| + 3n) eps times
   the magnitude sum that group_sum_kernel returns; the test allows 2x that.
+* Character turns and their JSON are exact on both sides and must be equal.
+* Invariance verdicts.  Noise of at most 1e-12 * scale per coefficient
+  leaves every element's residual below 2e-12 * scale, so both checks
+  accept; one non-invariant term of size >= 2e-6 * scale leaves a residual
+  of at least that size times min(1, |zeta_m - 1|) on some generator and
+  some element, so both reject.  The verdicts must agree.
 """
 
+import functools
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from group_sums import group_sum_kernel, group_sum_project, stabilizer_norm_sq
-from hardyq.groups import GroupElement, builtin_characters, extend_from_generators, make_group
+from group_sums import (
+    closure_turns,
+    det_turns,
+    group_sum_kernel,
+    group_sum_project,
+    invariant_under_every_element,
+    sgn_turns,
+    stabilizer_norm_sq,
+)
+from hardyq.groups import (
+    Character,
+    GroupElement,
+    builtin_characters,
+    extend_from_generators,
+    make_group,
+)
 from hardyq.invariants import project, projection_norm_sq
 from hardyq.kernels import KernelSpec, SingularPointError, quotient_kernel
-from hardyq.laurent import LaurentPoly
+from hardyq.laurent import LaurentPoly, act
+from hardyq.toeplitz import SymbolError, SymbolPair
 
 EPS = 2.0 ** -52
 
@@ -35,11 +60,15 @@ GROUPS = ["G(1,1,2)", "G(2,1,2)", "G(2,2,2)", "G(4,4,2)", "G(1,1,3)", "G(2,1,3)"
           "G(4,2,3)", "Z(3)@1^2", "Z(4)@2^3"]
 
 
+def _assignments(group, gens):
+    """{(perm, phase): turn} as {GroupElement: Fraction}."""
+    return {GroupElement(perm, phase, group.m): Fraction(t)
+            for (perm, phase), t in gens.items()}
+
+
 def _custom(group, gens):
     """A character from generator turns: {(perm, phase): turn}."""
-    assignments = {GroupElement(perm, phase, group.m): Fraction(t)
-                   for (perm, phase), t in gens.items()}
-    return extend_from_generators(group, assignments, name="custom")
+    return extend_from_generators(group, _assignments(group, gens), name="custom")
 
 
 # characters that no built-in name gives: the sign changes' character on A
@@ -64,6 +93,34 @@ def _catalogue():
 
 
 CHARS = _catalogue()
+GROUP_OF = {spec: ch.group for spec, ch in CHARS}
+
+
+def _generator_turns(spec, ch):
+    """The generator turns a rho or custom character was built from: rho1
+    and rho2 send delta = diag(zeta_k, zeta_k^-1) to 1/2 and the swap sigma
+    to 0 and 1/2."""
+    if ch.name == "custom":
+        return CUSTOM[spec]
+    k = ch.group.m
+    delta, sigma = ((0, 1), (1 % k, (k - 1) % k)), ((1, 0), (0, 0))
+    return {delta: "1/2", sigma: 0 if ch.name == "rho1" else "1/2"}
+
+
+@functools.cache
+def _reference_turns(index):
+    """Turns per element from the Fraction oracles in group_sums.py."""
+    spec, ch = CHARS[index]
+    group = ch.group
+    if ch.name == "trivial":
+        return [Fraction(0)] * len(group)
+    if ch.name == "det":
+        return det_turns(group)
+    if ch.name == "sgn":
+        return sgn_turns(group)
+    return closure_turns(group, _assignments(group, _generator_turns(spec, ch)))
+
+
 _KERNEL_SPECS = {}
 
 
@@ -142,3 +199,79 @@ def test_quotient_kernel_matches_group_sum(domain, data):
         assume(False)
     want, mass = group_sum_kernel(spec, z, w)
     assert abs(got - want) <= 2 * (len(ch.group) + 3 * n) * EPS * mass, (got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(index=characters, other=characters)
+def test_character_table_matches_fraction_oracle(index, other):
+    spec, ch = CHARS[index]
+    want = _reference_turns(index)
+    assert [ch.turn(g) for g in ch.group.elements] == want
+    oracle_json = {"group": spec, "name": ch.name,
+                   "values": [[i, t.numerator, t.denominator] for i, t in enumerate(want)]}
+    assert json.dumps(ch.to_json()) == json.dumps(oracle_json)
+    twin = Character(ch.group, "twin", ch.nums.copy(), validate=False)
+    assert ch == twin and hash(ch) == hash(twin)
+    other_spec, och = CHARS[other]
+    same = other_spec == spec and _reference_turns(other) == want
+    assert (ch == och) == same
+    if same:
+        assert hash(ch) == hash(och)
+
+
+@st.composite
+def noisy_orbit_sums(draw, group):
+    """sum_g R_g (c z^a) for one or two monomials, every coefficient then
+    moved by at most 1e-12 * scale."""
+    n = group.n
+    f = LaurentPoly.zero(n)
+    for _ in range(draw(st.integers(1, 2))):
+        mono = LaurentPoly(n, {draw(st.tuples(*[st.integers(-2, 2)] * n)): draw(coefficients)})
+        for g in group.elements:
+            f = f + act(g, mono)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    size = 1e-12 * max(f.max_abs_coeff(), 1.0) / math.sqrt(2)
+    return LaurentPoly(n, {e: c + complex(rng.uniform(-size, size), rng.uniform(-size, size))
+                           for e, c in f.terms.items()})
+
+
+def _boundary_exponents(group):
+    """k (1, ..., 1) + m e_j for k in [-2, 2] and e_j a unit vector or 0.
+    Some of these are fixed by the subgroup that all generators but one
+    generate: z_1 z_2 by G(2,2,2) in G(2,1,2) (p e_n missing), z_3 by S_2
+    in G(1,1,3) (the last transposition missing).  A check that missed
+    that generator would accept them."""
+    out = []
+    for k in range(-2, 3):
+        for j in range(-1, group.n):
+            expo = [k] * group.n
+            if j >= 0:
+                expo[j] += group.m
+            out.append(tuple(expo))
+    return out
+
+
+def _accepted(group, f) -> bool:
+    try:
+        SymbolPair(group, f)
+    except SymbolError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_invariance_verdict_matches_every_element_check(spec, data):
+    """A noisy orbit sum is accepted by both checks; with one extra term, at
+    a uniform exponent or at each boundary exponent, the verdicts agree."""
+    group = GROUP_OF[spec]
+    n = group.n
+    f = data.draw(noisy_orbit_sums(group))
+    assert invariant_under_every_element(group, f) and _accepted(group, f)
+    size = data.draw(st.floats(2e-6, 1e-3)) * max(f.max_abs_coeff(), 1.0)
+    uniform = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
+    for expo in [uniform] + _boundary_exponents(group):
+        perturbed = f + LaurentPoly(n, {expo: size})
+        want = invariant_under_every_element(group, perturbed)
+        assert _accepted(group, perturbed) == want, (expo, want)

@@ -7,7 +7,7 @@ import pytest
 
 from hardyq.groups import builtin_characters, make_character, make_group
 from hardyq.invariants import basic_map, ell, index_set, lower, project
-from hardyq.laurent import HarmonicPoly, LaurentPoly, torus_inner
+from hardyq.laurent import HarmonicPoly, LaurentPoly, act, torus_inner
 from hardyq.suites import random_invariant_symbol
 from hardyq.toeplitz import (
     RESIDUAL_TOL,
@@ -52,6 +52,18 @@ class TestSymbols:
         g = ctx[0]
         with pytest.raises(SymbolError):
             SymbolPair(g, P(2, {(1, 0): 1}))
+
+    def test_invariance_checked_on_generators_only(self, g315, monkeypatch):
+        calls = []
+
+        def counting_act(g, f):
+            calls.append(g)
+            return act(g, f)
+
+        monkeypatch.setattr("hardyq.toeplitz.act", counting_act)
+        power_sum = P(5, {tuple(3 * (j == i) for j in range(5)): 1 for i in range(5)})
+        SymbolPair(g315, power_sum)
+        assert calls == list(g315.generators)
 
     def test_theta_form_roundtrip(self, ctx):
         g, sgn, triv, bm = ctx
