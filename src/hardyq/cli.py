@@ -29,11 +29,11 @@ from .invariants import (
 )
 from .kernels import (
     DomainError,
+    SeriesKernel,
     SingularPointError,
     base_kernel,
     make_kernel_spec,
     quotient_kernel,
-    series_kernel,
 )
 from .laurent import LaurentPoly
 from .suites import ALL_SUITES, run_suite
@@ -200,6 +200,7 @@ def cmd_kernel(args) -> tuple[int, dict]:
         points = [(_complex_pairs(item["z"]), _complex_pairs(item["w"]))
                   for item in _read_json_arg(args.points)]
     spec = make_kernel_spec(domain, group_text, character)
+    series = None  # the fallback, built at the first singular point
     records = []
     for z, w in points:
         if not spec.is_quotient:
@@ -210,9 +211,9 @@ def cmd_kernel(args) -> tuple[int, dict]:
                 value = quotient_kernel(spec, z, w)
                 method = "quotient"
             except SingularPointError:
-                x = spec.bmap.eval(z)
-                y = spec.bmap.eval(w)
-                value = series_kernel(spec, x, y, args.series_bound)
+                if series is None:
+                    series = SeriesKernel(spec, args.series_bound)
+                value = series.eval(spec.bmap.eval(z), spec.bmap.eval(w))
                 method = f"series(D={args.series_bound})"
         records.append({
             "z": _pairs_complex(z),

@@ -174,6 +174,9 @@ class Group:
         self.identity = GroupElement(tuple(range(spec.n)), (0,) * spec.n, spec.m)
         if self.identity not in self.index:
             raise GroupSpecError("enumeration is missing the identity")
+        # objects other modules derive from the group alone (the basic map),
+        # built on first use and kept as long as the group
+        self.derived: dict[str, object] = {}
 
     def __len__(self) -> int:
         return len(self.elements)

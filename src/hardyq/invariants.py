@@ -44,13 +44,19 @@ class BasicMap:
     """The components theta_1..theta_n generating the invariant ring.
 
     Holds the only table of theta powers: every substitution t = theta(z)
-    goes through pull(), so reuse one map rather than rebuilding it.
+    goes through pull(), so reuse one map rather than rebuilding it
+    (basic_map returns one map per group).  `quotients` keeps the
+    quotient-side realisation of each character (toeplitz), so its moment
+    table and lowered basis live as long as the map.
     """
 
     group: Group
     components: tuple[LaurentPoly, ...]
     q: int
     _powers: dict[tuple[int, int], LaurentPoly] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    quotients: dict[Character, object] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -88,7 +94,15 @@ class BasicMap:
 def basic_map(group: Group) -> BasicMap:
     """For G(m,p,n): elementary symmetric polynomials of z_i^m in degrees
     1..n-1 together with (z_1...z_n)^q, q = m/p.  For the cyclic group on
-    coordinate k: (z_1, ..., z_k^m, ..., z_n)."""
+    coordinate k: (z_1, ..., z_k^m, ..., z_n).  Built once per group and
+    kept on it, so every caller shares one table of theta powers."""
+    got = group.derived.get("basic_map")
+    if got is None:
+        got = group.derived["basic_map"] = _build_basic_map(group)
+    return got
+
+
+def _build_basic_map(group: Group) -> BasicMap:
     spec = group.spec
     n = group.n
     if spec.kind == "Gmpn":
@@ -234,6 +248,9 @@ def ell(char: Character, domain: str = "polydisc", bmap: BasicMap | None = None)
         bmap = basic_map(group)
     if char == make_character(group, "sgn"):
         poly = jacobian(bmap)
+    elif not char.nums.any():
+        # trivial: every exponent c_i is 0, so no reflection is needed
+        poly = LaurentPoly.constant(group.n, 1.0)
     else:
         poly = LaurentPoly.constant(group.n, 1.0)
         for plane in group.reflections():

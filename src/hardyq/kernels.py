@@ -264,7 +264,12 @@ def tetrablock_kernel(z: Point, w: Point, tol: float = 1e-12) -> complex:
 
 class SeriesKernel:
     """Truncated expansion sum_m e_m(x) conj(e_m(y)) over the lowered
-    orthonormal basis, for points x = theta(z) in quotient coordinates."""
+    orthonormal basis, for points x = theta(z) in quotient coordinates.
+
+    The basis is flattened at build into a sparse table: term k is
+    coeffs[k] * x^expos[slots[k]] in basis element rows[k], over one matrix
+    of the distinct exponents.  The table stays sparse: at D = 40 the sgn
+    basis of G(1,1,2) has 820 elements over 820 exponents but 5,950 terms."""
 
     def __init__(self, spec: KernelSpec, bound: int):
         if not spec.is_quotient:
@@ -276,12 +281,35 @@ class SeriesKernel:
         for mvec in iset:
             gam = basis_element(iset, mvec, domain=spec.domain)
             self.basis_down.append(lower(spec.ellp, spec.bmap, gam))
+        slot_of: dict[tuple[int, ...], int] = {}
+        rows, slots, coeffs = [], [], []
+        for r, e in enumerate(self.basis_down):
+            for expo, c in e.terms.items():
+                rows.append(r)
+                slots.append(slot_of.setdefault(expo, len(slot_of)))
+                coeffs.append(c)
+        self._rows = np.array(rows, dtype=np.intp)
+        self._slots = np.array(slots, dtype=np.intp)
+        self._coeffs = np.array(coeffs, dtype=complex)
+        self._expos = np.array(list(slot_of), dtype=np.intp).reshape(-1, spec.group.n)
+
+    def _values(self, x: Point) -> np.ndarray:
+        """e_m(x) for every basis element: a table of x_i^k by repeated
+        multiplication, a gather of each exponent's monomial, and one
+        bincount of the terms per basis element."""
+        x = np.array(x, dtype=complex)
+        top = int(self._expos.max(initial=0))
+        powers = np.ones((len(x), top + 1), dtype=complex)
+        for k in range(1, top + 1):
+            powers[:, k] = powers[:, k - 1] * x
+        monos = powers[np.arange(len(x)), self._expos].prod(axis=1)
+        terms = self._coeffs * monos[self._slots]
+        size = len(self.basis_down)
+        return (np.bincount(self._rows, terms.real, size)
+                + 1j * np.bincount(self._rows, terms.imag, size))
 
     def eval(self, x: Point, y: Point) -> complex:
-        total = 0j
-        for e in self.basis_down:
-            total += e.eval(tuple(x)) * e.eval(tuple(y)).conjugate()
-        return total
+        return complex(self._values(x) @ np.conj(self._values(y)))
 
 
 def series_kernel(spec: KernelSpec, x: Point, y: Point, bound: int) -> complex:

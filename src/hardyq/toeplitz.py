@@ -31,6 +31,7 @@ from .invariants import (
 from .laurent import (
     Expo,
     HarmonicPoly,
+    HTerm,
     LaurentPoly,
     act,
     canonical_exponent,
@@ -469,7 +470,11 @@ class QuotientRealization:
     """Operator entries computed on the quotient side: functions live in
     theta coordinates and inner products go through the pushforward measure
     (torus integrals against |ell|^2), never through the lift unitary.
-    Agreement with the ambient windows is the unitary-equivalence check."""
+    Agreement with the ambient windows is the unitary-equivalence check.
+
+    The measure enters only through its moments
+    mu(beta, gamma) = CT(pull(t^beta conj(t)^gamma) |ell|^2), memoised; use
+    shared() to reuse them, and the lowered basis, across comparisons."""
 
     def __init__(self, character: Character, bmap: BasicMap, ellp: EllPoly | None = None):
         self.character = character
@@ -478,7 +483,18 @@ class QuotientRealization:
         self.ellp = ellp or ell(character, bmap=bmap)
         self.basis = GammaBasis(character)
         self._down: dict[Expo, HarmonicPoly] = {}
+        self._reps: dict[int, list[Expo]] = {}
+        self._moments: dict[HTerm, complex] = {}
         self._weight = self.ellp.poly * self.ellp.poly.conj_torus()
+
+    @classmethod
+    def shared(cls, character: Character, bmap: BasicMap) -> QuotientRealization:
+        """The realisation of `character` kept on `bmap`: one per (group,
+        character), since basic_map keeps one map per group."""
+        got = bmap.quotients.get(character)
+        if got is None:
+            got = bmap.quotients[character] = cls(character, bmap)
+        return got
 
     def basis_down(self, rep: Expo) -> HarmonicPoly:
         got = self._down.get(tuple(rep))
@@ -490,21 +506,41 @@ class QuotientRealization:
             self._down[tuple(rep)] = got
         return got
 
+    def moment(self, key: HTerm) -> complex:
+        """mu(beta, gamma): the constant term of pull(t^beta conj(t)^gamma)
+        times |ell|^2, without forming the product."""
+        got = self._moments.get(key)
+        if got is None:
+            pulled = self.bmap.pull(HarmonicPoly(self.group.n, {key: 1.0}))
+            weight = self._weight.terms
+            got = 0j
+            for e, c in pulled.terms.items():
+                w = weight.get(tuple(-x for x in e))
+                if w is not None:
+                    got += c * w
+            self._moments[key] = got
+        return got
+
     def inner(self, f: HarmonicPoly, g: HarmonicPoly) -> complex:
         """<f, g> in L^2 of the pushforward measure, scaled by 1/c^2 so the
-        lowered basis is orthonormal."""
+        lowered basis is orthonormal: sum of (f conj(g))_{beta gamma}
+        mu(beta, gamma)."""
         gbar = HarmonicPoly(
             g.dim, {(gam, beta): c.conjugate() for (beta, gam), c in g.terms.items()}
         )
-        integrand = self.bmap.pull(f * gbar) * self._weight
-        return integrand.coeff((0,) * self.group.n) / self.ellp.cnorm ** 2
+        total = 0j
+        for key, c in (f * gbar).terms.items():
+            total += c * self.moment(key)
+        return total / self.ellp.cnorm ** 2
 
     def project_hardy(self, f: HarmonicPoly, exp_bound: int) -> HarmonicPoly:
         """Orthogonal projection onto the span of the lowered basis up to the
         given ambient sup-norm bound (exact once the bound dominates f)."""
-        iset = index_set(self.character, exp_bound, holomorphic=True)
+        reps = self._reps.get(exp_bound)
+        if reps is None:
+            reps = self._reps[exp_bound] = index_set(self.character, exp_bound).reps
         out = HarmonicPoly.zero(self.group.n)
-        for rep in iset:
+        for rep in reps:
             e = self.basis_down(rep)
             c = self.inner(f, e)
             if abs(c) > 1e-14:
@@ -537,7 +573,7 @@ def _quotient_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
     theta coordinates, inner products through the pushforward measure."""
     if mode not in ("semi", "commute"):
         raise ValueError("quotient route supports semi and commute modes")
-    qr = QuotientRealization(character, bmap)
+    qr = QuotientRealization.shared(character, bmap)
     uh = u.theta_form(bmap)
     vh = v.theta_form(bmap)
     reps = list(index_set(character, bound, holomorphic=True).reps)
@@ -580,13 +616,16 @@ def correspondence_check(u: SymbolPair, v: SymbolPair, characters: list[Characte
     """Run the product comparison on every listed isotypic component and in
     three realizations (isotypic windows, the restricted full-Hardy monomial
     window, and quotient-side pushforward windows); the product and
-    commuting correspondences say all verdicts agree.
+    commuting correspondences say all verdicts agree.  The quotient route
+    judges the same window bound as the other two unless quotient_bound is
+    given: on a smaller window an operator can vanish where it does not at
+    `bound`.
 
     A disagreement is reported in detail, never raised: it would indicate a
     computation bug, not a property of the symbols.
     """
     bmap = basic_map(u.group)
-    qb = quotient_bound if quotient_bound is not None else max(2, bound - 1)
+    qb = quotient_bound if quotient_bound is not None else bound
     verdicts: dict = {}
     residuals: dict = {}
     for char in characters:

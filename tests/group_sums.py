@@ -1,7 +1,9 @@
-"""Plain O(|G|) group sums: the reference implementations that the orbit-sum
-projection, its exact norm, the vectorised quotient kernel, the integer
-character tables and the generator-set invariance test are tested against.
-Test oracles only; nothing in the package calls them."""
+"""Plain O(|G|) group sums and per-entry loops: the reference
+implementations that the orbit-sum projection, its exact norm, the
+vectorised quotient kernel, the integer character tables, the
+generator-set invariance test, the pushforward moment table and the sparse
+series table are tested against.  Test oracles only; nothing in the
+package calls them."""
 
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import numpy as np
 
 from hardyq.groups import root_of_unity
 from hardyq.kernels import KernelSpec, base_kernel
-from hardyq.laurent import Expo, LaurentPoly, act
+from hardyq.laurent import Expo, HarmonicPoly, LaurentPoly, act
 
 
 def det_turns(group) -> list[Fraction]:
@@ -99,3 +101,41 @@ def group_sum_kernel(spec: KernelSpec, z, w) -> tuple[complex, float]:
     ell_z, ell_w = spec.ellp.poly.eval(z), spec.ellp.poly.eval(w)
     scale = spec.ellp.cnorm ** 2 / len(spec.group)
     return scale * total / (ell_z * ell_w.conjugate()), scale * mass / abs(ell_z * ell_w)
+
+
+def pushforward_inner(qr, f: HarmonicPoly, g: HarmonicPoly) -> tuple[complex, float, int]:
+    """<f, g> of the pushforward measure with the whole product pulled back
+    through theta on every call: CT(pull(f conj(g)) |ell|^2) / c^2.  Also
+    returns the magnitude sum_{(beta, gamma)} |h_{beta gamma}| sum_a
+    |P[a]| |W[-a]| / c^2 of h = f conj(g), P = pull(t^beta conj(t)^gamma)
+    and W = |ell|^2, and the largest term count of such a P."""
+    n = f.dim
+    gbar = HarmonicPoly(n, {(gam, beta): c.conjugate() for (beta, gam), c in g.terms.items()})
+    h = f * gbar
+    weight = qr.ellp.poly * qr.ellp.poly.conj_torus()
+    integrand = qr.bmap.pull(h) * weight
+    mass, widest = 0.0, 0
+    for key, c in h.terms.items():
+        pulled = qr.bmap.pull(HarmonicPoly(n, {key: 1.0}))
+        widest = max(widest, len(pulled.terms))
+        mass += abs(c) * sum(abs(p) * abs(weight.coeff(tuple(-x for x in a)))
+                             for a, p in pulled.terms.items())
+    c2 = qr.ellp.cnorm ** 2
+    return integrand.coeff((0,) * n) / c2, mass / c2, widest
+
+
+def series_sum(sk, x, y) -> tuple[complex, float]:
+    """The truncated series kernel with one LaurentPoly.eval per basis
+    element and point, and the magnitude sum_m A_m(x) A_m(y), with A_m(x)
+    the sum of |c| |x|^a over the terms of basis element m."""
+    x, y = tuple(x), tuple(y)
+    total = 0j
+    mass = 0.0
+
+    def absolute(e, p):
+        return sum(abs(c) * np.prod(np.abs(p) ** np.array(a)) for a, c in e.terms.items())
+
+    for e in sk.basis_down:
+        total += e.eval(x) * e.eval(y).conjugate()
+        mass += absolute(e, x) * absolute(e, y)
+    return total, mass

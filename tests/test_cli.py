@@ -81,6 +81,26 @@ class TestKernelVerb:
         assert rec["method"].startswith("series")
         assert abs(complex(*rec["value"]) - 1.0) < 1e-6
 
+    def test_series_fallback_built_once_per_call(self, capsys, monkeypatch):
+        from hardyq.kernels import SeriesKernel
+
+        builds = []
+
+        class Counting(SeriesKernel):
+            def __init__(self, spec, bound):
+                builds.append(bound)
+                super().__init__(spec, bound)
+
+        monkeypatch.setattr("hardyq.cli.SeriesKernel", Counting)
+        # both z lie on ell_sgn's zero set z_1 = z_2
+        points = ('[{"z": [[0.0, 0.0], [0.0, 0.0]], "w": [[0.2, 0.0], [0.1, 0.0]]},'
+                  ' {"z": [[0.1, 0.1], [0.1, 0.1]], "w": [[0.2, 0.0], [0.1, 0.0]]}]')
+        code, out, _ = run_cli(capsys, "kernel", "eval", "--spec", self.SPEC,
+                               "--points", points, "--series-bound", "8")
+        assert code == 0
+        assert [r["method"] for r in json.loads(out)["records"]] == ["series(D=8)"] * 2
+        assert builds == [8]
+
 
 SYMBOL_MIXED = json.dumps(
     {"dim": 2, "terms": [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyq.groups import builtin_characters, make_character, make_group
+from hardyq.groups import Group, builtin_characters, make_character, make_group
 from hardyq.invariants import (
     NotInIsotypicError,
     basic_map,
@@ -215,6 +215,14 @@ class TestEll:
         ep = ell(triv112)
         assert ep.poly.same_terms(P(2, {(0, 0): 1}))
         assert ep.cnorm == 1
+
+    def test_trivial_enumerates_no_reflections(self, g315, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("reflections() enumerated for the trivial character")
+
+        monkeypatch.setattr(Group, "reflections", forbidden)
+        ep = ell(make_character(g315, "trivial"))
+        assert ep.poly.same_terms(P(5, {(0,) * 5: 1})) and ep.cnorm == 1
 
     @pytest.mark.parametrize(
         "name", ["G(1,1,2)", "G(2,1,2)", "G(2,2,2)", "G(3,1,2)", "G(3,3,2)", "Z(4)@1^2"]

@@ -343,6 +343,27 @@ class TestCorrespondence:
         rep = correspondence_check(u, v, [triv, sgn], 4, mode="commute")
         assert rep.agree
 
+    def test_quotient_route_judges_the_same_window(self):
+        # a G(2,2,2) commute pair whose commutator vanishes on the D=3
+        # window of the sign component but not at D=4
+        g = make_group("G(2,2,2)")
+        u = SymbolPair(g, LaurentPoly(2, {
+            (-1, 1): -0.2988965105072241 + 0.5573592043589883j,
+            (0, 0): -0.84565330025189 - 0.1192150553791318j,
+            (1, -1): -0.2988965105072241 + 0.5573592043589883j,
+            (1, 1): 0.06923247956238998 + 0.19724420026133394j}))
+        v = SymbolPair(g, LaurentPoly(2, {
+            (-1, 1): -0.4296683936248642 + 0.8953012600324977j,
+            (0, 0): 0.968082235939207 - 0.9318546786824322j,
+            (1, -1): -0.4296683936248642 + 0.8953012600324977j,
+            (1, 1): -0.4478859881844959 + 0.7659010327507483j}))
+        sgn = make_character(g, "sgn")
+        rep = correspondence_check(u, v, [sgn], 4, mode="commute")
+        assert rep.agree
+        assert not any(rep.verdicts.values())
+        assert correspondence_check(u, v, [sgn], 4, mode="commute", quotient_bound=3) \
+            .verdicts[("sgn", "quotient")]
+
     @pytest.mark.parametrize("gname", ["G(1,1,2)", "G(2,2,2)", "G(2,1,2)", "G(1,1,3)"])
     @pytest.mark.parametrize("mode", ["semi", "commute"])
     def test_isotypic_and_monomial_residuals_agree_entrywise(self, gname, mode):
