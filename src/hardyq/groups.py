@@ -181,10 +181,6 @@ class Group:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
     def __str__(self) -> str:
         return str(self.spec)
 
@@ -215,13 +211,15 @@ class Group:
         return root_of_unity(self.det_turn(g))
 
     def perm_images(self) -> tuple[tuple[int, ...], ...]:
-        """Distinct permutation parts, sorted (full S_n for G(m,p,n));
-        computed once per group."""
+        """Distinct permutation parts, sorted: all of S_n for G(m,p,n), the
+        identity for Z(m)@k^n; built once per group."""
         return self._perm_images
 
     @cached_property
     def _perm_images(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted({g.perm for g in self.elements}))
+        if self.spec.kind == "Gmpn":
+            return tuple(permutations(range(self.n)))  # lexicographic, so sorted
+        return (tuple(range(self.n)),)
 
     @cached_property
     def diagonal_generators(self) -> tuple[GroupElement, ...]:
@@ -292,72 +290,37 @@ class Group:
 
     # -- reflections -------------------------------------------------------
 
-    def fixed_space_dim(self, g: GroupElement) -> int:
-        """dim ker(I - g), exact: one dimension per perm cycle whose phase
-        product is 1."""
-        seen = [False] * self.n
-        dim = 0
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            total = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                total += g.phase[j]
-                j = g.perm[j]
-            if total % self.m == 0:
-                dim += 1
-        return dim
-
-    def is_reflection(self, g: GroupElement) -> bool:
-        return self.fixed_space_dim(g) == self.n - 1
-
     def reflections(self) -> list["Hyperplane"]:
-        """All reflections grouped by fixed hyperplane.
+        """The reflecting hyperplanes in closed form, sorted by repr(key).
 
-        Each hyperplane carries the normalized linear form, the cyclic order
-        m_i of its pointwise stabilizer, and the generator whose determinant
-        is exp(2*pi*i/m_i).
+        G(m,p,n): z_i = zeta^t z_j for i < j and t mod m, fixed by the one
+        reflection (i j) with phases t at i and -t at j (order 2); and, when
+        q = m/p > 1, z_i = 0, fixed by the diagonal phases p*k at i for
+        k = 1..q-1 (order q).  Z(m)@k^n: z_k = 0, of order m.  Each plane
+        carries its key, the cyclic order m_i of its pointwise stabilizer,
+        and the generator whose determinant is exp(2*pi*i/m_i).
         """
-        buckets: dict[tuple, list[GroupElement]] = {}
-        for g in self.elements:
-            if not self.is_reflection(g):
-                continue
-            buckets.setdefault(self._hyperplane_key(g), []).append(g)
-        planes = []
-        for key in sorted(buckets, key=repr):
-            members = buckets[key]
-            order = len(members) + 1
-            gen = None
-            for g in members:
-                if self.det_turn(g) == Fraction(1, order):
-                    gen = g
-                    break
-            if gen is None:
-                raise RuntimeError(f"no primitive generator for hyperplane {key}")
-            planes.append(Hyperplane(self, key, members, order, gen))
-        return planes
+        n, m = self.n, self.m
+        ident = tuple(range(n))
 
-    def _hyperplane_key(self, g: GroupElement) -> tuple:
-        """Exact key for the fixed hyperplane of a reflection.
+        def element(perm: tuple[int, ...], at: dict[int, int]) -> GroupElement:
+            return GroupElement(perm, tuple(at.get(i, 0) % m for i in range(n)), m)
 
-        Monomial reflections come in two shapes: a single nonzero diagonal
-        phase (hyperplane z_i = 0) or a phased transposition (i j) fixing
-        z_i - zeta^t z_j = 0.
-        """
-        idp = tuple(range(self.n))
-        if g.perm == idp:
-            nz = [i for i in range(self.n) if g.phase[i] % self.m]
-            if len(nz) != 1:
-                raise RuntimeError("not a diagonal reflection")
-            return ("axis", nz[0])
-        moved = [j for j in range(self.n) if g.perm[j] != j]
-        if len(moved) != 2:
-            raise RuntimeError("not a reflection-shaped permutation")
-        i, j = sorted(moved)
-        # fixed locus of (g.z)_i = zeta^phase_i z_j is z_i = zeta^phase_i z_j
-        return ("diff", i, j, g.phase[i] % self.m)
+        def axis(i: int, step: int) -> Hyperplane:
+            members = [element(ident, {i: a}) for a in range(step, m, step)]
+            return Hyperplane(self, ("axis", i), members, m // step, members[0])
+
+        if self.spec.kind == "CyclicCoord":
+            planes = [axis(self.spec.coord - 1, 1)] if m > 1 else []
+        else:
+            planes = [axis(i, self.p) for i in range(n)] if self.q > 1 else []
+            for i, j in combinations(range(n), 2):
+                swap = list(ident)
+                swap[i], swap[j] = j, i
+                for t in range(m):
+                    g = element(tuple(swap), {i: t, j: -t})
+                    planes.append(Hyperplane(self, ("diff", i, j, t), [g], 2, g))
+        return sorted(planes, key=lambda h: repr(h.key))
 
     def hyperplane_coeffs(self, key: tuple) -> dict[int, complex]:
         """Linear form coefficients; first nonzero coefficient normalized to 1."""
@@ -430,11 +393,11 @@ class Character:
     """One-dimensional character stored as integer turns over N = turn_den.
 
     chi(g) = exp(2*pi*i*nums[g]/N), nums[g] in 0..N-1 for element g in
-    enumeration order.  Multiplicativity is validated on construction:
-    exhaustively for |G| <= 200, on seeded random pairs above.
+    enumeration order.  The built-in tables are multiplicative by
+    construction; extend_from_generators checks every other character.
     """
 
-    def __init__(self, group: Group, name: str, nums: np.ndarray, validate=True):
+    def __init__(self, group: Group, name: str, nums: np.ndarray):
         nums = np.asarray(nums, dtype=np.int64)
         if nums.shape != (len(group),):
             raise CharacterError("one turn per group element required")
@@ -442,8 +405,6 @@ class Character:
         self.name = name
         self.den = group.turn_den
         self.nums = nums % self.den
-        if validate:
-            self.validate()
 
     def turn(self, g: GroupElement) -> Fraction:
         return Fraction(int(self.nums[self.group.index[g]]), self.den)
@@ -489,27 +450,6 @@ class Character:
     def __hash__(self):
         return hash((id(self.group), self.nums.tobytes()))
 
-    def validate(self):
-        group = self.group
-        pairs = None
-        if len(group) <= 200:
-            pairs = ((a, b) for a in group.elements for b in group.elements)
-        else:
-            import random
-
-            rng = random.Random(1729)
-            pairs = (
-                (rng.choice(group.elements), rng.choice(group.elements))
-                for _ in range(2000)
-            )
-        nums, index = self.nums.tolist(), group.index
-        for a, b in pairs:
-            if (nums[index[a]] + nums[index[b]] - nums[index[group.mul(a, b)]]) % self.den:
-                raise CharacterError(
-                    f"character {self.name!r} is not multiplicative at "
-                    f"({a.perm},{a.phase}) * ({b.perm},{b.phase})"
-                )
-
     def to_json(self) -> dict:
         """Turns as reduced fractions [index, numerator, denominator]."""
         values = []
@@ -535,7 +475,10 @@ def extend_from_generators(
     Each turn must be a multiple of 1/turn_den, the only values a character
     of the group can take.  Breadth-first closure from the identity; any
     conflicting product is reported with the violating pair, and generators
-    that fail to generate the whole group are rejected.
+    that fail to generate the whole group are rejected.  The closure checks
+    chi(g s) = chi(g) chi(s) for every element g and every given generator
+    s, which by induction on word length is multiplicativity: this is the
+    one character check.
     """
     den = group.turn_den
     gens = []
@@ -582,11 +525,11 @@ def make_character(group: Group, source: str | dict[GroupElement, Fraction]) -> 
         return extend_from_generators(group, source)
     name = source
     if name == "trivial":
-        return Character(group, name, np.zeros(len(group), dtype=np.int64), validate=False)
+        return Character(group, name, np.zeros(len(group), dtype=np.int64))
     if name == "det":
-        return Character(group, name, group.det_nums, validate=False)
+        return Character(group, name, group.det_nums)
     if name == "sgn":
-        return Character(group, name, -group.det_nums, validate=False)
+        return Character(group, name, -group.det_nums)
     if name in ("rho1", "rho2"):
         spec = group.spec
         if spec.kind != "Gmpn" or spec.n != 2 or spec.p != spec.m or spec.m % 2:

@@ -440,10 +440,14 @@ def product_compare(u: SymbolPair, v: SymbolPair | None, mode: str,
         symbols = [s for s in symbols if s is not None]
     else:
         symbols = [u, v]
-    scale = max(
-        math.prod(max(s.pullback.max_abs_coeff(), 1.0) for s in symbols), 1.0
-    )
-    return _ambient_compare(mode, symbols, character, character, bound, scale)
+    return _ambient_compare(mode, symbols, character, character, bound,
+                            _verdict_scale(symbols))
+
+
+def _verdict_scale(symbols: list[SymbolPair]) -> float:
+    """max(prod of the symbols' largest coefficients, 1): the one scale every
+    route and the derivative criterion judge a product residual against."""
+    return max(math.prod(s.pullback.max_abs_coeff() for s in symbols), 1.0)
 
 
 def _ambient_compare(mode: str, symbols: list[SymbolPair], character: Character,
@@ -562,8 +566,7 @@ def _monomial_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
     the component invariant, so the verdicts must match product_compare)."""
     if mode not in ("semi", "commute"):
         raise ValueError("monomial route supports semi and commute modes")
-    scale = max(u.pullback.max_abs_coeff() * v.pullback.max_abs_coeff(), 1.0)
-    return _ambient_compare(mode, [u, v], character, None, bound, scale)
+    return _ambient_compare(mode, [u, v], character, None, bound, _verdict_scale([u, v]))
 
 
 def _quotient_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
@@ -577,7 +580,6 @@ def _quotient_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
     uh = u.theta_form(bmap)
     vh = v.theta_form(bmap)
     reps = list(index_set(character, bound, holomorphic=True).reps)
-    scale = max(u.pullback.max_abs_coeff() * v.pullback.max_abs_coeff(), 1.0)
 
     def column(fa: HarmonicPoly) -> tuple[HarmonicPoly, HarmonicPoly]:
         if mode == "semi":
@@ -591,7 +593,7 @@ def _quotient_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
         return qr.inner(cols[0], eb) - qr.inner(cols[1], eb)
 
     res = _fill([qr.basis_down(r) for r in reps], column, pair)
-    return CompareReport._judge(mode, reps, res, scale)
+    return CompareReport._judge(mode, reps, res, _verdict_scale([u, v]))
 
 
 @dataclass
@@ -682,7 +684,7 @@ def semd2_check(u: SymbolPair, v: SymbolPair, character: Character,
         raise ValueError("the derivative criterion applies to bidisc quotients")
     uh = harmonic_extension(u.pullback)
     vh = harmonic_extension(v.pullback)
-    tol = RESIDUAL_TOL * max(u.pullback.max_abs_coeff() * v.pullback.max_abs_coeff(), 1.0)
+    tol = RESIDUAL_TOL * _verdict_scale([u, v])
 
     def reduced_zero(p: HarmonicPoly, coords: tuple[int, ...]) -> bool:
         return all(abs(c) <= tol for c in p.reduce_coords_to_torus(coords).values()) \

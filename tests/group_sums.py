@@ -1,8 +1,9 @@
 """Plain O(|G|) group sums and per-entry loops: the reference
 implementations that the orbit-sum projection, its exact norm, the
 vectorised quotient kernel, the integer character tables, the
-generator-set invariance test, the pushforward moment table and the sparse
-series table are tested against.  Test oracles only; nothing in the
+generator-set invariance test, the pushforward moment table, the sparse
+series table and the closed-form reflecting hyperplanes are tested
+against.  Test oracles only; nothing in the
 package calls them."""
 
 from fractions import Fraction
@@ -25,6 +26,49 @@ def det_turns(group) -> list[Fraction]:
         assert abs(numeric - root_of_unity(t)) < 1e-12, (g, t, numeric)
         turns.append(t)
     return turns
+
+
+def fixed_space_dim(group, g) -> int:
+    """dim ker(I - g), exact: one dimension per perm cycle whose phase
+    product is 1."""
+    seen = [False] * group.n
+    dim = 0
+    for start in range(group.n):
+        if seen[start]:
+            continue
+        total = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            total += g.phase[j]
+            j = g.perm[j]
+        if total % group.m == 0:
+            dim += 1
+    return dim
+
+
+def is_reflection(group, g) -> bool:
+    return fixed_space_dim(group, g) == group.n - 1
+
+
+def scanned_hyperplanes(group) -> dict[tuple, list]:
+    """Every reflection of the group, found by one is_reflection per element
+    and bucketed by the exact key of its fixed hyperplane: ("axis", i) for a
+    single nonzero diagonal phase at i (z_i = 0), ("diff", i, j, t) for a
+    phased transposition (i j) fixing z_i = zeta^t z_j."""
+    buckets: dict[tuple, list] = {}
+    for g in group.elements:
+        if not is_reflection(group, g):
+            continue
+        moved = [j for j in range(group.n) if g.perm[j] != j]
+        if not moved:
+            (i,) = [i for i in range(group.n) if g.phase[i]]
+            key = ("axis", i)
+        else:
+            i, j = moved
+            key = ("diff", i, j, g.phase[i])
+        buckets.setdefault(key, []).append(g)
+    return buckets
 
 
 def sgn_turns(group) -> list[Fraction]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from group_sums import fixed_space_dim, is_reflection, scanned_hyperplanes
 
 from hardyq.groups import (
     CharacterError,
@@ -17,6 +18,7 @@ from hardyq.groups import (
     parse_group_spec,
     root_of_unity,
 )
+from hardyq.invariants import basic_map, ell
 
 
 def numpy_matrix(g):
@@ -188,6 +190,18 @@ class TestCharacters:
                 {delta: Fraction(1, 4), GroupElement((1, 0), (0, 0), 2): Fraction(0)},
             )
 
+    def test_conjugate_transpositions_with_different_values_rejected(self, g113):
+        # (0 1) and (1 2) are conjugate in S_3, so no character separates them
+        s01 = GroupElement((1, 0, 2), (0, 0, 0), 1)
+        s12 = GroupElement((0, 2, 1), (0, 0, 0), 1)
+        with pytest.raises(CharacterError, match="inconsistent"):
+            extend_from_generators(g113, {s01: Fraction(1, 2), s12: Fraction(0)})
+
+    def test_non_generating_assignments_rejected(self, g222):
+        swap = GroupElement((1, 0), (0, 0), 2)
+        with pytest.raises(CharacterError, match="do not generate"):
+            extend_from_generators(g222, {swap: Fraction(1, 2)})
+
     def test_character_json_shape(self, g112):
         data = make_character(g112, "sgn").to_json()
         assert data["group"] == "G(1,1,2)"
@@ -264,7 +278,7 @@ class TestReflections:
     def test_rank_agrees_with_numpy(self, name):
         g = make_group(name)
         for x in g.elements:
-            assert (g.fixed_space_dim(x) == g.n - 1) == (rank_of_i_minus(x) == 1)
+            assert (fixed_space_dim(g, x) == g.n - 1) == (rank_of_i_minus(x) == 1)
 
     @pytest.mark.parametrize("name", ["G(2,1,2)", "G(3,3,2)", "G(4,2,3)"])
     def test_every_reflection_in_exactly_one_plane(self, name):
@@ -273,10 +287,55 @@ class TestReflections:
         members = [x for p in planes for x in p.members]
         assert len(members) == len(set(members))
         assert sum(p.order - 1 for p in planes) == len(members)
-        assert set(members) == {x for x in g.elements if g.is_reflection(x)}
+        assert set(members) == {x for x in g.elements if is_reflection(g, x)}
 
     def test_generator_is_primitive(self):
         g = make_group("Z(4)@1^2")
         (plane,) = g.reflections()
         assert plane.order == 4
         assert g.det_turn(plane.generator) == Fraction(1, 4)
+
+
+# p | m for m in {1, 2, 3, 4, 6}, n in {2, 3, 4}, plus cyclic coordinate
+# groups and one group of order 29,160
+REFLECTION_GRID = [
+    f"G({m},{p},{n})"
+    for m in (1, 2, 3, 4, 6) for p in range(1, m + 1) if m % p == 0 for n in (2, 3, 4)
+] + ["Z(3)@1^2", "Z(4)@2^2", "Z(2)@1^3", "Z(5)@3^3", "G(3,1,5)"]
+
+
+class _NotIterable:
+    """Stands in for Group.elements: has a length, refuses iteration."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        raise AssertionError("group elements enumerated")
+
+
+class TestClosedFormReflections:
+    @pytest.mark.parametrize("name", REFLECTION_GRID)
+    def test_matches_element_scan(self, name):
+        g = make_group(name)
+        scanned = scanned_hyperplanes(g)
+        planes = g.reflections()
+        assert [p.key for p in planes] == sorted(scanned, key=repr)
+        for p in planes:
+            assert p.order == len(scanned[p.key]) + 1, p.key
+            assert sorted(p.members, key=repr) == sorted(scanned[p.key], key=repr)
+            assert p.generator in p.members
+            assert g.det_turn(p.generator) == Fraction(1, p.order)
+
+    def test_no_element_scan(self, g315, monkeypatch):
+        det = make_character(g315, "det")  # its table is built from the elements
+        bm = basic_map(g315)
+        monkeypatch.setattr(g315, "elements", _NotIterable(len(g315)))
+        planes = g315.reflections()
+        # 3 * C(5, 2) phased transpositions and 5 coordinate planes of order 3
+        assert len(planes) == 35 and sum(p.order - 1 for p in planes) == 40
+        # det has exponent 1 on every plane, so ell is their product
+        assert ell(det, bmap=bm).poly.total_degree() == 35

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardyq.groups import Group, builtin_characters, make_character, make_group
@@ -92,8 +92,17 @@ def pull_cases(draw):
     return bm, f, tuple(complex(math.cos(a), math.sin(a)) for a in angles)
 
 
+# a subnormal coefficient: both sides round absolutely, not relatively
+SUBNORMAL_PULL_CASE = (
+    PULL_MAPS["G(1,1,2)"],
+    HarmonicPoly(2, {((1, 0), (1, 0)): 5e-324j}),
+    (complex(math.cos(1.0), math.sin(1.0)),) * 2,
+)
+
+
 class TestPull:
     @given(pull_cases())
+    @example(SUBNORMAL_PULL_CASE)
     @settings(max_examples=80, deadline=None)
     def test_matches_pointwise_composition(self, case):
         """Oracle: f evaluated at theta(z) (HarmonicPoly.eval conjugates the
@@ -106,16 +115,25 @@ class TestPull:
         # either side is bounded by B.  Each multiply/add stage of the
         # composition and each evaluated term perturbs by at most a few
         # roundings, or by the relative cleanup per stored term, times B.
+        # Below 2^-1022 rounding is absolute instead: a real product that
+        # lands among the subnormals is off by up to half their spacing
+        # 2^-1074 (sums there are exact), so one complex multiply is off by
+        # less than 2^-1073.  An evaluated term takes at most 2n multiplies,
+        # and a later factor scales an earlier error by at most L, the
+        # largest prod ||theta_k||_1^e over the terms; so the terms on both
+        # sides add at most 2^-1072 n L width, which `tiny` times stages >= 1
+        # covers.
         n = bm.dim
         l1 = [sum(abs(c) for c in comp.terms.values()) for comp in bm.components]
         terms = f.terms
         if isinstance(f, HarmonicPoly):
             terms = {beta + gamma: c for (beta, gamma), c in f.terms.items()}
-        B = sum(abs(c) * math.prod(l1[k % n] ** e for k, e in enumerate(ex))
-                for ex, c in terms.items())
+        lengths = [math.prod(l1[k % n] ** e for k, e in enumerate(ex)) for ex in terms]
+        B = sum(abs(c) * length for c, length in zip(terms.values(), lengths))
+        tiny = 2.0 ** -1072 * n * max(lengths, default=1.0)
         stages = sum(1 + sum(ex) for ex in terms)
         width = len(pulled.terms) + len(terms) + 1
-        tol = (CLEANUP_REL + 8 * 2.0 ** -52) * B * stages * width
+        tol = ((CLEANUP_REL + 8 * 2.0 ** -52) * B + tiny) * stages * width
         assert abs(got - want) <= tol
 
     def test_memoises_powers(self, bm112):

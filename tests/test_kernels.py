@@ -143,6 +143,17 @@ class TestQuotientKernel:
         with pytest.raises(SingularPointError):
             quotient_kernel(spec, (0.0, 0.0), (0.3, 0.1))
 
+    @pytest.mark.parametrize("domain,group,z,w", [
+        ("polydisc", "G(2,1,2)", (1.2, 0.3j), (0.2, 0.1)),
+        ("ball", "Z(2)@1^3", (0.8, 0.5, 0.5j), (0.2, 0.1, 0.1)),
+        # on the zero set of ell_sgn = z1 - z2, but outside first
+        ("polydisc", "G(1,1,2)", (2.0, 2.0), (0.2, 0.1)),
+    ])
+    def test_point_outside_domain_raises(self, domain, group, z, w):
+        spec = make_kernel_spec(domain, group, "sgn")
+        with pytest.raises(DomainError, match=f"not in the {domain}"):
+            quotient_kernel(spec, z, w)
+
     def test_ball_singularity_floor_uses_ball_margin(self):
         # ell_sgn = 2 z_1 on Z(2)@1^3.  At z = (eps, 0.6, 0.6) the ball margin
         # 1 - ||z|| = 0.151 is well below the polydisc margin 1 - max|z_i| =

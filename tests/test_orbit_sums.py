@@ -210,7 +210,7 @@ def test_character_table_matches_fraction_oracle(index, other):
     oracle_json = {"group": spec, "name": ch.name,
                    "values": [[i, t.numerator, t.denominator] for i, t in enumerate(want)]}
     assert json.dumps(ch.to_json()) == json.dumps(oracle_json)
-    twin = Character(ch.group, "twin", ch.nums.copy(), validate=False)
+    twin = Character(ch.group, "twin", ch.nums.copy())
     assert ch == twin and hash(ch) == hash(twin)
     other_spec, och = CHARS[other]
     same = other_spec == spec and _reference_turns(other) == want

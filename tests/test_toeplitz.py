@@ -364,6 +364,18 @@ class TestCorrespondence:
         assert correspondence_check(u, v, [sgn], 4, mode="commute", quotient_bound=3) \
             .verdicts[("sgn", "quotient")]
 
+    def test_routes_share_one_verdict_scale(self, ctx):
+        # a large and a tiny symbol: each route's residual is 1e-8, above
+        # RESIDUAL_TOL * max(1e3 * 1e-11, 1); judged against
+        # max(1e3, 1) * max(1e-11, 1) the isotypic route alone passed
+        g, sgn, triv, bm = ctx
+        theta = bm.components[0] + bm.components[0].conj_torus()
+        u, v = SymbolPair(g, 1e3 * theta), SymbolPair(g, 1e-11 * theta)
+        rep = correspondence_check(u, v, [sgn], 4)
+        assert all(abs(r - 1e-8) < 1e-12 for r in rep.residuals.values())
+        assert rep.agree
+        assert not any(rep.verdicts.values())
+
     @pytest.mark.parametrize("gname", ["G(1,1,2)", "G(2,2,2)", "G(2,1,2)", "G(1,1,3)"])
     @pytest.mark.parametrize("mode", ["semi", "commute"])
     def test_isotypic_and_monomial_residuals_agree_entrywise(self, gname, mode):
