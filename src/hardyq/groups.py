@@ -7,9 +7,9 @@ unity phases.  The element g acts on points by
     (g z)_i = zeta_m^(phase_i) * z_{perm^{-1}(i)},
 
 and on functions by composition, (R_g f)(z) = f(g z).  All phase arithmetic
-is exact: phases are integers mod m, and a one-dimensional character's
-value exp(2*pi*i*turn) is stored as the integer numerator of its turn over
-the group's turn_den = lcm(2, m).
+is exact: phases are integers mod m, and a one-dimensional character is
+stored as integer turns over the group's turn_den = lcm(2, m) on the
+diagonal generators and on one transposition.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -152,15 +152,14 @@ def _perm_parity(perm: tuple[int, ...]) -> int:
 
 
 class Group:
-    """Eagerly enumerated group with exact multiplication data.
+    """G(m,p,n) or Z(m)@k^n in closed form from its spec.
 
-    Supports |G| up to desk scale (~1e5).  Both kinds split as G = A x| S:
-    A is the diagonal-phase subgroup and S the zero-phase permutation
-    elements (all of S_n for G(m,p,n), the identity for Z(m)@k^n), and
-    every element is g = D_phase * P_perm.  Isotypic projections and their
-    norms use that split (orbit sums over S after an exact test on A's
-    generators); the quotient kernel sums over all of G through the numpy
-    tables in point_tables.
+    Both kinds split as G = A x| S: A is the diagonal-phase subgroup and S
+    the zero-phase permutation elements (all of S_n for G(m,p,n), the
+    identity for Z(m)@k^n), and every element is g = D_phase * P_perm.  The
+    order, generators, hyperplanes and characters come from (m, p, n); only
+    the quotient kernel sums over all of G, through point_tables, which
+    (like the test-only element list) is built on first use.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -169,17 +168,15 @@ class Group:
         self.p = spec.p
         self.n = spec.n
         self.q = spec.m // spec.p
-        self.elements: list[GroupElement] = list(_enumerate_elements(spec))
-        self.index: dict[GroupElement, int] = {g: i for i, g in enumerate(self.elements)}
         self.identity = GroupElement(tuple(range(spec.n)), (0,) * spec.n, spec.m)
-        if self.identity not in self.index:
-            raise GroupSpecError("enumeration is missing the identity")
         # objects other modules derive from the group alone (the basic map),
         # built on first use and kept as long as the group
         self.derived: dict[str, object] = {}
 
     def __len__(self) -> int:
-        return len(self.elements)
+        if self.spec.kind == "Gmpn":
+            return self.m ** self.n * math.factorial(self.n) // self.p
+        return self.m
 
     def __str__(self) -> str:
         return str(self.spec)
@@ -239,6 +236,20 @@ class Group:
         phases = [tuple(x % m for x in v) for v in vecs]
         return tuple(GroupElement(tuple(range(n)), ph, m) for ph in phases if any(ph))
 
+    def diagonal_coords(self, phase) -> np.ndarray:
+        """Exponents of D_phase in diagonal_generators for phase vectors
+        (last axis n): (phi_1, ..., phi_{n-1}, sum(phi)/p) for G(m,p,n),
+        phi_k for Z(m)@k^n, with phases in 0..m-1."""
+        phase = np.asarray(phase, dtype=np.int64)
+        if self.spec.kind == "Gmpn":
+            total = phase.sum(axis=-1, keepdims=True) // self.p
+            coords = np.concatenate([phase[..., :-1], total], axis=-1)
+        else:
+            coords = phase[..., self.spec.coord - 1:self.spec.coord]
+        # identities are dropped only from the end: all of them when m = 1,
+        # p*e_n when p = m
+        return coords[..., :len(self.diagonal_generators)]
+
     @cached_property
     def generators(self) -> tuple[GroupElement, ...]:
         """A generating set of G: diagonal_generators, plus the n-1 adjacent
@@ -262,31 +273,30 @@ class Group:
         return math.lcm(2, self.m)
 
     @cached_property
-    def det_nums(self) -> np.ndarray:
-        """det(g) = sign(perm) * zeta_m^(sum of phases) for every element in
-        enumeration order, as numerators over turn_den: the sign is the
-        parity of the inversion count of the source table, the phase sum
-        comes from the phase table."""
-        _, phase, src = self.point_tables
-        inversions = np.zeros(len(self), dtype=np.int64)
-        for i, j in combinations(range(self.n), 2):
-            inversions += src[:, i] > src[:, j]
-        den = self.turn_den
-        nums = (inversions % 2) * (den // 2) \
-            + phase.sum(axis=1, dtype=np.int64) * (den // self.m)
-        return nums % den
-
-    @cached_property
     def point_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(roots, phase, src) with (g z)_i = roots[phase[g, i]] * z[src[g, i]]
-        for element g in enumeration order: one root_of_unity per phase
-        value, and |G| x n index tables in the smallest integer types."""
-        roots = np.array([root_of_unity(Fraction(k, self.m)) for k in range(self.m)])
-        phase = np.array([g.phase for g in self.elements],
-                         dtype=np.min_scalar_type(self.m - 1)).reshape(-1, self.n)
-        perm = np.array([g.perm for g in self.elements],
-                        dtype=np.min_scalar_type(self.n - 1)).reshape(-1, self.n)
-        return roots, phase, np.argsort(perm, axis=1).astype(perm.dtype)
+        for every element g: one root_of_unity per phase value, and |G| x n
+        index tables in the smallest integer types.  Rows run perm-major in
+        perm_images() order, phases lexicographic (sum divisible by p)."""
+        n, m = self.n, self.m
+        roots = np.array([root_of_unity(Fraction(k, m)) for k in range(m)])
+        if self.spec.kind == "Gmpn":
+            phases = np.indices((m,) * n).reshape(n, -1).T
+            phases = phases[phases.sum(axis=1) % self.p == 0]
+        else:
+            phases = np.zeros((m, n), dtype=np.int64)
+            phases[:, self.spec.coord - 1] = np.arange(m)
+        phases = phases.astype(np.min_scalar_type(m - 1))
+        src = np.argsort(self.perm_images(), axis=1).astype(np.min_scalar_type(n - 1))
+        return roots, np.tile(phases, (len(src), 1)), np.repeat(src, len(phases), axis=0)
+
+    @cached_property
+    def elements(self) -> list[GroupElement]:
+        """Every element in point_tables row order, for the tests only."""
+        _, phase, src = self.point_tables
+        perms = np.argsort(src, axis=1).tolist()
+        return [GroupElement(tuple(g), tuple(ph), self.m)
+                for g, ph in zip(perms, phase.tolist())]
 
     # -- reflections -------------------------------------------------------
 
@@ -352,31 +362,12 @@ class Hyperplane:
         return int(c) % self.order
 
 
-def _enumerate_elements(spec: GroupSpec):
-    if spec.kind == "CyclicCoord":
-        k = spec.coord - 1
-        for a in range(spec.m):
-            phase = [0] * spec.n
-            phase[k] = a
-            yield GroupElement(tuple(range(spec.n)), tuple(phase), spec.m)
-        return
-    for perm in permutations(range(spec.n)):
-        for phase in product(range(spec.m), repeat=spec.n):
-            if sum(phase) % spec.p == 0:
-                yield GroupElement(perm, phase, spec.m)
-
-
 def make_group(spec: GroupSpec | str) -> Group:
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     elif not isinstance(spec, GroupSpec):
         raise GroupSpecError(f"cannot parse group spec {spec!r}")
-    group = Group(spec)
-    expected = spec.m ** spec.n * math.factorial(spec.n) // spec.p \
-        if spec.kind == "Gmpn" else spec.m
-    if len(group) != expected:
-        raise GroupSpecError(f"enumerated {len(group)} elements, expected {expected}")
-    return group
+    return Group(spec)
 
 
 # -- characters -------------------------------------------------------------
@@ -390,24 +381,32 @@ class CharacterError(ValueError):
 
 
 class Character:
-    """One-dimensional character stored as integer turns over N = turn_den.
+    """One-dimensional character stored as its turns on the generators.
 
-    chi(g) = exp(2*pi*i*nums[g]/N), nums[g] in 0..N-1 for element g in
-    enumeration order.  The built-in tables are multiplicative by
-    construction; extend_from_generators checks every other character.
+    A character of S_n is trivial or the sign, so chi is fixed by integer
+    turns over N = turn_den on Group.diagonal_generators (`diag`) and on
+    one transposition (`swap`: 0 or N/2; 0 on Z(m)@k^n, which has none):
+    turn(D_phase P_perm) = coords(phase) . diag + parity(perm) * swap mod N.
+    Built-in forms are characters by construction; extend_from_generators
+    checks every other one.  The table `nums` is built on first use.
     """
 
-    def __init__(self, group: Group, name: str, nums: np.ndarray):
-        nums = np.asarray(nums, dtype=np.int64)
-        if nums.shape != (len(group),):
-            raise CharacterError("one turn per group element required")
+    def __init__(self, group: Group, name: str, diag, swap: int):
+        if len(diag) != len(group.diagonal_generators):
+            raise CharacterError("one turn per diagonal generator required")
         self.group = group
         self.name = name
         self.den = group.turn_den
-        self.nums = nums % self.den
+        self.diag = tuple(int(k) % self.den for k in diag)
+        self.swap = int(swap) % self.den
+
+    def _nums(self, phase, parity) -> np.ndarray:
+        """Turn numerators of D_phase P from phase vectors and P's parity."""
+        coords = self.group.diagonal_coords(phase)
+        return (coords @ np.array(self.diag, dtype=np.int64) + parity * self.swap) % self.den
 
     def turn(self, g: GroupElement) -> Fraction:
-        return Fraction(int(self.nums[self.group.index[g]]), self.den)
+        return Fraction(int(self._nums(g.phase, _perm_parity(g.perm))), self.den)
 
     def value(self, g: GroupElement) -> complex:
         return root_of_unity(self.turn(g))
@@ -417,26 +416,30 @@ class Character:
         return root_of_unity(-self.turn(g))
 
     @cached_property
+    def nums(self) -> np.ndarray:
+        """Turn numerators for every element in point_tables row order,
+        where each permutation's parity repeats over its block of phases."""
+        group = self.group
+        _, phase, _ = group.point_tables
+        perms = group.perm_images()
+        parity = np.repeat([_perm_parity(p) for p in perms], len(phase) // len(perms))
+        return self._nums(phase, parity)
+
+    @cached_property
     def conj_values(self) -> np.ndarray:
-        """conj(chi(g)) for every element in enumeration order; one
+        """conj(chi(g)) for every element in point_tables row order; one
         root_of_unity per residue mod N."""
         roots = np.array([root_of_unity(Fraction(-k, self.den)) for k in range(self.den)],
                          dtype=complex)
         return roots[self.nums]
 
     @cached_property
-    def diagonal_turns(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-        """(phase, turn) on each generator of the diagonal-phase subgroup."""
-        return tuple((d.phase, self.turn(d)) for d in self.group.diagonal_generators)
-
-    @cached_property
     def perm_part(self) -> tuple[tuple[tuple[int, ...], Fraction, complex], ...]:
-        """(perm, turn, conj(chi)) on each zero-phase permutation element."""
-        group = self.group
-        zero = (0,) * group.n
+        """(perm, turn, conj(chi)) on each zero-phase permutation element:
+        the turn is parity(perm) * swap."""
         out = []
-        for perm in group.perm_images():
-            t = self.turn(GroupElement(perm, zero, group.m))
+        for perm in self.group.perm_images():
+            t = Fraction(_perm_parity(perm) * self.swap, self.den)
             out.append((perm, t, root_of_unity(-t)))
         return tuple(out)
 
@@ -444,11 +447,12 @@ class Character:
         return (
             isinstance(other, Character)
             and self.group is other.group
-            and np.array_equal(self.nums, other.nums)
+            and self.diag == other.diag
+            and self.swap == other.swap
         )
 
     def __hash__(self):
-        return hash((id(self.group), self.nums.tobytes()))
+        return hash((id(self.group), self.diag, self.swap))
 
     def to_json(self) -> dict:
         """Turns as reduced fractions [index, numerator, denominator]."""
@@ -457,14 +461,6 @@ class Character:
             d = math.gcd(k, self.den)
             values.append([i, k // d, self.den // d])
         return {"group": str(self.group.spec), "name": self.name, "values": values}
-
-
-def _dihedral_generators(group: Group) -> tuple[GroupElement, GroupElement]:
-    """delta = diag(zeta_k, zeta_k^{-1}), sigma = coordinate swap, for G(k,k,2)."""
-    k = group.m
-    delta = GroupElement((0, 1), (1 % k, (k - 1) % k), k)
-    sigma = GroupElement((1, 0), (0, 0), k)
-    return delta, sigma
 
 
 def extend_from_generators(
@@ -478,7 +474,8 @@ def extend_from_generators(
     that fail to generate the whole group are rejected.  The closure checks
     chi(g s) = chi(g) chi(s) for every element g and every given generator
     s, which by induction on word length is multiplicativity: this is the
-    one character check.
+    one character check.  The character's form is then read off the closure
+    at the diagonal generators and at the transposition (0 1).
     """
     den = group.turn_den
     gens = []
@@ -512,37 +509,36 @@ def extend_from_generators(
         frontier = nxt
     if len(nums) != len(group):
         raise CharacterError("generators do not generate the group")
-    return Character(group, name, np.array([nums[g] for g in group.elements]))
+    swaps = group.generators[len(group.diagonal_generators):]  # (0 1) first, if any
+    return Character(group, name, [nums[d] for d in group.diagonal_generators],
+                     nums[swaps[0]] if swaps else 0)
 
 
 def make_character(group: Group, source: str | dict[GroupElement, Fraction]) -> Character:
     """Built-in characters by name, or a custom one from generator values.
 
     Built-ins: trivial, det, sgn = det^{-1}; rho1 and rho2 exist on G(k,k,2)
-    with k even (delta -> -1, with sigma -> +1 resp. delta*sigma -> +1).
+    with k even (delta = diag(zeta_k, zeta_k^{-1}), the one diagonal
+    generator there, -> -1, with sigma -> +1 resp. delta*sigma -> +1).
     """
     if isinstance(source, dict):
         return extend_from_generators(group, source)
     name = source
+    den = group.turn_den
+    half = den // 2 if group.spec.kind == "Gmpn" else 0  # Z(m)@k^n has no transposition
+    det = [sum(d.phase) * (den // group.m) for d in group.diagonal_generators]
     if name == "trivial":
-        return Character(group, name, np.zeros(len(group), dtype=np.int64))
+        return Character(group, name, [0] * len(det), 0)
     if name == "det":
-        return Character(group, name, group.det_nums)
+        return Character(group, name, det, half)
     if name == "sgn":
-        return Character(group, name, -group.det_nums)
+        return Character(group, name, [-k for k in det], -half)
     if name in ("rho1", "rho2"):
         spec = group.spec
         if spec.kind != "Gmpn" or spec.n != 2 or spec.p != spec.m or spec.m % 2:
             raise CharacterError(f"{name} requires G(k,k,2) with k even")
-        delta, sigma = _dihedral_generators(group)
-        half = Fraction(1, 2)
-        if name == "rho1":
-            assignments = {delta: half, sigma: Fraction(0)}
-        else:
-            # rho2(delta*sigma) = 1 forces rho2(sigma) = -1
-            assignments = {delta: half, sigma: half}
-        char = extend_from_generators(group, assignments, name=name)
-        return char
+        # rho2(delta*sigma) = 1 forces rho2(sigma) = -1
+        return Character(group, name, [den // 2], 0 if name == "rho1" else half)
     raise CharacterError(f"unknown character {source!r}")
 
 

@@ -167,12 +167,12 @@ def hyperplane_form(group: Group, plane: Hyperplane) -> LaurentPoly:
 
 def _diagonal_match(char: Character, alpha: Expo) -> bool:
     """chi(D_phi) = zeta^(phi . alpha) on every generator of the diagonal
-    subgroup A, compared in exact turns: the sum over A in the projection
-    of z^alpha is |A| when this holds and 0 otherwise."""
-    m = char.group.m
+    subgroup A, compared in exact integer turns over N: the sum over A in
+    the projection of z^alpha is |A| when this holds and 0 otherwise."""
+    step = char.den // char.group.m
     return all(
-        (turn - Fraction(sum(p * x for p, x in zip(phase, alpha)), m)) % 1 == 0
-        for phase, turn in char.diagonal_turns
+        (k - step * sum(p * x for p, x in zip(d.phase, alpha))) % char.den == 0
+        for d, k in zip(char.group.diagonal_generators, char.diag)
     )
 
 
@@ -248,7 +248,7 @@ def ell(char: Character, domain: str = "polydisc", bmap: BasicMap | None = None)
         bmap = basic_map(group)
     if char == make_character(group, "sgn"):
         poly = jacobian(bmap)
-    elif not char.nums.any():
+    elif not (any(char.diag) or char.swap):
         # trivial: every exponent c_i is 0, so no reflection is needed
         poly = LaurentPoly.constant(group.n, 1.0)
     else:

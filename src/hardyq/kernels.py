@@ -23,7 +23,7 @@ from .invariants import (
     lift,
     lower,
 )
-from .laurent import HarmonicPoly, LaurentPoly, torus_inner
+from .laurent import HarmonicPoly, LaurentPoly, sphere_inner, torus_inner
 
 Point = tuple[complex, ...]
 
@@ -335,8 +335,6 @@ def reproducing_check(spec: KernelSpec, f: LaurentPoly, w: Point, bound: int) ->
         if spec.domain == "polydisc":
             coeff = torus_inner(F, gam)
         else:
-            from .laurent import sphere_inner
-
             coeff = sphere_inner(F, gam)
         e_down = lower(spec.ellp, spec.bmap, gam)
         total += coeff * e_down.eval(tw)

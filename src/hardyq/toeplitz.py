@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import product as iproduct
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .invariants import (
     lower,
     project,
     projection_norm_sq,
+    rewrite_in_theta,
     unit_projection,
 )
 from .laurent import (
@@ -106,8 +108,6 @@ class SymbolPair:
             worst = max(worst, max((-x for x in e), default=0))
         K = -(-worst // q)  # ceil
         cleared = self.pullback * bmap.power(n - 1, K)
-        from .invariants import rewrite_in_theta
-
         analytic_t = rewrite_in_theta(bmap, cleared)
         terms: dict = {}
         gbar = [0] * n
@@ -848,8 +848,6 @@ def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
 def _spread_anchor(character: Character, spread: int) -> Expo:
     """A holomorphic canonical representative with coordinate gaps of at
     least `spread`, found by a small offset search."""
-    from itertools import product as iproduct
-
     group = character.group
     n, m = group.n, group.m
     base = tuple(i * spread for i in range(n))

@@ -1,18 +1,36 @@
 """Plain O(|G|) group sums and per-entry loops: the reference
 implementations that the orbit-sum projection, its exact norm, the
-vectorised quotient kernel, the integer character tables, the
+vectorised quotient kernel, the characters' generator forms, the
 generator-set invariance test, the pushforward moment table, the sparse
-series table and the closed-form reflecting hyperplanes are tested
-against.  Test oracles only; nothing in the
-package calls them."""
+series table, the closed-form reflecting hyperplanes and the point tables
+are tested against.  Test oracles only; nothing in the package calls
+them."""
 
 from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 
-from hardyq.groups import root_of_unity
+from hardyq.groups import GroupElement, root_of_unity
 from hardyq.kernels import KernelSpec, base_kernel
 from hardyq.laurent import Expo, HarmonicPoly, LaurentPoly, act
+
+
+def enumerate_elements(spec):
+    """Every element of the group a GroupSpec names, one Python loop over
+    the permutations (lexicographic) and, inside it, over the phase vectors
+    (lexicographic, kept when their sum is divisible by p)."""
+    if spec.kind == "CyclicCoord":
+        k = spec.coord - 1
+        for a in range(spec.m):
+            phase = [0] * spec.n
+            phase[k] = a
+            yield GroupElement(tuple(range(spec.n)), tuple(phase), spec.m)
+        return
+    for perm in permutations(range(spec.n)):
+        for phase in product(range(spec.m), repeat=spec.n):
+            if sum(phase) % spec.p == 0:
+                yield GroupElement(perm, phase, spec.m)
 
 
 def det_turns(group) -> list[Fraction]:

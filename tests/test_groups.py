@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from group_sums import fixed_space_dim, is_reflection, scanned_hyperplanes
+from group_sums import enumerate_elements, fixed_space_dim, is_reflection, scanned_hyperplanes
 
 from hardyq.groups import (
     CharacterError,
@@ -18,7 +18,8 @@ from hardyq.groups import (
     parse_group_spec,
     root_of_unity,
 )
-from hardyq.invariants import basic_map, ell
+from hardyq.invariants import basic_map, ell, index_set, project, projection_norm_sq
+from hardyq.laurent import LaurentPoly
 
 
 def numpy_matrix(g):
@@ -209,8 +210,8 @@ class TestCharacters:
 
 
 class TestCharacterTables:
-    """Structural guards: characters come from integer tables, and no
-    per-element Fraction loop builds them."""
+    """Structural guards: characters come from their turns on the
+    generators, and no per-element Fraction loop builds them."""
 
     @pytest.mark.parametrize("spec", ["G(1,1,3)", "G(2,1,2)", "G(4,2,3)", "G(3,3,4)",
                                       "Z(3)@1^2"])
@@ -304,17 +305,14 @@ REFLECTION_GRID = [
 ] + ["Z(3)@1^2", "Z(4)@2^2", "Z(2)@1^3", "Z(5)@3^3", "G(3,1,5)"]
 
 
-class _NotIterable:
-    """Stands in for Group.elements: has a length, refuses iteration."""
+def _forbid_element_tables(monkeypatch):
+    """Make every Group's point_tables and element list raise on access."""
 
-    def __init__(self, n):
-        self.n = n
-
-    def __len__(self):
-        return self.n
-
-    def __iter__(self):
+    def forbidden(self):
         raise AssertionError("group elements enumerated")
+
+    monkeypatch.setattr(Group, "point_tables", property(forbidden))
+    monkeypatch.setattr(Group, "elements", property(forbidden))
 
 
 class TestClosedFormReflections:
@@ -331,11 +329,44 @@ class TestClosedFormReflections:
             assert g.det_turn(p.generator) == Fraction(1, p.order)
 
     def test_no_element_scan(self, g315, monkeypatch):
-        det = make_character(g315, "det")  # its table is built from the elements
+        _forbid_element_tables(monkeypatch)
+        det = make_character(g315, "det")
         bm = basic_map(g315)
-        monkeypatch.setattr(g315, "elements", _NotIterable(len(g315)))
         planes = g315.reflections()
         # 3 * C(5, 2) phased transpositions and 5 coordinate planes of order 3
         assert len(planes) == 35 and sum(p.order - 1 for p in planes) == 40
         # det has exponent 1 on every plane, so ell is their product
         assert ell(det, bmap=bm).poly.total_degree() == 35
+
+
+class TestGroupsFromTheSpec:
+    """The point tables and the element list come from (m, p, n) in the
+    enumeration order of the oracle; characters, ell, index sets and
+    projections never build them."""
+
+    @pytest.mark.parametrize("name", REFLECTION_GRID + ["Z(1)@1^2"])
+    def test_elements_match_enumeration(self, name):
+        g = make_group(name)
+        _, phase, src = g.point_tables
+        assert len(phase) == len(src) == len(g)
+        assert g.elements == list(enumerate_elements(g.spec))
+
+    def test_trivial_group_has_only_the_trivial_character(self):
+        # Z(1)@1^2 has no transposition, so det and sgn are trivial too
+        g = make_group("Z(1)@1^2")
+        assert [c.name for c in builtin_characters(g)] == ["trivial"]
+
+    def test_no_element_list_on_g316(self, monkeypatch):
+        _forbid_element_tables(monkeypatch)
+        g = make_group("G(3,1,6)")  # 524,880 elements
+        assert [c.name for c in builtin_characters(g)] == ["trivial", "sgn", "det"]
+        det, triv = make_character(g, "det"), make_character(g, "trivial")
+        # det has exponent 1 on the 3 * C(6, 2) + 6 planes
+        assert ell(det).poly.total_degree() == 51
+        # invariant monomials: exponents in {0, 3}, weakly increasing
+        assert len(index_set(triv, 3)) == 7
+        alpha = (1, 4, 7, 10, 13, 16)
+        proj = project(det, LaurentPoly.monomial(6, alpha))
+        assert len(proj.terms) == 720
+        assert all(abs(abs(c) * 720 - 1) < 1e-12 for c in proj.terms.values())
+        assert projection_norm_sq(det, alpha) == Fraction(1, 720)
