@@ -47,7 +47,9 @@ class BasicMap:
     goes through pull(), so reuse one map rather than rebuilding it
     (basic_map returns one map per group).  `quotients` keeps the
     quotient-side realisation of each character (toeplitz), so its moment
-    table and lowered basis live as long as the map.
+    table and lowered basis live as long as the map.  `shift_tables` keeps
+    the shift-relation table of each (character, window reps) (toeplitz),
+    so its shift maps and theta expansions serve every later symbol.
     """
 
     group: Group
@@ -57,6 +59,9 @@ class BasicMap:
         default_factory=dict, init=False, repr=False, compare=False
     )
     quotients: dict[Character, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    shift_tables: dict[tuple, object] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

@@ -118,11 +118,6 @@ class SymbolPair:
         return self._theta_form
 
 
-def symbol_from_theta(group: Group, bmap: BasicMap, u: HarmonicPoly) -> SymbolPair:
-    """Pull a quotient-coordinate symbol back to the torus."""
-    return SymbolPair(group, bmap.pull(u))
-
-
 # -- Hardy projections and the operator action --------------------------------
 
 
@@ -283,6 +278,121 @@ def _shift(rep: Expo, k: int) -> Expo:
     return tuple(x + k for x in rep)
 
 
+@dataclass
+class _Expansions:
+    """theta_j gamma_r over the gamma basis, for every rep r of a window:
+    term k of row r is coef[r, k] gamma_{reps[index[r, k]]}, in the order
+    GammaBasis.expand returns, for k < size[r].  Only rows whose expansion
+    stays inside the window (`inside`) are filled."""
+
+    index: np.ndarray
+    coef: np.ndarray
+    size: np.ndarray
+    inside: np.ndarray
+
+
+class ShiftTable:
+    """The index side of the shift relations on one window's reps, shared by
+    every symbol: the position of each rep shifted by q (theta_n) and by m
+    (theta_n^p), -1 where the shifted rep leaves the window, and on first
+    use the expansions of theta_{i+1} gamma_r and theta_{n-i-1} gamma_r for
+    i in 0..n-2.  shared() keeps one table per (character, reps) on the
+    basic map; compactness_probe reads only the shift maps, so the
+    expansions wait for the first bh_check."""
+
+    def __init__(self, character: Character, reps: list[Expo], bmap: BasicMap):
+        self.character = character
+        self.bmap = bmap
+        self.reps = list(reps)
+        self.pos = {r: i for i, r in enumerate(self.reps)}
+        group = character.group
+        self.shift_q = self.positions(self.reps, group.q)
+        self.shift_m = self.positions(self.reps, group.m)  # theta_n^p: q * p = m
+        self._cross: list[tuple[_Expansions, _Expansions]] | None = None
+
+    @classmethod
+    def shared(cls, window: ToeplitzWindow, bmap: BasicMap) -> ShiftTable:
+        key = (window.character, tuple(window.reps))
+        got = bmap.shift_tables.get(key)
+        if got is None:
+            got = bmap.shift_tables[key] = cls(window.character, window.reps, bmap)
+        return got
+
+    def positions(self, reps: list[Expo], k: int) -> np.ndarray:
+        """Position of each rep + k in this window, -1 when outside."""
+        return np.array([self.pos.get(_shift(r, k), -1) for r in reps], dtype=np.intp)
+
+    def cross(self, basis: GammaBasis | None = None) -> list[tuple[_Expansions, _Expansions]]:
+        """Per relation i (reported as cross_{i+1}): the expansions of
+        theta_{i+1} gamma_r (left) and theta_{n-i-1} gamma_r (right), built
+        once."""
+        if self._cross is None:
+            basis = basis or GammaBasis(self.character)
+            n = self.character.group.n
+            theta = self.bmap.components
+            self._cross = []
+            for i in range(n - 1):
+                left: dict[Expo, dict[Expo, complex]] = {}
+                right: dict[Expo, dict[Expo, complex]] = {}
+                for r in self.reps:
+                    try:
+                        left[r] = basis.expand(theta[i] * basis(r))
+                        right[r] = basis.expand(theta[n - i - 2] * basis(r))
+                    except NotInIsotypicError:  # pragma: no cover - structural
+                        continue
+                self._cross.append((self._pack(left), self._pack(right)))
+        return self._cross
+
+    def _pack(self, expansions: dict[Expo, dict[Expo, complex]]) -> _Expansions:
+        rows = len(self.reps)
+        width = max((len(t) for t in expansions.values()), default=0)
+        out = _Expansions(np.zeros((rows, width), dtype=np.intp),
+                          np.zeros((rows, width), dtype=complex),
+                          np.zeros(rows, dtype=np.intp), np.zeros(rows, dtype=bool))
+        for r, rep in enumerate(self.reps):
+            terms = expansions.get(rep)
+            if terms is None or not all(k in self.pos for k in terms):
+                continue
+            out.index[r, :len(terms)] = [self.pos[k] for k in terms]
+            out.coef[r, :len(terms)] = list(terms.values())
+            out.size[r] = len(terms)
+            out.inside[r] = True
+        return out
+
+
+def _relations(table: ShiftTable, entries: np.ndarray, basis: GammaBasis | None):
+    """(name, rows b, columns a, lhs - rhs) per shift relation, over the
+    pairs whose shifted and expanded indices stay inside the window.  The
+    cross sums add one expansion term at a time in expand's order, so each
+    entry rounds as the scalar sum over the terms does."""
+    sq = table.shift_q
+    live = np.flatnonzero(sq >= 0)
+    yield ("shift", live, live,
+           entries[np.ix_(sq[live], sq[live])] - entries[np.ix_(live, live)])
+    sm = table.shift_m
+    for i, (left, right) in enumerate(table.cross(basis)):
+        rows = np.flatnonzero(left.inside)
+        cols = np.flatnonzero(right.inside & (sm >= 0))
+        lhs = np.zeros((rows.size, cols.size), dtype=complex)
+        for k in range(left.index.shape[1]):
+            on = left.size[rows] > k
+            b = rows[on]
+            lhs[on] += (np.conj(left.coef[b, k])[:, None]
+                        * entries[np.ix_(left.index[b, k], sm[cols])])
+        rhs = np.zeros_like(lhs)
+        for k in range(right.index.shape[1]):
+            on = right.size[cols] > k
+            a = cols[on]
+            rhs[:, on] += right.coef[a, k] * entries[np.ix_(rows, right.index[a, k])]
+        yield f"cross_{i + 1}", rows, cols, lhs - rhs
+
+
+def _magnitude(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, equal to Python's abs() to the last bit (np.abs is
+    not on complex input)."""
+    return np.hypot(z.real, z.imag)
+
+
 def bh_check(window: ToeplitzWindow, bmap: BasicMap,
              basis: GammaBasis | None = None) -> BHReport:
     """Verify the shift relations of a window against the basic map of
@@ -292,77 +402,30 @@ def bh_check(window: ToeplitzWindow, bmap: BasicMap,
         (a)  <T theta_n g_a, theta_n g_b> = <T g_a, g_b>
         (b)  <T theta_n^p g_a, theta_i g_b> = <T theta_{n-i} g_a, g_b>
 
-    The expansions gamma -> theta_j gamma are exact ambient multiplications.
-    Reports the worst violation; never raises on one.
+    The expansions gamma -> theta_j gamma are exact ambient multiplications,
+    kept with the shift maps in the window's ShiftTable.  Reports the worst
+    violation, the first in the order (relation, a, b) on ties; never
+    raises on one.
     """
     group = window.group
     if group.spec.kind != "Gmpn":
         raise ValueError("the shift relations are stated for G(m,p,n) quotients")
-    basis = basis or GammaBasis(window.character)
-    n, q, m = group.n, group.q, group.m
-    reps = window.reps
+    table = ShiftTable.shared(window, bmap)
     scale = window.scale()
     worst = 0.0
     worst_pair = None
     checked = 0
     rel_max = {"shift": 0.0}
-
-    # (a) diagonal shift invariance
-    for a in reps:
-        for b in reps:
-            e0 = window.entry(b, a)
-            e1 = window.entry(_shift(b, q), _shift(a, q))
-            if e1 is None:
-                continue
-            checked += 1
-            v = abs(e1 - e0) / scale
-            rel_max["shift"] = max(rel_max["shift"], v)
-            if v > worst:
-                worst, worst_pair = v, ("shift", a, b)
-
-    # (b) cross relations, one per coordinate of the map
-    expansions: dict[int, dict[Expo, dict[Expo, complex]]] = {}
-    for i in range(n - 1):
-        exp_i: dict[Expo, dict[Expo, complex]] = {}
-        exp_ni: dict[Expo, dict[Expo, complex]] = {}
-        # 1-based labels: loop index i stands for theta_{i+1}'s relation,
-        # pairing theta_{i+1} on the left with theta_{n-(i+1)} on the right
-        theta_i = bmap.components[i]
-        theta_ni = bmap.components[n - i - 2]
-        for r in reps:
-            try:
-                exp_i[r] = basis.expand(theta_i * basis(r))
-                exp_ni[r] = basis.expand(theta_ni * basis(r))
-            except NotInIsotypicError:  # pragma: no cover - structural
-                continue
-        expansions[i] = {"i": exp_i, "ni": exp_ni}
-
-    for i in range(n - 1):
-        exp_i = expansions[i]["i"]
-        exp_ni = expansions[i]["ni"]
-        for a in reps:
-            lhs_col = _shift(a, m)  # theta_n^p shifts every exponent by q*p = m
-            if lhs_col not in window.pos:
-                continue
-            rhs_terms = exp_ni.get(a)
-            if rhs_terms is None or not all(k in window.pos for k in rhs_terms):
-                continue
-            for b in reps:
-                lhs_terms = exp_i.get(b)
-                if lhs_terms is None or not all(k in window.pos for k in lhs_terms):
-                    continue
-                lhs = sum(
-                    c.conjugate() * window.entry(k, lhs_col)
-                    for k, c in lhs_terms.items()
-                )
-                rhs = sum(c * window.entry(b, k) for k, c in rhs_terms.items())
-                checked += 1
-                v = abs(lhs - rhs) / scale
-                key = f"cross_{i + 1}"
-                rel_max[key] = max(rel_max.get(key, 0.0), v)
-                if v > worst:
-                    worst, worst_pair = v, (key, a, b)
-
+    for key, rows, cols, diff in _relations(table, window.entries, basis):
+        if not diff.size:
+            continue
+        v = _magnitude(diff) / scale
+        checked += v.size
+        top = float(v.max())
+        rel_max[key] = max(0.0, top)
+        if top > worst:
+            a, b = divmod(int(v.T.argmax()), rows.size)  # a outer, b inner
+            worst, worst_pair = top, (key, table.reps[cols[a]], table.reps[rows[b]])
     return BHReport(worst, worst_pair, checked, rel_max)
 
 
@@ -915,28 +978,24 @@ class CompactnessReport:
 
 def compactness_probe(windows: list[ToeplitzWindow], bmap: BasicMap) -> CompactnessReport:
     """Check entry constancy along the diagonal shift inside and across a
-    family of windows; persistent nonzero entries rule out compactness."""
+    family of windows; persistent nonzero entries rule out compactness.
+    Each pair (a, b) of the first window is compared with (a + rq, b + rq)
+    of every window for r = 1, 2, ... while both stay inside it."""
     q = bmap.group.q
     max_dev = 0.0
-    persistent: list[tuple] = []
-    all_zero = True
     scale = max(w.scale() for w in windows)
     base = windows[0]
-    for a in base.reps:
-        for b in base.reps:
-            v0 = base.entry(b, a)
-            persists = abs(v0) > RESIDUAL_TOL * scale
-            if persists:
-                all_zero = False
-            for w in windows:
-                r = 1
-                while True:
-                    sa, sb = _shift(a, q * r), _shift(b, q * r)
-                    v = w.entry(sb, sa)
-                    if v is None:
-                        break
-                    max_dev = max(max_dev, abs(v - v0) / scale)
-                    r += 1
-            if persists:
-                persistent.append((a, b, v0))
-    return CompactnessReport(max_dev, persistent, all_zero)
+    v0 = base.entries
+    for w in windows:
+        table = ShiftTable.shared(w, bmap)
+        at = table.positions(base.reps, q)
+        while True:
+            live = np.flatnonzero(at >= 0)
+            if not live.size:
+                break
+            dev = w.entries[np.ix_(at[live], at[live])] - v0[np.ix_(live, live)]
+            max_dev = max(max_dev, float((_magnitude(dev) / scale).max()))
+            at = np.where(at >= 0, table.shift_q[at], -1)
+    keep = np.argwhere((_magnitude(v0) > RESIDUAL_TOL * scale).T)  # a outer, b inner
+    persistent = [(base.reps[a], base.reps[b], complex(v0[b, a])) for a, b in keep.tolist()]
+    return CompactnessReport(max_dev, persistent, not persistent)

@@ -2,9 +2,9 @@
 implementations that the orbit-sum projection, its exact norm, the
 vectorised quotient kernel, the characters' generator forms, the
 generator-set invariance test, the pushforward moment table, the sparse
-series table, the closed-form reflecting hyperplanes and the point tables
-are tested against.  Test oracles only; nothing in the package calls
-them."""
+series table, the closed-form reflecting hyperplanes, the point tables
+and the shift-table Brown-Halmos check and compactness probe are tested
+against.  Test oracles only; nothing in the package calls them."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -14,6 +14,8 @@ import numpy as np
 from hardyq.groups import GroupElement, root_of_unity
 from hardyq.kernels import KernelSpec, base_kernel
 from hardyq.laurent import Expo, HarmonicPoly, LaurentPoly, act
+from hardyq.invariants import NotInIsotypicError
+from hardyq.toeplitz import RESIDUAL_TOL, BHReport, CompactnessReport, GammaBasis
 
 
 def enumerate_elements(spec):
@@ -201,3 +203,101 @@ def series_sum(sk, x, y) -> tuple[complex, float]:
         total += e.eval(x) * e.eval(y).conjugate()
         mass += absolute(e, x) * absolute(e, y)
     return total, mass
+
+
+def _shift(rep: Expo, k: int) -> Expo:
+    return tuple(x + k for x in rep)
+
+
+def bh_check_loop(window, bmap, basis=None) -> BHReport:
+    """bh_check with one ToeplitzWindow.entry lookup per term of every
+    checked pair: relation (a), then one cross relation per coordinate,
+    each with a outer and b inner; the worst pair moves on a strict >."""
+    group = window.group
+    basis = basis or GammaBasis(window.character)
+    n, q, m = group.n, group.q, group.m
+    reps = window.reps
+    scale = window.scale()
+    worst = 0.0
+    worst_pair = None
+    checked = 0
+    rel_max = {"shift": 0.0}
+
+    for a in reps:
+        for b in reps:
+            e0 = window.entry(b, a)
+            e1 = window.entry(_shift(b, q), _shift(a, q))
+            if e1 is None:
+                continue
+            checked += 1
+            v = abs(e1 - e0) / scale
+            rel_max["shift"] = max(rel_max["shift"], v)
+            if v > worst:
+                worst, worst_pair = v, ("shift", a, b)
+
+    expansions = {}
+    for i in range(n - 1):
+        exp_i, exp_ni = {}, {}
+        theta_i = bmap.components[i]
+        theta_ni = bmap.components[n - i - 2]
+        for r in reps:
+            try:
+                exp_i[r] = basis.expand(theta_i * basis(r))
+                exp_ni[r] = basis.expand(theta_ni * basis(r))
+            except NotInIsotypicError:
+                continue
+        expansions[i] = (exp_i, exp_ni)
+
+    for i in range(n - 1):
+        exp_i, exp_ni = expansions[i]
+        for a in reps:
+            lhs_col = _shift(a, m)
+            if lhs_col not in window.pos:
+                continue
+            rhs_terms = exp_ni.get(a)
+            if rhs_terms is None or not all(k in window.pos for k in rhs_terms):
+                continue
+            for b in reps:
+                lhs_terms = exp_i.get(b)
+                if lhs_terms is None or not all(k in window.pos for k in lhs_terms):
+                    continue
+                lhs = sum(c.conjugate() * window.entry(k, lhs_col)
+                          for k, c in lhs_terms.items())
+                rhs = sum(c * window.entry(b, k) for k, c in rhs_terms.items())
+                checked += 1
+                v = abs(lhs - rhs) / scale
+                key = f"cross_{i + 1}"
+                rel_max[key] = max(rel_max.get(key, 0.0), v)
+                if v > worst:
+                    worst, worst_pair = v, (key, a, b)
+
+    return BHReport(worst, worst_pair, checked, rel_max)
+
+
+def compactness_loop(windows, bmap) -> CompactnessReport:
+    """compactness_probe with one entry lookup per shifted pair, walking
+    each pair of the first window along the diagonal shift of every window
+    until a shifted index leaves it."""
+    q = bmap.group.q
+    max_dev = 0.0
+    persistent = []
+    all_zero = True
+    scale = max(w.scale() for w in windows)
+    base = windows[0]
+    for a in base.reps:
+        for b in base.reps:
+            v0 = base.entry(b, a)
+            persists = abs(v0) > RESIDUAL_TOL * scale
+            if persists:
+                all_zero = False
+            for w in windows:
+                r = 1
+                while True:
+                    v = w.entry(_shift(b, q * r), _shift(a, q * r))
+                    if v is None:
+                        break
+                    max_dev = max(max_dev, abs(v - v0) / scale)
+                    r += 1
+            if persists:
+                persistent.append((a, b, v0))
+    return CompactnessReport(max_dev, persistent, all_zero)

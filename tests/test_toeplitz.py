@@ -26,7 +26,6 @@ from hardyq.toeplitz import (
     hol_project,
     product_compare,
     semd2_check,
-    symbol_from_theta,
     symbol_recover,
     toeplitz_window,
     _monomial_route_compare,
@@ -71,7 +70,7 @@ class TestSymbols:
         for _ in range(5):
             s = random_invariant_symbol(g, rng, radius=2, terms=3)
             h = s.theta_form(bm)
-            back = symbol_from_theta(g, bm, h)
+            back = SymbolPair(g, bm.pull(h))
             assert (back.pullback - s.pullback).is_zero(
                 tol=1e-9 * max(s.pullback.max_abs_coeff(), 1.0)
             )
@@ -82,7 +81,7 @@ class TestSymbols:
         psi = SymbolPair(g, P(2, {(1, -1): 1, (-1, 1): 1}))
         h = psi.theta_form(bm)
         # psi = |theta_1|^2 - 2 on the torus: t1 conj(t1)... cleared by t2
-        back = symbol_from_theta(g, bm, h)
+        back = SymbolPair(g, bm.pull(h))
         assert (back.pullback - psi.pullback).is_zero(tol=1e-10)
 
 
