@@ -106,9 +106,6 @@ class GroupElement:
     def n(self) -> int:
         return len(self.perm)
 
-    def is_identity(self) -> bool:
-        return all(self.perm[i] == i for i in range(self.n)) and not any(self.phase)
-
     def matrix(self) -> list[list[complex]]:
         """Dense monomial matrix: M[i][j] = zeta^phase_i if perm[j] == i."""
         n = self.n
@@ -117,14 +114,6 @@ class GroupElement:
             i = self.perm[j]
             mat[i][j] = root_of_unity(Fraction(self.phase[i], self.mod))
         return mat
-
-    def apply_point(self, z: tuple[complex, ...]) -> tuple[complex, ...]:
-        """Matrix-vector action (g . z)_i = zeta^phase_i * z_{perm^{-1}(i)}."""
-        inv = _invert_perm(self.perm)
-        return tuple(
-            root_of_unity(Fraction(self.phase[i], self.mod)) * z[inv[i]]
-            for i in range(self.n)
-        )
 
 
 def _invert_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -158,8 +147,8 @@ class Group:
     the zero-phase permutation elements (all of S_n for G(m,p,n), the
     identity for Z(m)@k^n), and every element is g = D_phase * P_perm.  The
     order, generators, hyperplanes and characters come from (m, p, n); only
-    the quotient kernel sums over all of G, through point_tables, which
-    (like the test-only element list) is built on first use.
+    the ball's quotient kernel sums over all of G, through point_tables,
+    which (like the test-only element list) is built on first use.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -203,9 +192,6 @@ class Group:
         """det(g) as a rational turn: sign(perm) * zeta_m^(sum of phases)."""
         turn = Fraction(_perm_parity(g.perm), 2) + Fraction(sum(g.phase), self.m)
         return turn % 1
-
-    def det_of(self, g: GroupElement) -> complex:
-        return root_of_unity(self.det_turn(g))
 
     def perm_images(self) -> tuple[tuple[int, ...], ...]:
         """Distinct permutation parts, sorted: all of S_n for G(m,p,n), the
@@ -410,10 +396,6 @@ class Character:
 
     def value(self, g: GroupElement) -> complex:
         return root_of_unity(self.turn(g))
-
-    def value_inv(self, g: GroupElement) -> complex:
-        """chi(g^{-1}) = conj(chi(g))."""
-        return root_of_unity(-self.turn(g))
 
     @cached_property
     def nums(self) -> np.ndarray:

@@ -33,8 +33,8 @@ class DomainError(ValueError):
 
 
 class SingularPointError(ValueError):
-    """Evaluation at a zero of ell_rho; the limit exists but must be taken
-    through the series kernel."""
+    """Evaluation at a zero of ell_rho, or where the ball's group sum
+    cancels; the value exists but must be taken through the series kernel."""
 
 
 # -- domains -----------------------------------------------------------------
@@ -164,6 +164,16 @@ def base_kernel(spec: KernelSpec | str, z: Point, w: Point) -> complex:
 
 # -- quotient kernels --------------------------------------------------------
 
+EPS = 2.0 ** -52
+
+# Largest rounding bound, relative to the result, that the ball's group sum
+# may carry.  The bound is ratio * (|G| + 3n) * eps with ratio =
+# sum |terms| / |sum|: every term is one power of a computed point (at most
+# 3n roundings of |term|) and the sum adds |G| of them.  Above the tolerance
+# the value is refused, as at a zero of ell, so that `kernel eval` takes the
+# series instead of printing digits the sum has cancelled away.
+CANCELLATION_TOL = 1e-6
+
 
 def _singularity_floor(spec: KernelSpec, z: Point) -> float:
     """1e-6 * margin^deg(ell), with margin the distance of z to the boundary:
@@ -175,30 +185,29 @@ def _singularity_floor(spec: KernelSpec, z: Point) -> float:
     return 1e-6 * margin ** max(spec.ellp.poly.total_degree(), 1)
 
 
-def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a / b elementwise by Smith's method with true divisions, as Python's
-    complex division does it.  numpy's complex division multiplies by a
-    rounded reciprocal instead; the cancelling signed sum of the quotient
-    kernel amplifies that extra rounding.  The branch np.where discards may
-    divide by zero or overflow; the kept one has |ratio| <= 1."""
-    with np.errstate(all="ignore"):
-        wide = np.abs(b.real) >= np.abs(b.imag)
-        ratio = np.where(wide, b.imag / b.real, b.real / b.imag)
-        denom = np.where(wide, b.real + b.imag * ratio, b.real * ratio + b.imag)
-        re = np.where(wide, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom
-        im = np.where(wide, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom
-    return re + 1j * im
+def _ell_values(spec: KernelSpec, z: Point, w: Point) -> tuple[complex, complex]:
+    """ell(z) and ell(w), refused below the singularity floor."""
+    lz = spec.ellp.poly.eval(z)
+    lw = spec.ellp.poly.eval(w)
+    if abs(lz) <= _singularity_floor(spec, z) or abs(lw) <= _singularity_floor(spec, w):
+        raise SingularPointError(
+            "ell_rho vanishes at an evaluation point; the kernel extends "
+            "holomorphically there, evaluate via series_kernel"
+        )
+    return lz, lw
 
 
 def quotient_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
     """Group-averaged kernel on the quotient, evaluated at base points:
 
-        (c^2/|G|) * (1/(ell(z) conj(ell(w)))) * sum_g conj(chi(g)) S(g z, w),
+        K(z, w) = (c^2/|G|) * (1/(ell(z) conj(ell(w)))) * sum_g conj(chi(g)) S(g z, w).
 
-    summed in one numpy pass over the group's point tables and the
-    character's conj(chi) vector.  Depends on (z, w) only through
-    (theta(z), theta(w)).  Near the zero set of ell the removable
-    singularity is not evaluated here; use series_kernel instead.
+    It depends on (z, w) only through (theta(z), theta(w)).  On the
+    polydisc it is evaluated in closed form (_polydisc_kernel), with no
+    group sum.  On the ball it is the group sum over the |G| = m elements
+    of Z(m)@k^n (_ball_group_sum).  Where either route would divide by a
+    vanishing ell, or the ball's sum cancels below CANCELLATION_TOL, it
+    raises SingularPointError; use series_kernel there.
     """
     if not spec.is_quotient:
         raise DomainError("quotient_kernel needs a group and character")
@@ -206,31 +215,143 @@ def quotient_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
     # G acts by unitary monomial matrices, so g z is in the domain iff z is
     check_point(spec.domain, z)
     check_point(spec.domain, w)
-    ellp = spec.ellp
-    lz = ellp.poly.eval(z)
-    lw = ellp.poly.eval(w)
-    if abs(lz) <= _singularity_floor(spec, z) or abs(lw) <= _singularity_floor(spec, w):
-        raise SingularPointError(
-            "ell_rho vanishes at an evaluation point; the kernel extends "
-            "holomorphically there, evaluate via series_kernel"
-        )
+    if spec.domain == "polydisc":
+        return _polydisc_kernel(spec, z, w)
+    return _ball_group_sum(spec, z, w)
+
+
+def _twist_residues(char: Character) -> list[list[int]]:
+    """r_i(t) = (b_i + q t) mod m for t = 0..p-1, with b the exponents of
+    one extension phi -> zeta_m^(b . phi) of chi from the diagonal subgroup
+    A to all of (Z_m)^n (G(m,p,n), m > 1).
+
+    The diagonal generators are e_i - e_n (i < n), turn diag_i / N, and
+    p e_n, turn diag_{n-1} / N (absent when p = m), so b_i - b_n =
+    diag_i / (N/m) and p b_n = diag_{n-1} / (N/m) mod m.  The p extensions
+    differ by the characters of (Z_m)^n / A = Z_p, b -> b + q t (1, ..., 1).
+    """
+    group = char.group
+    n, m, p = group.n, group.m, group.p
+    step = char.den // m
+    last = char.diag[n - 1] // step // p if p < m else 0
+    b = [char.diag[i] // step + last for i in range(n - 1)] + [last]
+    return [[(x + group.q * t) % m for x in b] for t in range(p)]
+
+
+def _perm_table(group: Group) -> np.ndarray:
+    """perm_images() as an (n!, n) index array, built once per group."""
+    got = group.derived.get("perm_table")
+    if got is None:
+        got = group.derived["perm_table"] = np.array(group.perm_images(), dtype=np.intp)
+    return got
+
+
+def _polydisc_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
+    """The polydisc quotient kernel in closed form, at O(n! n) cost for the
+    permanent and O(n^2) otherwise, whatever |G|.
+
+    Write g = D_phi P_sigma, x_ij = z_i conj(w_j) and s = prod_i x_ii.
+    Summing over A first: sum_{phi in A} conj(chi(D_phi)) prod_i
+    1/(1 - zeta^phi_i y_i) = (1/p) sum_t prod_i m y_i^r_i(t) / (1 - y_i^m),
+    since each coordinate sum over Z_m is the filtered geometric series
+    (r = _twist_residues; the p twists pick out A inside (Z_m)^n).  With
+    |G| = m^n n!/p the group sum becomes
+
+        K = (c^2/n!) sum_sigma chi(P_sigma)^-1 sum_t prod_j
+            x_{j,sigma j}^r_{sigma j}(t) / (1 - x_{j,sigma j}^m)
+            / (ell(z) conj(ell(w))).
+
+    Uniform residues (r_i(t) = r(t) for every i; always so for n >= 3,
+    since chi|_A is S_n-invariant) take the power s^r(t) out of the S_n sum.
+    What is left is det M (chi(P) = sgn P) or perm M (chi(P) = 1), with
+    M_ij = 1/(1 - z_i^m conj(w_j)^m).  Write V(a) = prod_{i<j} (a_i - a_j).
+    ell is kappa (z_1...z_n)^a V(z^m) or kappa (z_1...z_n)^a, where
+    a = min_t r(t) (the reflecting hyperplanes' exponents), and so
+    c^2 = kappa^2 n! or kappa^2.  By Cauchy's determinant
+    det M = V(z^m) conj(V(w^m)) / prod_ij (1 - z_i^m conj(w_j)^m), so ell
+    cancels exactly and
+
+        K = sum_t s^(q t) / prod_ij (1 - z_i^m conj(w_j)^m)     (chi(P) = sgn P),
+        K = (1/n!) sum_t s^(q t) perm M                         (chi(P) = 1),
+
+    since {r(t) - a} = {0, q, ..., (p-1) q}.  Neither form divides by ell,
+    so neither has a singular point; both are independent of kappa.  Split
+    residues occur for n = 2 only (rho1, rho2 on G(m,m,2) and custom
+    characters with chi = -1 on diag(zeta, zeta^-1)); that 2 x 2 sum is
+    taken as written above, dividing by ell with the singularity floor.
+
+    Z(m)@k^n: the coordinate-k sum is m x^r / (1 - x^m), ell = z_k^r and
+    c^2 = 1 with r = the exponent of chi, so K = 1/(1 - x_kk^m) *
+    prod_{j != k} 1/(1 - x_jj) for every character.
+    """
+    group = spec.group
+    n, m = group.n, group.m
+    if group.spec.kind == "CyclicCoord":
+        k = group.spec.coord - 1
+        out = 1.0 + 0j
+        for i, (a, b) in enumerate(zip(z, w)):
+            x = a * b.conjugate()
+            out /= 1.0 - (x ** m if i == k else x)
+        return out
+    char = spec.character
+    if any(char.diag[:n - 1]):
+        return _split_kernel(spec, z, w)
+    s = 1.0 + 0j
+    for a, b in zip(z, w):
+        s *= a * b.conjugate()
+    twist = sum(s ** (group.q * t) for t in range(group.p))
+    zm = [a ** m for a in z]
+    wm = [b.conjugate() ** m for b in w]
+    if char.swap:
+        out = twist
+        for a in zm:
+            for b in wm:
+                out /= 1.0 - a * b
+        return out
+    cauchy = 1.0 / (1.0 - np.multiply.outer(zm, wm))
+    perm = cauchy[_perm_table(group), np.arange(n)].prod(axis=1).sum()
+    return twist * complex(perm) / math.factorial(n)
+
+
+def _split_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
+    """The n = 2 polydisc kernel with split residues: the twisted sum over
+    both permutations, divided by ell (see _polydisc_kernel)."""
+    lz, lw = _ell_values(spec, z, w)
+    m = spec.group.m
+    residues = _twist_residues(spec.character)
+    total = 0j
+    for perm, _, conj_chi in spec.character.perm_part:
+        xs = [z[j] * w[i].conjugate() for j, i in enumerate(perm)]
+        for r in residues:
+            term = conj_chi
+            for x, i in zip(xs, perm):
+                term *= x ** r[i] / (1.0 - x ** m)
+            total += term
+    scale = spec.ellp.cnorm ** 2 / math.factorial(spec.group.n)
+    return scale * total / (lz * lw.conjugate())
+
+
+def _ball_group_sum(spec: KernelSpec, z: Point, w: Point) -> complex:
+    """The ball quotient kernel as the group sum, in one numpy pass over the
+    group's point tables and the character's conj(chi) vector.  Besides
+    the floor on ell it refuses points where the sum cancels: ratio =
+    sum |terms| / |sum| with ratio * (|G| + 3n) * eps > CANCELLATION_TOL."""
+    lz, lw = _ell_values(spec, z, w)
     # matches the function action R_g f = f o g: the kernel section
     # transforms through the matrix itself
     roots, phase, src = spec.group.point_tables
     images = roots[phase]
     images *= np.array(z, dtype=complex)[src]
     wbar = np.conj(np.array(w, dtype=complex))
-    if spec.domain == "polydisc":
-        # one division per coordinate, in base_kernel's order: a single
-        # division by the product loses about five times more precision
-        # to the cancellation in the signed sum
-        values = np.ones(len(images), dtype=complex)
-        for i, wb in enumerate(wbar):
-            values = _quotient(values, 1.0 - images[:, i] * wb)
-    else:
-        values = (1.0 - images @ wbar) ** (-len(w))
+    values = (1.0 - images @ wbar) ** (-len(w))
     total = complex(spec.character.conj_values @ values)
-    scale = ellp.cnorm ** 2 / len(spec.group)
+    ratio = float(np.abs(values).sum()) / abs(total) if total else math.inf
+    if ratio * (len(values) + 3 * len(w)) * EPS > CANCELLATION_TOL:
+        raise SingularPointError(
+            f"the group sum cancels (sum |terms| / |sum| = {ratio:.3g}); "
+            "evaluate via series_kernel"
+        )
+    scale = spec.ellp.cnorm ** 2 / len(spec.group)
     return scale * total / (lz * lw.conjugate())
 
 

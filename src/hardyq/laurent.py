@@ -367,13 +367,6 @@ class HarmonicPoly:
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self.terms.values())
 
-    def is_disjoint(self) -> bool:
-        """True when every stored term has min(beta_i, gamma_i) = 0."""
-        return all(
-            all(min(b, g) == 0 for b, g in zip(beta, gamma))
-            for beta, gamma in self.terms
-        )
-
     def __add__(self, other: "HarmonicPoly") -> "HarmonicPoly":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
@@ -426,14 +419,6 @@ class HarmonicPoly:
             key = (beta, tuple(ng))
             out[key] = out.get(key, 0j) + c * gamma[i]
         return HarmonicPoly(self.dim, out)
-
-    def torus_restriction(self) -> LaurentPoly:
-        """Substitute conj(z) = z^{-1} in every coordinate."""
-        out: dict[Expo, complex] = {}
-        for (beta, gamma), c in self.terms.items():
-            e = tuple(b - g for b, g in zip(beta, gamma))
-            out[e] = out.get(e, 0j) + c
-        return LaurentPoly(self.dim, out)
 
     def reduce_coords_to_torus(self, coords: tuple[int, ...]) -> dict:
         """Collapse conj exponents into signed exponents on given coordinates.

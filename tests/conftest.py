@@ -1,6 +1,6 @@
 import pytest
 
-from hardyq.groups import make_character, make_group
+from hardyq.groups import Character, Group, make_character, make_group
 from hardyq.invariants import basic_map
 
 
@@ -42,3 +42,17 @@ def triv112(g112):
 @pytest.fixture(scope="session")
 def bm112(g112):
     return basic_map(g112)
+
+
+@pytest.fixture
+def no_element_tables(monkeypatch):
+    """Make every Group's point tables and element list, and every
+    Character's per-element tables, raise on access."""
+
+    def forbidden(self):
+        raise AssertionError("group elements enumerated")
+
+    monkeypatch.setattr(Group, "point_tables", property(forbidden))
+    monkeypatch.setattr(Group, "elements", property(forbidden))
+    monkeypatch.setattr(Character, "nums", property(forbidden))
+    monkeypatch.setattr(Character, "conj_values", property(forbidden))

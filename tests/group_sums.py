@@ -1,10 +1,11 @@
 """Plain O(|G|) group sums and per-entry loops: the reference
 implementations that the orbit-sum projection, its exact norm, the
-vectorised quotient kernel, the characters' generator forms, the
+closed-form quotient kernel, the characters' generator forms, the
 generator-set invariance test, the pushforward moment table, the sparse
 series table, the closed-form reflecting hyperplanes, the point tables
 and the shift-table Brown-Halmos check and compactness probe are tested
-against.  Test oracles only; nothing in the package calls them."""
+against; and the per-element and per-term helpers they and the tests use.
+Test oracles only; nothing in the package calls them."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -14,6 +15,41 @@ import numpy as np
 from hardyq.groups import GroupElement, root_of_unity
 from hardyq.kernels import KernelSpec, base_kernel
 from hardyq.laurent import Expo, HarmonicPoly, LaurentPoly, act
+
+
+def apply_point(g: GroupElement, z) -> tuple[complex, ...]:
+    """Matrix-vector action (g . z)_i = zeta^phase_i * z_{perm^{-1}(i)}."""
+    inv = [0] * g.n
+    for j, i in enumerate(g.perm):
+        inv[i] = j
+    return tuple(root_of_unity(Fraction(g.phase[i], g.mod)) * z[inv[i]] for i in range(g.n))
+
+
+def is_identity(g: GroupElement) -> bool:
+    return all(g.perm[i] == i for i in range(g.n)) and not any(g.phase)
+
+
+def det_of(group, g: GroupElement) -> complex:
+    return root_of_unity(group.det_turn(g))
+
+
+def value_inv(char, g: GroupElement) -> complex:
+    """chi(g^{-1}) = conj(chi(g))."""
+    return root_of_unity(-char.turn(g))
+
+
+def is_disjoint(h: HarmonicPoly) -> bool:
+    """True when every stored term has min(beta_i, gamma_i) = 0."""
+    return all(all(min(b, g) == 0 for b, g in zip(beta, gamma)) for beta, gamma in h.terms)
+
+
+def torus_restriction(h: HarmonicPoly) -> LaurentPoly:
+    """Substitute conj(z) = z^{-1} in every coordinate."""
+    out: dict[Expo, complex] = {}
+    for (beta, gamma), c in h.terms.items():
+        e = tuple(b - g for b, g in zip(beta, gamma))
+        out[e] = out.get(e, 0j) + c
+    return LaurentPoly(h.dim, out)
 from hardyq.invariants import NotInIsotypicError
 from hardyq.toeplitz import RESIDUAL_TOL, BHReport, CompactnessReport, GammaBasis
 
@@ -130,7 +166,7 @@ def group_sum_project(char, f: LaurentPoly) -> LaurentPoly:
     group = char.group
     total = LaurentPoly.zero(f.dim)
     for g in group.elements:
-        total = total + char.value_inv(g) * act(g, f)
+        total = total + value_inv(char, g) * act(g, f)
     return total * (1.0 / len(group))
 
 
@@ -159,8 +195,8 @@ def group_sum_kernel(spec: KernelSpec, z, w) -> tuple[complex, float]:
     total = 0j
     mass = 0.0
     for g in spec.group.elements:
-        s = base_kernel(spec.domain, g.apply_point(z), w)
-        total += spec.character.value_inv(g) * s
+        s = base_kernel(spec.domain, apply_point(g, z), w)
+        total += value_inv(spec.character, g) * s
         mass += abs(s)
     ell_z, ell_w = spec.ellp.poly.eval(z), spec.ellp.poly.eval(w)
     scale = spec.ellp.cnorm ** 2 / len(spec.group)

@@ -72,10 +72,14 @@ class TestKernelVerb:
                 want /= 1 - zi * wj.conjugate()
         assert abs(complex(*rec["value"]) - want) < 1e-9 * abs(want)
 
+    # rho1 on G(4,4,2) has split residues, so its kernel still divides by
+    # ell_rho1 = z_1^2 + z_2^2; the sign kernel has a closed form without ell
+    SPLIT_SPEC = '{"domain": "polydisc", "group": "G(4,4,2)", "character": "rho1"}'
+
     def test_eval_singular_point_falls_back_to_series(self, capsys):
         points = '[{"z": [[0.0, 0.0], [0.0, 0.0]], "w": [[0.2, 0.0], [0.1, 0.0]]}]'
         code, out, _ = run_cli(
-            capsys, "kernel", "eval", "--spec", self.SPEC, "--points", points
+            capsys, "kernel", "eval", "--spec", self.SPLIT_SPEC, "--points", points
         )
         rec = json.loads(out)["records"][0]
         assert rec["method"].startswith("series")
@@ -92,14 +96,33 @@ class TestKernelVerb:
                 super().__init__(spec, bound)
 
         monkeypatch.setattr("hardyq.cli.SeriesKernel", Counting)
-        # both z lie on ell_sgn's zero set z_1 = z_2
+        # both z lie on ell_rho1's zero set z_1 = i z_2
         points = ('[{"z": [[0.0, 0.0], [0.0, 0.0]], "w": [[0.2, 0.0], [0.1, 0.0]]},'
-                  ' {"z": [[0.1, 0.1], [0.1, 0.1]], "w": [[0.2, 0.0], [0.1, 0.0]]}]')
-        code, out, _ = run_cli(capsys, "kernel", "eval", "--spec", self.SPEC,
+                  ' {"z": [[0.0, 0.1], [0.1, 0.0]], "w": [[0.2, 0.0], [0.1, 0.0]]}]')
+        code, out, _ = run_cli(capsys, "kernel", "eval", "--spec", self.SPLIT_SPEC,
                                "--points", points, "--series-bound", "8")
         assert code == 0
         assert [r["method"] for r in json.loads(out)["records"]] == ["series(D=8)"] * 2
         assert builds == [8]
+
+    def test_sign_kernel_on_ell_zero_set_needs_no_series(self, capsys, monkeypatch):
+        def no_series(spec, bound):
+            raise AssertionError("series kernel built")
+
+        monkeypatch.setattr("hardyq.cli.SeriesKernel", no_series)
+        # z_1 = z_2 is the zero set of ell_sgn = z_1 - z_2
+        points = '[{"z": [[0.3, 0.1], [0.3, 0.1]], "w": [[0.2, 0.0], [-0.4, 0.2]]}]'
+        code, out, _ = run_cli(capsys, "kernel", "eval", "--spec", self.SPEC,
+                               "--points", points)
+        assert code == 0
+        (rec,) = json.loads(out)["records"]
+        assert rec["method"] == "quotient"
+        z, w = (0.3 + 0.1j, 0.3 + 0.1j), (0.2, -0.4 + 0.2j)
+        want = 1.0
+        for zi in z:
+            for wj in w:
+                want /= 1 - zi * wj.conjugate()
+        assert abs(complex(*rec["value"]) - want) <= 1e-15 * abs(want)
 
 
 SYMBOL_MIXED = json.dumps(

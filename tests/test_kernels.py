@@ -1,10 +1,12 @@
 import cmath
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
+from group_sums import apply_point, group_sum_kernel
 from hardyq.groups import make_character, make_group
 from hardyq.kernels import (
     DomainError,
@@ -118,7 +120,7 @@ class TestQuotientKernel:
             z, w = rnd_pt(rng, 2), rnd_pt(rng, 2)
             base = quotient_kernel(spec, z, w)
             for x in g.elements:
-                moved = quotient_kernel(spec, x.apply_point(z), w)
+                moved = quotient_kernel(spec, apply_point(x, z), w)
                 assert abs(moved - base) <= 1e-9 * abs(base)
 
     def test_hermitian_symmetry(self):
@@ -139,9 +141,28 @@ class TestQuotientKernel:
         assert eigs.min() >= -1e-8 * np.trace(gram).real
 
     def test_singular_point_raises(self):
-        spec = make_kernel_spec("polydisc", "G(1,1,2)", "sgn")
+        # rho1 on G(4,4,2) has split residues, so its kernel divides by
+        # ell_rho1 = z_1^2 + z_2^2, which vanishes at the origin
+        spec = make_kernel_spec("polydisc", "G(4,4,2)", "rho1")
         with pytest.raises(SingularPointError):
             quotient_kernel(spec, (0.0, 0.0), (0.3, 0.1))
+
+    @pytest.mark.parametrize("gname", ["G(1,1,2)", "G(2,1,2)", "G(4,2,3)"])
+    def test_sign_kernel_has_no_singular_point(self, gname):
+        # the closed form does not divide by ell_sgn: on its zero set (here
+        # z_1 = z_2 and the origin) it returns the Cauchy product
+        spec = make_kernel_spec("polydisc", gname, "sgn")
+        g = spec.group
+        w = (0.2, -0.4 + 0.2j, 0.1 + 0.1j)[:g.n]
+        for z in [(0.0,) * g.n, (0.3 + 0.1j,) * g.n]:
+            s = 1.0
+            for a, b in zip(z, w):
+                s *= a * b.conjugate()
+            want = sum(s ** (g.q * t) for t in range(g.p))
+            for a in z:
+                for b in w:
+                    want /= 1 - (a * b.conjugate()) ** g.m
+            assert abs(quotient_kernel(spec, z, w) - want) <= 1e-15 * abs(want)
 
     @pytest.mark.parametrize("domain,group,z,w", [
         ("polydisc", "G(2,1,2)", (1.2, 0.3j), (0.2, 0.1)),
@@ -169,6 +190,23 @@ class TestQuotientKernel:
         with pytest.raises(SingularPointError):
             quotient_kernel(spec, (5e-8, 0.6, 0.6), w)
 
+    def test_ball_group_sum_refuses_cancellation(self):
+        # Z(2)@1^3, sgn: the two terms S(z, w) - S((-z_1, z_2, z_3), w) agree
+        # to about 6 |z_1 w_1| = 6e-11 of their size, so ratio = 2.9e10 and
+        # the rounding bound ratio * (|G| + 3n) * eps = 7e-5 exceeds
+        # CANCELLATION_TOL, while |ell| = 2e-6 and 2e-5 pass the floor
+        spec = make_kernel_spec("ball", "Z(2)@1^3", "sgn")
+        z, w = (1e-6, 0.5, 0.5), (1e-5, 0.3, -0.2j)
+        with pytest.raises(SingularPointError, match="cancels"):
+            quotient_kernel(spec, z, w)
+        # the kernel depends on z_1, w_1 through z_1^2, conj(w_1)^2 only, so a
+        # well-conditioned neighbour stands in for the value (within 1e-9)
+        near = quotient_kernel(spec, (1e-3, 0.5, 0.5), (1e-2, 0.3, -0.2j))
+        plain, _ = group_sum_kernel(spec, z, w)
+        assert abs(plain - near) > 1e-7 * abs(near)  # what would have been printed
+        x, y = spec.bmap.eval(z), spec.bmap.eval(w)
+        assert abs(series_kernel(spec, x, y, 20) - near) <= 1e-8 * abs(near)
+
     def test_trivial_character_kernel(self):
         # invariant-function kernel: group average of the product kernel
         spec = make_kernel_spec("polydisc", "G(1,1,2)", "trivial")
@@ -177,9 +215,55 @@ class TestQuotientKernel:
         got = quotient_kernel(spec, z, w)
         g = spec.group
         want = sum(
-            base_kernel("polydisc", x.apply_point(z), w) for x in g.elements
+            base_kernel("polydisc", apply_point(x, z), w) for x in g.elements
         ) / len(g)
         assert abs(got - want) < 1e-12 * abs(want)
+
+
+# Points where the signed group sum over G cancels catastrophically: draw 14
+# of numpy.random.default_rng(3), z then w, each coordinate re + 1j * im
+# with re, im uniform in [-0.4, 0.4] (the worst of the first 20 draws for
+# both groups), and a point from a `kernel eval` run on G(4,2,3).  The
+# references are the sign kernels as 60-digit group sums over every element
+# (mpmath at 60 digits, ell_sgn = (m^n/p) (z_1 z_2 z_3)^(q-1) prod_{i<j}
+# (z_i^m - z_j^m), c^2 = (m^n/p)^2 3!), rounded to doubles.  The plain
+# double-precision group sum returned 897.96 + 37.97j, 6.410 - 3.616j and
+# 1.0033386 + 0.0009626j at these points.
+_DRAW_14 = (
+    (-0.06743846086462213 + 0.13531005850573918j, 0.2778431761853669 - 0.07575372630085397j,
+     -0.21058646186373517 - 0.18787584786557626j),
+    (0.16311128642174955 + 0.212248247014158j, -0.15339459542812844 - 0.003840073120769727j,
+     -0.10249524063240872 + 0.22713484876404777j),
+)
+CANCELLING_POINTS = [
+    ("G(3,1,3)", *_DRAW_14, 0.999692858898008 + 0.00015092987958208585j),
+    ("G(4,2,3)", *_DRAW_14, 1.0000076904007182 + 2.1842027013152276e-05j),
+    ("G(4,2,3)", (0.3 + 0.1j, 0.1j, 0.5 - 0.2j), (0.2, -0.4 + 0.2j, 0.1 + 0.1j),
+     1.0027948375184668 + 0.0010191747168125421j),
+]
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("gname,z,w,want", CANCELLING_POINTS)
+    def test_sign_kernel_at_cancelling_points(self, gname, z, w, want):
+        spec = make_kernel_spec("polydisc", gname, "sgn")
+        assert abs(quotient_kernel(spec, z, w) - want) <= 4 * 2.0 ** -52 * abs(want)
+
+    def test_no_group_tables_on_g316(self, no_element_tables):
+        # 524,880 elements; the values are the S_6 sums of the closed form,
+        # summed here in Python: (1/6!) perm M for trivial, the Cauchy
+        # product prod_ij M_ij for sgn, M_ij = 1/(1 - z_i^3 conj(w_j)^3)
+        g = make_group("G(3,1,6)")
+        z = (0.5, 0.3j, -0.2 + 0.4j, 0.1 - 0.6j, 0.7j, -0.35)
+        w = (0.2 + 0.1j, -0.45, 0.3 - 0.3j, 0.6j, 0.15, -0.1 - 0.5j)
+        M = [[1 / (1 - a ** 3 * b.conjugate() ** 3) for b in w] for a in z]
+        perm = sum(math.prod(M[p[i]][i] for i in range(6))
+                   for p in itertools.permutations(range(6)))
+        triv = quotient_kernel(KernelSpec("polydisc", g, make_character(g, "trivial")), z, w)
+        assert abs(triv - perm / 720) <= 1e-13 * abs(perm / 720)
+        cauchy = math.prod(x for row in M for x in row)
+        sgn = quotient_kernel(KernelSpec("polydisc", g, make_character(g, "sgn")), z, w)
+        assert abs(sgn - cauchy) <= 1e-13 * abs(cauchy)
 
 
 class TestSeriesKernel:
