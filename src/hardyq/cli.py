@@ -1,6 +1,8 @@
 """Command-line front end: group/invariant/kernel/toeplitz queries and the
 bundled verification suites.  All computation is delegated to the library
-modules; output is deterministic JSON (or CSV) for a fixed seed.
+modules; output is deterministic JSON (or CSV) for a fixed seed.  The kernel,
+toeplitz and verify verbs import their module when they run, so the group and
+invariant verbs start without numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import traceback
 from contextlib import contextmanager
 
 from .groups import (
-    CharacterError,
-    GroupSpecError,
+    InputError,
     builtin_characters,
     make_character,
     make_group,
@@ -27,42 +28,23 @@ from .invariants import (
     index_set,
     jacobian,
 )
-from .kernels import (
-    DomainError,
-    SeriesKernel,
-    SingularPointError,
-    base_kernel,
-    make_kernel_spec,
-    quotient_kernel,
-)
 from .laurent import LaurentPoly
-from .suites import ALL_SUITES, run_suite
-from .toeplitz import (
-    RecoveryError,
-    SymbolError,
-    SymbolPair,
-    WindowMarginError,
-    bh_check,
-    product_compare,
-    semd2_check,
-    symbol_recover,
-    toeplitz_window,
-    window_entry_fn,
-)
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
 FAULT_EXIT = 3
 
 
-class UsageError(ValueError):
+class UsageError(InputError):
     """Malformed input: bad JSON, a missing key, a flag the verb does not
     take."""
 
 
-# errors that name a fault in the input, not in the program: exit 2
-INPUT_ERRORS = (UsageError, GroupSpecError, CharacterError, DomainError, SymbolError,
-                WindowMarginError, RecoveryError)
+# the suites `verify` runs, in suites.ALL_SUITES order; kept here so the
+# parser is built without importing the suites
+SUITE_NAMES = ("group-orders", "jacobian", "c-sgn", "torus-relation", "kernel-identity",
+               "projections", "gram", "bh", "recovery", "correspondence", "semd2",
+               "compactness", "ellipsoid-constants")
 
 
 @contextmanager
@@ -70,7 +52,7 @@ def _reading_input():
     """Report what goes wrong while parsing arguments as a UsageError."""
     try:
         yield
-    except INPUT_ERRORS:
+    except InputError:
         raise
     except (AttributeError, KeyError, IndexError, TypeError, ValueError, OSError) as exc:
         raise UsageError(str(exc)) from exc
@@ -118,10 +100,9 @@ def _read_json_arg(text: str):
     return json.loads(text)
 
 
-def _load_symbol(group, text: str) -> SymbolPair:
+def _load_poly(text: str) -> LaurentPoly:
     with _reading_input():
-        poly = LaurentPoly.from_json(_read_json_arg(text))
-    return SymbolPair(group, poly)
+        return LaurentPoly.from_json(_read_json_arg(text))
 
 
 def _complex_pairs(vals) -> tuple:
@@ -193,6 +174,9 @@ def cmd_invariant(args) -> tuple[int, dict]:
 
 
 def cmd_kernel(args) -> tuple[int, dict]:
+    from .kernels import (SeriesKernel, SingularPointError, base_kernel, make_kernel_spec,
+                          quotient_kernel)
+
     with _reading_input():
         data = _read_json_arg(args.spec)
         domain, group_text = data["domain"], data.get("group")
@@ -225,10 +209,13 @@ def cmd_kernel(args) -> tuple[int, dict]:
 
 
 def cmd_toeplitz(args) -> tuple[int, dict]:
+    from .toeplitz import (SymbolPair, bh_check, product_compare, semd2_check,
+                           symbol_recover, toeplitz_window, window_entry_fn)
+
     group = make_group(args.group)
     char = make_character(group, args.character)
     bm = basic_map(group)
-    symbol = _load_symbol(group, args.symbol)
+    symbol = SymbolPair(group, _load_poly(args.symbol))
     verb = args.toeplitz_verb
     if verb == "window":
         win = toeplitz_window(symbol, char, args.bound)
@@ -238,7 +225,7 @@ def cmd_toeplitz(args) -> tuple[int, dict]:
         rep = bh_check(win, bm)
         return (0 if rep.ok else FAIL_EXIT), rep.to_json()
     if verb == "product":
-        other = _load_symbol(group, args.symbol2)
+        other = SymbolPair(group, _load_poly(args.symbol2))
         rep = product_compare(symbol, other, args.mode, char, args.bound)
         # either verdict is an informative answer for a comparison query
         return 0, rep.to_json()
@@ -254,7 +241,7 @@ def cmd_toeplitz(args) -> tuple[int, dict]:
         )
         return (0 if ok else FAIL_EXIT), report
     if verb == "semd2":
-        other = _load_symbol(group, args.symbol2)
+        other = SymbolPair(group, _load_poly(args.symbol2))
         rep = semd2_check(symbol, other, char)
         return (0 if rep.consistent else FAIL_EXIT), rep.to_json()
     raise argparse.ArgumentTypeError(f"unknown toeplitz verb {verb}")
@@ -267,6 +254,8 @@ _SEEDED_SUITES = ("kernel-identity", "projections", "bh", "recovery",
 def cmd_verify(args) -> tuple[int, dict]:
     """Run one suite; --seed and --pairs are usage errors on a suite that
     does not take them ("all" takes neither)."""
+    from .suites import run_suite
+
     kwargs = {}
     if args.seed is not None:
         if args.suite not in _SEEDED_SUITES:
@@ -343,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=("semi", "commute", "zeroProduct"))
 
     v = sub.add_parser("verify", help="bundled verification suites")
-    v.add_argument("suite", choices=sorted(ALL_SUITES) + ["all"])
+    v.add_argument("suite", choices=sorted(SUITE_NAMES) + ["all"])
     v.add_argument("--pairs", type=int, help="kernel-identity pairs (default: 100)")
     v.add_argument("--seed", type=int,
                    help="seed for randomized point and symbol sampling "
@@ -367,7 +356,7 @@ def main(argv=None) -> int:
     }
     try:
         code, report = handlers[args.verb](args)
-    except INPUT_ERRORS as exc:
+    except InputError as exc:
         _emit({"error": str(exc)}, args.output, sys.stderr)
         return USAGE_EXIT
     except Exception as exc:  # a program fault, not an input error

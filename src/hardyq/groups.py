@@ -20,9 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations
-
-import numpy as np
+from itertools import combinations, permutations, product
 
 
 def root_of_unity(turn: Fraction | int) -> complex:
@@ -39,7 +37,12 @@ def root_of_unity(turn: Fraction | int) -> complex:
     return cmath.exp(2j * math.pi * (t.numerator / t.denominator))
 
 
-class GroupSpecError(ValueError):
+class InputError(ValueError):
+    """A fault in what the caller asked for, not in the program: the CLI
+    reports it with exit code 2."""
+
+
+class GroupSpecError(InputError):
     pass
 
 
@@ -147,8 +150,8 @@ class Group:
     the zero-phase permutation elements (all of S_n for G(m,p,n), the
     identity for Z(m)@k^n), and every element is g = D_phase * P_perm.  The
     order, generators, hyperplanes and characters come from (m, p, n); only
-    the ball's quotient kernel sums over all of G, through point_tables,
-    which (like the test-only element list) is built on first use.
+    the ball's quotient kernel sums over all of G, through the point tables
+    that kernels.point_tables builds on first use.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -158,9 +161,10 @@ class Group:
         self.n = spec.n
         self.q = spec.m // spec.p
         self.identity = GroupElement(tuple(range(spec.n)), (0,) * spec.n, spec.m)
-        # objects other modules derive from the group alone (the basic map),
-        # built on first use and kept as long as the group
-        self.derived: dict[str, object] = {}
+        # objects other modules derive from the group and its characters
+        # (the basic map, the kernels' point tables), built on first use and
+        # kept as long as the group
+        self.derived: dict[object, object] = {}
 
     def __len__(self) -> int:
         if self.spec.kind == "Gmpn":
@@ -222,19 +226,27 @@ class Group:
         phases = [tuple(x % m for x in v) for v in vecs]
         return tuple(GroupElement(tuple(range(n)), ph, m) for ph in phases if any(ph))
 
-    def diagonal_coords(self, phase) -> np.ndarray:
-        """Exponents of D_phase in diagonal_generators for phase vectors
-        (last axis n): (phi_1, ..., phi_{n-1}, sum(phi)/p) for G(m,p,n),
-        phi_k for Z(m)@k^n, with phases in 0..m-1."""
-        phase = np.asarray(phase, dtype=np.int64)
+    def diagonal_coords(self, phase: tuple[int, ...]) -> tuple[int, ...]:
+        """Exponents of D_phase in diagonal_generators: (phi_1, ...,
+        phi_{n-1}, sum(phi)/p) for G(m,p,n), phi_k for Z(m)@k^n, with phases
+        in 0..m-1."""
         if self.spec.kind == "Gmpn":
-            total = phase.sum(axis=-1, keepdims=True) // self.p
-            coords = np.concatenate([phase[..., :-1], total], axis=-1)
+            coords = (*phase[:-1], sum(phase) // self.p)
         else:
-            coords = phase[..., self.spec.coord - 1:self.spec.coord]
+            coords = (phase[self.spec.coord - 1],)
         # identities are dropped only from the end: all of them when m = 1,
         # p*e_n when p = m
-        return coords[..., :len(self.diagonal_generators)]
+        return coords[:len(self.diagonal_generators)]
+
+    def phase_vectors(self):
+        """The phase vectors of the diagonal subgroup A, lexicographic:
+        those with sum divisible by p for G(m,p,n), the multiples of e_k for
+        Z(m)@k^n.  Elements run perm-major over perm_images(), and inside
+        each permutation over these."""
+        if self.spec.kind == "CyclicCoord":
+            k = self.spec.coord - 1
+            return [tuple(a if i == k else 0 for i in range(self.n)) for a in range(self.m)]
+        return [ph for ph in product(range(self.m), repeat=self.n) if sum(ph) % self.p == 0]
 
     @cached_property
     def generators(self) -> tuple[GroupElement, ...]:
@@ -257,32 +269,6 @@ class Group:
         every one-dimensional character takes its values among the N-th
         roots of unity."""
         return math.lcm(2, self.m)
-
-    @cached_property
-    def point_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(roots, phase, src) with (g z)_i = roots[phase[g, i]] * z[src[g, i]]
-        for every element g: one root_of_unity per phase value, and |G| x n
-        index tables in the smallest integer types.  Rows run perm-major in
-        perm_images() order, phases lexicographic (sum divisible by p)."""
-        n, m = self.n, self.m
-        roots = np.array([root_of_unity(Fraction(k, m)) for k in range(m)])
-        if self.spec.kind == "Gmpn":
-            phases = np.indices((m,) * n).reshape(n, -1).T
-            phases = phases[phases.sum(axis=1) % self.p == 0]
-        else:
-            phases = np.zeros((m, n), dtype=np.int64)
-            phases[:, self.spec.coord - 1] = np.arange(m)
-        phases = phases.astype(np.min_scalar_type(m - 1))
-        src = np.argsort(self.perm_images(), axis=1).astype(np.min_scalar_type(n - 1))
-        return roots, np.tile(phases, (len(src), 1)), np.repeat(src, len(phases), axis=0)
-
-    @cached_property
-    def elements(self) -> list[GroupElement]:
-        """Every element in point_tables row order, for the tests only."""
-        _, phase, src = self.point_tables
-        perms = np.argsort(src, axis=1).tolist()
-        return [GroupElement(tuple(g), tuple(ph), self.m)
-                for g, ph in zip(perms, phase.tolist())]
 
     # -- reflections -------------------------------------------------------
 
@@ -362,7 +348,7 @@ def make_group(spec: GroupSpec | str) -> Group:
 BUILTIN_CHARACTERS = ("trivial", "sgn", "det", "rho1", "rho2")
 
 
-class CharacterError(ValueError):
+class CharacterError(InputError):
     pass
 
 
@@ -374,7 +360,7 @@ class Character:
     one transposition (`swap`: 0 or N/2; 0 on Z(m)@k^n, which has none):
     turn(D_phase P_perm) = coords(phase) . diag + parity(perm) * swap mod N.
     Built-in forms are characters by construction; extend_from_generators
-    checks every other one.  The table `nums` is built on first use.
+    checks every other one.
     """
 
     def __init__(self, group: Group, name: str, diag, swap: int):
@@ -386,34 +372,24 @@ class Character:
         self.diag = tuple(int(k) % self.den for k in diag)
         self.swap = int(swap) % self.den
 
-    def _nums(self, phase, parity) -> np.ndarray:
-        """Turn numerators of D_phase P from phase vectors and P's parity."""
+    def _num(self, phase: tuple[int, ...], parity: int) -> int:
+        """Turn numerator of D_phase P from the phase vector and P's parity."""
         coords = self.group.diagonal_coords(phase)
-        return (coords @ np.array(self.diag, dtype=np.int64) + parity * self.swap) % self.den
+        return (sum(c * k for c, k in zip(coords, self.diag)) + parity * self.swap) % self.den
 
     def turn(self, g: GroupElement) -> Fraction:
-        return Fraction(int(self._nums(g.phase, _perm_parity(g.perm))), self.den)
+        return Fraction(self._num(g.phase, _perm_parity(g.perm)), self.den)
 
     def value(self, g: GroupElement) -> complex:
         return root_of_unity(self.turn(g))
 
-    @cached_property
-    def nums(self) -> np.ndarray:
-        """Turn numerators for every element in point_tables row order,
-        where each permutation's parity repeats over its block of phases."""
-        group = self.group
-        _, phase, _ = group.point_tables
-        perms = group.perm_images()
-        parity = np.repeat([_perm_parity(p) for p in perms], len(phase) // len(perms))
-        return self._nums(phase, parity)
-
-    @cached_property
-    def conj_values(self) -> np.ndarray:
-        """conj(chi(g)) for every element in point_tables row order; one
-        root_of_unity per residue mod N."""
-        roots = np.array([root_of_unity(Fraction(-k, self.den)) for k in range(self.den)],
-                         dtype=complex)
-        return roots[self.nums]
+    def element_nums(self) -> list[int]:
+        """Turn numerators for every element, perm-major over perm_images()
+        and phase_vectors() inside: each permutation's parity * swap shifts
+        one block of diagonal numerators."""
+        block = [self._num(phase, 0) for phase in self.group.phase_vectors()]
+        return [(k + _perm_parity(perm) * self.swap) % self.den
+                for perm in self.group.perm_images() for k in block]
 
     @cached_property
     def perm_part(self) -> tuple[tuple[tuple[int, ...], Fraction, complex], ...]:
@@ -439,7 +415,7 @@ class Character:
     def to_json(self) -> dict:
         """Turns as reduced fractions [index, numerator, denominator]."""
         values = []
-        for i, k in enumerate(self.nums.tolist()):
+        for i, k in enumerate(self.element_nums()):
             d = math.gcd(k, self.den)
             values.append([i, k // d, self.den // d])
         return {"group": str(self.group.spec), "name": self.name, "values": values}

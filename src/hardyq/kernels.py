@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .groups import Character, Group, make_character, make_group
+from .groups import Character, Group, InputError, make_character, make_group, root_of_unity
 from .invariants import (
     BasicMap,
     EllPoly,
@@ -28,7 +28,7 @@ from .laurent import HarmonicPoly, LaurentPoly, sphere_inner, torus_inner
 Point = tuple[complex, ...]
 
 
-class DomainError(ValueError):
+class DomainError(InputError):
     pass
 
 
@@ -84,34 +84,42 @@ def check_point(domain: str, z: Point):
 # -- kernel specification ----------------------------------------------------
 
 
-@dataclass
 class KernelSpec:
-    """Base kernel (no group) or quotient kernel (group + character + map)."""
+    """Base kernel (no group) or quotient kernel (group + character + map).
 
-    domain: str
-    group: Group | None = None
-    character: Character | None = None
-    bmap: BasicMap | None = field(default=None, repr=False)
-    ellp: EllPoly | None = field(default=None, repr=False)
+    ell_rho is built on the first read of `ellp`: the polydisc closed form
+    reads it for split characters only, and building it can cost far more
+    than a kernel value (the Jacobian of G(3,1,6) expands 720 products)."""
 
-    def __post_init__(self):
-        if self.domain not in DOMAIN_PREDICATES:
-            raise DomainError(f"unknown domain tag {self.domain!r}")
-        has_group = self.group is not None
-        if has_group != (self.character is not None):
+    def __init__(self, domain: str, group: Group | None = None,
+                 character: Character | None = None, bmap: BasicMap | None = None,
+                 ellp: EllPoly | None = None):
+        if domain not in DOMAIN_PREDICATES:
+            raise DomainError(f"unknown domain tag {domain!r}")
+        has_group = group is not None
+        if has_group != (character is not None):
             raise DomainError("group and character must be given together")
         if has_group:
-            if self.domain == "cartan3rank2":
+            if domain == "cartan3rank2":
                 raise DomainError(
                     "quotient kernels are supported on the polydisc and ball; "
                     "the tetrablock case is hard-coded as tetrablock_kernel"
                 )
-            if self.domain == "ball" and self.group.spec.kind != "CyclicCoord":
+            if domain == "ball" and group.spec.kind != "CyclicCoord":
                 raise DomainError("ball quotients are provided for cyclic coordinate groups")
-            if self.bmap is None:
-                self.bmap = basic_map(self.group)
-            if self.ellp is None:
-                self.ellp = ell(self.character, domain=self.domain, bmap=self.bmap)
+            if bmap is None:
+                bmap = basic_map(group)
+        self.domain = domain
+        self.group = group
+        self.character = character
+        self.bmap = bmap
+        self._ellp = ellp
+
+    @property
+    def ellp(self) -> EllPoly | None:
+        if self._ellp is None and self.is_quotient:
+            self._ellp = ell(self.character, domain=self.domain, bmap=self.bmap)
+        return self._ellp
 
     @property
     def is_quotient(self) -> bool:
@@ -331,6 +339,40 @@ def _split_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
     return scale * total / (lz * lw.conjugate())
 
 
+def point_tables(group: Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(roots, phase, src) with (g z)_i = roots[phase[g, i]] * z[src[g, i]]
+    for every element g: one root_of_unity per phase value, and |G| x n
+    index tables in the smallest integer types.  Rows run perm-major in
+    perm_images() order and phase_vectors() order inside; built once per
+    group."""
+    got = group.derived.get("point_tables")
+    if got is None:
+        n, m = group.n, group.m
+        roots = np.array([root_of_unity(Fraction(k, m)) for k in range(m)])
+        phases = np.array(group.phase_vectors(), dtype=np.min_scalar_type(m - 1))
+        src = np.argsort(group.perm_images(), axis=1).astype(np.min_scalar_type(n - 1))
+        got = group.derived["point_tables"] = (
+            roots, np.tile(phases, (len(src), 1)), np.repeat(src, len(phases), axis=0))
+    return got
+
+
+def nums(char: Character) -> np.ndarray:
+    """Turn numerators of chi for every element in point_tables row order."""
+    return np.array(char.element_nums(), dtype=np.int64)
+
+
+def conj_values(char: Character) -> np.ndarray:
+    """conj(chi(g)) for every element in point_tables row order, one
+    root_of_unity per residue mod N; built once per (group, character)."""
+    key = ("conj_values", char.diag, char.swap)
+    got = char.group.derived.get(key)
+    if got is None:
+        roots = np.array([root_of_unity(Fraction(-k, char.den)) for k in range(char.den)],
+                         dtype=complex)
+        got = char.group.derived[key] = roots[nums(char)]
+    return got
+
+
 def _ball_group_sum(spec: KernelSpec, z: Point, w: Point) -> complex:
     """The ball quotient kernel as the group sum, in one numpy pass over the
     group's point tables and the character's conj(chi) vector.  Besides
@@ -339,12 +381,12 @@ def _ball_group_sum(spec: KernelSpec, z: Point, w: Point) -> complex:
     lz, lw = _ell_values(spec, z, w)
     # matches the function action R_g f = f o g: the kernel section
     # transforms through the matrix itself
-    roots, phase, src = spec.group.point_tables
+    roots, phase, src = point_tables(spec.group)
     images = roots[phase]
     images *= np.array(z, dtype=complex)[src]
     wbar = np.conj(np.array(w, dtype=complex))
     values = (1.0 - images @ wbar) ** (-len(w))
-    total = complex(spec.character.conj_values @ values)
+    total = complex(conj_values(spec.character) @ values)
     ratio = float(np.abs(values).sum()) / abs(total) if total else math.inf
     if ratio * (len(values) + 3 * len(w)) * EPS > CANCELLATION_TOL:
         raise SingularPointError(

@@ -16,7 +16,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .groups import Character, Group, make_character
+from .groups import Character, Group, InputError, make_character
 from .invariants import (
     BasicMap,
     EllPoly,
@@ -49,16 +49,16 @@ RESIDUAL_TOL = 1e-10
 _EXPAND_TOL = 1e-9  # relative residual GammaBasis.expand leaves unexplained
 
 
-class SymbolError(ValueError):
+class SymbolError(InputError):
     pass
 
 
-class WindowMarginError(ValueError):
+class WindowMarginError(InputError):
     """Window too small for the requested comparison; message names the
     required bound."""
 
 
-class RecoveryError(ValueError):
+class RecoveryError(InputError):
     pass
 
 

@@ -1,6 +1,7 @@
 import pytest
 
-from hardyq.groups import Character, Group, make_character, make_group
+from hardyq import kernels
+from hardyq.groups import Character, make_character, make_group
 from hardyq.invariants import basic_map
 
 
@@ -46,13 +47,13 @@ def bm112(g112):
 
 @pytest.fixture
 def no_element_tables(monkeypatch):
-    """Make every Group's point tables and element list, and every
-    Character's per-element tables, raise on access."""
+    """Make the kernels' per-element tables (point tables, turn numerators,
+    conj(chi) values) and every Character's per-element numerators raise
+    on use."""
 
-    def forbidden(self):
+    def forbidden(*args):
         raise AssertionError("group elements enumerated")
 
-    monkeypatch.setattr(Group, "point_tables", property(forbidden))
-    monkeypatch.setattr(Group, "elements", property(forbidden))
-    monkeypatch.setattr(Character, "nums", property(forbidden))
-    monkeypatch.setattr(Character, "conj_values", property(forbidden))
+    for name in ("point_tables", "nums", "conj_values"):
+        monkeypatch.setattr(kernels, name, forbidden)
+    monkeypatch.setattr(Character, "element_nums", forbidden)

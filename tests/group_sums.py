@@ -7,12 +7,14 @@ and the shift-table Brown-Halmos check and compactness probe are tested
 against; and the per-element and per-term helpers they and the tests use.
 Test oracles only; nothing in the package calls them."""
 
+import functools
 from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 
-from hardyq.groups import GroupElement, root_of_unity
+from hardyq import kernels
+from hardyq.groups import GroupElement, _perm_parity, root_of_unity
 from hardyq.kernels import KernelSpec, base_kernel
 from hardyq.laurent import Expo, HarmonicPoly, LaurentPoly, act
 
@@ -54,6 +56,15 @@ from hardyq.invariants import NotInIsotypicError
 from hardyq.toeplitz import RESIDUAL_TOL, BHReport, CompactnessReport, GammaBasis
 
 
+@functools.cache
+def elements(group) -> list[GroupElement]:
+    """Every element in kernels.point_tables row order, read back from the
+    tables (src is the inverse permutation of each row's perm)."""
+    _, phase, src = kernels.point_tables(group)
+    perms = np.argsort(src, axis=1).tolist()
+    return [GroupElement(tuple(g), tuple(ph), group.m) for g, ph in zip(perms, phase.tolist())]
+
+
 def enumerate_elements(spec):
     """Every element of the group a GroupSpec names, one Python loop over
     the permutations (lexicographic) and, inside it, over the phase vectors
@@ -71,12 +82,34 @@ def enumerate_elements(spec):
                 yield GroupElement(perm, phase, spec.m)
 
 
+def numpy_nums(char) -> list[int]:
+    """Turn numerators per element as numpy tables: the phase vectors from
+    np.indices (lexicographic, sum divisible by p) or the one coordinate of
+    Z(m)@k^n, their diagonal coordinates (phi_1, ..., phi_{n-1}, sum/p) or
+    phi_k, one block per permutation in lexicographic order shifted by
+    parity * swap."""
+    group = char.group
+    n, m = group.n, group.m
+    if group.spec.kind == "Gmpn":
+        phases = np.indices((m,) * n).reshape(n, -1).T
+        phases = phases[phases.sum(axis=1) % group.p == 0]
+        coords = np.concatenate([phases[:, :-1], phases.sum(axis=1, keepdims=True) // group.p],
+                                axis=1)
+        perms = list(permutations(range(n)))
+    else:
+        coords = np.arange(m)[:, None]
+        perms = [tuple(range(n))]
+    block = coords[:, :len(group.diagonal_generators)] @ np.array(char.diag, dtype=np.int64)
+    parity = np.array([_perm_parity(p) for p in perms], dtype=np.int64)
+    return (np.add.outer(parity * char.swap, block) % char.den).ravel().tolist()
+
+
 def det_turns(group) -> list[Fraction]:
     """det(g) as a turn per element from Group.det_turn (Fraction arithmetic
     on the permutation parity and the phase sum), each cross-checked against
     the numerical determinant of the element's monomial matrix."""
     turns = []
-    for g in group.elements:
+    for g in elements(group):
         t = group.det_turn(g)
         numeric = np.linalg.det(np.array(g.matrix()))
         assert abs(numeric - root_of_unity(t)) < 1e-12, (g, t, numeric)
@@ -113,7 +146,7 @@ def scanned_hyperplanes(group) -> dict[tuple, list]:
     single nonzero diagonal phase at i (z_i = 0), ("diff", i, j, t) for a
     phased transposition (i j) fixing z_i = zeta^t z_j."""
     buckets: dict[tuple, list] = {}
-    for g in group.elements:
+    for g in elements(group):
         if not is_reflection(group, g):
             continue
         moved = [j for j in range(group.n) if g.perm[j] != j]
@@ -151,21 +184,21 @@ def closure_turns(group, assignments) -> list[Fraction]:
         frontier = nxt
     if len(turns) != len(group):
         return None
-    return [turns[g] for g in group.elements]
+    return [turns[g] for g in elements(group)]
 
 
 def invariant_under_every_element(group, f: LaurentPoly) -> bool:
     """The G-invariance check with one act() per element, at the symbol
     tolerance 1e-9 * max(max |coefficient|, 1)."""
     scale = max(f.max_abs_coeff(), 1.0)
-    return all((act(g, f) - f).is_zero(tol=1e-9 * scale) for g in group.elements)
+    return all((act(g, f) - f).is_zero(tol=1e-9 * scale) for g in elements(group))
 
 
 def group_sum_project(char, f: LaurentPoly) -> LaurentPoly:
     """(1/|G|) sum_g conj(chi(g)) R_g f, one act() per element."""
     group = char.group
     total = LaurentPoly.zero(f.dim)
-    for g in group.elements:
+    for g in elements(group):
         total = total + value_inv(char, g) * act(g, f)
     return total * (1.0 / len(group))
 
@@ -177,7 +210,7 @@ def stabilizer_norm_sq(char, alpha: Expo) -> Fraction:
     group = char.group
     alpha = tuple(alpha)
     stab = 0
-    for g in group.elements:
+    for g in elements(group):
         if tuple(alpha[g.perm[j]] for j in range(len(alpha))) != alpha:
             continue
         turn = Fraction(sum(p * x for p, x in zip(g.phase, alpha)), g.mod) % 1
@@ -194,7 +227,7 @@ def group_sum_kernel(spec: KernelSpec, z, w) -> tuple[complex, float]:
     z, w = tuple(z), tuple(w)
     total = 0j
     mass = 0.0
-    for g in spec.group.elements:
+    for g in elements(spec.group):
         s = base_kernel(spec.domain, apply_point(g, z), w)
         total += value_inv(spec.character, g) * s
         mass += abs(s)

@@ -1,5 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import hardyq
+from hardyq import cli, groups, kernels, suites, toeplitz
 from hardyq.cli import main
 
 
@@ -95,7 +103,7 @@ class TestKernelVerb:
                 builds.append(bound)
                 super().__init__(spec, bound)
 
-        monkeypatch.setattr("hardyq.cli.SeriesKernel", Counting)
+        monkeypatch.setattr("hardyq.kernels.SeriesKernel", Counting)
         # both z lie on ell_rho1's zero set z_1 = i z_2
         points = ('[{"z": [[0.0, 0.0], [0.0, 0.0]], "w": [[0.2, 0.0], [0.1, 0.0]]},'
                   ' {"z": [[0.0, 0.1], [0.1, 0.0]], "w": [[0.2, 0.0], [0.1, 0.0]]}]')
@@ -109,7 +117,7 @@ class TestKernelVerb:
         def no_series(spec, bound):
             raise AssertionError("series kernel built")
 
-        monkeypatch.setattr("hardyq.cli.SeriesKernel", no_series)
+        monkeypatch.setattr("hardyq.kernels.SeriesKernel", no_series)
         # z_1 = z_2 is the zero set of ell_sgn = z_1 - z_2
         points = '[{"z": [[0.3, 0.1], [0.3, 0.1]], "w": [[0.2, 0.0], [-0.4, 0.2]]}]'
         code, out, _ = run_cli(capsys, "kernel", "eval", "--spec", self.SPEC,
@@ -228,7 +236,7 @@ class TestVerify:
             seen.append((name, kwargs))
             return {"ok": True}
 
-        monkeypatch.setattr("hardyq.cli.run_suite", fake_run_suite)
+        monkeypatch.setattr("hardyq.suites.run_suite", fake_run_suite)
         for argv in (["bh"], ["bh", "--seed", "5"], ["kernel-identity", "--pairs", "3"]):
             assert run_cli(capsys, "verify", *argv)[0] == 0
         assert seen == [("bh", {}), ("bh", {"seed": 5}), ("kernel-identity", {"pairs": 3})]
@@ -259,7 +267,7 @@ class TestExitCodes:
         def broken(spec, z, w):
             raise NotInIsotypicError("leading exponent is incompatible")
 
-        monkeypatch.setattr("hardyq.cli.quotient_kernel", broken)
+        monkeypatch.setattr("hardyq.kernels.quotient_kernel", broken)
         points = '[{"z": [[0.3, 0.0], [0.0, 0.1]], "w": [[0.2, 0.0], [-0.4, 0.0]]}]'
         code, out, err = run_cli(capsys, "kernel", "eval", "--spec", TestKernelVerb.SPEC,
                                  "--points", points)
@@ -276,3 +284,65 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "kernel", "eval", "--spec",
                                '{"domain": "polydisc", "group": 5}', "--points", "[]")
         assert code == 2 and json.loads(err) == {"error": "cannot parse group spec 5"}
+
+
+class TestNumpyFreeCore:
+    """`import hardyq` and the group and invariant verbs run with numpy
+    blocked; kernels, toeplitz and suites load it when first used."""
+
+    GROUPS = ("G(1,1,2)", "G(4,2,3)", "Z(3)@1^2")
+    CALLS = [argv for g in GROUPS for argv in (
+        ["group", "info", g], ["group", "character", g],
+        ["invariant", "index", g], ["invariant", "ell", g],
+        ["invariant", "map", g], ["invariant", "jacobian", g])]
+
+    # a None entry in sys.modules makes every import of numpy raise
+    BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import hardyq
+from hardyq import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    out.append([code, buf.getvalue()])
+try:
+    hardyq.quotient_kernel
+except ImportError:
+    out.append("deferred")
+print(json.dumps(out))
+"""
+
+    def test_group_and_invariant_verbs_run_without_numpy(self):
+        src = str(Path(hardyq.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", self.BLOCKED, json.dumps(self.CALLS)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        *got, deferred = json.loads(proc.stdout)
+        assert deferred == "deferred"
+        want = []
+        for argv in self.CALLS:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(argv)
+            want.append([code, buf.getvalue()])
+        assert [code for code, _ in want] == [0] * len(self.CALLS)
+        assert got == want
+
+    def test_deferred_names_resolve(self):
+        assert hardyq.quotient_kernel is kernels.quotient_kernel
+        assert hardyq.bh_check is toeplitz.bh_check
+
+    def test_suite_names_match_the_suites(self):
+        assert cli.SUITE_NAMES == tuple(suites.ALL_SUITES)
+
+    def test_input_errors_share_one_base(self):
+        for exc in (groups.GroupSpecError, groups.CharacterError, kernels.DomainError,
+                    toeplitz.SymbolError, toeplitz.WindowMarginError, toeplitz.RecoveryError,
+                    cli.UsageError):
+            assert issubclass(exc, groups.InputError)
+        assert not issubclass(kernels.SingularPointError, groups.InputError)

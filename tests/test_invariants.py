@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from group_sums import elements
 from hardyq.groups import Group, builtin_characters, make_character, make_group
 from hardyq.invariants import (
     NotInIsotypicError,
@@ -252,7 +253,7 @@ class TestEll:
         for ch in builtin_characters(g):
             ep = ell(ch, bmap=bm)
             scale = max(ep.poly.max_abs_coeff(), 1.0)
-            for x in g.elements:
+            for x in elements(g):
                 assert (act(x, ep.poly) - ch.value(x) * ep.poly).is_zero(
                     tol=1e-10 * scale
                 )

@@ -6,8 +6,10 @@ import random
 import numpy as np
 import pytest
 
-from group_sums import apply_point, group_sum_kernel
+from group_sums import apply_point, elements, group_sum_kernel
+from hardyq import invariants, kernels
 from hardyq.groups import make_character, make_group
+from hardyq.invariants import basic_map, ell
 from hardyq.kernels import (
     DomainError,
     KernelSpec,
@@ -119,7 +121,7 @@ class TestQuotientKernel:
         for _ in range(4):
             z, w = rnd_pt(rng, 2), rnd_pt(rng, 2)
             base = quotient_kernel(spec, z, w)
-            for x in g.elements:
+            for x in elements(g):
                 moved = quotient_kernel(spec, apply_point(x, z), w)
                 assert abs(moved - base) <= 1e-9 * abs(base)
 
@@ -215,7 +217,7 @@ class TestQuotientKernel:
         got = quotient_kernel(spec, z, w)
         g = spec.group
         want = sum(
-            base_kernel("polydisc", apply_point(x, z), w) for x in g.elements
+            base_kernel("polydisc", apply_point(x, z), w) for x in elements(g)
         ) / len(g)
         assert abs(got - want) < 1e-12 * abs(want)
 
@@ -264,6 +266,56 @@ class TestClosedForm:
         cauchy = math.prod(x for row in M for x in row)
         sgn = quotient_kernel(KernelSpec("polydisc", g, make_character(g, "sgn")), z, w)
         assert abs(sgn - cauchy) <= 1e-13 * abs(cauchy)
+
+
+class TestLazyEll:
+    """ell_rho is built on the first read of KernelSpec.ellp: never by the
+    closed form for uniform characters, once for the split characters, the
+    ball and the series kernel."""
+
+    @pytest.fixture
+    def ell_builds(self, monkeypatch):
+        built = []
+
+        def recording(char, *args, **kwargs):
+            built.append(char.name)
+            return ell(char, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "ell", recording)
+        return built
+
+    def test_uniform_character_builds_no_ell(self, monkeypatch, ell_builds):
+        def forbidden(*args):
+            raise AssertionError("Jacobian expanded")
+
+        monkeypatch.setattr(invariants, "jacobian", forbidden)
+        spec = make_kernel_spec("polydisc", "G(3,1,6)", "sgn")
+        z = (0.5, 0.3j, -0.2 + 0.4j, 0.1 - 0.6j, 0.7j, -0.35)
+        w = (0.2 + 0.1j, -0.45, 0.3 - 0.3j, 0.6j, 0.15, -0.1 - 0.5j)
+        want = math.prod(1 / (1 - a ** 3 * b.conjugate() ** 3) for a in z for b in w)
+        assert abs(quotient_kernel(spec, z, w) - want) <= 1e-13 * abs(want)
+        assert ell_builds == []
+        with pytest.raises(AssertionError, match="Jacobian"):
+            spec.ellp
+
+    def test_split_ball_and_series_read_ell_once(self, ell_builds):
+        z, w = (0.3 + 0.1j, 0.1 - 0.2j), (0.2, 0.1j)
+        split = make_kernel_spec("polydisc", "G(4,4,2)", "rho1")
+        ball = make_kernel_spec("ball", "Z(3)@1^2", "sgn")
+        assert ell_builds == []
+        for spec in (split, ball):
+            quotient_kernel(spec, z, w)
+            quotient_kernel(spec, w, z)
+        assert ell_builds == ["rho1", "sgn"]
+        SeriesKernel(make_kernel_spec("polydisc", "G(1,1,2)", "sgn"), 4)
+        assert ell_builds == ["rho1", "sgn", "sgn"]
+
+    def test_given_ell_is_kept(self, ell_builds):
+        g = make_group("G(2,1,2)")
+        ch = make_character(g, "det")
+        ep = ell(ch)
+        spec = KernelSpec("polydisc", g, ch, bmap=basic_map(g), ellp=ep)
+        assert spec.ellp is ep and ell_builds == []
 
 
 class TestSeriesKernel:

@@ -36,9 +36,11 @@ from hypothesis import strategies as st
 from group_sums import (
     closure_turns,
     det_turns,
+    elements,
     group_sum_kernel,
     group_sum_project,
     invariant_under_every_element,
+    numpy_nums,
     sgn_turns,
     stabilizer_norm_sq,
 )
@@ -52,6 +54,7 @@ from hardyq.groups import (
     make_group,
 )
 from hardyq.invariants import project, projection_norm_sq
+from hardyq import kernels
 from hardyq.kernels import KernelSpec, SingularPointError, quotient_kernel
 from hardyq.laurent import LaurentPoly, act
 from hardyq.toeplitz import SymbolError, SymbolPair
@@ -245,7 +248,7 @@ def test_polydisc_closed_form_on_every_character(index):
 def test_character_table_matches_fraction_oracle(index, other):
     spec, ch = CHARS[index]
     want = _reference_turns(index)
-    assert [ch.turn(g) for g in ch.group.elements] == want
+    assert [ch.turn(g) for g in elements(ch.group)] == want
     oracle_json = {"group": spec, "name": ch.name,
                    "values": [[i, t.numerator, t.denominator] for i, t in enumerate(want)]}
     assert json.dumps(ch.to_json()) == json.dumps(oracle_json)
@@ -258,6 +261,19 @@ def test_character_table_matches_fraction_oracle(index, other):
         assert hash(ch) == hash(och)
 
 
+@pytest.mark.parametrize("index", range(len(CHARS)),
+                         ids=[f"{spec}-{ch.name}" for spec, ch in CHARS])
+def test_character_json_matches_numpy_table(index):
+    """The itertools rows of to_json and kernels.nums against the numpy
+    table that built them before, on every catalogue character."""
+    _, ch = CHARS[index]
+    want = numpy_nums(ch)
+    assert kernels.nums(ch).tolist() == want
+    reduced = [Fraction(k, ch.den) for k in want]
+    assert ch.to_json()["values"] == [[i, t.numerator, t.denominator]
+                                      for i, t in enumerate(reduced)]
+
+
 @st.composite
 def noisy_orbit_sums(draw, group):
     """sum_g R_g (c z^a) for one or two monomials, every coefficient then
@@ -266,7 +282,7 @@ def noisy_orbit_sums(draw, group):
     f = LaurentPoly.zero(n)
     for _ in range(draw(st.integers(1, 2))):
         mono = LaurentPoly(n, {draw(st.tuples(*[st.integers(-2, 2)] * n)): draw(coefficients)})
-        for g in group.elements:
+        for g in elements(group):
             f = f + act(g, mono)
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     size = 1e-12 * max(f.max_abs_coeff(), 1.0) / math.sqrt(2)
