@@ -17,8 +17,8 @@ from .invariants import (
     BasicMap,
     BasisIndexSet,
     EllPoly,
+    GammaBasis,
     basic_map,
-    basis_element,
     ell,
     index_set,
     jacobian,

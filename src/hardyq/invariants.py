@@ -10,19 +10,26 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from .groups import Character, Group, Hyperplane, _perm_parity, make_character
+from .groups import Character, Group, Hyperplane, InputError, _perm_parity, make_character
 from .laurent import (
     Expo,
     HarmonicPoly,
     LaurentPoly,
     _compose,
+    canonical_exponent,
+    sphere_inner,
     sphere_norm,
+    torus_inner,
     torus_norm,
 )
 
 
 class NotInIsotypicError(ValueError):
     """Raised by lower() when the input is not of the form ell * (f o theta)."""
+
+
+class BoundError(InputError):
+    """A negative degree or window bound."""
 
 
 # -- basic polynomial maps ---------------------------------------------------
@@ -271,7 +278,7 @@ def ell(char: Character, domain: str = "polydisc", bmap: BasicMap | None = None)
     return EllPoly(char, poly, cnorm, domain)
 
 
-# -- orbit index sets and basis elements -------------------------------------
+# -- orbit index sets and the gamma basis ------------------------------------
 
 
 @dataclass
@@ -284,17 +291,11 @@ class BasisIndexSet:
     holomorphic: bool
     reps: list[Expo]
 
-    def __contains__(self, expo: Expo) -> bool:
-        return tuple(expo) in self._repset
-
     def __iter__(self):
         return iter(self.reps)
 
     def __len__(self):
         return len(self.reps)
-
-    def __post_init__(self):
-        self._repset = set(self.reps)
 
 
 def _candidate_reps(group: Group, bound: int, holomorphic: bool):
@@ -311,7 +312,7 @@ def index_set(char: Character, bound: int, holomorphic: bool = True) -> BasisInd
     """All canonical orbit representatives with sup-norm <= bound whose
     projection is nonzero, ordered by (total degree, lex)."""
     if bound < 0:
-        raise ValueError("degree bound must be >= 0")
+        raise BoundError("degree bound must be >= 0")
     group = char.group
     reps = [
         alpha
@@ -322,31 +323,74 @@ def index_set(char: Character, bound: int, holomorphic: bool = True) -> BasisInd
     return BasisIndexSet(char, bound, holomorphic, reps)
 
 
-def basis_element(iset: BasisIndexSet, mvec: Expo, domain: str = "polydisc") -> LaurentPoly:
-    """Unit-normalized projected monomial gamma_m.
-
-    On free orbits this equals sqrt(|G|) * P_rho z^m; orbits with nontrivial
-    monomial stabilizer get the exact correction sqrt(|G|/|S_m|), so the
-    family is orthonormal rather than merely orthogonal.
-    """
-    mvec = tuple(mvec)
-    if mvec not in iset:
-        raise KeyError(f"{mvec} is not a canonical representative of this index set")
-    char = iset.character
-    if domain == "polydisc":
-        return unit_projection(char, mvec)
-    if domain == "ball":
-        f = project(char, LaurentPoly.monomial(char.group.n, mvec))
-        return f * (1.0 / sphere_norm(f))
-    raise ValueError(f"unknown domain tag {domain!r}")
+# Residual GammaBasis.expand may leave unexplained, relative to the input's
+# largest coefficient.
+_EXPAND_TOL = 1e-9
 
 
-def unit_projection(char: Character, mvec: Expo) -> LaurentPoly:
-    """P_rho z^m scaled to unit torus norm by the exact 1/sqrt(|S_m|/|G|)."""
-    nsq = projection_norm_sq(char, mvec)
-    if nsq == 0:
-        raise KeyError(f"projection of z^{mvec} vanishes")
-    return project(char, LaurentPoly.monomial(char.group.n, mvec)) * (1.0 / math.sqrt(nsq))
+class GammaBasis:
+    """The orthonormal basis gamma_m of one isotypic component of H^2:
+    P_chi z^m for canonical reps m, scaled to unit norm in the domain's
+    inner product `inner`: by the exact 1/sqrt(|S_m|/|S|) on the polydisc,
+    by 1/sphere_norm on the ball.  A rep that is not canonical (on
+    G(m,p,n): not weakly increasing) or whose projection vanishes raises
+    KeyError.  Elements are memoised; use shared() to reuse them."""
+
+    def __init__(self, character: Character, domain: str = "polydisc"):
+        if domain == "polydisc":
+            self.inner = torus_inner
+        elif domain == "ball":
+            self.inner = sphere_inner
+        else:
+            raise ValueError(f"unknown domain tag {domain!r}")
+        self.character = character
+        self.domain = domain
+        self._cache: dict[Expo, LaurentPoly] = {}
+
+    @classmethod
+    def shared(cls, character: Character, domain: str = "polydisc") -> GammaBasis:
+        """The basis kept on the group: one per (character value, domain)."""
+        key = ("gamma_basis", character.diag, character.swap, domain)
+        derived = character.group.derived
+        got = derived.get(key)
+        if got is None:
+            got = derived[key] = cls(character, domain)
+        return got
+
+    def __call__(self, rep: Expo) -> LaurentPoly:
+        rep = tuple(rep)
+        got = self._cache.get(rep)
+        if got is None:
+            char = self.character
+            if char.group.spec.kind == "Gmpn" and any(a > b for a, b in zip(rep, rep[1:])):
+                raise KeyError(f"{rep} is not a canonical representative")
+            nsq = projection_norm_sq(char, rep)
+            if nsq == 0:
+                raise KeyError(f"projection of z^{rep} vanishes")
+            f = project(char, LaurentPoly.monomial(char.group.n, rep))
+            scale = sphere_norm(f) if self.domain == "ball" else math.sqrt(nsq)
+            got = self._cache[rep] = f * (1.0 / scale)
+        return got
+
+    def expand(self, poly: LaurentPoly) -> dict[Expo, complex]:
+        """Coefficients of an analytic isotypic polynomial over the basis;
+        raises if a residual remains (input outside the component)."""
+        group = self.character.group
+        out: dict[Expo, complex] = {}
+        recon = LaurentPoly.zero(poly.dim)
+        reps = sorted({canonical_exponent(group, e) for e in poly.terms})
+        for rep in reps:
+            if projection_norm_sq(self.character, rep) == 0:
+                continue
+            g = self(rep)
+            c = self.inner(poly, g)
+            if c != 0:
+                out[rep] = c
+                recon = recon + c * g
+        scale = max(poly.max_abs_coeff(), 1.0)
+        if not (poly - recon).is_zero(tol=_EXPAND_TOL * scale):
+            raise NotInIsotypicError("polynomial is not in this isotypic component")
+        return out
 
 
 # -- exact division and the theta rewrite ------------------------------------

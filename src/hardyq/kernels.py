@@ -16,14 +16,14 @@ from .groups import Character, Group, InputError, make_character, make_group, ro
 from .invariants import (
     BasicMap,
     EllPoly,
+    GammaBasis,
     basic_map,
-    basis_element,
     ell,
     index_set,
     lift,
     lower,
 )
-from .laurent import HarmonicPoly, LaurentPoly, sphere_inner, torus_inner
+from .laurent import HarmonicPoly, LaurentPoly
 
 Point = tuple[complex, ...]
 
@@ -418,7 +418,8 @@ def tetrablock_kernel(z: Point, w: Point, tol: float = 1e-12) -> complex:
 
 class SeriesKernel:
     """Truncated expansion sum_m e_m(x) conj(e_m(y)) over the lowered
-    orthonormal basis, for points x = theta(z) in quotient coordinates.
+    orthonormal basis e_m = lower(gamma_m), for points x = theta(z) in
+    quotient coordinates; row r of the table is gamma_{reps[r]} of `basis`.
 
     The basis is flattened at build into a sparse table: term k is
     coeffs[k] * x^expos[slots[k]] in basis element rows[k], over one matrix
@@ -430,11 +431,9 @@ class SeriesKernel:
             raise DomainError("series kernels need a group and character")
         self.spec = spec
         self.bound = bound
-        iset = index_set(spec.character, bound, holomorphic=True)
-        self.basis_down: list[LaurentPoly] = []
-        for mvec in iset:
-            gam = basis_element(iset, mvec, domain=spec.domain)
-            self.basis_down.append(lower(spec.ellp, spec.bmap, gam))
+        self.reps = index_set(spec.character, bound, holomorphic=True).reps
+        self.basis = GammaBasis.shared(spec.character, spec.domain)
+        self.basis_down = [lower(spec.ellp, spec.bmap, self.basis(r)) for r in self.reps]
         slot_of: dict[tuple[int, ...], int] = {}
         rows, slots, coeffs = [], [], []
         for r, e in enumerate(self.basis_down):
@@ -484,24 +483,16 @@ def pushforward_integral(spec: KernelSpec, f: HarmonicPoly) -> complex:
 
 
 def reproducing_check(spec: KernelSpec, f: LaurentPoly, w: Point, bound: int) -> float:
-    """|<f, S(. , theta(w))> - f(theta(w))| for the truncated kernel; zero up
-    to rounding once the truncation dominates deg f."""
-    if not spec.is_quotient:
-        raise DomainError("reproducing_check needs a quotient kernel spec")
+    """|<f, S(. , theta(w))> - f(theta(w))| for the truncated kernel: the sum
+    of <lift f, gamma_m> e_m(theta(w)) over the rows of SeriesKernel(spec,
+    bound).  Zero up to rounding once the truncation dominates deg f."""
     check_point(spec.domain, tuple(w))
-    iset = index_set(spec.character, bound, holomorphic=True)
-    tw = spec.bmap.eval(tuple(w))
+    series = SeriesKernel(spec, bound)
     F = lift(spec.ellp, spec.bmap, f)
-    total = 0j
-    for mvec in iset:
-        gam = basis_element(iset, mvec, domain=spec.domain)
-        if spec.domain == "polydisc":
-            coeff = torus_inner(F, gam)
-        else:
-            coeff = sphere_inner(F, gam)
-        e_down = lower(spec.ellp, spec.bmap, gam)
-        total += coeff * e_down.eval(tw)
-    return abs(total - f.eval(tw))
+    coeffs = np.array([series.basis.inner(F, series.basis(r)) for r in series.reps],
+                      dtype=complex)
+    tw = spec.bmap.eval(tuple(w))
+    return abs(complex(coeffs @ series._values(tw)) - f.eval(tw))
 
 
 # -- ellipsoid constants (reported, not asserted) ------------------------------

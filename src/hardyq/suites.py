@@ -21,9 +21,9 @@ from .groups import (
     make_group,
 )
 from .invariants import (
+    GammaBasis,
     NotInIsotypicError,
     basic_map,
-    basis_element,
     divide_exact,
     hyperplane_form,
     index_set,
@@ -47,7 +47,6 @@ from .laurent import (
     torus_norm,
 )
 from .toeplitz import (
-    GammaBasis,
     SymbolPair,
     bh_check,
     compactness_probe,
@@ -285,8 +284,8 @@ def check_gram(bound: int = 5, tol: float = 1e-10) -> dict:
     for gname in BH_GROUPS:
         g = make_group(gname)
         sgn = make_character(g, "sgn")
-        iset = index_set(sgn, bound, holomorphic=True)
-        gams = [basis_element(iset, r) for r in iset]
+        basis = GammaBasis.shared(sgn)
+        gams = [basis(r) for r in index_set(sgn, bound, holomorphic=True)]
         k = len(gams)
         gram = np.zeros((k, k), dtype=complex)
         for i in range(k):
@@ -319,10 +318,9 @@ def check_brown_halmos(seed: int = 23, per_group: int = 20, bound: int = 8,
     groups = {name: make_group(name) for name in BH_GROUPS}
     bmaps = {name: basic_map(groups[name]) for name in BH_GROUPS}
     chars = {name: make_character(groups[name], "sgn") for name in BH_GROUPS}
-    bases = {name: GammaBasis(chars[name]) for name in BH_GROUPS}
     for gname, sym in _bh_corpus(seed, per_group):
-        win = toeplitz_window(sym, chars[gname], bound, basis=bases[gname])
-        rep = bh_check(win, bmaps[gname], basis=bases[gname])
+        win = toeplitz_window(sym, chars[gname], bound)
+        rep = bh_check(win, bmaps[gname])
         worst = max(worst, rep.max_violation)
         good = rep.max_violation <= tol
         ok = ok and good
@@ -441,10 +439,8 @@ def check_compactness(seed: int = 23, per_group: int = 20, tol: float = 1e-10) -
     groups = {name: make_group(name) for name in BH_GROUPS}
     bmaps = {name: basic_map(groups[name]) for name in BH_GROUPS}
     chars = {name: make_character(groups[name], "sgn") for name in BH_GROUPS}
-    bases = {name: GammaBasis(chars[name]) for name in BH_GROUPS}
     for gname, sym in _bh_corpus(seed, per_group):
-        wins = [toeplitz_window(sym, chars[gname], d, basis=bases[gname])
-                for d in (4, 6, 8)]
+        wins = [toeplitz_window(sym, chars[gname], d) for d in (4, 6, 8)]
         rep = compactness_probe(wins, bmaps[gname])
         worst = max(worst, rep.max_shift_deviation)
         ok = ok and rep.max_shift_deviation <= tol

@@ -16,10 +16,10 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .groups import Character, Group, InputError, make_character
+from .groups import Character, Group, GroupSpecError, InputError, make_character
 from .invariants import (
     BasicMap,
-    EllPoly,
+    GammaBasis,
     NotInIsotypicError,
     basic_map,
     ell,
@@ -28,7 +28,6 @@ from .invariants import (
     project,
     projection_norm_sq,
     rewrite_in_theta,
-    unit_projection,
 )
 from .laurent import (
     Expo,
@@ -46,7 +45,6 @@ from .laurent import (
 )
 
 RESIDUAL_TOL = 1e-10
-_EXPAND_TOL = 1e-9  # relative residual GammaBasis.expand leaves unexplained
 
 
 class SymbolError(InputError):
@@ -139,45 +137,6 @@ def apply_toeplitz(symbol: SymbolPair, character: Character | None,
     return hol_project(symbol.pullback * f, character)
 
 
-# -- orthonormal gamma basis helpers ------------------------------------------
-
-
-class GammaBasis:
-    """Cache of unit-normalized projected monomials for one character."""
-
-    def __init__(self, character: Character):
-        self.character = character
-        self.group = character.group
-        self._cache: dict[Expo, LaurentPoly] = {}
-
-    def __call__(self, rep: Expo) -> LaurentPoly:
-        rep = tuple(rep)
-        got = self._cache.get(rep)
-        if got is None:
-            got = self._cache[rep] = unit_projection(self.character, rep)
-        return got
-
-    def expand(self, poly: LaurentPoly) -> dict[Expo, complex]:
-        """Coefficients of an analytic isotypic polynomial over the basis;
-        raises if a residual remains (input outside the component)."""
-        group = self.group
-        out: dict[Expo, complex] = {}
-        recon = LaurentPoly.zero(poly.dim)
-        reps = sorted({canonical_exponent(group, e) for e in poly.terms})
-        for rep in reps:
-            if projection_norm_sq(self.character, rep) == 0:
-                continue
-            g = self(rep)
-            c = torus_inner(poly, g)
-            if c != 0:
-                out[rep] = c
-                recon = recon + c * g
-        scale = max(poly.max_abs_coeff(), 1.0)
-        if not (poly - recon).is_zero(tol=_EXPAND_TOL * scale):
-            raise NotInIsotypicError("polynomial is not in this isotypic component")
-        return out
-
-
 # -- windows ------------------------------------------------------------------
 
 
@@ -244,7 +203,7 @@ def toeplitz_window(symbol: SymbolPair, character: Character, bound: int,
             f"{symbol.radius()}; edge entries will not determine the symbol",
             stacklevel=2,
         )
-    basis = basis or GammaBasis(character)
+    basis = basis or GammaBasis.shared(character)
     reps = list(index_set(character, bound, holomorphic=True).reps)
     entries = _fill([basis(r) for r in reps], lambda g: symbol.pullback * g, torus_inner)
     return ToeplitzWindow(character, bound, reps, entries)
@@ -327,7 +286,7 @@ class ShiftTable:
         theta_{i+1} gamma_r (left) and theta_{n-i-1} gamma_r (right), built
         once."""
         if self._cross is None:
-            basis = basis or GammaBasis(self.character)
+            basis = basis or GammaBasis.shared(self.character)
             n = self.character.group.n
             theta = self.bmap.components
             self._cross = []
@@ -409,7 +368,7 @@ def bh_check(window: ToeplitzWindow, bmap: BasicMap,
     """
     group = window.group
     if group.spec.kind != "Gmpn":
-        raise ValueError("the shift relations are stated for G(m,p,n) quotients")
+        raise GroupSpecError("the shift relations are stated for G(m,p,n) quotients")
     table = ShiftTable.shared(window, bmap)
     scale = window.scale()
     worst = 0.0
@@ -524,7 +483,7 @@ def _ambient_compare(mode: str, symbols: list[SymbolPair], character: Character,
             f"window bound {bound} is below the combined symbol radius; "
             f"need D >= {radius}"
         )
-    basis = GammaBasis(character)
+    basis = GammaBasis.shared(character)
     reps = list(index_set(character, bound, holomorphic=True).reps)
     res = _fill([basis(r) for r in reps], _column_fn(mode, symbols, cut), torus_inner)
     return CompareReport._judge(mode, reps, res, scale)
@@ -543,12 +502,12 @@ class QuotientRealization:
     mu(beta, gamma) = CT(pull(t^beta conj(t)^gamma) |ell|^2), memoised; use
     shared() to reuse them, and the lowered basis, across comparisons."""
 
-    def __init__(self, character: Character, bmap: BasicMap, ellp: EllPoly | None = None):
+    def __init__(self, character: Character, bmap: BasicMap):
         self.character = character
         self.group = character.group
         self.bmap = bmap
-        self.ellp = ellp or ell(character, bmap=bmap)
-        self.basis = GammaBasis(character)
+        self.ellp = ell(character, bmap=bmap)
+        self.basis = GammaBasis.shared(character)
         self._down: dict[Expo, HarmonicPoly] = {}
         self._reps: dict[int, list[Expo]] = {}
         self._moments: dict[HTerm, complex] = {}
@@ -744,7 +703,7 @@ def semd2_check(u: SymbolPair, v: SymbolPair, character: Character,
     """
     group = u.group
     if group.n != 2:
-        raise ValueError("the derivative criterion applies to bidisc quotients")
+        raise GroupSpecError("the derivative criterion applies to bidisc quotients")
     uh = harmonic_extension(u.pullback)
     vh = harmonic_extension(v.pullback)
     tol = RESIDUAL_TOL * _verdict_scale([u, v])
@@ -810,13 +769,13 @@ def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
     """
     group = character.group
     q = group.q
-    basis = GammaBasis(character)
+    basis = GammaBasis.shared(character)
     reps = list(index_set(character, base_bound, holomorphic=True).reps)
     if not reps:
         raise RecoveryError("empty index window; increase base_bound")
 
     window = ToeplitzWindow(character, base_bound, reps, _fill(reps, lambda a: a, entry_fn))
-    report = bh_check(window, bmap, basis=basis)
+    report = bh_check(window, bmap)
     if not report.ok:
         raise RecoveryError(
             f"entries violate the shift relations (max violation "
@@ -924,7 +883,7 @@ def _spread_anchor(character: Character, spread: int) -> Expo:
 
 def window_entry_fn(symbol: SymbolPair, character: Character):
     """Exact Toeplitz entry oracle for symbol_recover round trips."""
-    basis = GammaBasis(character)
+    basis = GammaBasis.shared(character)
 
     def fn(col: Expo, row: Expo) -> complex:
         return torus_inner(symbol.pullback * basis(col), basis(row))

@@ -2,12 +2,14 @@
 implementations that the orbit-sum projection, its exact norm, the
 closed-form quotient kernel, the characters' generator forms, the
 generator-set invariance test, the pushforward moment table, the sparse
-series table, the closed-form reflecting hyperplanes, the point tables
-and the shift-table Brown-Halmos check and compactness probe are tested
-against; and the per-element and per-term helpers they and the tests use.
+series table, the closed-form reflecting hyperplanes, the point tables,
+the shift-table Brown-Halmos check and compactness probe, and the
+series-table reproducing check are tested against; and the per-element
+and per-term helpers they and the tests use.
 Test oracles only; nothing in the package calls them."""
 
 import functools
+import math
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -16,7 +18,7 @@ import numpy as np
 from hardyq import kernels
 from hardyq.groups import GroupElement, _perm_parity, root_of_unity
 from hardyq.kernels import KernelSpec, base_kernel
-from hardyq.laurent import Expo, HarmonicPoly, LaurentPoly, act
+from hardyq.laurent import Expo, HarmonicPoly, LaurentPoly, act, sphere_inner, torus_inner
 
 
 def apply_point(g: GroupElement, z) -> tuple[complex, ...]:
@@ -52,8 +54,8 @@ def torus_restriction(h: HarmonicPoly) -> LaurentPoly:
         e = tuple(b - g for b, g in zip(beta, gamma))
         out[e] = out.get(e, 0j) + c
     return LaurentPoly(h.dim, out)
-from hardyq.invariants import NotInIsotypicError
-from hardyq.toeplitz import RESIDUAL_TOL, BHReport, CompactnessReport, GammaBasis
+from hardyq.invariants import GammaBasis, NotInIsotypicError, index_set, lift, lower, project
+from hardyq.toeplitz import RESIDUAL_TOL, BHReport, CompactnessReport
 
 
 @functools.cache
@@ -272,6 +274,22 @@ def series_sum(sk, x, y) -> tuple[complex, float]:
         total += e.eval(x) * e.eval(y).conjugate()
         mass += absolute(e, x) * absolute(e, y)
     return total, mass
+
+
+def reproducing_loop(spec: KernelSpec, f: LaurentPoly, w, bound: int) -> float:
+    """reproducing_check with one basis element at a time: gamma_m is the
+    projected monomial scaled by its norm in the domain's own inner
+    product, paired with lift f and multiplied by one LaurentPoly.eval of
+    lower(gamma_m) at theta(w)."""
+    inner = torus_inner if spec.domain == "polydisc" else sphere_inner
+    tw = spec.bmap.eval(tuple(w))
+    F = lift(spec.ellp, spec.bmap, f)
+    total = 0j
+    for mvec in index_set(spec.character, bound, holomorphic=True):
+        g = project(spec.character, LaurentPoly.monomial(spec.group.n, mvec))
+        gam = g * (1.0 / math.sqrt(inner(g, g).real))
+        total += inner(F, gam) * lower(spec.ellp, spec.bmap, gam).eval(tw)
+    return abs(total - f.eval(tw))
 
 
 def _shift(rep: Expo, k: int) -> Expo:

@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import pytest
+
 import hardyq
-from hardyq import cli, groups, kernels, suites, toeplitz
+from hardyq import cli, groups, invariants, kernels, suites, toeplitz
 from hardyq.cli import main
 
 
@@ -276,6 +279,32 @@ class TestExitCodes:
         assert report["error"] == "NotInIsotypicError: leading exponent is incompatible"
         assert "Traceback" in report["traceback"] and "broken" in report["traceback"]
 
+    # ell_sgn = z_1^2 vanishes at the ball point below, so the kernel needs
+    # the series fallback, which reads --series-bound
+    BALL_SPEC = '{"domain": "ball", "group": "Z(3)@1^2", "character": "sgn"}'
+    BALL_POINT = '[{"z": [[0.0, 0.0], [0.2, 0.0]], "w": [[0.3, 0.0], [0.1, 0.0]]}]'
+
+    @pytest.mark.parametrize("argv, message", [
+        (["invariant", "index", "G(1,1,2)", "-D", "-1"], "degree bound must be >= 0"),
+        (["toeplitz", "window", "--group", "G(1,1,2)", "--symbol", SYMBOL_MIXED, "-D", "-1"],
+         "degree bound must be >= 0"),
+        (["kernel", "eval", "--spec", BALL_SPEC, "--points", BALL_POINT,
+          "--series-bound", "-1"], "degree bound must be >= 0"),
+        (["toeplitz", "bh", "--group", "Z(2)@1^2", "--symbol",
+          '{"dim": 2, "terms": [{"c": [1, 0], "e": [2, 0]}]}', "-D", "4"],
+         "the shift relations are stated for G(m,p,n) quotients"),
+        (["toeplitz", "semd2", "--group", "G(1,1,3)", "--symbol",
+          '{"dim": 3, "terms": [{"c": [1, 0], "e": [1, 1, 1]}]}', "--symbol2",
+          '{"dim": 3, "terms": [{"c": [1, 0], "e": [0, 0, 0]}]}'],
+         "the derivative criterion applies to bidisc quotients"),
+    ])
+    def test_out_of_range_requests_are_usage_errors(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the window bound is below the radius
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": message}
+
     def test_malformed_kernel_request_is_usage_error(self, capsys):
         points = '[{"z": [[0.3, 0.0], [0.0, 0.1]]}]'
         code, _, err = run_cli(capsys, "kernel", "eval", "--spec", TestKernelVerb.SPEC,
@@ -308,6 +337,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
     out.append([code, buf.getvalue()])
+gamma = hardyq.GammaBasis(hardyq.make_character(hardyq.make_group("G(1,1,2)"), "sgn"))((0, 1))
+out.append(gamma.to_json())
 try:
     hardyq.quotient_kernel
 except ImportError:
@@ -322,8 +353,10 @@ print(json.dumps(out))
         proc = subprocess.run([sys.executable, "-c", self.BLOCKED, json.dumps(self.CALLS)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        *got, deferred = json.loads(proc.stdout)
+        *got, gamma, deferred = json.loads(proc.stdout)
         assert deferred == "deferred"
+        sgn = groups.make_character(groups.make_group("G(1,1,2)"), "sgn")
+        assert gamma == invariants.GammaBasis(sgn)((0, 1)).to_json()
         want = []
         for argv in self.CALLS:
             buf = io.StringIO()
@@ -336,6 +369,8 @@ print(json.dumps(out))
     def test_deferred_names_resolve(self):
         assert hardyq.quotient_kernel is kernels.quotient_kernel
         assert hardyq.bh_check is toeplitz.bh_check
+        # hqbench imports the basis from hardyq.toeplitz
+        assert toeplitz.GammaBasis is invariants.GammaBasis is hardyq.GammaBasis
 
     def test_suite_names_match_the_suites(self):
         assert cli.SUITE_NAMES == tuple(suites.ALL_SUITES)
@@ -343,6 +378,6 @@ print(json.dumps(out))
     def test_input_errors_share_one_base(self):
         for exc in (groups.GroupSpecError, groups.CharacterError, kernels.DomainError,
                     toeplitz.SymbolError, toeplitz.WindowMarginError, toeplitz.RecoveryError,
-                    cli.UsageError):
+                    invariants.BoundError, cli.UsageError):
             assert issubclass(exc, groups.InputError)
         assert not issubclass(kernels.SingularPointError, groups.InputError)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from group_sums import elements
 from hardyq.groups import Group, builtin_characters, make_character, make_group
 from hardyq.invariants import (
+    GammaBasis,
     NotInIsotypicError,
     basic_map,
-    basis_element,
     divide_exact,
     ell,
     hyperplane_form,
@@ -25,7 +25,14 @@ from hardyq.invariants import (
     projection_norm_sq,
     rewrite_in_theta,
 )
-from hardyq.laurent import CLEANUP_REL, HarmonicPoly, LaurentPoly, act, torus_inner
+from hardyq.laurent import (
+    CLEANUP_REL,
+    HarmonicPoly,
+    LaurentPoly,
+    act,
+    sphere_inner,
+    torus_inner,
+)
 
 
 def P(dim, terms):
@@ -334,8 +341,7 @@ class TestIndexSets:
 
 class TestBasisElements:
     def test_unit_norm_and_value(self, sgn112):
-        iset = index_set(sgn112, 2)
-        gam = basis_element(iset, (0, 1))
+        gam = GammaBasis.shared(sgn112)((0, 1))
         assert gam.approx_eq(
             P(2, {(0, 1): 1 / math.sqrt(2), (1, 0): -1 / math.sqrt(2)}), tol=1e-12
         )
@@ -343,8 +349,7 @@ class TestBasisElements:
 
     def test_vandermonde_element(self, g113):
         sgn = make_character(g113, "sgn")
-        iset = index_set(sgn, 2)
-        gam = basis_element(iset, (0, 1, 2))
+        gam = GammaBasis.shared(sgn)((0, 1, 2))
         det_terms = {}
         for sigma in permutations(range(3)):
             sign = 1
@@ -358,24 +363,42 @@ class TestBasisElements:
         assert gam.approx_eq(vand * (1 / math.sqrt(6)), tol=1e-12)
 
     def test_distinct_orbits_orthogonal(self, sgn112):
-        iset = index_set(sgn112, 2)
-        a = basis_element(iset, (0, 1))
-        b = basis_element(iset, (0, 2))
-        assert abs(torus_inner(a, b)) < 1e-14
+        basis = GammaBasis.shared(sgn112)
+        assert abs(torus_inner(basis((0, 1)), basis((0, 2)))) < 1e-14
 
     def test_rejects_non_representative(self, sgn112):
-        iset = index_set(sgn112, 2)
-        with pytest.raises(KeyError):
-            basis_element(iset, (1, 0))
+        # (1, 0) is not canonical; the sgn projection of z1 z2 vanishes
+        basis = GammaBasis.shared(sgn112)
+        for rep in ((1, 0), (1, 1)):
+            with pytest.raises(KeyError):
+                basis(rep)
 
     def test_unit_norm_with_nontrivial_stabilizer(self, g212):
         # orbits of G(2,1,2) monomials carry phase stabilizers; the exact
         # correction keeps the family orthonormal
         sgn = make_character(g212, "sgn")
-        iset = index_set(sgn, 5)
-        for rep in iset:
-            gam = basis_element(iset, rep)
+        basis = GammaBasis.shared(sgn)
+        for rep in index_set(sgn, 5):
+            gam = basis(rep)
             assert abs(torus_inner(gam, gam) - 1) < 1e-12
+
+    def test_shared_per_character_value(self, g112):
+        a = GammaBasis.shared(make_character(g112, "sgn"))
+        assert GammaBasis.shared(make_character(g112, "sgn")) is a
+
+    def test_ball_and_polydisc_bases_differ(self, sgn112):
+        ball = GammaBasis.shared(sgn112, "ball")
+        assert ball is not GammaBasis.shared(sgn112)
+        assert ball.domain == "ball" and ball.inner is sphere_inner
+
+    def test_ball_basis_orthonormal(self):
+        sgn = make_character(make_group("Z(3)@1^2"), "sgn")
+        basis = GammaBasis.shared(sgn, "ball")
+        gams = [basis(r) for r in index_set(sgn, 6)]
+        assert len(gams) > 10
+        for i, a in enumerate(gams):
+            for j, b in enumerate(gams):
+                assert abs(sphere_inner(a, b) - (i == j)) < 1e-12
 
 
 class TestDivisionAndRewrite:

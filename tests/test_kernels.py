@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from group_sums import apply_point, elements, group_sum_kernel
+from group_sums import apply_point, elements, group_sum_kernel, reproducing_loop
 from hardyq import invariants, kernels
 from hardyq.groups import make_character, make_group
 from hardyq.invariants import basic_map, ell
@@ -466,6 +466,17 @@ class TestReproducing:
         spec = make_kernel_spec("ball", "Z(2)@1^2", "sgn")
         f = LaurentPoly(2, {(1, 0): 1.0, (0, 1): 0.5j})
         assert reproducing_check(spec, f, (0.3, 0.2), 8) <= 1e-9
+
+    @pytest.mark.parametrize("domain, group, bound", [
+        ("polydisc", "G(1,1,2)", 1), ("polydisc", "G(1,1,2)", 4),
+        ("polydisc", "G(1,1,2)", 6), ("ball", "Z(2)@1^2", 8),
+    ])
+    def test_matches_per_element_loop(self, domain, group, bound):
+        spec = make_kernel_spec(domain, group, "sgn")
+        f = LaurentPoly(2, {(2, 0): 1.0, (0, 1): 0.5j, (1, 1): -0.25})
+        w = (0.4, -0.3) if domain == "polydisc" else (0.3, 0.2)
+        got = reproducing_check(spec, f, w, bound)
+        assert abs(got - reproducing_loop(spec, f, w, bound)) <= 1e-13
 
 
 class TestEllipsoidConstants:
