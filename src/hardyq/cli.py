@@ -13,6 +13,7 @@ import io
 import json
 import sys
 import traceback
+import warnings
 from contextlib import contextmanager
 
 from .groups import (
@@ -355,7 +356,12 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        code, report = handlers[args.verb](args)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                code, report = handlers[args.verb](args)
+            finally:  # each warning as one JSON line, outside the report
+                for w in caught:
+                    sys.stderr.write(json.dumps({"warning": str(w.message)}) + "\n")
     except InputError as exc:
         _emit({"error": str(exc)}, args.output, sys.stderr)
         return USAGE_EXIT

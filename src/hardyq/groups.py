@@ -304,13 +304,6 @@ class Group:
                     planes.append(Hyperplane(self, ("diff", i, j, t), [g], 2, g))
         return sorted(planes, key=lambda h: repr(h.key))
 
-    def hyperplane_coeffs(self, key: tuple) -> dict[int, complex]:
-        """Linear form coefficients; first nonzero coefficient normalized to 1."""
-        if key[0] == "axis":
-            return {key[1]: 1.0 + 0j}
-        _, i, j, t = key
-        return {i: 1.0 + 0j, j: -root_of_unity(Fraction(t, self.m))}
-
 
 @dataclass
 class Hyperplane:
@@ -323,15 +316,11 @@ class Hyperplane:
     generator: GroupElement  # det = exp(2*pi*i/m_i)
 
     def coeffs(self) -> dict[int, complex]:
-        return self.group.hyperplane_coeffs(self.key)
-
-    def c_exponent(self, char: "Character") -> int:
-        """Least c >= 0 with char(generator) = det(generator)^c."""
-        turn = char.turn(self.generator)  # denominator divides the order m_i
-        c = turn * self.order
-        if c.denominator != 1:
-            raise ValueError("character value is not a power of det on the stabilizer")
-        return int(c) % self.order
+        """Linear form coefficients; first nonzero coefficient normalized to 1."""
+        if self.key[0] == "axis":
+            return {self.key[1]: 1.0 + 0j}
+        _, i, j, t = self.key
+        return {i: 1.0 + 0j, j: -root_of_unity(Fraction(t, self.group.m))}
 
 
 def make_group(spec: GroupSpec | str) -> Group:

@@ -1,6 +1,11 @@
 """Basic polynomial maps, Jacobians, relative invariants, isotypic
 projections, orbit index sets, and the lift/lower unitaries between the
 quotient Hardy space and the isotypic component upstairs.
+
+ell_rho, the projected monomials and their theta forms have integer
+coefficients and are computed in Python ints: ell_rho in closed form, each
+lowered basis element (a "row") by exact division and elimination.  Float
+polynomials are lowered linearly, through the gamma basis.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from .laurent import (
     _compose,
     canonical_exponent,
     sphere_inner,
+    sphere_monomial_weight,
     sphere_norm,
     torus_inner,
-    torus_norm,
 )
 
 
@@ -36,41 +41,44 @@ class BoundError(InputError):
 
 
 def _elementary_symmetric(n: int, i: int, inner_power: int) -> LaurentPoly:
-    """e_i(z_1^m, ..., z_n^m) with exact integer coefficients."""
+    """e_i(z_1^m, ..., z_n^m) with integer coefficients."""
     terms = {}
     for subset in combinations(range(n), i):
         e = [0] * n
         for j in subset:
             e[j] = inner_power
-        terms[tuple(e)] = terms.get(tuple(e), 0j) + 1.0
+        terms[tuple(e)] = 1
     return LaurentPoly(n, terms)
+
+
+def _table():
+    """A memo dict field, outside the constructor, repr and comparison."""
+    return field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
 class BasicMap:
-    """The components theta_1..theta_n generating the invariant ring.
+    """The components theta_1..theta_n generating the invariant ring, with
+    integer coefficients.
 
     Holds the only table of theta powers: every substitution t = theta(z)
-    goes through pull(), so reuse one map rather than rebuilding it
-    (basic_map returns one map per group).  `quotients` keeps the
-    quotient-side realisation of each character (toeplitz), so its moment
-    table and lowered basis live as long as the map.  `shift_tables` keeps
-    the shift-relation table of each (character, window reps) (toeplitz),
-    so its shift maps and theta expansions serve every later symbol.
+    goes through pull() or theta(), so reuse one map rather than rebuilding
+    it (basic_map returns one map per group); and the only lowered-basis
+    table, `rows` (row()).  `quotients` keeps the quotient-side realisation
+    of each character (toeplitz), so its moment table lives as long as the
+    map.  `shift_tables` keeps the shift-relation table of each (character,
+    window reps) (toeplitz), so its shift maps and theta expansions serve
+    every later symbol.
     """
 
     group: Group
     components: tuple[LaurentPoly, ...]
     q: int
-    _powers: dict[tuple[int, int], LaurentPoly] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    quotients: dict[Character, object] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    shift_tables: dict[tuple, object] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _powers: dict[tuple[int, int], LaurentPoly] = _table()
+    _heads: dict[Expo, LaurentPoly] = _table()
+    rows: dict[Character, tuple[LaurentPoly, dict[Expo, LaurentPoly]]] = _table()
+    quotients: dict[Character, object] = _table()
+    shift_tables: dict[tuple, object] = _table()
 
     @property
     def dim(self) -> int:
@@ -102,6 +110,26 @@ class BasicMap:
             raise ValueError("substitution requires an analytic polynomial")
         return _compose(self.dim, terms, self.power)
 
+    def theta(self, a: Expo) -> LaurentPoly:
+        """theta^a.  theta_n is a monomial, so only the product of the other
+        powers is memoised (per a[:-1]) and theta_n^(a_n) shifts it."""
+        if a[:-1] not in self._heads:
+            self._heads[a[:-1]] = _compose(self.dim, {a[:-1] + (0,): 1}, self.power)
+        return self._heads[a[:-1]] * self.power(self.dim - 1, a[-1])
+
+    def row(self, char: Character, rep: Expo) -> LaurentPoly:
+        """The integer polynomial L with ellhat * (L o theta) = |S| P_chi z^rep
+        (ellhat = ell_rho / kappa, S the permutation elements), by exact
+        division and elimination; memoised per (character, rep)."""
+        if char not in self.rows:
+            self.rows[char] = (_ell_form(char)[1], {})
+        ellhat, table = self.rows[char]
+        if rep not in table:
+            quotient = divide_exact(LaurentPoly(self.dim, _signed_orbit(char, rep)), ellhat)
+            table[rep] = _eliminate(quotient, lambda lam: (
+                a := _theta_exponent(self.group, lam), self.theta(a)))
+        return table[rep]
+
 
 def basic_map(group: Group) -> BasicMap:
     """For G(m,p,n): elementary symmetric polynomials of z_i^m in degrees
@@ -120,7 +148,7 @@ def _build_basic_map(group: Group) -> BasicMap:
     if spec.kind == "Gmpn":
         comps = [_elementary_symmetric(n, i, group.m) for i in range(1, n)]
         e = (group.q,) * n
-        comps.append(LaurentPoly.monomial(n, e))
+        comps.append(LaurentPoly.monomial(n, e, 1))
         return BasicMap(group, tuple(comps), group.q)
     if spec.kind == "CyclicCoord":
         comps = []
@@ -128,7 +156,7 @@ def _build_basic_map(group: Group) -> BasicMap:
             power = group.m if i == spec.coord - 1 else 1
             e = [0] * n
             e[i] = power
-            comps.append(LaurentPoly.monomial(n, tuple(e)))
+            comps.append(LaurentPoly.monomial(n, tuple(e), 1))
         return BasicMap(group, tuple(comps), group.m)
     raise ValueError(f"unsupported group kind {spec.kind!r}")
 
@@ -140,28 +168,11 @@ def jacobian(bmap: BasicMap) -> LaurentPoly:
     rows = [[bmap.components[i].dz(j) for j in range(n)] for i in range(n)]
     total = LaurentPoly.zero(n)
     for perm in permutations(range(n)):
-        sign = 1.0 if _perm_parity(perm) == 0 else -1.0
-        term = LaurentPoly.constant(n, sign)
+        term = LaurentPoly.constant(n, -1 if _perm_parity(perm) else 1)
         for i in range(n):
             term = term * rows[i][perm[i]]
         total = total + term
     return total
-
-
-def jacobian_closed_form(group: Group) -> LaurentPoly:
-    """(m^n/p) (z_1...z_n)^(q-1) prod_{i<j} (z_i^m - z_j^m) for G(m,p,n)."""
-    if group.spec.kind != "Gmpn":
-        raise ValueError("closed form applies to G(m,p,n) only")
-    n, m = group.n, group.m
-    out = LaurentPoly.constant(n, group.m ** n / group.p)
-    out = out * LaurentPoly.monomial(n, (group.q - 1,) * n)
-    for i, j in combinations(range(n), 2):
-        ei = [0] * n
-        ei[i] = m
-        ej = [0] * n
-        ej[j] = m
-        out = out * (LaurentPoly.monomial(n, tuple(ei)) - LaurentPoly.monomial(n, tuple(ej)))
-    return out
 
 
 def hyperplane_form(group: Group, plane: Hyperplane) -> LaurentPoly:
@@ -201,20 +212,27 @@ def project(char: Character, f: LaurentPoly) -> LaurentPoly:
     n = f.dim
     if n != char.group.n:
         raise ValueError("character dimension does not match polynomial")
-    perms = char.perm_part
     out: dict[Expo, complex] = {}
     for a, c in f.terms.items():
         if not _diagonal_match(char, a):
             continue
-        weights: dict[Expo, complex] = {}
-        for perm, _, conj_chi in perms:
-            b = tuple(a[perm[j]] for j in range(n))
-            weights[b] = weights.get(b, 0j) + conj_chi
-        scaled = c / len(perms)
-        for b, w in weights.items():
+        scaled = c / len(char.perm_part)
+        for b, w in _signed_orbit(char, a).items():
             if w != 0:
                 out[b] = out.get(b, 0j) + scaled * w
     return LaurentPoly(n, out)
+
+
+def _signed_orbit(char: Character, alpha: Expo) -> dict[Expo, int]:
+    """sum_sigma conj(chi(P_sigma)) z^(sigma . alpha) over S, as integer
+    weights per image (chi(P_sigma) = +-1: its turn is parity * swap, swap
+    0 or N/2); |S| P_chi z^alpha when the diagonal test passes."""
+    n = len(alpha)
+    weights: dict[Expo, int] = {}
+    for perm, turn, _ in char.perm_part:
+        b = tuple(alpha[perm[j]] for j in range(n))
+        weights[b] = weights.get(b, 0) + (-1 if turn else 1)
+    return weights
 
 
 def projection_norm_sq(char: Character, alpha: Expo) -> Fraction:
@@ -239,43 +257,67 @@ def projection_norm_sq(char: Character, alpha: Expo) -> Fraction:
 
 @dataclass
 class EllPoly:
-    """Relative invariant ell_rho with its Hardy-space norm c_rho."""
+    """Relative invariant ell_rho = kappa * ellhat with integer coefficients,
+    its Hardy-space norm c_rho and the exact square cnorm_sq."""
 
     character: Character
     poly: LaurentPoly
+    kappa: int
+    cnorm_sq: int | Fraction
     cnorm: float
     domain: str  # "polydisc" | "ball"
 
 
-def ell(char: Character, domain: str = "polydisc", bmap: BasicMap | None = None) -> EllPoly:
-    """Lowest-degree relative invariant for a one-dimensional character.
+def _ell_form(char: Character) -> tuple[int, LaurentPoly]:
+    """(kappa, ellhat) with ell_rho = kappa * ellhat, ellhat monic (lex-leading
+    coefficient 1): ellhat = prod_H L_H^(c_H), c_H the least c >= 0 with
+    chi(g) = det(g)^c on the generator g of the plane's stabilizer (Stanley
+    1977, relative invariants of groups generated by pseudoreflections).
 
-    Convention: ell_sgn is exactly the Jacobian of the basic map (constant
-    unnormalized); every other character gets the monic hyperplane product
-    prod L_i^(c_i) with the least non-negative exponents c_i.  The norm
-    c_rho is recomputed from the chosen polynomial.
+    G(m,p,n): the axis planes z_i = 0 (g = p e_i, det zeta_q) carry c = a
+    with chi(p e_n) = zeta_q^a; z_i = zeta^t z_j (g = (i j) with phases t,
+    -t) carries c = 1 iff chi(g) = -1.  chi is 1 on e_i - e_j unless n = 2
+    and chi(diag(zeta, zeta^-1)) = -1 (split), so ellhat = (z_1...z_n)^a
+    prod_{i<j} (z_i^m - z_j^m)^b, b = 1 iff chi(transposition) = -1.  Split,
+    chi(g) = (-1)^t chi((1 2)), and the planes with t even (odd) multiply to
+    z_1^(m/2) - z_2^(m/2) (+ z_2^(m/2)).  Z(m)@k^n: z_k^c, chi(e_k) = zeta_m^c.
+    kappa = m^n/p on G(m,p,n) and m on Z(m)@k^n for sgn, which keeps ell_sgn
+    the Jacobian of the basic map, and 1 otherwise.
     """
     group = char.group
-    if bmap is None:
-        bmap = basic_map(group)
-    if char == make_character(group, "sgn"):
-        poly = jacobian(bmap)
-    elif not (any(char.diag) or char.swap):
-        # trivial: every exponent c_i is 0, so no reflection is needed
-        poly = LaurentPoly.constant(group.n, 1.0)
-    else:
-        poly = LaurentPoly.constant(group.n, 1.0)
-        for plane in group.reflections():
-            c = plane.c_exponent(char)
-            if c:
-                poly = poly * (hyperplane_form(group, plane) ** c)
+    n, m = group.n, group.m
+    step = char.den // m
+    z = [LaurentPoly.variable(n, i) for i in range(n)]
+    sgn = char == make_character(group, "sgn")
+    if group.spec.kind == "CyclicCoord":
+        c = char.diag[0] // step if char.diag else 0
+        return (m if sgn else 1), z[group.spec.coord - 1] ** c
+    a = char.diag[n - 1] // step // group.p if group.p < m else 0
+    ellhat = LaurentPoly.monomial(n, (a,) * n)
+    if n == 2 and m > 1 and char.diag[0]:
+        x, y = z[0] ** (m // 2), z[1] ** (m // 2)
+        ellhat = ellhat * (x - y if char.swap else x + y)
+    elif char.swap:
+        for i, j in combinations(range(n), 2):
+            ellhat = ellhat * (z[i] ** m - z[j] ** m)
+    return (m ** n // group.p if sgn else 1), ellhat
+
+
+def ell(char: Character, domain: str = "polydisc", bmap: BasicMap | None = None) -> EllPoly:
+    """Lowest-degree relative invariant for a one-dimensional character, in
+    closed form (_ell_form): ell_sgn is exactly the Jacobian of the basic
+    map, every other character gets the monic hyperplane product.  c_rho^2
+    is the exact sum of the squared coefficients, weighted on the ball by
+    the monomials' sphere norms.  The closed form does not read `bmap`."""
+    kappa, ellhat = _ell_form(char)
+    poly = ellhat * kappa
     if domain == "polydisc":
-        cnorm = torus_norm(poly)
+        cnorm_sq = sum(c * c for c in poly.terms.values())
     elif domain == "ball":
-        cnorm = sphere_norm(poly)
+        cnorm_sq = sum(c * c * sphere_monomial_weight(e) for e, c in poly.terms.items())
     else:
         raise ValueError(f"unknown domain tag {domain!r}")
-    return EllPoly(char, poly, cnorm, domain)
+    return EllPoly(char, poly, kappa, cnorm_sq, math.sqrt(cnorm_sq), domain)
 
 
 # -- orbit index sets and the gamma basis ------------------------------------
@@ -334,7 +376,8 @@ class GammaBasis:
     inner product `inner`: by the exact 1/sqrt(|S_m|/|S|) on the polydisc,
     by 1/sphere_norm on the ball.  A rep that is not canonical (on
     G(m,p,n): not weakly increasing) or whose projection vanishes raises
-    KeyError.  Elements are memoised; use shared() to reuse them."""
+    KeyError.  Elements are memoised with factor(); use shared() to reuse
+    them."""
 
     def __init__(self, character: Character, domain: str = "polydisc"):
         if domain == "polydisc":
@@ -345,7 +388,7 @@ class GammaBasis:
             raise ValueError(f"unknown domain tag {domain!r}")
         self.character = character
         self.domain = domain
-        self._cache: dict[Expo, LaurentPoly] = {}
+        self._cache: dict[Expo, tuple[LaurentPoly, float]] = {}
 
     @classmethod
     def shared(cls, character: Character, domain: str = "polydisc") -> GammaBasis:
@@ -358,6 +401,13 @@ class GammaBasis:
         return got
 
     def __call__(self, rep: Expo) -> LaurentPoly:
+        return self._entry(rep)[0]
+
+    def factor(self, rep: Expo) -> float:
+        """s with gamma_rep = s * |S| P_chi z^rep, the integer projection."""
+        return self._entry(rep)[1]
+
+    def _entry(self, rep: Expo) -> tuple[LaurentPoly, float]:
         rep = tuple(rep)
         got = self._cache.get(rep)
         if got is None:
@@ -369,7 +419,7 @@ class GammaBasis:
                 raise KeyError(f"projection of z^{rep} vanishes")
             f = project(char, LaurentPoly.monomial(char.group.n, rep))
             scale = sphere_norm(f) if self.domain == "ball" else math.sqrt(nsq)
-            got = self._cache[rep] = f * (1.0 / scale)
+            got = self._cache[rep] = (f * (1.0 / scale), 1.0 / (len(char.perm_part) * scale))
         return got
 
     def expand(self, poly: LaurentPoly) -> dict[Expo, complex]:
@@ -395,119 +445,66 @@ class GammaBasis:
 
 # -- exact division and the theta rewrite ------------------------------------
 
-# Remainder exact division may leave, relative to the input's largest
-# coefficient; the theta rewrite drops terms below 1e-3 of it.
-_EXACT_REL_TOL = 1e-9
 
+def divide_exact(F: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
+    """F / divisor for an analytic monic divisor (lex-leading coefficient 1),
+    exact for int and Fraction coefficients.  For a multiple F, every leading
+    term of the remainder is divisible by the divisor's; the first that is
+    not (or has a negative exponent) raises NotInIsotypicError."""
+    lt = max(divisor.terms, default=None)
+    if lt is None or divisor.terms[lt] != 1 or not divisor.is_analytic():
+        raise ValueError("the divisor must be analytic and monic")
 
-def divide_exact(F: LaurentPoly, ell_poly: LaurentPoly) -> LaurentPoly:
-    """Exact polynomial division F / ell for analytic inputs.
-
-    Single-divisor reduction in lex order; terms never divisible by the
-    divisor's leading term accumulate as a remainder, which must vanish up
-    to _EXACT_REL_TOL times the input scale.
-    """
-    if not (F.is_analytic() and ell_poly.is_analytic()):
-        raise NotInIsotypicError("division expects analytic polynomials")
-    if ell_poly.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    lt = max(ell_poly.terms)
-    lc = ell_poly.terms[lt]
-    rem = dict(F.terms)
-    quot: dict[Expo, complex] = {}
-    remainder_mass = 0.0
-    guard = 0
-    cap = 16 * (len(F.terms) + 1) * (F.total_degree() + 2) ** F.dim + 64
-    while rem:
-        guard += 1
-        if guard > cap:
-            raise NotInIsotypicError("division did not terminate (input not divisible)")
-        e = max(rem)
-        c = rem.pop(e)
-        if abs(c) < 1e-14 * max(F.max_abs_coeff(), 1.0):
-            continue
+    def leading(e: Expo) -> tuple[Expo, LaurentPoly]:
         diff = tuple(a - b for a, b in zip(e, lt))
         if min(diff) < 0:
-            remainder_mass += abs(c)
-            continue
-        qc = c / lc
-        quot[diff] = quot.get(diff, 0j) + qc
-        for le, lcoef in ell_poly.terms.items():
-            if le == lt:
-                continue
-            te = tuple(a + b for a, b in zip(diff, le))
-            rem[te] = rem.get(te, 0j) - qc * lcoef
-            if abs(rem[te]) < 1e-15 * max(F.max_abs_coeff(), 1.0):
-                del rem[te]
-    scale = max(F.max_abs_coeff(), 1.0)
-    if remainder_mass > _EXACT_REL_TOL * scale:
-        raise NotInIsotypicError(
-            f"nonzero division remainder (mass {remainder_mass:.3g}); "
-            "input is not in the isotypic component"
-        )
-    return LaurentPoly(F.dim, quot)
+            raise NotInIsotypicError(
+                f"nonzero division remainder at z^{e}; input is not in the isotypic component")
+        return diff, divisor * LaurentPoly.monomial(F.dim, diff, 1)
+
+    return _eliminate(F, leading)
+
+
+def _eliminate(h: LaurentPoly, leading) -> LaurentPoly:
+    """Leading-term elimination: for the lex-leading term c z^lam left,
+    leading(lam) gives (a, p), p with lex-leading term z^lam; c * p is
+    subtracted and c recorded at a.  p's other terms lie below lam, and lex
+    order well-orders the exponents, so this ends."""
+    work = dict(h.terms)
+    out: dict[Expo, complex] = {}
+    while work:
+        lam = max(work)
+        c = work[lam]
+        a, p = leading(lam)
+        out[a] = c
+        for e, v in p.terms.items():
+            work[e] = work.get(e, 0) - c * v
+            if not work[e]:
+                del work[e]
+    return LaurentPoly(h.dim, out)
+
+
+def _theta_exponent(group: Group, lam: Expo) -> Expo:
+    """The a whose theta^a has lex-leading term z^lam (coefficient 1).  For
+    G(m,p,n), lam must be weakly decreasing with m | (lam_i - lam_{i+1}) and
+    q | lam_n: a_i = (lam_i - lam_{i+1})/m, a_n = lam_n / q.  For Z(m)@k^n,
+    m | lam_k and a_k = lam_k / m."""
+    if min(lam) >= 0:
+        if group.spec.kind == "CyclicCoord":
+            k = group.spec.coord - 1
+            if lam[k] % group.m == 0:
+                return tuple(x // group.m if i == k else x for i, x in enumerate(lam))
+        else:
+            steps = [x - y for x, y in zip(lam, lam[1:])]
+            if all(d >= 0 and d % group.m == 0 for d in steps) and lam[-1] % group.q == 0:
+                return (*(d // group.m for d in steps), lam[-1] // group.q)
+    raise NotInIsotypicError(f"leading exponent {lam} is incompatible with the invariant ring")
 
 
 def rewrite_in_theta(bmap: BasicMap, h: LaurentPoly) -> LaurentPoly:
     """Write a G-invariant analytic polynomial as a polynomial in the basic
-    invariants, by leading-term elimination against the triangular system.
-
-    For G(m,p,n) the lex-leading exponent lam of an invariant is weakly
-    decreasing with m | (lam_i - lam_{i+1}) and q | lam_n; each step strips
-    coeff * theta^a with a_i = (lam_i - lam_{i+1})/m, a_n = lam_n / q.
-    """
-    group = bmap.group
-    n = group.n
-    if not h.is_analytic():
-        raise NotInIsotypicError("theta rewrite expects an analytic polynomial")
-    if group.spec.kind == "CyclicCoord":
-        k = group.spec.coord - 1
-        out = {}
-        for e, c in h.terms.items():
-            if e[k] % group.m:
-                raise NotInIsotypicError(
-                    f"exponent {e} is not invariant under the cyclic action"
-                )
-            f = list(e)
-            f[k] //= group.m
-            out[tuple(f)] = c
-        return LaurentPoly(n, out)
-
-    m, q = group.m, group.q
-    scale = max(h.max_abs_coeff(), 1.0)
-    floor = _EXACT_REL_TOL * scale * 1e-3
-    work = LaurentPoly(n, {e: c for e, c in h.terms.items() if abs(c) > floor})
-    out: dict[Expo, complex] = {}
-    guard = 0
-    cap = (h.total_degree() + 2) ** n + 64
-    while work.terms:
-        guard += 1
-        if guard > cap:
-            raise NotInIsotypicError("theta rewrite did not terminate")
-        lam = max(work.terms)
-        c = work.terms[lam]
-        exps = []
-        ok = all(lam[i] >= lam[i + 1] for i in range(n - 1))
-        if ok:
-            for i in range(n - 1):
-                d = lam[i] - lam[i + 1]
-                if d % m:
-                    ok = False
-                    break
-                exps.append(d // m)
-            if ok and lam[n - 1] % q == 0:
-                exps.append(lam[n - 1] // q)
-            else:
-                ok = False
-        if not ok:
-            raise NotInIsotypicError(
-                f"leading exponent {lam} is incompatible with the invariant ring"
-            )
-        a = tuple(exps)
-        out[a] = out.get(a, 0j) + c
-        diff = work - bmap.pull(LaurentPoly.monomial(n, a, c))
-        work = LaurentPoly(n, {e: v for e, v in diff.terms.items() if abs(v) > floor})
-    return LaurentPoly(n, out)
+    invariants: lower() with the trivial character, whose ell is 1."""
+    return lower(ell(make_character(bmap.group, "trivial")), bmap, h)
 
 
 # -- lift and lower ----------------------------------------------------------
@@ -519,9 +516,18 @@ def lift(ellp: EllPoly, bmap: BasicMap, f: LaurentPoly) -> LaurentPoly:
     return ellp.poly * bmap.pull(f) * (1.0 / ellp.cnorm)
 
 
+def lowered(ellp: EllPoly, bmap: BasicMap, rep: Expo) -> LaurentPoly:
+    """lower(gamma_rep) for a basis rep of ellp's character and domain: the
+    exact row times c_rho s / kappa, with s = GammaBasis.factor(rep)."""
+    scale = ellp.cnorm * GammaBasis.shared(ellp.character, ellp.domain).factor(rep)
+    return bmap.row(ellp.character, rep) * (scale / ellp.kappa)
+
+
 def lower(ellp: EllPoly, bmap: BasicMap, F: LaurentPoly) -> LaurentPoly:
-    """Inverse of lift: exact division by ell_rho, then the theta rewrite,
-    scaled by c_rho.  Raises NotInIsotypicError when F is not of the form
-    ell_rho * (invariant)."""
-    quotient = divide_exact(F, ellp.poly)
-    return rewrite_in_theta(bmap, quotient) * ellp.cnorm
+    """Inverse of lift, linear in F: F's expansion over the gamma basis of
+    ellp's character and domain, summed over the lowered elements.  Raises
+    NotInIsotypicError when F is not of the form ell_rho * (invariant)."""
+    total = LaurentPoly.zero(F.dim)
+    for rep, c in GammaBasis.shared(ellp.character, ellp.domain).expand(F).items():
+        total = total + lowered(ellp, bmap, rep) * c
+    return total

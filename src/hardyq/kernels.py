@@ -21,7 +21,7 @@ from .invariants import (
     ell,
     index_set,
     lift,
-    lower,
+    lowered,
 )
 from .laurent import HarmonicPoly, LaurentPoly
 
@@ -335,7 +335,7 @@ def _split_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
             for x, i in zip(xs, perm):
                 term *= x ** r[i] / (1.0 - x ** m)
             total += term
-    scale = spec.ellp.cnorm ** 2 / math.factorial(spec.group.n)
+    scale = spec.ellp.cnorm_sq / math.factorial(spec.group.n)
     return scale * total / (lz * lw.conjugate())
 
 
@@ -393,7 +393,7 @@ def _ball_group_sum(spec: KernelSpec, z: Point, w: Point) -> complex:
             f"the group sum cancels (sum |terms| / |sum| = {ratio:.3g}); "
             "evaluate via series_kernel"
         )
-    scale = spec.ellp.cnorm ** 2 / len(spec.group)
+    scale = spec.ellp.cnorm_sq / len(spec.group)
     return scale * total / (lz * lw.conjugate())
 
 
@@ -418,8 +418,8 @@ def tetrablock_kernel(z: Point, w: Point, tol: float = 1e-12) -> complex:
 
 class SeriesKernel:
     """Truncated expansion sum_m e_m(x) conj(e_m(y)) over the lowered
-    orthonormal basis e_m = lower(gamma_m), for points x = theta(z) in
-    quotient coordinates; row r of the table is gamma_{reps[r]} of `basis`.
+    orthonormal basis e_m = lower(gamma_m) (invariants.lowered), for points
+    x = theta(z) in quotient coordinates; row r is gamma_{reps[r]} of `basis`.
 
     The basis is flattened at build into a sparse table: term k is
     coeffs[k] * x^expos[slots[k]] in basis element rows[k], over one matrix
@@ -433,7 +433,7 @@ class SeriesKernel:
         self.bound = bound
         self.reps = index_set(spec.character, bound, holomorphic=True).reps
         self.basis = GammaBasis.shared(spec.character, spec.domain)
-        self.basis_down = [lower(spec.ellp, spec.bmap, self.basis(r)) for r in self.reps]
+        self.basis_down = [lowered(spec.ellp, spec.bmap, r) for r in self.reps]
         slot_of: dict[tuple[int, ...], int] = {}
         rows, slots, coeffs = [], [], []
         for r, e in enumerate(self.basis_down):
@@ -507,7 +507,7 @@ def ellipsoid_constants(m: int, n: int) -> dict:
     bmap = basic_map(group)
     char = make_character(group, "sgn")
     ellp = ell(char, domain="ball", bmap=bmap)
-    recomputed_sq = ellp.cnorm ** 2
+    recomputed_sq = float(ellp.cnorm_sq)
     published = {2: 1.0, 3: 2.0 / (m + 1)}.get(n)
     return {
         "m": m,

@@ -6,9 +6,11 @@ coefficients.  Functions on the n-torus are Laurent polynomials; conjugation
 there sends z^a to z^{-a}.  A HarmonicPoly keeps z and conj(z) exponents
 separately and is the only place where the two coexist.
 
-Coefficients are complex doubles.  After every arithmetic operation, terms
-with |c| below CLEANUP_REL times the largest coefficient are dropped, which
-keeps zero tests reliable for the finite root-of-unity sums that arise here.
+Coefficients keep the type they are given: ints and Fractions stay exact,
+floats and complex doubles are rounded.  After every arithmetic operation,
+inexact terms with |c| below CLEANUP_REL times the largest coefficient are
+dropped, which keeps zero tests reliable for the finite root-of-unity sums
+that arise here; exact terms are dropped only when exactly zero.
 """
 
 from __future__ import annotations
@@ -21,16 +23,18 @@ from .groups import Group, GroupElement, root_of_unity
 CLEANUP_REL = 1e-12
 
 Expo = tuple[int, ...]
+_EXACT = (int, Fraction)
 
 
 def _clean(terms: dict[Expo, complex]) -> dict[Expo, complex]:
     if not terms:
         return {}
     top = max(abs(c) for c in terms.values())
-    if top == 0.0:
+    if top == 0:
         return {}
     floor = CLEANUP_REL * top
-    return {e: c for e, c in terms.items() if abs(c) >= floor}
+    return {e: c for e, c in terms.items()
+            if abs(c) >= floor or (c and isinstance(c, _EXACT))}
 
 
 class LaurentPoly:
@@ -50,13 +54,13 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, dim: int, c: complex) -> "LaurentPoly":
-        return cls(dim, {(0,) * dim: complex(c)})
+        return cls(dim, {(0,) * dim: c})
 
     @classmethod
-    def monomial(cls, dim: int, expo: Expo, c: complex = 1.0) -> "LaurentPoly":
+    def monomial(cls, dim: int, expo: Expo, c: complex = 1) -> "LaurentPoly":
         if len(expo) != dim:
             raise ValueError("exponent length does not match dim")
-        return cls(dim, {tuple(int(e) for e in expo): complex(c)})
+        return cls(dim, {tuple(int(e) for e in expo): c})
 
     @classmethod
     def variable(cls, dim: int, i: int) -> "LaurentPoly":
@@ -90,8 +94,8 @@ class LaurentPoly:
         return self.terms.get(tuple(expo), 0j)
 
     def same_terms(self, other: "LaurentPoly") -> bool:
-        """Exact term-mapping equality (integer coefficient arithmetic is
-        exact in doubles, so this is meaningful for the basic maps)."""
+        """Exact term-mapping equality (meaningful for exact coefficients,
+        such as the basic maps' integers)."""
         return self.dim == other.dim and self.terms == other.terms
 
     def approx_eq(self, other: "LaurentPoly", tol: float = 1e-10) -> bool:
@@ -102,7 +106,7 @@ class LaurentPoly:
     def __repr__(self):
         if not self.terms:
             return "LaurentPoly(0)"
-        bits = [f"({c:.6g})*z^{e}" for e, c in sorted(self.terms.items())]
+        bits = [f"({complex(c):.6g})*z^{e}" for e, c in sorted(self.terms.items())]
         return "LaurentPoly(" + " + ".join(bits) + ")"
 
     # -- arithmetic -------------------------------------------------------
@@ -117,7 +121,7 @@ class LaurentPoly:
         self._check_dim(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, 0j) + c
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(self.dim, out)
 
     __radd__ = __add__
@@ -141,7 +145,7 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0j) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(self.dim, out)
 
     __rmul__ = __mul__
@@ -149,7 +153,7 @@ class LaurentPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        out = LaurentPoly.constant(self.dim, 1.0)
+        out = LaurentPoly.constant(self.dim, 1)
         base = self
         while k:
             if k & 1:
@@ -173,7 +177,7 @@ class LaurentPoly:
                 continue
             f = list(e)
             f[i] -= 1
-            out[tuple(f)] = out.get(tuple(f), 0j) + c * e[i]
+            out[tuple(f)] = out.get(tuple(f), 0) + c * e[i]
         return LaurentPoly(self.dim, out)
 
     def eval(self, z: tuple[complex, ...]) -> complex:
@@ -201,7 +205,7 @@ class LaurentPoly:
         return {
             "dim": self.dim,
             "terms": [
-                {"c": [c.real, c.imag], "e": list(e)}
+                {"c": [float(c.real), float(c.imag)], "e": list(e)}
                 for e, c in sorted(self.terms.items())
             ],
         }

@@ -22,13 +22,11 @@ from .groups import (
 )
 from .invariants import (
     GammaBasis,
-    NotInIsotypicError,
     basic_map,
-    divide_exact,
+    ell,
     hyperplane_form,
     index_set,
     jacobian,
-    jacobian_closed_form,
     project,
     projection_norm_sq,
 )
@@ -127,27 +125,25 @@ def check_group_orders() -> dict:
     return {"ok": ok, "cases": cases, "elapsed_s": time.time() - t0}
 
 
+def hyperplane_factorization(J: LaurentPoly, group: Group, tol: float) -> bool:
+    """J = c prod_H L_H^(m_H - 1) up to tol, c the ratio of the leading
+    coefficients: compared, since the forms carry rounded roots of unity."""
+    prod = LaurentPoly.constant(group.n, 1.0)
+    for plane in group.reflections():
+        prod = prod * (hyperplane_form(group, plane) ** (plane.order - 1))
+    c = J.terms[max(J.terms)] / prod.terms[max(prod.terms)]
+    return J.approx_eq(c * prod, tol=tol)
+
+
 def check_jacobian_forms(tol: float = 1e-10) -> dict:
+    """The Jacobian against the closed-form ell_sgn and its factorization."""
     cases = []
     ok = True
     for m, p, n in GMPN_GRID:
         g = make_group(f"G({m},{p},{n})")
-        bm = basic_map(g)
-        J = jacobian(bm)
-        closed = jacobian_closed_form(g)
-        match_closed = J.approx_eq(closed, tol=tol)
-        # Corollary-style factorization: J / prod L_i^(m_i - 1) is a constant
-        prod = LaurentPoly.constant(n, 1.0)
-        for plane in g.reflections():
-            prod = prod * (hyperplane_form(g, plane) ** (plane.order - 1))
-        try:
-            quot = divide_exact(J, prod)
-            factor_ok = (
-                len(quot.terms) == 1 and (0,) * n in quot.terms
-                and abs(quot.terms[(0,) * n]) > 1e-12
-            )
-        except NotInIsotypicError:  # J is not divisible by the product
-            factor_ok = False
+        J = jacobian(basic_map(g))
+        match_closed = J.approx_eq(ell(make_character(g, "sgn")).poly, tol=tol)
+        factor_ok = hyperplane_factorization(J, g, tol)
         good = match_closed and factor_ok
         ok = ok and good
         cases.append({
@@ -198,7 +194,7 @@ def _signed_sum(spec, z: tuple, w: tuple) -> complex:
         s = base_kernel("polydisc", tuple(z[j] for j in perm), w)
         total += -s if _perm_parity(perm) else s
     lz, lw = spec.ellp.poly.eval(z), spec.ellp.poly.eval(w)
-    return spec.ellp.cnorm ** 2 / len(spec.group) * total / (lz * lw.conjugate())
+    return spec.ellp.cnorm_sq / len(spec.group) * total / (lz * lw.conjugate())
 
 
 def check_kernel_identity(pairs: int = 100, seed: int = 7, tol: float = 1e-9) -> dict:

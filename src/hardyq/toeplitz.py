@@ -24,7 +24,7 @@ from .invariants import (
     basic_map,
     ell,
     index_set,
-    lower,
+    lowered,
     project,
     projection_norm_sq,
     rewrite_in_theta,
@@ -197,6 +197,7 @@ def toeplitz_window(symbol: SymbolPair, character: Character, bound: int,
     """Matrix of <T_u gamma_p, gamma_m> over the canonical index set with
     sup-norm <= bound.  Each entry is an exact torus pairing (gamma_m is
     analytic and isotypic, so the Hardy projection is absorbed)."""
+    reps = list(index_set(character, bound, holomorphic=True).reps)
     if bound < symbol.radius():
         warnings.warn(
             f"window bound {bound} is below the symbol degree radius "
@@ -204,7 +205,6 @@ def toeplitz_window(symbol: SymbolPair, character: Character, bound: int,
             stacklevel=2,
         )
     basis = basis or GammaBasis.shared(character)
-    reps = list(index_set(character, bound, holomorphic=True).reps)
     entries = _fill([basis(r) for r in reps], lambda g: symbol.pullback * g, torus_inner)
     return ToeplitzWindow(character, bound, reps, entries)
 
@@ -507,7 +507,6 @@ class QuotientRealization:
         self.group = character.group
         self.bmap = bmap
         self.ellp = ell(character, bmap=bmap)
-        self.basis = GammaBasis.shared(character)
         self._down: dict[Expo, HarmonicPoly] = {}
         self._reps: dict[int, list[Expo]] = {}
         self._moments: dict[HTerm, complex] = {}
@@ -525,7 +524,7 @@ class QuotientRealization:
     def basis_down(self, rep: Expo) -> HarmonicPoly:
         got = self._down.get(tuple(rep))
         if got is None:
-            low = lower(self.ellp, self.bmap, self.basis(rep))
+            low = lowered(self.ellp, self.bmap, rep)
             got = HarmonicPoly(
                 self.group.n, {(e, (0,) * self.group.n): c for e, c in low.terms.items()}
             )
@@ -557,7 +556,7 @@ class QuotientRealization:
         total = 0j
         for key, c in (f * gbar).terms.items():
             total += c * self.moment(key)
-        return total / self.ellp.cnorm ** 2
+        return total / self.ellp.cnorm_sq
 
     def project_hardy(self, f: HarmonicPoly, exp_bound: int) -> HarmonicPoly:
         """Orthogonal projection onto the span of the lowered basis up to the

@@ -4,8 +4,9 @@ closed-form quotient kernel, the characters' generator forms, the
 generator-set invariance test, the pushforward moment table, the sparse
 series table, the closed-form reflecting hyperplanes, the point tables,
 the shift-table Brown-Halmos check and compactness probe, and the
-series-table reproducing check are tested against; and the per-element
-and per-term helpers they and the tests use.
+series-table reproducing check are tested against; the float hyperplane
+product that the closed-form relative invariants are tested against; and
+the per-element and per-term helpers they and the tests use.
 Test oracles only; nothing in the package calls them."""
 
 import functools
@@ -54,7 +55,8 @@ def torus_restriction(h: HarmonicPoly) -> LaurentPoly:
         e = tuple(b - g for b, g in zip(beta, gamma))
         out[e] = out.get(e, 0j) + c
     return LaurentPoly(h.dim, out)
-from hardyq.invariants import GammaBasis, NotInIsotypicError, index_set, lift, lower, project
+from hardyq.invariants import (GammaBasis, NotInIsotypicError, hyperplane_form, index_set, lift,
+                               lower, project)
 from hardyq.toeplitz import RESIDUAL_TOL, BHReport, CompactnessReport
 
 
@@ -388,3 +390,25 @@ def compactness_loop(windows, bmap) -> CompactnessReport:
             if persists:
                 persistent.append((a, b, v0))
     return CompactnessReport(max_dev, persistent, all_zero)
+
+
+def c_exponent(plane, char) -> int:
+    """Least c >= 0 with chi(g) = det(g)^c on the generator g of the plane's
+    stabilizer."""
+    turn = char.turn(plane.generator)  # denominator divides the order m_i
+    c = turn * plane.order
+    assert c.denominator == 1, "character value is not a power of det on the stabilizer"
+    return int(c) % plane.order
+
+
+def hyperplane_product(char) -> LaurentPoly:
+    """prod_H L_H^(c_H) over Group.reflections(), from the float linear forms
+    (rounded roots of unity): the monic relative invariant of a character
+    (Stanley 1977), built plane by plane."""
+    group = char.group
+    poly = LaurentPoly.constant(group.n, 1.0)
+    for plane in group.reflections():
+        c = c_exponent(plane, char)
+        if c:
+            poly = poly * (hyperplane_form(group, plane) ** c)
+    return poly

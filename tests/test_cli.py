@@ -196,6 +196,18 @@ class TestToeplitzVerb:
         assert code == 0
         assert json.loads(out)["consistent"] is True
 
+    @pytest.mark.parametrize("verb", ["window", "bh"])
+    def test_small_window_warning_is_one_json_line(self, capsys, verb):
+        argv = ["toeplitz", verb, "--group", "G(1,1,2)", "--symbol", SYMBOL_MIXED, "-D", "0"]
+        code, out, err = run_cli(capsys, *argv)
+        assert err.splitlines() == [json.dumps({"warning": (
+            "window bound 0 is below the symbol degree radius 1; "
+            "edge entries will not determine the symbol")})]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_cli(capsys, *argv) == (0, out, "")
+        assert code == 0
+
     def test_symbol_from_stdin(self, capsys, monkeypatch):
         import io
 
@@ -299,9 +311,7 @@ class TestExitCodes:
          "the derivative criterion applies to bidisc quotients"),
     ])
     def test_out_of_range_requests_are_usage_errors(self, capsys, argv, message):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the window bound is below the radius
-            code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": message}
 
@@ -323,7 +333,9 @@ class TestNumpyFreeCore:
     CALLS = [argv for g in GROUPS for argv in (
         ["group", "info", g], ["group", "character", g],
         ["invariant", "index", g], ["invariant", "ell", g],
-        ["invariant", "map", g], ["invariant", "jacobian", g])]
+        ["invariant", "map", g], ["invariant", "jacobian", g])] + [
+        ["invariant", "ell", "G(3,1,3)", "--character", "det"],
+        ["invariant", "ell", "G(4,4,2)", "--character", "rho1"]]
 
     # a None entry in sys.modules makes every import of numpy raise
     BLOCKED = """
@@ -339,6 +351,9 @@ for argv in json.loads(sys.argv[1]):
     out.append([code, buf.getvalue()])
 gamma = hardyq.GammaBasis(hardyq.make_character(hardyq.make_group("G(1,1,2)"), "sgn"))((0, 1))
 out.append(gamma.to_json())
+g = hardyq.make_group("G(1,1,3)")
+ep = hardyq.ell(hardyq.make_character(g, "sgn"))
+out.append(hardyq.lower(ep, hardyq.basic_map(g), hardyq.GammaBasis.shared(ep.character)((1, 2, 5))).to_json())
 try:
     hardyq.quotient_kernel
 except ImportError:
@@ -353,10 +368,14 @@ print(json.dumps(out))
         proc = subprocess.run([sys.executable, "-c", self.BLOCKED, json.dumps(self.CALLS)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        *got, gamma, deferred = json.loads(proc.stdout)
+        *got, gamma, low, deferred = json.loads(proc.stdout)
         assert deferred == "deferred"
         sgn = groups.make_character(groups.make_group("G(1,1,2)"), "sgn")
         assert gamma == invariants.GammaBasis(sgn)((0, 1)).to_json()
+        g = groups.make_group("G(1,1,3)")
+        ep = invariants.ell(groups.make_character(g, "sgn"))
+        basis = invariants.GammaBasis.shared(ep.character)
+        assert low == invariants.lower(ep, invariants.basic_map(g), basis((1, 2, 5))).to_json()
         want = []
         for argv in self.CALLS:
             buf = io.StringIO()

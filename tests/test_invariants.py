@@ -1,6 +1,7 @@
 import math
 import random
-from itertools import permutations
+from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -8,19 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from group_sums import elements
-from hardyq.groups import Group, builtin_characters, make_character, make_group
+from hardyq.suites import hyperplane_factorization
+from hardyq.groups import Group, _perm_parity, builtin_characters, make_character, make_group
 from hardyq.invariants import (
     GammaBasis,
     NotInIsotypicError,
     basic_map,
     divide_exact,
     ell,
-    hyperplane_form,
     index_set,
     jacobian,
-    jacobian_closed_form,
     lift,
     lower,
+    lowered,
     project,
     projection_norm_sq,
     rewrite_in_theta,
@@ -192,8 +193,10 @@ class TestJacobian:
 
     @pytest.mark.parametrize("name", ["G(2,1,2)", "G(3,1,3)", "G(4,2,3)", "G(4,4,4)"])
     def test_closed_form_grid(self, name):
+        # the closed-form ell_sgn, (m^n/p) (z_1...z_n)^(q-1) prod_{i<j} (z_i^m - z_j^m)
         g = make_group(name)
-        assert jacobian(basic_map(g)).approx_eq(jacobian_closed_form(g), tol=1e-12)
+        closed = ell(make_character(g, "sgn")).poly
+        assert jacobian(basic_map(g)).approx_eq(closed, tol=1e-12)
 
     @pytest.mark.parametrize("name", ["G(1,1,3)", "G(2,1,2)", "G(3,3,2)", "G(4,2,3)"])
     def test_degree_counts_reflections(self, name):
@@ -205,13 +208,20 @@ class TestJacobian:
     @pytest.mark.parametrize("name", ["G(2,1,2)", "G(3,3,2)", "G(4,2,3)"])
     def test_hyperplane_factorization(self, name):
         g = make_group(name)
+        assert hyperplane_factorization(jacobian(basic_map(g)), g, 1e-10)
+
+    @pytest.mark.parametrize("name", ["G(2,1,2)", "G(3,3,2)", "G(4,2,3)"])
+    def test_perturbed_jacobian_fails_factorization(self, name):
+        # a term of J's degree that no multiple of the product has, and a
+        # rescaled non-leading term
+        g = make_group(name)
         J = jacobian(basic_map(g))
-        prod = LaurentPoly.constant(g.n, 1.0)
-        for plane in g.reflections():
-            prod = prod * (hyperplane_form(g, plane) ** (plane.order - 1))
-        quot = divide_exact(J, prod)
-        assert set(quot.terms) == {(0,) * g.n}
-        assert abs(quot.terms[(0,) * g.n]) > 1e-9
+        lead = max(J.terms)
+        bump = LaurentPoly.monomial(g.n, (0,) * (g.n - 1) + (sum(lead),), 1e-6)
+        assert not hyperplane_factorization(J + bump * J.terms[lead], g, 1e-10)
+        other = min(J.terms)
+        scaled = LaurentPoly(g.n, {**J.terms, other: J.terms[other] * (1 + 1e-6)})
+        assert not hyperplane_factorization(scaled, g, 1e-10)
 
 
 class TestEll:
@@ -272,6 +282,17 @@ class TestEll:
         reps = index_set(sgn, 4, holomorphic=True).reps
         min_total = min(sum(r) for r in reps)
         assert ep.poly.total_degree() == min_total
+
+    @pytest.mark.parametrize("spec, name, domain, want", [
+        ("G(4,4,2)", "sgn", "polydisc", 32),  # 4 z_1^4 - 4 z_2^4
+        ("G(3,1,3)", "det", "polydisc", 6),  # z_1 z_2 z_3 prod (z_i^3 - z_j^3)
+        ("Z(3)@1^2", "sgn", "ball", Fraction(3)),  # 9 |z_1^2|^2 = 9 * 2!/3!
+        ("Z(4)@2^3", "sgn", "ball", Fraction(8, 5)),  # 16 |z_2^3|^2 = 16 * 3! 2!/5!
+    ])
+    def test_cnorm_squared_is_exact(self, spec, name, domain, want):
+        ep = ell(make_character(make_group(spec), name), domain=domain)
+        assert ep.cnorm_sq == want and type(ep.cnorm_sq) is type(want)
+        assert ep.cnorm == math.sqrt(want)
 
     def test_ball_norm_uses_sphere(self):
         g = make_group("Z(3)@1^2")
@@ -500,6 +521,61 @@ class TestLiftLower:
         ep = ell(sgn112)
         with pytest.raises(NotInIsotypicError):
             lower(ep, bm112, P(2, {(1, 0): 1, (0, 1): 1}))  # symmetric, not sgn
+
+
+G113 = make_group("G(1,1,3)")
+# t-exponents of weight a_1 + 2 a_2 + 3 a_3 <= 9: with ell_sgn of degree 3,
+# lift(f) has ambient degree <= 12
+G113_EXPOS = [a for a in product(range(10), range(5), range(4))
+              if a[0] + 2 * a[1] + 3 * a[2] <= 9]
+
+
+@st.composite
+def g113_quotient_polys(draw):
+    """Gaussian-integer coefficients: the exact route of ROADMAP item 4.  A
+    float input whose terms differ in size by 1e12 loses the small ones to
+    LaurentPoly's relative cleanup inside lift, which is that item's defect
+    and not the lowering's."""
+    name = draw(st.sampled_from(["trivial", "sgn"]))
+    part = st.integers(-10, 10)
+    coeff = st.builds(complex, part, part).filter(bool)
+    terms = draw(st.dictionaries(st.sampled_from(G113_EXPOS), coeff, min_size=1, max_size=6))
+    return make_character(G113, name), LaurentPoly(3, terms)
+
+
+class TestExactLowering:
+    @given(g113_quotient_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_lower_inverts_lift_on_g113(self, case):
+        """lower(lift(f)) = f.  lift rounds F by a few ulps; expand pairs F
+        with gamma_m over |S| terms; each row is exact and is scaled once and
+        added.  So every coefficient is off by at most (|S| + 8) eps M, with
+        M = sum_m |c_m| ||lower(gamma_m)||_1 the mass of the final sum."""
+        ch, f = case
+        bm = basic_map(G113)
+        ep = ell(ch, bmap=bm)
+        F = lift(ep, bm, f)
+        back = lower(ep, bm, F)
+        mass = sum(abs(c) * sum(abs(v) for v in lowered(ep, bm, rep).terms.values())
+                   for rep, c in GammaBasis.shared(ch).expand(F).items())
+        assert (back - f).max_abs_coeff() <= (len(ch.perm_part) + 8) * 2.0 ** -52 * mass
+
+    def test_rows_are_integer_and_exact(self):
+        # ell (L o theta) = kappa sum_sigma chi(P_sigma) z^(sigma . rep) in
+        # integers, where ell is not monic (kappa = 27 for sgn on G(3,1,3))
+        g = make_group("G(3,1,3)")
+        bm = basic_map(g)
+        for name in ("sgn", "det", "trivial"):
+            ch = make_character(g, name)
+            ep = ell(ch)
+            for rep in index_set(ch, 14):
+                row = bm.row(ch, rep)
+                assert all(type(c) is int for c in row.terms.values())
+                orbit = LaurentPoly.zero(3)
+                for perm in permutations(range(3)):
+                    sign = -1 if ch.swap and _perm_parity(perm) else 1
+                    orbit = orbit + LaurentPoly(3, {tuple(rep[k] for k in perm): sign})
+                assert (ep.poly * bm.pull(row)).same_terms(orbit * ep.kappa)
 
 
 class TestTorusRelationGrid:

@@ -295,8 +295,8 @@ class TestLazyEll:
         want = math.prod(1 / (1 - a ** 3 * b.conjugate() ** 3) for a in z for b in w)
         assert abs(quotient_kernel(spec, z, w) - want) <= 1e-13 * abs(want)
         assert ell_builds == []
-        with pytest.raises(AssertionError, match="Jacobian"):
-            spec.ellp
+        # ell is in closed form: reading it expands no Jacobian either
+        assert spec.ellp.poly.total_degree() == 57 and ell_builds == ["sgn"]
 
     def test_split_ball_and_series_read_ell_once(self, ell_builds):
         z, w = (0.3 + 0.1j, 0.1 - 0.2j), (0.2, 0.1j)
@@ -330,6 +330,35 @@ class TestSeriesKernel:
         got = series_kernel(spec, x, y, 40)
         want = quotient_kernel(spec, z, w)
         assert abs(got - want) <= 1e-6
+
+    def test_g113_sgn_d12_builds_and_matches_closed_form(self):
+        # the float elimination raised NotInIsotypicError on this build; at
+        # radius 0.15 the truncation after degree 12 is below 1e-20
+        spec = make_kernel_spec("polydisc", "G(1,1,3)", "sgn")
+        sk = SeriesKernel(spec, 12)
+        assert len(sk.basis_down) == math.comb(13, 3) == 286
+        rng = random.Random(5)
+        for _ in range(6):
+            z, w = rnd_pt(rng, 3, 0.15), rnd_pt(rng, 3, 0.15)
+            want = product_formula(z, w)
+            got = sk.eval(spec.bmap.eval(z), spec.bmap.eval(w))
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_d40_rows_are_exact(self):
+        # ell_sgn = z_1 - z_2 on G(1,1,2), and |S| P_sgn z^(a,b) = z^(a,b) - z^(b,a)
+        spec = make_kernel_spec("polydisc", "G(1,1,2)", "sgn")
+        sk = SeriesKernel(spec, 40)
+        bm, sgn = spec.bmap, spec.character
+        assert spec.ellp.poly.same_terms(LaurentPoly(2, {(1, 0): 1, (0, 1): -1}))
+        for rep in sk.reps:
+            row = bm.row(sgn, rep)
+            assert all(type(c) is int for c in row.terms.values())
+            orbit = LaurentPoly(2, {rep: 1, rep[::-1]: -1})
+            assert (spec.ellp.poly * bm.pull(row)).same_terms(orbit)
+        # the float elimination read 26334.0208 here; the element is the row
+        # times c s / kappa = sqrt(2) / (2 sqrt(1/2)), 1 up to two roundings
+        assert sk.reps[400] == (0, 40) and bm.row(sgn, (0, 40)).coeff((5, 17)) == 26334
+        assert abs(sk.basis_down[400].coeff((5, 17)) - 26334) <= 4 * 2.0 ** -52 * 26334
 
     def test_empty_truncation(self):
         spec = make_kernel_spec("polydisc", "G(1,1,2)", "sgn")

@@ -16,6 +16,12 @@ roundoff).
   code (Python and numpy complex division): at most (|G| + 3n) eps times
   the magnitude sum that group_sum_kernel returns; the test allows 2x that.
 * Character turns and their JSON are exact on both sides and must be equal.
+* Relative invariants.  The closed form has integer coefficients.  The
+  hyperplane product multiplies at most 24 linear forms; each of their
+  roots of unity is exact at quarter turns and within 1 ulp otherwise, and
+  each product coefficient is a sum of at most 24! / (12! 12!) < 3e6 such
+  products, so it is off by less than 24 * 3e6 * eps < 2e-8 of the
+  largest (measured: 2.4e-15 on G(6,2,3)).  The test allows 1e-12.
 * Invariance verdicts.  Noise of at most 1e-12 * scale per coefficient
   leaves every element's residual below 2e-12 * scale, so both checks
   accept; one non-invariant term of size >= 2e-6 * scale leaves a residual
@@ -37,6 +43,7 @@ from group_sums import (
     closure_turns,
     det_turns,
     elements,
+    hyperplane_product,
     group_sum_kernel,
     group_sum_project,
     invariant_under_every_element,
@@ -53,7 +60,7 @@ from hardyq.groups import (
     make_character,
     make_group,
 )
-from hardyq.invariants import project, projection_norm_sq
+from hardyq.invariants import basic_map, ell, jacobian, project, projection_norm_sq
 from hardyq import kernels
 from hardyq.kernels import KernelSpec, SingularPointError, quotient_kernel
 from hardyq.laurent import LaurentPoly, act
@@ -241,6 +248,27 @@ def test_polydisc_closed_form_on_every_character(index):
         got = quotient_kernel(spec, z, w)
         want, mass = group_sum_kernel(spec, z, w)
         assert abs(got - want) <= 2 * (len(ch.group) + 3 * n) * EPS * mass, (got, want)
+
+
+# the catalogue, and built-in characters whose planes carry inexact roots
+ELL_CHARS = CHARS + [(spec, ch) for spec in ("G(3,3,2)", "G(3,1,3)", "G(6,2,3)")
+                     for ch in _built_in(make_group(spec))]
+
+
+@pytest.mark.parametrize("index", range(len(ELL_CHARS)),
+                         ids=[f"{spec}-{ch.name}" for spec, ch in ELL_CHARS])
+def test_closed_form_ell_is_the_hyperplane_product(index):
+    """ell in closed form is kappa times the monic hyperplane product, with
+    integer coefficients; ell_sgn equals the Jacobian exactly."""
+    _, ch = ELL_CHARS[index]
+    ep = ell(ch)
+    assert all(type(c) is int for c in ep.poly.terms.values())
+    assert ep.poly.terms[max(ep.poly.terms)] == ep.kappa
+    assert ep.poly.approx_eq(hyperplane_product(ch) * ep.kappa, tol=1e-12)
+    if ch == make_character(ch.group, "sgn"):
+        assert ep.poly.same_terms(jacobian(basic_map(ch.group)))
+    else:
+        assert ep.kappa == 1
 
 
 @settings(max_examples=150, deadline=None)

@@ -72,6 +72,16 @@ class TestArithmetic:
         f = P(2, {(1, 0): 1, (0, 1): 1})
         assert f.conj_torus().same_terms(P(2, {(-1, 0): 1, (0, -1): 1}))
 
+    def test_exact_coefficients_stay_exact(self):
+        # ints and Fractions keep their type and are dropped only when exactly
+        # zero; inexact terms below 1e-12 of the largest are cleaned away
+        f = LaurentPoly(2, {(1, 0): 10**15, (0, 1): 1})
+        g = f * f - LaurentPoly(2, {(2, 0): 10**30})
+        assert g.terms == {(1, 1): 2 * 10**15, (0, 2): 1}
+        assert all(type(c) is int for c in g.terms.values())
+        assert (LaurentPoly(1, {(1,): Fraction(1, 3)}) ** 2).terms == {(2,): Fraction(1, 9)}
+        assert (f * 1.0).terms == {(1, 0): 1e15}
+
     def test_product_example(self):
         f = P(2, {(1, 0): 1, (0, 1): -1})
         g = P(2, {(1, 0): 1, (0, 1): 1})
