@@ -175,8 +175,7 @@ def cmd_invariant(args) -> tuple[int, dict]:
 
 
 def cmd_kernel(args) -> tuple[int, dict]:
-    from .kernels import (SeriesKernel, SingularPointError, base_kernel, make_kernel_spec,
-                          quotient_kernel)
+    from .kernels import base_kernel, make_kernel_spec, quotient_kernel
 
     with _reading_input():
         data = _read_json_arg(args.spec)
@@ -185,21 +184,10 @@ def cmd_kernel(args) -> tuple[int, dict]:
         points = [(_complex_pairs(item["z"]), _complex_pairs(item["w"]))
                   for item in _read_json_arg(args.points)]
     spec = make_kernel_spec(domain, group_text, character)
-    series = None  # the fallback, built at the first singular point
+    kernel, method = (quotient_kernel, "quotient") if spec.is_quotient else (base_kernel, "base")
     records = []
     for z, w in points:
-        if not spec.is_quotient:
-            value = base_kernel(spec, z, w)
-            method = "base"
-        else:
-            try:
-                value = quotient_kernel(spec, z, w)
-                method = "quotient"
-            except SingularPointError:
-                if series is None:
-                    series = SeriesKernel(spec, args.series_bound)
-                value = series.eval(spec.bmap.eval(z), spec.bmap.eval(w))
-                method = f"series(D={args.series_bound})"
+        value = kernel(spec, z, w)
         records.append({
             "z": _pairs_complex(z),
             "w": _pairs_complex(w),
@@ -315,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help='JSON: {"domain": ..., "group": ..., "character": ...}')
     ke.add_argument("--points", required=True,
                     help='JSON list of {"z": [[re,im],...], "w": [[re,im],...]}')
-    ke.add_argument("--series-bound", type=int, default=40)
 
     t = sub.add_parser("toeplitz", help="Toeplitz windows and verifiers")
     tsub = t.add_subparsers(dest="toeplitz_verb", required=True)

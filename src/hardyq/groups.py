@@ -149,9 +149,8 @@ class Group:
     Both kinds split as G = A x| S: A is the diagonal-phase subgroup and S
     the zero-phase permutation elements (all of S_n for G(m,p,n), the
     identity for Z(m)@k^n), and every element is g = D_phase * P_perm.  The
-    order, generators, hyperplanes and characters come from (m, p, n); only
-    the ball's quotient kernel sums over all of G, through the point tables
-    that kernels.point_tables builds on first use.
+    order, generators, hyperplanes and characters come from (m, p, n); no
+    package path sums over all of G.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -162,8 +161,8 @@ class Group:
         self.q = spec.m // spec.p
         self.identity = GroupElement(tuple(range(spec.n)), (0,) * spec.n, spec.m)
         # objects other modules derive from the group and its characters
-        # (the basic map, the kernels' point tables), built on first use and
-        # kept as long as the group
+        # (the basic map, the kernels' permutation table), built on first use
+        # and kept as long as the group
         self.derived: dict[object, object] = {}
 
     def __len__(self) -> int:

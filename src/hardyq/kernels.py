@@ -1,5 +1,5 @@
 """Szego kernels: closed forms on the polydisc, ball and the rank-2 type-III
-Cartan domain; group-averaged quotient kernels; the tetrablock kernel;
+Cartan domain; quotient kernels in closed form; the tetrablock kernel;
 truncated series kernels in quotient coordinates; pushforward-measure
 integrals; and reproducing-property residuals.
 """
@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
-
 import numpy as np
 
-from .groups import Character, Group, InputError, make_character, make_group, root_of_unity
+from .groups import Character, Group, InputError, make_character, make_group
 from .invariants import (
     BasicMap,
     EllPoly,
@@ -30,11 +28,6 @@ Point = tuple[complex, ...]
 
 class DomainError(InputError):
     pass
-
-
-class SingularPointError(ValueError):
-    """Evaluation at a zero of ell_rho, or where the ball's group sum
-    cancels; the value exists but must be taken through the series kernel."""
 
 
 # -- domains -----------------------------------------------------------------
@@ -87,9 +80,9 @@ def check_point(domain: str, z: Point):
 class KernelSpec:
     """Base kernel (no group) or quotient kernel (group + character + map).
 
-    ell_rho is built on the first read of `ellp`: the polydisc closed form
-    reads it for split characters only, and building it can cost far more
-    than a kernel value (the Jacobian of G(3,1,6) expands 720 products)."""
+    ell_rho is built on the first read of `ellp`: the series kernel, the
+    pushforward integral and the reproducing check read it, quotient_kernel
+    never does."""
 
     def __init__(self, domain: str, group: Group | None = None,
                  character: Character | None = None, bmap: BasicMap | None = None,
@@ -172,50 +165,18 @@ def base_kernel(spec: KernelSpec | str, z: Point, w: Point) -> complex:
 
 # -- quotient kernels --------------------------------------------------------
 
-EPS = 2.0 ** -52
-
-# Largest rounding bound, relative to the result, that the ball's group sum
-# may carry.  The bound is ratio * (|G| + 3n) * eps with ratio =
-# sum |terms| / |sum|: every term is one power of a computed point (at most
-# 3n roundings of |term|) and the sum adds |G| of them.  Above the tolerance
-# the value is refused, as at a zero of ell, so that `kernel eval` takes the
-# series instead of printing digits the sum has cancelled away.
-CANCELLATION_TOL = 1e-6
-
-
-def _singularity_floor(spec: KernelSpec, z: Point) -> float:
-    """1e-6 * margin^deg(ell), with margin the distance of z to the boundary:
-    1 - max|z_i| on the polydisc, 1 - ||z|| on the ball."""
-    if spec.domain == "ball":
-        margin = 1.0 - math.sqrt(sum(abs(x) ** 2 for x in z))
-    else:
-        margin = 1.0 - max(abs(x) for x in z)
-    return 1e-6 * margin ** max(spec.ellp.poly.total_degree(), 1)
-
-
-def _ell_values(spec: KernelSpec, z: Point, w: Point) -> tuple[complex, complex]:
-    """ell(z) and ell(w), refused below the singularity floor."""
-    lz = spec.ellp.poly.eval(z)
-    lw = spec.ellp.poly.eval(w)
-    if abs(lz) <= _singularity_floor(spec, z) or abs(lw) <= _singularity_floor(spec, w):
-        raise SingularPointError(
-            "ell_rho vanishes at an evaluation point; the kernel extends "
-            "holomorphically there, evaluate via series_kernel"
-        )
-    return lz, lw
-
 
 def quotient_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
     """Group-averaged kernel on the quotient, evaluated at base points:
 
         K(z, w) = (c^2/|G|) * (1/(ell(z) conj(ell(w)))) * sum_g conj(chi(g)) S(g z, w).
 
-    It depends on (z, w) only through (theta(z), theta(w)).  On the
-    polydisc it is evaluated in closed form (_polydisc_kernel), with no
-    group sum.  On the ball it is the group sum over the |G| = m elements
-    of Z(m)@k^n (_ball_group_sum).  Where either route would divide by a
-    vanishing ell, or the ball's sum cancels below CANCELLATION_TOL, it
-    raises SingularPointError; use series_kernel there.
+    It depends on (z, w) only through (theta(z), theta(w)) and extends
+    holomorphically across the zeros of ell.  Every case is a closed form
+    with no group sum and no division by ell: _polydisc_kernel (with
+    _split_residue_kernel for the n = 2 split characters) and _ball_kernel.
+    None reads spec.ellp, and the only error is DomainError for a point
+    outside the domain.
     """
     if not spec.is_quotient:
         raise DomainError("quotient_kernel needs a group and character")
@@ -225,25 +186,7 @@ def quotient_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
     check_point(spec.domain, w)
     if spec.domain == "polydisc":
         return _polydisc_kernel(spec, z, w)
-    return _ball_group_sum(spec, z, w)
-
-
-def _twist_residues(char: Character) -> list[list[int]]:
-    """r_i(t) = (b_i + q t) mod m for t = 0..p-1, with b the exponents of
-    one extension phi -> zeta_m^(b . phi) of chi from the diagonal subgroup
-    A to all of (Z_m)^n (G(m,p,n), m > 1).
-
-    The diagonal generators are e_i - e_n (i < n), turn diag_i / N, and
-    p e_n, turn diag_{n-1} / N (absent when p = m), so b_i - b_n =
-    diag_i / (N/m) and p b_n = diag_{n-1} / (N/m) mod m.  The p extensions
-    differ by the characters of (Z_m)^n / A = Z_p, b -> b + q t (1, ..., 1).
-    """
-    group = char.group
-    n, m, p = group.n, group.m, group.p
-    step = char.den // m
-    last = char.diag[n - 1] // step // p if p < m else 0
-    b = [char.diag[i] // step + last for i in range(n - 1)] + [last]
-    return [[(x + group.q * t) % m for x in b] for t in range(p)]
+    return _ball_kernel(spec, z, w)
 
 
 def _perm_table(group: Group) -> np.ndarray:
@@ -261,8 +204,10 @@ def _polydisc_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
     Write g = D_phi P_sigma, x_ij = z_i conj(w_j) and s = prod_i x_ii.
     Summing over A first: sum_{phi in A} conj(chi(D_phi)) prod_i
     1/(1 - zeta^phi_i y_i) = (1/p) sum_t prod_i m y_i^r_i(t) / (1 - y_i^m),
-    since each coordinate sum over Z_m is the filtered geometric series
-    (r = _twist_residues; the p twists pick out A inside (Z_m)^n).  With
+    since each coordinate sum over Z_m is the filtered geometric series.
+    The residues are r_i(t) = (b_i + q t) mod m for t = 0..p-1, with b the
+    exponents of one extension phi -> zeta_m^(b . phi) of chi from A to
+    (Z_m)^n; the p twists pick out A inside (Z_m)^n.  With
     |G| = m^n n!/p the group sum becomes
 
         K = (c^2/n!) sum_sigma chi(P_sigma)^-1 sum_t prod_j
@@ -285,8 +230,7 @@ def _polydisc_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
     since {r(t) - a} = {0, q, ..., (p-1) q}.  Neither form divides by ell,
     so neither has a singular point; both are independent of kappa.  Split
     residues occur for n = 2 only (rho1, rho2 on G(m,m,2) and custom
-    characters with chi = -1 on diag(zeta, zeta^-1)); that 2 x 2 sum is
-    taken as written above, dividing by ell with the singularity floor.
+    characters with chi = -1 on diag(zeta, zeta^-1)): _split_residue_kernel.
 
     Z(m)@k^n: the coordinate-k sum is m x^r / (1 - x^m), ell = z_k^r and
     c^2 = 1 with r = the exponent of chi, so K = 1/(1 - x_kk^m) *
@@ -303,7 +247,7 @@ def _polydisc_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
         return out
     char = spec.character
     if any(char.diag[:n - 1]):
-        return _split_kernel(spec, z, w)
+        return _split_residue_kernel(spec, z, w)
     s = 1.0 + 0j
     for a, b in zip(z, w):
         s *= a * b.conjugate()
@@ -321,80 +265,80 @@ def _polydisc_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
     return twist * complex(perm) / math.factorial(n)
 
 
-def _split_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
-    """The n = 2 polydisc kernel with split residues: the twisted sum over
-    both permutations, divided by ell (see _polydisc_kernel)."""
-    lz, lw = _ell_values(spec, z, w)
-    m = spec.group.m
-    residues = _twist_residues(spec.character)
-    total = 0j
-    for perm, _, conj_chi in spec.character.perm_part:
-        xs = [z[j] * w[i].conjugate() for j, i in enumerate(perm)]
-        for r in residues:
-            term = conj_chi
-            for x, i in zip(xs, perm):
-                term *= x ** r[i] / (1.0 - x ** m)
-            total += term
-    scale = spec.ellp.cnorm_sq / math.factorial(spec.group.n)
-    return scale * total / (lz * lw.conjugate())
+def _split_residue_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
+    """The n = 2 polydisc kernel with split residues in closed form.
+
+    Split means chi(diag(zeta, zeta^-1)) = -1, so m is even; write h = m/2,
+    X = z_1 conj(w_1), Y = z_2 conj(w_2), U = z_1 conj(w_2),
+    V = z_2 conj(w_1), s = XY = UV and e = chi((1 2)) = +-1.  A split
+    character extends to G(m,p,2) only for even p, and then the residues
+    of the 2 x 2 twisted sum of _polydisc_kernel pair up as (rho, rho + h)
+    and (rho + h, rho), rho = a + q j for j < p/2, with ell = kappa
+    (z_1 z_2)^a (z_1^h + e z_2^h) and c_rho^2 = 2 kappa^2.  With
+    A = X^h + Y^h and B = U^h + V^h the sum is
+
+        s^a T (A (1 - U^m)(1 - V^m) + e B (1 - X^m)(1 - Y^m)) / prod (1 - x^m),
+
+    T = sum_{j<p/2} s^(q j).  Since X^h Y^h = U^h V^h = s^h the numerator
+    is (A + e B) ((1 + s^h)^2 - e A B), and A + e B = ellhat(z)
+    conj(ellhat(w)), so ell cancels exactly and
+
+        K = T ((1 + s^h)^2 - e A B) / ((1 - X^m)(1 - Y^m)(1 - U^m)(1 - V^m)).
+
+    No term divides by ell, and the value is independent of kappa.
+    """
+    group = spec.group
+    m, h, q = group.m, group.m // 2, group.q
+    (z1, z2), (w1, w2) = z, (w[0].conjugate(), w[1].conjugate())
+    xs = (z1 * w1, z2 * w2, z1 * w2, z2 * w1)
+    x, y, u, v = (t ** h for t in xs)
+    s = xs[0] * xs[1]
+    sign = -1.0 if spec.character.swap else 1.0
+    twist = sum(s ** (q * j) for j in range(group.p // 2))
+    out = twist * ((1.0 + x * y) ** 2 - sign * (x + y) * (u + v))
+    for t in xs:
+        out /= 1.0 - t ** m
+    return out
 
 
-def point_tables(group: Group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(roots, phase, src) with (g z)_i = roots[phase[g, i]] * z[src[g, i]]
-    for every element g: one root_of_unity per phase value, and |G| x n
-    index tables in the smallest integer types.  Rows run perm-major in
-    perm_images() order and phase_vectors() order inside; built once per
-    group."""
-    got = group.derived.get("point_tables")
-    if got is None:
-        n, m = group.n, group.m
-        roots = np.array([root_of_unity(Fraction(k, m)) for k in range(m)])
-        phases = np.array(group.phase_vectors(), dtype=np.min_scalar_type(m - 1))
-        src = np.argsort(group.perm_images(), axis=1).astype(np.min_scalar_type(n - 1))
-        got = group.derived["point_tables"] = (
-            roots, np.tile(phases, (len(src), 1)), np.repeat(src, len(phases), axis=0))
-    return got
+def _ball_coefficients(n: int, m: int, c: int) -> tuple[tuple[int, ...], int]:
+    """(A_0, ..., A_{n-1}) and C(n-1+c, n-1) for _ball_kernel: A(u) / (1-u)^n
+    = sum_i P(i) u^i with P(i) = C(n-1+c+m i, n-1) of degree n-1 in i, so
+    A_j = sum_{i<=j} (-1)^(j-i) C(n, j-i) P(i), in exact integers."""
+    P = [math.comb(n - 1 + c + m * i, n - 1) for i in range(n)]
+    A = tuple(sum((-1) ** (j - i) * math.comb(n, j - i) * P[i] for i in range(j + 1))
+              for j in range(n))
+    return A, math.comb(n - 1 + c, n - 1)
 
 
-def nums(char: Character) -> np.ndarray:
-    """Turn numerators of chi for every element in point_tables row order."""
-    return np.array(char.element_nums(), dtype=np.int64)
+def _ball_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
+    """The ball quotient kernel of Z(m)@k^n in closed form.
 
+    With a = z_k conj(w_k) and b = sum_{j != k} z_j conj(w_j), expand
+    S(g z, w) = (1 - zeta^t a - b)^-n = sum_j C(n-1+j, j) zeta^(t j) a^j
+    (1 - b)^(-n-j).  The character sum keeps j = c + m i, c the exponent of
+    chi (chi(e_k) = zeta_m^c, 0 <= c < m), and ell = kappa z_k^c with
+    c_rho^2 = kappa^2 / C(n-1+c, n-1) (the sphere norm of z_k^c), so a^c
+    and kappa cancel:
 
-def conj_values(char: Character) -> np.ndarray:
-    """conj(chi(g)) for every element in point_tables row order, one
-    root_of_unity per residue mod N; built once per (group, character)."""
-    key = ("conj_values", char.diag, char.swap)
-    got = char.group.derived.get(key)
-    if got is None:
-        roots = np.array([root_of_unity(Fraction(-k, char.den)) for k in range(char.den)],
-                         dtype=complex)
-        got = char.group.derived[key] = roots[nums(char)]
-    return got
+        K = (1-b)^(-n-c) sum_i C(n-1+c+m i, n-1) u^i / C(n-1+c, n-1)
+          = A(u) / (C(n-1+c, n-1) (1-b)^(n+c) (1-u)^n),   u = (a/(1-b))^m,
 
-
-def _ball_group_sum(spec: KernelSpec, z: Point, w: Point) -> complex:
-    """The ball quotient kernel as the group sum, in one numpy pass over the
-    group's point tables and the character's conj(chi) vector.  Besides
-    the floor on ell it refuses points where the sum cancels: ratio =
-    sum |terms| / |sum| with ratio * (|G| + 3n) * eps > CANCELLATION_TOL."""
-    lz, lw = _ell_values(spec, z, w)
-    # matches the function action R_g f = f o g: the kernel section
-    # transforms through the matrix itself
-    roots, phase, src = point_tables(spec.group)
-    images = roots[phase]
-    images *= np.array(z, dtype=complex)[src]
-    wbar = np.conj(np.array(w, dtype=complex))
-    values = (1.0 - images @ wbar) ** (-len(w))
-    total = complex(conj_values(spec.character) @ values)
-    ratio = float(np.abs(values).sum()) / abs(total) if total else math.inf
-    if ratio * (len(values) + 3 * len(w)) * EPS > CANCELLATION_TOL:
-        raise SingularPointError(
-            f"the group sum cancels (sum |terms| / |sum| = {ratio:.3g}); "
-            "evaluate via series_kernel"
-        )
-    scale = spec.ellp.cnorm_sq / len(spec.group)
-    return scale * total / (lz * lw.conjugate())
+    with the integer coefficients of _ball_coefficients.  On the ball
+    |a| + |b| < 1, so |u| < 1; nothing divides by ell.
+    """
+    group = spec.group
+    n, m, k = group.n, group.m, group.spec.coord - 1
+    char = spec.character
+    c = char.diag[0] * m // char.den if char.diag else 0
+    coeffs, scale = _ball_coefficients(n, m, c)
+    a = z[k] * w[k].conjugate()
+    b = sum(x * y.conjugate() for i, (x, y) in enumerate(zip(z, w)) if i != k)
+    u = (a / (1.0 - b)) ** m
+    num = 0j
+    for coeff in reversed(coeffs):
+        num = num * u + coeff
+    return num / (scale * (1.0 - b) ** (n + c) * (1.0 - u) ** n)
 
 
 def tetrablock_kernel(z: Point, w: Point, tol: float = 1e-12) -> complex:
@@ -402,12 +346,15 @@ def tetrablock_kernel(z: Point, w: Point, tol: float = 1e-12) -> complex:
     (z1, z2, z3) -> (z1, z2, z3^2 - z1 z2), via the two-term average
 
         [S(z, w) - S((z1, z2, -z3), w)] / (4 z3 conj(w3)).
+
+    Points with |z3| or |w3| <= tol lie on the branch locus of the map and
+    are refused as input (DomainError).
     """
     z, w = tuple(z), tuple(w)
     check_point("cartan3rank2", z)
     check_point("cartan3rank2", w)
     if abs(z[2]) <= tol or abs(w[2]) <= tol:
-        raise SingularPointError("z3 and w3 must stay away from the branch locus")
+        raise DomainError("z3 and w3 must stay away from the branch locus")
     flipped = (z[0], z[1], -z[2])
     num = base_kernel("cartan3rank2", z, w) - base_kernel("cartan3rank2", flipped, w)
     return num / (4.0 * z[2] * w[2].conjugate())

@@ -1,6 +1,5 @@
 import pytest
 
-from hardyq import kernels
 from hardyq.groups import Character, make_character, make_group
 from hardyq.invariants import basic_map
 
@@ -47,13 +46,9 @@ def bm112(g112):
 
 @pytest.fixture
 def no_element_tables(monkeypatch):
-    """Make the kernels' per-element tables (point tables, turn numerators,
-    conj(chi) values) and every Character's per-element numerators raise
-    on use."""
+    """Make every Character's per-element numerators raise on use."""
 
     def forbidden(*args):
         raise AssertionError("group elements enumerated")
 
-    for name in ("point_tables", "nums", "conj_values"):
-        monkeypatch.setattr(kernels, name, forbidden)
     monkeypatch.setattr(Character, "element_nums", forbidden)

@@ -2,11 +2,12 @@
 implementations that the orbit-sum projection, its exact norm, the
 closed-form quotient kernel, the characters' generator forms, the
 generator-set invariance test, the pushforward moment table, the sparse
-series table, the closed-form reflecting hyperplanes, the point tables,
-the shift-table Brown-Halmos check and compactness probe, and the
-series-table reproducing check are tested against; the float hyperplane
-product that the closed-form relative invariants are tested against; and
-the per-element and per-term helpers they and the tests use.
+series table, the closed-form reflecting hyperplanes, the shift-table
+Brown-Halmos check and compactness probe, and the series-table
+reproducing check are tested against; the float hyperplane product that
+the closed-form relative invariants are tested against; and the
+per-element and per-term helpers they and the tests use (the point
+tables among them).
 Test oracles only; nothing in the package calls them."""
 
 import functools
@@ -16,7 +17,6 @@ from itertools import permutations, product
 
 import numpy as np
 
-from hardyq import kernels
 from hardyq.groups import GroupElement, _perm_parity, root_of_unity
 from hardyq.kernels import KernelSpec, base_kernel
 from hardyq.laurent import Expo, HarmonicPoly, LaurentPoly, act, sphere_inner, torus_inner
@@ -60,11 +60,28 @@ from hardyq.invariants import (GammaBasis, NotInIsotypicError, hyperplane_form, 
 from hardyq.toeplitz import RESIDUAL_TOL, BHReport, CompactnessReport
 
 
+def point_tables(group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(roots, phase, src) with (g z)_i = roots[phase[g, i]] * z[src[g, i]]
+    for every element g: one root_of_unity per phase value, and |G| x n
+    index tables in the smallest integer types.  Rows run perm-major in
+    perm_images() order and phase_vectors() order inside; built once per
+    group."""
+    got = group.derived.get("point_tables")
+    if got is None:
+        n, m = group.n, group.m
+        roots = np.array([root_of_unity(Fraction(k, m)) for k in range(m)])
+        phases = np.array(group.phase_vectors(), dtype=np.min_scalar_type(m - 1))
+        src = np.argsort(group.perm_images(), axis=1).astype(np.min_scalar_type(n - 1))
+        got = group.derived["point_tables"] = (
+            roots, np.tile(phases, (len(src), 1)), np.repeat(src, len(phases), axis=0))
+    return got
+
+
 @functools.cache
 def elements(group) -> list[GroupElement]:
-    """Every element in kernels.point_tables row order, read back from the
-    tables (src is the inverse permutation of each row's perm)."""
-    _, phase, src = kernels.point_tables(group)
+    """Every element in point_tables row order, read back from the tables
+    (src is the inverse permutation of each row's perm)."""
+    _, phase, src = point_tables(group)
     perms = np.argsort(src, axis=1).tolist()
     return [GroupElement(tuple(g), tuple(ph), group.m) for g, ph in zip(perms, phase.tolist())]
 

@@ -83,38 +83,10 @@ class TestKernelVerb:
                 want /= 1 - zi * wj.conjugate()
         assert abs(complex(*rec["value"]) - want) < 1e-9 * abs(want)
 
-    # rho1 on G(4,4,2) has split residues, so its kernel still divides by
-    # ell_rho1 = z_1^2 + z_2^2; the sign kernel has a closed form without ell
+    # rho1 on G(4,4,2) has split residues, with ell_rho1 = z_1^2 + z_2^2;
+    # on the ball Z(3)@1^2, ell_sgn = 3 z_1^2
     SPLIT_SPEC = '{"domain": "polydisc", "group": "G(4,4,2)", "character": "rho1"}'
-
-    def test_eval_singular_point_falls_back_to_series(self, capsys):
-        points = '[{"z": [[0.0, 0.0], [0.0, 0.0]], "w": [[0.2, 0.0], [0.1, 0.0]]}]'
-        code, out, _ = run_cli(
-            capsys, "kernel", "eval", "--spec", self.SPLIT_SPEC, "--points", points
-        )
-        rec = json.loads(out)["records"][0]
-        assert rec["method"].startswith("series")
-        assert abs(complex(*rec["value"]) - 1.0) < 1e-6
-
-    def test_series_fallback_built_once_per_call(self, capsys, monkeypatch):
-        from hardyq.kernels import SeriesKernel
-
-        builds = []
-
-        class Counting(SeriesKernel):
-            def __init__(self, spec, bound):
-                builds.append(bound)
-                super().__init__(spec, bound)
-
-        monkeypatch.setattr("hardyq.kernels.SeriesKernel", Counting)
-        # both z lie on ell_rho1's zero set z_1 = i z_2
-        points = ('[{"z": [[0.0, 0.0], [0.0, 0.0]], "w": [[0.2, 0.0], [0.1, 0.0]]},'
-                  ' {"z": [[0.0, 0.1], [0.1, 0.0]], "w": [[0.2, 0.0], [0.1, 0.0]]}]')
-        code, out, _ = run_cli(capsys, "kernel", "eval", "--spec", self.SPLIT_SPEC,
-                               "--points", points, "--series-bound", "8")
-        assert code == 0
-        assert [r["method"] for r in json.loads(out)["records"]] == ["series(D=8)"] * 2
-        assert builds == [8]
+    BALL_SPEC = '{"domain": "ball", "group": "Z(3)@1^2", "character": "sgn"}'
 
     def test_sign_kernel_on_ell_zero_set_needs_no_series(self, capsys, monkeypatch):
         def no_series(spec, bound):
@@ -134,6 +106,34 @@ class TestKernelVerb:
             for wj in w:
                 want /= 1 - zi * wj.conjugate()
         assert abs(complex(*rec["value"]) - want) <= 1e-15 * abs(want)
+
+    # at zeros of ell_rho1 (the origin and z_1 = i z_2) and of the ball's
+    # ell_sgn (z_1 = 0) every record is the quotient kernel, equal to the
+    # D=30 series kernel, and no series kernel is built
+    @pytest.mark.parametrize("spec_json, zs, w", [
+        (SPLIT_SPEC, [(0.0, 0.0), (0.1j, 0.1)], (0.2, 0.1)),
+        (BALL_SPEC, [(0.0, 0.2), (0.0, -0.3 + 0.4j)], (0.3, 0.1)),
+    ], ids=["G(4,4,2)-rho1", "ball-Z(3)@1^2-sgn"])
+    def test_split_and_ball_kernels_on_ell_zero_set_need_no_series(
+            self, capsys, monkeypatch, spec_json, zs, w):
+        data = json.loads(spec_json)
+        spec = kernels.make_kernel_spec(data["domain"], data["group"], data["character"])
+        series = kernels.SeriesKernel(spec, 30)
+        wants = [series.eval(spec.bmap.eval(z), spec.bmap.eval(w)) for z in zs]
+
+        def no_series(spec, bound):
+            raise AssertionError("series kernel built")
+
+        monkeypatch.setattr("hardyq.kernels.SeriesKernel", no_series)
+        points = json.dumps([{"z": [[x.real, x.imag] for x in map(complex, z)],
+                              "w": [[x.real, x.imag] for x in map(complex, w)]} for z in zs])
+        code, out, _ = run_cli(capsys, "kernel", "eval", "--spec", spec_json,
+                               "--points", points)
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert [r["method"] for r in records] == ["quotient"] * len(zs)
+        for rec, want in zip(records, wants):
+            assert abs(complex(*rec["value"]) - want) <= 1e-12 * abs(want)
 
 
 SYMBOL_MIXED = json.dumps(
@@ -291,17 +291,12 @@ class TestExitCodes:
         assert report["error"] == "NotInIsotypicError: leading exponent is incompatible"
         assert "Traceback" in report["traceback"] and "broken" in report["traceback"]
 
-    # ell_sgn = z_1^2 vanishes at the ball point below, so the kernel needs
-    # the series fallback, which reads --series-bound
-    BALL_SPEC = '{"domain": "ball", "group": "Z(3)@1^2", "character": "sgn"}'
-    BALL_POINT = '[{"z": [[0.0, 0.0], [0.2, 0.0]], "w": [[0.3, 0.0], [0.1, 0.0]]}]'
-
     @pytest.mark.parametrize("argv, message", [
         (["invariant", "index", "G(1,1,2)", "-D", "-1"], "degree bound must be >= 0"),
         (["toeplitz", "window", "--group", "G(1,1,2)", "--symbol", SYMBOL_MIXED, "-D", "-1"],
          "degree bound must be >= 0"),
-        (["kernel", "eval", "--spec", BALL_SPEC, "--points", BALL_POINT,
-          "--series-bound", "-1"], "degree bound must be >= 0"),
+        (["toeplitz", "bh", "--group", "G(1,1,2)", "--symbol", SYMBOL_MIXED, "-D", "-1"],
+         "degree bound must be >= 0"),
         (["toeplitz", "bh", "--group", "Z(2)@1^2", "--symbol",
           '{"dim": 2, "terms": [{"c": [1, 0], "e": [2, 0]}]}', "-D", "4"],
          "the shift relations are stated for G(m,p,n) quotients"),
@@ -399,4 +394,3 @@ print(json.dumps(out))
                     toeplitz.SymbolError, toeplitz.WindowMarginError, toeplitz.RecoveryError,
                     invariants.BoundError, cli.UsageError):
             assert issubclass(exc, groups.InputError)
-        assert not issubclass(kernels.SingularPointError, groups.InputError)

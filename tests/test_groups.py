@@ -11,6 +11,7 @@ from group_sums import (
     fixed_space_dim,
     is_identity,
     is_reflection,
+    point_tables,
     scanned_hyperplanes,
 )
 
@@ -27,7 +28,6 @@ from hardyq.groups import (
     root_of_unity,
 )
 from hardyq.invariants import basic_map, ell, index_set, project, projection_norm_sq
-from hardyq.kernels import point_tables
 from hardyq.laurent import LaurentPoly
 
 

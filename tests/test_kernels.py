@@ -14,7 +14,6 @@ from hardyq.kernels import (
     DomainError,
     KernelSpec,
     SeriesKernel,
-    SingularPointError,
     base_kernel,
     ellipsoid_constants,
     in_cartan3_rank2,
@@ -143,11 +142,17 @@ class TestQuotientKernel:
         assert eigs.min() >= -1e-8 * np.trace(gram).real
 
     def test_singular_point_raises(self):
-        # rho1 on G(4,4,2) has split residues, so its kernel divides by
-        # ell_rho1 = z_1^2 + z_2^2, which vanishes at the origin
+        # rho1 on G(4,4,2) has split residues; ell_rho1 = z_1^2 + z_2^2
+        # vanishes at the origin and on z_1 = i z_2, and the closed form,
+        # which does not divide by it, matches the series kernel there
         spec = make_kernel_spec("polydisc", "G(4,4,2)", "rho1")
-        with pytest.raises(SingularPointError):
-            quotient_kernel(spec, (0.0, 0.0), (0.3, 0.1))
+        series = SeriesKernel(spec, 30)
+        w = (0.3, 0.1)
+        for z in [(0.0, 0.0), (-0.1 + 0.3j, 0.3 + 0.1j)]:
+            assert spec.ellp.poly.eval(z) == 0
+            got = quotient_kernel(spec, z, w)
+            want = series.eval(spec.bmap.eval(z), spec.bmap.eval(w))
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("gname", ["G(1,1,2)", "G(2,1,2)", "G(4,2,3)"])
     def test_sign_kernel_has_no_singular_point(self, gname):
@@ -178,36 +183,29 @@ class TestQuotientKernel:
             quotient_kernel(spec, z, w)
 
     def test_ball_singularity_floor_uses_ball_margin(self):
-        # ell_sgn = 2 z_1 on Z(2)@1^3.  At z = (eps, 0.6, 0.6) the ball margin
-        # 1 - ||z|| = 0.151 is well below the polydisc margin 1 - max|z_i| =
-        # 0.4, so the floors are 1.51e-7 and 4e-7: |ell| = 2e-7 lies between
-        # them and is evaluated, |ell| = 1e-7 lies below both and is refused.
+        # ell_sgn = 2 z_1 on Z(2)@1^3.  At z = (eps, 0.6, 0.6), close to the
+        # sphere (1 - ||z|| = 0.151), the closed form matches the series
+        # kernel for every |ell| from 2e-3 down to 0
         spec = make_kernel_spec("ball", "Z(2)@1^3", "sgn")
+        series = SeriesKernel(spec, 20)
         w = (0.3, -0.2j, 0.1)
-        far = quotient_kernel(spec, (1e-3, 0.6, 0.6), w)
-        near = quotient_kernel(spec, (1e-7, 0.6, 0.6), w)
-        # the kernel depends on z_1 only through z_1^2, so the two values
-        # differ by O(1e-6) relative
-        assert abs(near - far) <= 1e-5 * abs(far)
-        with pytest.raises(SingularPointError):
-            quotient_kernel(spec, (5e-8, 0.6, 0.6), w)
+        y = spec.bmap.eval(w)
+        for z1 in (1e-3, 1e-7, 5e-8, 0.0):
+            z = (z1, 0.6, 0.6)
+            want = series.eval(spec.bmap.eval(z), y)
+            assert abs(quotient_kernel(spec, z, w) - want) <= 1e-12 * abs(want)
 
     def test_ball_group_sum_refuses_cancellation(self):
         # Z(2)@1^3, sgn: the two terms S(z, w) - S((-z_1, z_2, z_3), w) agree
-        # to about 6 |z_1 w_1| = 6e-11 of their size, so ratio = 2.9e10 and
-        # the rounding bound ratio * (|G| + 3n) * eps = 7e-5 exceeds
-        # CANCELLATION_TOL, while |ell| = 2e-6 and 2e-5 pass the floor
+        # to about 6 |z_1 w_1| = 6e-11 of their size, so the plain group sum
+        # keeps few correct digits; the closed form sums no such terms
         spec = make_kernel_spec("ball", "Z(2)@1^3", "sgn")
         z, w = (1e-6, 0.5, 0.5), (1e-5, 0.3, -0.2j)
-        with pytest.raises(SingularPointError, match="cancels"):
-            quotient_kernel(spec, z, w)
-        # the kernel depends on z_1, w_1 through z_1^2, conj(w_1)^2 only, so a
-        # well-conditioned neighbour stands in for the value (within 1e-9)
-        near = quotient_kernel(spec, (1e-3, 0.5, 0.5), (1e-2, 0.3, -0.2j))
-        plain, _ = group_sum_kernel(spec, z, w)
-        assert abs(plain - near) > 1e-7 * abs(near)  # what would have been printed
+        got = quotient_kernel(spec, z, w)
         x, y = spec.bmap.eval(z), spec.bmap.eval(w)
-        assert abs(series_kernel(spec, x, y, 20) - near) <= 1e-8 * abs(near)
+        assert abs(series_kernel(spec, x, y, 20) - got) <= 1e-12 * abs(got)
+        plain, _ = group_sum_kernel(spec, z, w)
+        assert abs(plain - got) > 1e-7 * abs(got)  # what the group sum gives
 
     def test_trivial_character_kernel(self):
         # invariant-function kernel: group average of the product kernel
@@ -269,9 +267,8 @@ class TestClosedForm:
 
 
 class TestLazyEll:
-    """ell_rho is built on the first read of KernelSpec.ellp: never by the
-    closed form for uniform characters, once for the split characters, the
-    ball and the series kernel."""
+    """ell_rho is built on the first read of KernelSpec.ellp: never by
+    quotient_kernel, once by the series kernel."""
 
     @pytest.fixture
     def ell_builds(self, monkeypatch):
@@ -306,9 +303,11 @@ class TestLazyEll:
         for spec in (split, ball):
             quotient_kernel(spec, z, w)
             quotient_kernel(spec, w, z)
+        assert ell_builds == []
+        SeriesKernel(split, 4)
+        SeriesKernel(split, 6)
+        SeriesKernel(ball, 4)
         assert ell_builds == ["rho1", "sgn"]
-        SeriesKernel(make_kernel_spec("polydisc", "G(1,1,2)", "sgn"), 4)
-        assert ell_builds == ["rho1", "sgn", "sgn"]
 
     def test_given_ell_is_kept(self, ell_builds):
         g = make_group("G(2,1,2)")
@@ -430,7 +429,7 @@ class TestTetrablock:
         assert eigs.min() >= -1e-9 * max(np.trace(gram).real, 1.0)
 
     def test_branch_locus_rejected(self):
-        with pytest.raises(SingularPointError):
+        with pytest.raises(DomainError, match="branch locus"):
             tetrablock_kernel((0.1, 0.1, 0.0), (0.1, 0.1, 0.2))
 
 
