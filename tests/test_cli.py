@@ -88,6 +88,38 @@ class TestKernelVerb:
     SPLIT_SPEC = '{"domain": "polydisc", "group": "G(4,4,2)", "character": "rho1"}'
     BALL_SPEC = '{"domain": "ball", "group": "Z(3)@1^2", "character": "sgn"}'
 
+    # kernel eval once fell back to a series kernel at zeros of ell; the
+    # closed form now evaluates those points itself
+    def test_eval_singular_point_falls_back_to_series(self, capsys):
+        points = '[{"z": [[0.0, 0.0], [0.0, 0.0]], "w": [[0.2, 0.0], [0.1, 0.0]]}]'
+        code, out, _ = run_cli(
+            capsys, "kernel", "eval", "--spec", self.SPLIT_SPEC, "--points", points
+        )
+        assert code == 0
+        rec = json.loads(out)["records"][0]
+        assert rec["method"] == "quotient"
+        assert abs(complex(*rec["value"]) - 1.0) < 1e-12
+
+    def test_series_fallback_built_once_per_call(self, capsys, monkeypatch):
+        from hardyq.kernels import SeriesKernel
+
+        builds = []
+
+        class Counting(SeriesKernel):
+            def __init__(self, spec, bound):
+                builds.append(bound)
+                super().__init__(spec, bound)
+
+        monkeypatch.setattr("hardyq.kernels.SeriesKernel", Counting)
+        # both z lie on ell_rho1's zero set z_1 = i z_2
+        points = ('[{"z": [[0.0, 0.0], [0.0, 0.0]], "w": [[0.2, 0.0], [0.1, 0.0]]},'
+                  ' {"z": [[0.0, 0.1], [0.1, 0.0]], "w": [[0.2, 0.0], [0.1, 0.0]]}]')
+        code, out, _ = run_cli(capsys, "kernel", "eval", "--spec", self.SPLIT_SPEC,
+                               "--points", points)
+        assert code == 0
+        assert [r["method"] for r in json.loads(out)["records"]] == ["quotient"] * 2
+        assert builds == []
+
     def test_sign_kernel_on_ell_zero_set_needs_no_series(self, capsys, monkeypatch):
         def no_series(spec, bound):
             raise AssertionError("series kernel built")
