@@ -27,12 +27,10 @@ from .invariants import (
     project,
 )
 from .laurent import (
-    HarmonicPoly,
     LaurentPoly,
     act,
     harmonic_extension,
     sphere_inner,
-    sphere_pair_integral,
     torus_inner,
     wirtinger_D,
 )
@@ -42,9 +40,9 @@ from .laurent import (
 # layers do not load numpy
 _MODULE_OF = {
     **dict.fromkeys(("KernelSpec", "base_kernel", "ellipsoid_constants", "make_kernel_spec",
-                     "pushforward_integral", "quotient_kernel", "reproducing_check",
+                     "quotient_kernel", "reproducing_check",
                      "series_kernel", "tetrablock_kernel"), "kernels"),
-    **dict.fromkeys(("SymbolPair", "ToeplitzWindow", "apply_toeplitz", "ball_toeplitz_entry",
+    **dict.fromkeys(("SymbolPair", "ToeplitzWindow", "apply_toeplitz",
                      "bh_check", "compactness_probe", "correspondence_check", "hol_project",
                      "product_compare", "semd2_check", "symbol_recover", "toeplitz_window"),
                     "toeplitz"),

@@ -238,6 +238,7 @@ def cmd_toeplitz(args) -> tuple[int, dict]:
 
 _SEEDED_SUITES = ("kernel-identity", "projections", "bh", "recovery",
                  "correspondence", "compactness")
+_PAIRED_SUITES = ("kernel-identity", "correspondence")
 
 
 def cmd_verify(args) -> tuple[int, dict]:
@@ -252,9 +253,9 @@ def cmd_verify(args) -> tuple[int, dict]:
                              f"seeded suites: {', '.join(_SEEDED_SUITES)}")
         kwargs["seed"] = args.seed
     if args.pairs is not None:
-        if args.suite != "kernel-identity":
+        if args.suite not in _PAIRED_SUITES:
             raise UsageError(f"--pairs does not apply to suite {args.suite!r}; "
-                             "only kernel-identity takes it")
+                             f"suites taking it: {', '.join(_PAIRED_SUITES)}")
         kwargs["pairs"] = args.pairs
     report = run_suite(args.suite, **kwargs)
     return (0 if report["ok"] else FAIL_EXIT), report
@@ -321,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="bundled verification suites")
     v.add_argument("suite", choices=sorted(SUITE_NAMES) + ["all"])
-    v.add_argument("--pairs", type=int, help="kernel-identity pairs (default: 100)")
+    v.add_argument("--pairs", type=int,
+                   help="point pairs for kernel-identity (default: 100), symbol "
+                        "pairs for correspondence (default: 10)")
     v.add_argument("--seed", type=int,
                    help="seed for randomized point and symbol sampling "
                         "(default: the suite's own)")

@@ -18,7 +18,6 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from .groups import Character, Group, Hyperplane, InputError, _perm_parity, make_character
 from .laurent import (
     Expo,
-    HarmonicPoly,
     LaurentPoly,
     _compose,
     canonical_exponent,
@@ -97,18 +96,15 @@ class BasicMap:
             got = self._powers[(k, e)] = comp ** e
         return got
 
-    def pull(self, f: LaurentPoly | HarmonicPoly) -> LaurentPoly:
-        """f o theta on the torus: an analytic LaurentPoly in t, or a
-        HarmonicPoly read as a polynomial in (t, conj t)."""
-        if f.dim != self.dim:
+    def pull(self, f: LaurentPoly) -> LaurentPoly:
+        """f o theta on the torus, for an analytic LaurentPoly f in t
+        (dimension n) or in (t, conj t) (dimension 2n, coordinate n + k
+        standing for conj(t_{k+1}), as in power())."""
+        if f.dim not in (self.dim, 2 * self.dim):
             raise ValueError("polynomial dimension does not match the basic map")
-        if isinstance(f, HarmonicPoly):
-            terms = {beta + gamma: c for (beta, gamma), c in f.terms.items()}
-        elif f.is_analytic():
-            terms = f.terms
-        else:
+        if not f.is_analytic():
             raise ValueError("substitution requires an analytic polynomial")
-        return _compose(self.dim, terms, self.power)
+        return _compose(self.dim, f.terms, self.power)
 
     def theta(self, a: Expo) -> LaurentPoly:
         """theta^a.  theta_n is a monomial, so only the product of the other

@@ -1,7 +1,8 @@
 """Szego kernels: closed forms on the polydisc, ball and the rank-2 type-III
 Cartan domain; quotient kernels in closed form; the tetrablock kernel;
-truncated series kernels in quotient coordinates; pushforward-measure
-integrals; and reproducing-property residuals.
+truncated series kernels in quotient coordinates; and reproducing-property
+residuals.  The pushforward-measure integral is QuotientRealization.moment
+(toeplitz).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .invariants import (
     lift,
     lowered,
 )
-from .laurent import HarmonicPoly, LaurentPoly
+from .laurent import LaurentPoly
 
 Point = tuple[complex, ...]
 
@@ -80,9 +81,8 @@ def check_point(domain: str, z: Point):
 class KernelSpec:
     """Base kernel (no group) or quotient kernel (group + character + map).
 
-    ell_rho is built on the first read of `ellp`: the series kernel, the
-    pushforward integral and the reproducing check read it, quotient_kernel
-    never does."""
+    ell_rho is built on the first read of `ellp`: the series kernel and the
+    reproducing check read it, quotient_kernel never does."""
 
     def __init__(self, domain: str, group: Group | None = None,
                  character: Character | None = None, bmap: BasicMap | None = None,
@@ -416,17 +416,7 @@ def series_kernel(spec: KernelSpec, x: Point, y: Point, bound: int) -> complex:
     return SeriesKernel(spec, bound).eval(x, y)
 
 
-# -- pushforward measure and reproducing property -----------------------------
-
-
-def pushforward_integral(spec: KernelSpec, f: HarmonicPoly) -> complex:
-    """Integral of a polynomial in quotient coordinates t, conj(t) against
-    the pushforward measure: substitute theta, multiply by |ell|^2 and take
-    the torus constant term.  Exact (polydisc quotients)."""
-    if not spec.is_quotient or spec.domain != "polydisc":
-        raise DomainError("pushforward integrals are defined for polydisc quotients")
-    weighted = spec.bmap.pull(f) * spec.ellp.poly * spec.ellp.poly.conj_torus()
-    return weighted.coeff((0,) * spec.group.n)
+# -- reproducing property -----------------------------------------------------
 
 
 def reproducing_check(spec: KernelSpec, f: LaurentPoly, w: Point, bound: int) -> float:

@@ -3,8 +3,9 @@ sphere inner products, and pluriharmonic extensions.
 
 A LaurentPoly is a dict from integer exponent vectors to complex
 coefficients.  Functions on the n-torus are Laurent polynomials; conjugation
-there sends z^a to z^{-a}.  A HarmonicPoly keeps z and conj(z) exponents
-separately and is the only place where the two coexist.
+there sends z^a to z^{-a}.  A function of z and conj(z) is a LaurentPoly
+in 2n variables with non-negative exponents, coordinate n + i standing for
+conj(z_i); BasicMap.power uses the same convention for conj(theta).
 
 Coefficients keep the type they are given: ints and Fractions stay exact,
 floats and complex doubles are rounded.  After every arithmetic operation,
@@ -307,18 +308,6 @@ def sphere_monomial_weight(a: Expo) -> Fraction:
     return Fraction(num, math.factorial(n - 1 + sum(a)))
 
 
-def sphere_pair_integral(a: Expo, b: Expo, n: int) -> float:
-    """Integral of z^a conj(z)^b over the unit sphere in C^n: zero off the
-    diagonal by rotation invariance, the exact monomial weight on it."""
-    if len(a) != n or len(b) != n:
-        raise ValueError("exponent length does not match dimension")
-    if any(x < 0 for x in a) or any(x < 0 for x in b):
-        raise ValueError("exponents must be componentwise non-negative")
-    if tuple(a) != tuple(b):
-        return 0.0
-    return float(sphere_monomial_weight(tuple(a)))
-
-
 def sphere_inner(f: LaurentPoly, g: LaurentPoly) -> complex:
     """L^2 pairing on the unit sphere for analytic polynomials."""
     if f.dim != g.dim:
@@ -338,168 +327,40 @@ def sphere_norm(f: LaurentPoly) -> float:
 
 # -- pluriharmonic side ------------------------------------------------------
 
-HTerm = tuple[Expo, Expo]  # (z exponents, conj(z) exponents), componentwise >= 0
+
+def conj_zbar(f: LaurentPoly) -> LaurentPoly:
+    """Complex conjugate of a (z, conj z) polynomial of dimension 2n: swap
+    the z and conj(z) halves and conjugate the coefficients."""
+    n = f.dim // 2
+    return LaurentPoly(f.dim, {e[n:] + e[:n]: c.conjugate() for e, c in f.terms.items()})
 
 
-class HarmonicPoly:
-    """Sum of c * z^beta * conj(z)^gamma with beta, gamma >= 0.
-
-    Outputs of harmonic_extension satisfy min(beta_i, gamma_i) = 0 termwise
-    (the extension of a torus function is unique in that form).  Products of
-    Wirtinger derivatives may carry genuinely mixed terms, so the class
-    itself does not force disjointness.
-    """
-
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, dim: int, terms: dict[HTerm, complex] | None = None):
-        self.dim = dim
-        self.terms = _clean(dict(terms) if terms else {})
-        for beta, gamma in self.terms:
-            if min(beta, default=0) < 0 or min(gamma, default=0) < 0:
-                raise ValueError("harmonic terms need non-negative exponent pairs")
-
-    @classmethod
-    def zero(cls, dim: int) -> "HarmonicPoly":
-        return cls(dim)
-
-    @classmethod
-    def constant(cls, dim: int, c: complex) -> "HarmonicPoly":
-        z = (0,) * dim
-        return cls(dim, {(z, z): complex(c)})
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
-
-    def __add__(self, other: "HarmonicPoly") -> "HarmonicPoly":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0j) + c
-        return HarmonicPoly(self.dim, out)
-
-    def __neg__(self):
-        return HarmonicPoly(self.dim, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, HarmonicPoly):
-            return HarmonicPoly(self.dim, {k: c * other for k, c in self.terms.items()})
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out: dict[HTerm, complex] = {}
-        for (b1, g1), c1 in self.terms.items():
-            for (b2, g2), c2 in other.terms.items():
-                key = (
-                    tuple(x + y for x, y in zip(b1, b2)),
-                    tuple(x + y for x, y in zip(g1, g2)),
-                )
-                out[key] = out.get(key, 0j) + c1 * c2
-        return HarmonicPoly(self.dim, out)
-
-    __rmul__ = __mul__
-
-    def dz(self, i: int) -> "HarmonicPoly":
-        out: dict[HTerm, complex] = {}
-        for (beta, gamma), c in self.terms.items():
-            if beta[i] == 0:
-                continue
-            nb = list(beta)
-            nb[i] -= 1
-            key = (tuple(nb), gamma)
-            out[key] = out.get(key, 0j) + c * beta[i]
-        return HarmonicPoly(self.dim, out)
-
-    def dzbar(self, i: int) -> "HarmonicPoly":
-        out: dict[HTerm, complex] = {}
-        for (beta, gamma), c in self.terms.items():
-            if gamma[i] == 0:
-                continue
-            ng = list(gamma)
-            ng[i] -= 1
-            key = (beta, tuple(ng))
-            out[key] = out.get(key, 0j) + c * gamma[i]
-        return HarmonicPoly(self.dim, out)
-
-    def reduce_coords_to_torus(self, coords: tuple[int, ...]) -> dict:
-        """Collapse conj exponents into signed exponents on given coordinates.
-
-        Returns a plain dict keyed by (signed-or-beta, gamma) pairs with the
-        reduced coordinates carrying gamma = 0; used for zero tests of mixed
-        identities that hold on disc-times-torus products.
-        """
-        out: dict[HTerm, complex] = {}
-        for (beta, gamma), c in self.terms.items():
-            nb, ng = list(beta), list(gamma)
-            for i in coords:
-                nb[i] = beta[i] - gamma[i]
-                ng[i] = 0
-            key = (tuple(nb), tuple(ng))
-            out[key] = out.get(key, 0j) + c
-        return _clean(out)
-
-    def eval(self, z: tuple[complex, ...]) -> complex:
-        total = 0j
-        for (beta, gamma) in sorted(self.terms):
-            c = self.terms[(beta, gamma)]
-            v = c
-            for zi, bi in zip(z, beta):
-                if bi:
-                    v *= zi ** bi
-            for zi, gi in zip(z, gamma):
-                if gi:
-                    v *= zi.conjugate() ** gi
-            total += v
-        return total
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "terms": [
-                {"c": [c.real, c.imag], "e": list(beta), "ebar": list(gamma)}
-                for (beta, gamma), c in sorted(self.terms.items())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HarmonicPoly":
-        terms = {
-            (tuple(t["e"]), tuple(t.get("ebar", [0] * data["dim"]))): complex(
-                t["c"][0], t["c"][1]
-            )
-            for t in data["terms"]
-        }
-        return cls(int(data["dim"]), terms)
-
-
-def harmonic_extension(f: LaurentPoly) -> HarmonicPoly:
+def harmonic_extension(f: LaurentPoly) -> LaurentPoly:
     """Pluriharmonic extension of a torus function, monomial by monomial:
-    z^a -> z^(a+) conj(z)^(a-) with a+ = max(a,0), a- = max(-a,0)."""
-    out: dict[HTerm, complex] = {}
-    for e, c in f.terms.items():
-        beta = tuple(max(x, 0) for x in e)
-        gamma = tuple(max(-x, 0) for x in e)
-        out[(beta, gamma)] = out.get((beta, gamma), 0j) + c
-    return HarmonicPoly(f.dim, out)
+    z^a -> z^(a+) conj(z)^(a-) with a+ = max(a,0), a- = max(-a,0), as a
+    (z, conj z) polynomial of dimension 2n.  The result has
+    min(a+_i, a-_i) = 0 termwise (the extension of a torus function is
+    unique in that form); products of Wirtinger derivatives may carry mixed
+    terms."""
+    return LaurentPoly(2 * f.dim, {
+        tuple(max(x, 0) for x in e) + tuple(max(-x, 0) for x in e): c
+        for e, c in f.terms.items()})
 
 
-def wirtinger_D(f: HarmonicPoly, g: HarmonicPoly, which: str) -> HarmonicPoly:
+def wirtinger_D(f: LaurentPoly, g: LaurentPoly, which: str) -> LaurentPoly:
     """The two-variable derivative products used by the bidisc
-    semi-commutator criterion:
+    semi-commutator criterion, on (z, conj z) polynomials of dimension 4:
 
         D1(f,g) = df/dz1 * dg/dzbar1,
         D2(f,g) = df/dz2 * dg/dzbar2,
         D12(f,g) = d^2 f/dz1 dz2 * d^2 g/dzbar1 dzbar2.
     """
-    if f.dim != 2 or g.dim != 2:
-        raise ValueError("wirtinger_D is defined for dimension 2")
+    if f.dim != 4 or g.dim != 4:
+        raise ValueError("wirtinger_D is defined for (z, conj z) polynomials on C^2")
     if which == "D1":
-        return f.dz(0) * g.dzbar(0)
+        return f.dz(0) * g.dz(2)
     if which == "D2":
-        return f.dz(1) * g.dzbar(1)
+        return f.dz(1) * g.dz(3)
     if which == "D12":
-        return f.dz(0).dz(1) * g.dzbar(0).dzbar(1)
+        return f.dz(0).dz(1) * g.dz(2).dz(3)
     raise ValueError(f"unknown derivative tag {which!r}")

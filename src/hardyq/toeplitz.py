@@ -1,8 +1,8 @@
-"""Exact Toeplitz computations on the quotient Hardy spaces of the polydisc
-(and sphere entries for the ellipsoid case), plus verifiers for the operator
-identities: shift relations, product and commuting correspondences across
-realizations, bidisc semi-commutator criteria, symbol recovery from
-stabilized windows, and the compactness probe.
+"""Exact Toeplitz computations on the quotient Hardy spaces of the polydisc,
+plus verifiers for the operator identities: shift relations, product and
+commuting correspondences across realizations, bidisc semi-commutator
+criteria, symbol recovery from stabilized windows, and the compactness
+probe.
 
 Everything here is a finite Laurent-polynomial pairing; no quadrature.
 """
@@ -31,15 +31,12 @@ from .invariants import (
 )
 from .laurent import (
     Expo,
-    HarmonicPoly,
-    HTerm,
     LaurentPoly,
     act,
     canonical_exponent,
+    conj_zbar,
     harmonic_extension,
     orbit_exponents,
-    sphere_monomial_weight,
-    sphere_pair_integral,
     torus_inner,
     wirtinger_D,
 )
@@ -80,7 +77,7 @@ class SymbolPair:
 
     group: Group
     pullback: LaurentPoly
-    _theta_form: HarmonicPoly | None = field(default=None, repr=False)
+    _theta_form: LaurentPoly | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.pullback.dim != self.group.n:
@@ -93,10 +90,10 @@ class SymbolPair:
     def radius(self) -> int:
         return self.pullback.degree_radius()
 
-    def theta_form(self, bmap: BasicMap) -> HarmonicPoly:
-        """u as a polynomial in t, conj(t): clear torus denominators with
-        theta_n (unimodular on the torus), rewrite the analytic invariant in
-        theta coordinates, then restore conj(t_n)^K."""
+    def theta_form(self, bmap: BasicMap) -> LaurentPoly:
+        """u as a polynomial in (t, conj t) of dimension 2n: clear torus
+        denominators with theta_n (unimodular on the torus), rewrite the
+        analytic invariant in theta coordinates, then restore conj(t_n)^K."""
         if self._theta_form is not None:
             return self._theta_form
         n = self.group.n
@@ -107,12 +104,8 @@ class SymbolPair:
         K = -(-worst // q)  # ceil
         cleared = self.pullback * bmap.power(n - 1, K)
         analytic_t = rewrite_in_theta(bmap, cleared)
-        terms: dict = {}
-        gbar = [0] * n
-        gbar[n - 1] = K
-        for e, c in analytic_t.terms.items():
-            terms[(e, tuple(gbar))] = c
-        self._theta_form = HarmonicPoly(n, terms)
+        gbar = (0,) * (n - 1) + (K,)
+        self._theta_form = LaurentPoly(2 * n, {e + gbar: c for e, c in analytic_t.terms.items()})
         return self._theta_form
 
 
@@ -498,18 +491,19 @@ class QuotientRealization:
     (torus integrals against |ell|^2), never through the lift unitary.
     Agreement with the ambient windows is the unitary-equivalence check.
 
-    The measure enters only through its moments
-    mu(beta, gamma) = CT(pull(t^beta conj(t)^gamma) |ell|^2), memoised; use
-    shared() to reuse them, and the lowered basis, across comparisons."""
+    Functions are (t, conj t) polynomials of dimension 2n.  The measure
+    enters only through its moments mu(e) = CT(pull(t^e) |ell|^2),
+    memoised: this is the package's one pushforward integral.  Use shared()
+    to reuse them, and the lowered basis, across comparisons."""
 
     def __init__(self, character: Character, bmap: BasicMap):
         self.character = character
         self.group = character.group
         self.bmap = bmap
         self.ellp = ell(character, bmap=bmap)
-        self._down: dict[Expo, HarmonicPoly] = {}
+        self._down: dict[Expo, LaurentPoly] = {}
         self._reps: dict[int, list[Expo]] = {}
-        self._moments: dict[HTerm, complex] = {}
+        self._moments: dict[Expo, complex] = {}
         self._weight = self.ellp.poly * self.ellp.poly.conj_torus()
 
     @classmethod
@@ -521,22 +515,22 @@ class QuotientRealization:
             got = bmap.quotients[character] = cls(character, bmap)
         return got
 
-    def basis_down(self, rep: Expo) -> HarmonicPoly:
+    def basis_down(self, rep: Expo) -> LaurentPoly:
         got = self._down.get(tuple(rep))
         if got is None:
+            n = self.group.n
             low = lowered(self.ellp, self.bmap, rep)
-            got = HarmonicPoly(
-                self.group.n, {(e, (0,) * self.group.n): c for e, c in low.terms.items()}
-            )
+            got = LaurentPoly(2 * n, {e + (0,) * n: c for e, c in low.terms.items()})
             self._down[tuple(rep)] = got
         return got
 
-    def moment(self, key: HTerm) -> complex:
-        """mu(beta, gamma): the constant term of pull(t^beta conj(t)^gamma)
-        times |ell|^2, without forming the product."""
+    def moment(self, key: Expo) -> complex:
+        """mu(key): the constant term of pull(t^key) times |ell|^2, without
+        forming the product (key of length 2n, the second half the conj(t)
+        exponents)."""
         got = self._moments.get(key)
         if got is None:
-            pulled = self.bmap.pull(HarmonicPoly(self.group.n, {key: 1.0}))
+            pulled = self.bmap.pull(LaurentPoly(2 * self.group.n, {key: 1.0}))
             weight = self._weight.terms
             got = 0j
             for e, c in pulled.terms.items():
@@ -546,36 +540,32 @@ class QuotientRealization:
             self._moments[key] = got
         return got
 
-    def inner(self, f: HarmonicPoly, g: HarmonicPoly) -> complex:
+    def inner(self, f: LaurentPoly, g: LaurentPoly) -> complex:
         """<f, g> in L^2 of the pushforward measure, scaled by 1/c^2 so the
-        lowered basis is orthonormal: sum of (f conj(g))_{beta gamma}
-        mu(beta, gamma)."""
-        gbar = HarmonicPoly(
-            g.dim, {(gam, beta): c.conjugate() for (beta, gam), c in g.terms.items()}
-        )
+        lowered basis is orthonormal: sum of (f conj(g))_e mu(e)."""
         total = 0j
-        for key, c in (f * gbar).terms.items():
+        for key, c in (f * conj_zbar(g)).terms.items():
             total += c * self.moment(key)
         return total / self.ellp.cnorm_sq
 
-    def project_hardy(self, f: HarmonicPoly, exp_bound: int) -> HarmonicPoly:
+    def project_hardy(self, f: LaurentPoly, exp_bound: int) -> LaurentPoly:
         """Orthogonal projection onto the span of the lowered basis up to the
         given ambient sup-norm bound (exact once the bound dominates f)."""
         reps = self._reps.get(exp_bound)
         if reps is None:
             reps = self._reps[exp_bound] = index_set(self.character, exp_bound).reps
-        out = HarmonicPoly.zero(self.group.n)
+        out = LaurentPoly.zero(2 * self.group.n)
         for rep in reps:
             e = self.basis_down(rep)
             c = self.inner(f, e)
-            if abs(c) > 1e-14:
+            if c:
                 out = out + c * e
         return out
 
-    def toeplitz_apply(self, u: HarmonicPoly, f: HarmonicPoly, exp_bound: int) -> HarmonicPoly:
+    def toeplitz_apply(self, u: LaurentPoly, f: LaurentPoly, exp_bound: int) -> LaurentPoly:
         return self.project_hardy(u * f, exp_bound)
 
-    def window_entry(self, u: HarmonicPoly, row: Expo, col: Expo) -> complex:
+    def window_entry(self, u: LaurentPoly, row: Expo, col: Expo) -> complex:
         return self.inner(u * self.basis_down(col), self.basis_down(row))
 
 
@@ -602,7 +592,7 @@ def _quotient_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
     vh = v.theta_form(bmap)
     reps = list(index_set(character, bound, holomorphic=True).reps)
 
-    def column(fa: HarmonicPoly) -> tuple[HarmonicPoly, HarmonicPoly]:
+    def column(fa: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
         if mode == "semi":
             mid = qr.toeplitz_apply(vh, fa, v.radius() + bound)
             return uh * mid, (uh * vh) * fa
@@ -610,7 +600,7 @@ def _quotient_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
         mid_u = qr.toeplitz_apply(uh, fa, u.radius() + bound)
         return uh * mid_v, vh * mid_u
 
-    def pair(cols: tuple[HarmonicPoly, HarmonicPoly], eb: HarmonicPoly) -> complex:
+    def pair(cols: tuple[LaurentPoly, LaurentPoly], eb: LaurentPoly) -> complex:
         return qr.inner(cols[0], eb) - qr.inner(cols[1], eb)
 
     res = _fill([qr.basis_down(r) for r in reps], column, pair)
@@ -707,9 +697,15 @@ def semd2_check(u: SymbolPair, v: SymbolPair, character: Character,
     vh = harmonic_extension(v.pullback)
     tol = RESIDUAL_TOL * _verdict_scale([u, v])
 
-    def reduced_zero(p: HarmonicPoly, coords: tuple[int, ...]) -> bool:
-        return all(abs(c) <= tol for c in p.reduce_coords_to_torus(coords).values()) \
-            if coords else p.is_zero(tol=tol)
+    def reduced_zero(p: LaurentPoly, coords: tuple[int, ...]) -> bool:
+        """p is zero with conj(z_i) folded into z_i^-1 for i in coords."""
+        folded: dict[Expo, complex] = {}
+        for e, c in p.terms.items():
+            f = list(e)
+            for i in coords:
+                f[i], f[group.n + i] = e[i] - e[group.n + i], 0
+            folded[tuple(f)] = folded.get(tuple(f), 0) + c
+        return LaurentPoly(p.dim, folded).is_zero(tol=tol)
 
     d1 = wirtinger_D(uh, vh, "D1")
     d2 = wirtinger_D(uh, vh, "D2")
@@ -888,26 +884,6 @@ def window_entry_fn(symbol: SymbolPair, character: Character):
         return torus_inner(symbol.pullback * basis(col), basis(row))
 
     return fn
-
-
-# -- ball entries ---------------------------------------------------------------
-
-
-def ball_toeplitz_entry(u: HarmonicPoly, p: Expo, m: Expo, n: int) -> complex:
-    """<u k_p z^p, k_m z^m> over the sphere: exact monomial integrals scaled
-    by the orthonormal-basis constants."""
-    p, m = tuple(p), tuple(m)
-    if len(p) != n or len(m) != n or min(p) < 0 or min(m) < 0:
-        raise ValueError("indices must be non-negative exponent vectors of length n")
-    kp = 1.0 / math.sqrt(float(sphere_monomial_weight(p)))
-    km = 1.0 / math.sqrt(float(sphere_monomial_weight(m)))
-    total = 0j
-    for (beta, gamma) in sorted(u.terms):
-        c = u.terms[(beta, gamma)]
-        a = tuple(x + y for x, y in zip(beta, p))
-        b = tuple(x + y for x, y in zip(gamma, m))
-        total += c * sphere_pair_integral(a, b, n)
-    return kp * km * total
 
 
 # -- compactness probe -----------------------------------------------------------

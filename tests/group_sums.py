@@ -5,9 +5,9 @@ generator-set invariance test, the pushforward moment table, the sparse
 series table, the closed-form reflecting hyperplanes, the shift-table
 Brown-Halmos check and compactness probe, and the series-table
 reproducing check are tested against; the float hyperplane product that
-the closed-form relative invariants are tested against; and the
-per-element and per-term helpers they and the tests use (the point
-tables among them).
+the closed-form relative invariants are tested against; the base-ball
+Toeplitz entry and its sphere pair integral; and the per-element and
+per-term helpers they and the tests use (the point tables among them).
 Test oracles only; nothing in the package calls them."""
 
 import functools
@@ -19,7 +19,8 @@ import numpy as np
 
 from hardyq.groups import GroupElement, _perm_parity, root_of_unity
 from hardyq.kernels import KernelSpec, base_kernel
-from hardyq.laurent import Expo, HarmonicPoly, LaurentPoly, act, sphere_inner, torus_inner
+from hardyq.laurent import (Expo, LaurentPoly, act, sphere_inner, sphere_monomial_weight,
+                            torus_inner)
 
 
 def apply_point(g: GroupElement, z) -> tuple[complex, ...]:
@@ -43,18 +44,22 @@ def value_inv(char, g: GroupElement) -> complex:
     return root_of_unity(-char.turn(g))
 
 
-def is_disjoint(h: HarmonicPoly) -> bool:
-    """True when every stored term has min(beta_i, gamma_i) = 0."""
-    return all(all(min(b, g) == 0 for b, g in zip(beta, gamma)) for beta, gamma in h.terms)
+def is_disjoint(h: LaurentPoly) -> bool:
+    """True when every stored term of a (z, conj z) polynomial of dimension
+    2n has min(e_i, e_{n+i}) = 0."""
+    n = h.dim // 2
+    return all(all(min(e[i], e[n + i]) == 0 for i in range(n)) for e in h.terms)
 
 
-def torus_restriction(h: HarmonicPoly) -> LaurentPoly:
-    """Substitute conj(z) = z^{-1} in every coordinate."""
+def torus_restriction(h: LaurentPoly) -> LaurentPoly:
+    """Substitute conj(z) = z^{-1} in every coordinate of a (z, conj z)
+    polynomial of dimension 2n."""
+    n = h.dim // 2
     out: dict[Expo, complex] = {}
-    for (beta, gamma), c in h.terms.items():
-        e = tuple(b - g for b, g in zip(beta, gamma))
-        out[e] = out.get(e, 0j) + c
-    return LaurentPoly(h.dim, out)
+    for e, c in h.terms.items():
+        f = tuple(e[i] - e[n + i] for i in range(n))
+        out[f] = out.get(f, 0j) + c
+    return LaurentPoly(n, out)
 from hardyq.invariants import (GammaBasis, NotInIsotypicError, hyperplane_form, index_set, lift,
                                lower, project)
 from hardyq.toeplitz import RESIDUAL_TOL, BHReport, CompactnessReport
@@ -257,20 +262,20 @@ def group_sum_kernel(spec: KernelSpec, z, w) -> tuple[complex, float]:
     return scale * total / (ell_z * ell_w.conjugate()), scale * mass / abs(ell_z * ell_w)
 
 
-def pushforward_inner(qr, f: HarmonicPoly, g: HarmonicPoly) -> tuple[complex, float, int]:
-    """<f, g> of the pushforward measure with the whole product pulled back
-    through theta on every call: CT(pull(f conj(g)) |ell|^2) / c^2.  Also
-    returns the magnitude sum_{(beta, gamma)} |h_{beta gamma}| sum_a
-    |P[a]| |W[-a]| / c^2 of h = f conj(g), P = pull(t^beta conj(t)^gamma)
+def pushforward_inner(qr, f: LaurentPoly, g: LaurentPoly) -> tuple[complex, float, int]:
+    """<f, g> of the pushforward measure for (t, conj t) polynomials of
+    dimension 2n, with the whole product pulled back through theta on every
+    call: CT(pull(f conj(g)) |ell|^2) / c^2.  Also returns the magnitude
+    sum_e |h_e| sum_a |P[a]| |W[-a]| / c^2 of h = f conj(g), P = pull(t^e)
     and W = |ell|^2, and the largest term count of such a P."""
-    n = f.dim
-    gbar = HarmonicPoly(n, {(gam, beta): c.conjugate() for (beta, gam), c in g.terms.items()})
+    n = f.dim // 2
+    gbar = LaurentPoly(2 * n, {e[n:] + e[:n]: c.conjugate() for e, c in g.terms.items()})
     h = f * gbar
     weight = qr.ellp.poly * qr.ellp.poly.conj_torus()
     integrand = qr.bmap.pull(h) * weight
     mass, widest = 0.0, 0
     for key, c in h.terms.items():
-        pulled = qr.bmap.pull(HarmonicPoly(n, {key: 1.0}))
+        pulled = qr.bmap.pull(LaurentPoly(2 * n, {key: 1.0}))
         widest = max(widest, len(pulled.terms))
         mass += abs(c) * sum(abs(p) * abs(weight.coeff(tuple(-x for x in a)))
                              for a, p in pulled.terms.items())
@@ -429,3 +434,32 @@ def hyperplane_product(char) -> LaurentPoly:
         if c:
             poly = poly * (hyperplane_form(group, plane) ** c)
     return poly
+
+
+def sphere_pair_integral(a: Expo, b: Expo, n: int) -> float:
+    """Integral of z^a conj(z)^b over the unit sphere in C^n: zero off the
+    diagonal by rotation invariance, the exact monomial weight on it."""
+    if len(a) != n or len(b) != n:
+        raise ValueError("exponent length does not match dimension")
+    if any(x < 0 for x in a) or any(x < 0 for x in b):
+        raise ValueError("exponents must be componentwise non-negative")
+    if tuple(a) != tuple(b):
+        return 0.0
+    return float(sphere_monomial_weight(tuple(a)))
+
+
+def ball_toeplitz_entry(u: LaurentPoly, p: Expo, m: Expo, n: int) -> complex:
+    """<u k_p z^p, k_m z^m> over the sphere for a (z, conj z) polynomial u
+    of dimension 2n: exact monomial integrals scaled by the
+    orthonormal-basis constants."""
+    p, m = tuple(p), tuple(m)
+    if len(p) != n or len(m) != n or min(p) < 0 or min(m) < 0:
+        raise ValueError("indices must be non-negative exponent vectors of length n")
+    kp = 1.0 / math.sqrt(float(sphere_monomial_weight(p)))
+    km = 1.0 / math.sqrt(float(sphere_monomial_weight(m)))
+    total = 0j
+    for e in sorted(u.terms):
+        a = tuple(x + y for x, y in zip(e[:n], p))
+        b = tuple(x + y for x, y in zip(e[n:], m))
+        total += u.terms[e] * sphere_pair_integral(a, b, n)
+    return kp * km * total

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -420,6 +421,17 @@ print(json.dumps(out))
 
     def test_suite_names_match_the_suites(self):
         assert cli.SUITE_NAMES == tuple(suites.ALL_SUITES)
+
+    def test_seed_and_pairs_lists_match_the_suites(self, capsys, monkeypatch):
+        # --seed and --pairs are accepted exactly where the suite function
+        # takes that parameter
+        takes = {name: inspect.signature(fn).parameters
+                 for name, fn in suites.ALL_SUITES.items()}
+        assert cli._SEEDED_SUITES == tuple(n for n, p in takes.items() if "seed" in p)
+        monkeypatch.setattr("hardyq.suites.run_suite", lambda name, **kwargs: {"ok": True})
+        for name, params in takes.items():
+            code = run_cli(capsys, "verify", name, "--pairs", "1")[0]
+            assert code == (0 if "pairs" in params else 2), name
 
     def test_input_errors_share_one_base(self):
         for exc in (groups.GroupSpecError, groups.CharacterError, kernels.DomainError,

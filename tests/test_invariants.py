@@ -28,7 +28,6 @@ from hardyq.invariants import (
 )
 from hardyq.laurent import (
     CLEANUP_REL,
-    HarmonicPoly,
     LaurentPoly,
     act,
     sphere_inner,
@@ -87,15 +86,16 @@ PULL_MAPS = {
 
 @st.composite
 def pull_cases(draw):
-    """A basic map, an analytic LaurentPoly or a HarmonicPoly in its
-    quotient coordinates, and a point on the torus."""
+    """A basic map, an analytic LaurentPoly in its quotient coordinates t
+    or in (t, conj t) (dimension 2n), and a point on the torus."""
     bm = PULL_MAPS[draw(st.sampled_from(sorted(PULL_MAPS)))]
     n = bm.dim
-    expo = st.tuples(*[st.integers(0, 3)] * n)
     coeff = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
     if draw(st.booleans()):
-        f = HarmonicPoly(n, draw(st.dictionaries(st.tuples(expo, expo), coeff, max_size=4)))
+        expo = st.tuples(*[st.integers(0, 3)] * (2 * n))
+        f = LaurentPoly(2 * n, draw(st.dictionaries(expo, coeff, max_size=4)))
     else:
+        expo = st.tuples(*[st.integers(0, 3)] * n)
         f = LaurentPoly(n, draw(st.dictionaries(expo, coeff, max_size=5)))
     angles = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n))
     return bm, f, tuple(complex(math.cos(a), math.sin(a)) for a in angles)
@@ -104,7 +104,7 @@ def pull_cases(draw):
 # a subnormal coefficient: both sides round absolutely, not relatively
 SUBNORMAL_PULL_CASE = (
     PULL_MAPS["G(1,1,2)"],
-    HarmonicPoly(2, {((1, 0), (1, 0)): 5e-324j}),
+    LaurentPoly(4, {(1, 0, 1, 0): 5e-324j}),
     (complex(math.cos(1.0), math.sin(1.0)),) * 2,
 )
 
@@ -114,12 +114,14 @@ class TestPull:
     @example(SUBNORMAL_PULL_CASE)
     @settings(max_examples=80, deadline=None)
     def test_matches_pointwise_composition(self, case):
-        """Oracle: f evaluated at theta(z) (HarmonicPoly.eval conjugates the
-        second half), with theta(z) from the components' own eval."""
+        """Oracle: f evaluated at (theta(z), conj theta(z)) (a polynomial in
+        t alone reads the first half), with theta(z) from the components'
+        own eval."""
         bm, f, z = case
         pulled = bm.pull(f)
         got = pulled.eval(z)
-        want = f.eval(bm.eval(z))
+        t = bm.eval(z)
+        want = f.eval(t + tuple(x.conjugate() for x in t))
         # On the torus |theta_k(z)| <= ||theta_k||_1, so every partial sum on
         # either side is bounded by B.  Each multiply/add stage of the
         # composition and each evaluated term perturbs by at most a few
@@ -135,8 +137,6 @@ class TestPull:
         n = bm.dim
         l1 = [sum(abs(c) for c in comp.terms.values()) for comp in bm.components]
         terms = f.terms
-        if isinstance(f, HarmonicPoly):
-            terms = {beta + gamma: c for (beta, gamma), c in f.terms.items()}
         lengths = [math.prod(l1[k % n] ** e for k, e in enumerate(ex)) for ex in terms]
         B = sum(abs(c) * length for c, length in zip(terms.values(), lengths))
         tiny = 2.0 ** -1072 * n * max(lengths, default=1.0)
@@ -152,6 +152,12 @@ class TestPull:
     def test_rejects_non_analytic(self, bm112):
         with pytest.raises(ValueError):
             bm112.pull(P(2, {(-1, 0): 1}))
+        # in (t, conj t) form the conj(t) exponents must be non-negative too,
+        # and only dimensions n and 2n are polynomials in quotient coordinates
+        with pytest.raises(ValueError, match="analytic"):
+            bm112.pull(P(4, {(1, 0, -1, 0): 1}))
+        with pytest.raises(ValueError, match="dimension"):
+            bm112.pull(P(3, {(1, 0, 0): 1}))
 
 
 class TestJacobian:
@@ -502,19 +508,16 @@ class TestLiftLower:
             F, Gp = lift(ep, bm, f), lift(ep, bm, gpoly)
             back = lower(ep, bm, F)
             assert back.approx_eq(f, tol=1e-9)
-            # unitarity transported through the pushforward pairing
-            from hardyq.kernels import KernelSpec
-            from hardyq.laurent import HarmonicPoly
+            # unitarity transported through the pushforward pairing: the
+            # moments of f(t) conj(g(t)), a (t, conj t) polynomial
+            from hardyq.toeplitz import QuotientRealization
 
-            spec = KernelSpec("polydisc", g, ch, bmap=bm, ellp=ep)
-            fg = HarmonicPoly(g.n, {
-                (ef, eg): cf * cg.conjugate()
+            qr = QuotientRealization.shared(ch, bm)
+            quotient_side = sum(
+                cf * cg.conjugate() * qr.moment(ef + eg)
                 for ef, cf in f.terms.items()
                 for eg, cg in gpoly.terms.items()
-            })
-            from hardyq.kernels import pushforward_integral
-
-            quotient_side = pushforward_integral(spec, fg) / ep.cnorm**2
+            ) / ep.cnorm**2
             assert abs(torus_inner(F, Gp) - quotient_side) < 1e-9
 
     def test_lower_rejects_outside_component(self, sgn112, bm112):

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from group_sums import apply_point, elements, is_disjoint, torus_restriction
+from group_sums import (apply_point, elements, is_disjoint, sphere_pair_integral,
+                        torus_restriction)
 from hardyq.groups import GroupElement, make_group
 from hardyq.invariants import basic_map
 from hardyq.laurent import (
-    HarmonicPoly,
     LaurentPoly,
     act,
+    conj_zbar,
     harmonic_extension,
     sphere_inner,
     sphere_monomial_weight,
-    sphere_pair_integral,
     torus_inner,
     wirtinger_D,
 )
@@ -250,12 +250,12 @@ class TestHarmonicExtension:
     def test_mixed_monomial(self):
         f = P(2, {(-1, 1): 1})
         h = harmonic_extension(f)
-        assert h.terms == {((0, 1), (1, 0)): 1}
+        assert h.terms == {(0, 1, 1, 0): 1}
 
     def test_real_part_pair(self):
         f = P(1, {(1,): 1, (-1,): 1})
         h = harmonic_extension(f)
-        assert h.terms == {((1,), (0,)): 1, ((0,), (1,)): 1}
+        assert h.terms == {(1, 0): 1, (0, 1): 1}
 
     def test_extension_is_disjoint_and_restricts_back(self):
         f = P(2, {(2, -3): 1j, (0, 1): 2, (-1, -1): -0.5})
@@ -267,6 +267,16 @@ class TestHarmonicExtension:
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_property(self, f):
         assert torus_restriction(harmonic_extension(f)).same_terms(f)
+
+    def test_conj_swaps_halves(self):
+        h = LaurentPoly(4, {(1, 0, 0, 2): 1j, (0, 0, 0, 0): 3})
+        assert conj_zbar(h).terms == {(0, 2, 1, 0): -1j, (0, 0, 0, 0): 3}
+
+    @given(laurent_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_conj_restricts_to_torus_conjugate(self, f):
+        got = torus_restriction(conj_zbar(harmonic_extension(f)))
+        assert got.same_terms(f.conj_torus())
 
     def test_products_can_leave_disjoint_form(self):
         # the pluriharmonic extension of a product is not the product of
@@ -285,7 +295,7 @@ class TestHarmonicExtension:
         reduced = th1.conj_torus() * th2
         ext = harmonic_extension(reduced)
         assert is_disjoint(ext)
-        assert ext.terms == {((1, 0), (0, 0)): 1, ((0, 1), (0, 0)): 1}
+        assert ext.terms == {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}
         naive = harmonic_extension(th1.conj_torus()) * harmonic_extension(th2)
         assert not is_disjoint(naive)
         assert torus_restriction(naive).same_terms(reduced)
@@ -293,26 +303,26 @@ class TestHarmonicExtension:
 
 class TestWirtinger:
     def test_basic_pair(self):
-        f = HarmonicPoly(2, {((1, 0), (0, 0)): 1})
-        g = HarmonicPoly(2, {((0, 0), (1, 0)): 1})
-        assert wirtinger_D(f, g, "D1").terms == {((0, 0), (0, 0)): 1}
+        f = LaurentPoly(4, {(1, 0, 0, 0): 1})
+        g = LaurentPoly(4, {(0, 0, 1, 0): 1})
+        assert wirtinger_D(f, g, "D1").terms == {(0, 0, 0, 0): 1}
 
     def test_no_z_dependence_kills_product(self):
-        f = HarmonicPoly(2, {((0, 0), (1, 1)): 1})
-        g = HarmonicPoly(2, {((1, 1), (1, 1)): 1})
+        f = LaurentPoly(4, {(0, 0, 1, 1): 1})
+        g = LaurentPoly(4, {(1, 1, 1, 1): 1})
         assert wirtinger_D(f, g, "D1").is_zero()
 
     def test_full_real_symbol(self):
         f = harmonic_extension(P(2, {(1, 0): 1, (0, 1): 1, (-1, 0): 1, (0, -1): 1}))
         out = wirtinger_D(f, f, "D1")
-        assert out.terms == {((0, 0), (0, 0)): 1}
+        assert out.terms == {(0, 0, 0, 0): 1}
 
     def test_d12_second_derivatives(self):
-        f = HarmonicPoly(2, {((1, 1), (0, 0)): 1})
-        g = HarmonicPoly(2, {((0, 0), (1, 1)): 1})
-        assert wirtinger_D(f, g, "D12").terms == {((0, 0), (0, 0)): 1}
+        f = LaurentPoly(4, {(1, 1, 0, 0): 1})
+        g = LaurentPoly(4, {(0, 0, 1, 1): 1})
+        assert wirtinger_D(f, g, "D12").terms == {(0, 0, 0, 0): 1}
 
     def test_dimension_guard(self):
-        f = HarmonicPoly(3, {((1, 0, 0), (0, 0, 0)): 1})
+        f = LaurentPoly(6, {(1, 0, 0, 0, 0, 0): 1})
         with pytest.raises(ValueError):
             wirtinger_D(f, f, "D1")

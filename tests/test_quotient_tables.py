@@ -45,7 +45,7 @@ from group_sums import pushforward_inner, series_sum
 from hardyq.groups import make_character, make_group
 from hardyq.invariants import BasicMap, basic_map
 from hardyq.kernels import KernelSpec, SeriesKernel
-from hardyq.laurent import HarmonicPoly
+from hardyq.laurent import LaurentPoly, conj_zbar
 from hardyq.suites import random_invariant_symbol
 from hardyq.toeplitz import QuotientRealization, correspondence_check
 
@@ -86,11 +86,11 @@ def coefficient():
 
 @st.composite
 def harmonic(draw, n):
+    """A (t, conj t) polynomial: dimension 2n, non-negative exponents."""
     top = TOP[n]
-    expo = st.tuples(*[st.integers(0, top)] * n)
-    terms = draw(st.dictionaries(st.tuples(expo, expo), coefficient(),
-                                 min_size=1, max_size=3))
-    return HarmonicPoly(n, terms)
+    expo = st.tuples(*[st.integers(0, top)] * (2 * n))
+    terms = draw(st.dictionaries(expo, coefficient(), min_size=1, max_size=3))
+    return LaurentPoly(2 * n, terms)
 
 
 @st.composite
@@ -107,8 +107,7 @@ def test_inner_matches_pull_per_entry(spec, chname, data):
     n = qr.group.n
     f, g = data.draw(harmonic(n)), data.draw(harmonic(n))
     want, mass, widest = pushforward_inner(qr, f, g)
-    h_terms = len((f * HarmonicPoly(n, {(c, b): v.conjugate()
-                                        for (b, c), v in g.terms.items()})).terms)
+    h_terms = len((f * conj_zbar(g)).terms)
     weight_terms = len((qr.ellp.poly * qr.ellp.poly.conj_torus()).terms)
     k = 2 * n * (widest + 1) + h_terms + weight_terms + 4
     got = qr.inner(f, g)

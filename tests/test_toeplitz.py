@@ -7,7 +7,8 @@ import pytest
 
 from hardyq.groups import builtin_characters, make_character, make_group
 from hardyq.invariants import basic_map, ell, index_set, lower, project
-from hardyq.laurent import HarmonicPoly, LaurentPoly, act, torus_inner
+from group_sums import ball_toeplitz_entry
+from hardyq.laurent import LaurentPoly, act, torus_inner
 from hardyq.suites import random_invariant_symbol
 from hardyq.toeplitz import (
     RESIDUAL_TOL,
@@ -19,7 +20,6 @@ from hardyq.toeplitz import (
     ToeplitzWindow,
     WindowMarginError,
     apply_toeplitz,
-    ball_toeplitz_entry,
     bh_check,
     compactness_probe,
     correspondence_check,
@@ -390,6 +390,19 @@ class TestCorrespondence:
             diff = np.max(np.abs(iso.residuals - mono.residuals), initial=0.0)
             assert diff <= RESIDUAL_TOL * scale, (ch.name, diff)
 
+    def test_quotient_route_scales_with_a_tiny_symbol(self, ctx):
+        # every projection coefficient of 1e-15 (theta1 + conj theta1) is
+        # below 1e-14, so no absolute cut may drop it: the quotient residual
+        # must match the isotypic one to rounding
+        g, sgn, triv, bm = ctx
+        th1 = bm.components[0]
+        u = SymbolPair(g, (th1 + th1.conj_torus()) * 1e-15)
+        rep = correspondence_check(u, u, [sgn], 4)
+        iso = rep.residuals[("sgn", "isotypic")]
+        quo = rep.residuals[("sgn", "quotient")]
+        assert iso > 0
+        assert abs(quo - iso) <= 1e-12 * iso, (quo, iso)
+
     def test_unitary_equivalence_entrywise(self, ctx):
         # quotient-side pushforward entries equal the ambient window entries
         g, sgn, triv, bm = ctx
@@ -542,15 +555,15 @@ class TestRecovery:
 
 class TestBallEntries:
     def test_unit_symbol(self):
-        one = HarmonicPoly.constant(2, 1.0)
+        one = LaurentPoly.constant(4, 1.0)
         assert abs(ball_toeplitz_entry(one, (1, 0), (1, 0), 2) - 1) < 1e-12
 
     def test_modulus_squared(self):
-        u = HarmonicPoly(2, {((1, 0), (1, 0)): 1.0})
+        u = LaurentPoly(4, {(1, 0, 1, 0): 1.0})
         assert abs(ball_toeplitz_entry(u, (0, 0), (0, 0), 2) - 0.5) < 1e-12
 
     def test_linear_symbol_cross_entry(self):
-        u = HarmonicPoly(2, {((1, 0), (0, 0)): 1.0})
+        u = LaurentPoly(4, {(1, 0, 0, 0): 1.0})
         got = ball_toeplitz_entry(u, (0, 0), (1, 0), 2)
         assert abs(got - math.sqrt(2) / 2) < 1e-12
 
@@ -567,13 +580,13 @@ class TestBallEntries:
                     W[i, j] = ball_toeplitz_entry(u, p, m, n)
             return W
 
-        za = HarmonicPoly(2, {((1, 0), (0, 0)): 1.0, ((0, 2), (0, 0)): 0.5})
-        zb = HarmonicPoly(2, {((1, 1), (0, 0)): 1.0})
-        bara = HarmonicPoly(2, {((0, 0), (1, 0)): 1.0})
-        barb = HarmonicPoly(2, {((0, 0), (0, 1)): 2.0, ((0, 0), (1, 1)): -1.0})
-        const = HarmonicPoly.constant(2, 2.5)
-        mixed = HarmonicPoly(2, {((1, 0), (0, 0)): 1.0, ((0, 0), (0, 1)): 1.0})
-        affine = mixed * 3.0 + HarmonicPoly.constant(2, 1.0)
+        za = LaurentPoly(4, {(1, 0, 0, 0): 1.0, (0, 2, 0, 0): 0.5})
+        zb = LaurentPoly(4, {(1, 1, 0, 0): 1.0})
+        bara = LaurentPoly(4, {(0, 0, 1, 0): 1.0})
+        barb = LaurentPoly(4, {(0, 0, 0, 1): 2.0, (0, 0, 1, 1): -1.0})
+        const = LaurentPoly.constant(4, 2.5)
+        mixed = LaurentPoly(4, {(1, 0, 0, 0): 1.0, (0, 0, 0, 1): 1.0})
+        affine = mixed * 3.0 + LaurentPoly.constant(4, 1.0)
 
         pairs = [(za, zb), (bara, barb), (mixed, const), (mixed, affine)]
         for u, v in pairs:
@@ -586,7 +599,7 @@ class TestBallEntries:
 
     def test_rejects_negative_indices(self):
         with pytest.raises(ValueError):
-            ball_toeplitz_entry(HarmonicPoly.constant(2, 1.0), (-1, 0), (0, 0), 2)
+            ball_toeplitz_entry(LaurentPoly.constant(4, 1.0), (-1, 0), (0, 0), 2)
 
 
 class TestCompactness:
