@@ -362,7 +362,7 @@ def check_recovery(seed: int = 31, count: int = 10, tol: float = 1e-9) -> dict:
     return {"ok": ok, "violator_rejected": rejected, "cases": cases}
 
 
-def check_correspondence(seed: int = 47, pairs: int = 10, bound: int = 4) -> dict:
+def check_correspondence(seed: int = 47, bound: int = 4) -> dict:
     rng = random.Random(seed)
     g = make_group("G(1,1,2)")
     chars = [make_character(g, "trivial"), make_character(g, "sgn")]
@@ -385,7 +385,7 @@ def check_correspondence(seed: int = 47, pairs: int = 10, bound: int = 4) -> dic
     mixed = SymbolPair(g, th1 + th1.conj_torus())
     run(mixed, mixed, "mixed*mixed")
     kinds = ["generic", "analytic_v", "coanalytic_u"]
-    for k in range(pairs):
+    for k in range(10):  # ten seeded pairs, cycling through the kinds
         kind = kinds[k % len(kinds)]
         if kind == "generic":
             u = random_invariant_symbol(g, rng, radius=1, terms=3)

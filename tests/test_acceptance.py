@@ -73,7 +73,7 @@ def test_criterion_09_symbol_recovery():
 
 
 def test_criterion_10_correspondence():
-    rep = suites.check_correspondence(seed=47, pairs=10, bound=4)
+    rep = suites.check_correspondence(seed=47, bound=4)
     assert _report(10, "product correspondence across realizations", rep)
 
 
