@@ -67,7 +67,9 @@ class BasicMap:
     of each character (toeplitz), so its moment table lives as long as the
     map.  `shift_tables` keeps the shift-relation table of each (character,
     window reps) (toeplitz), so its shift maps and theta expansions serve
-    every later symbol.
+    every later symbol.  The ambient windows' integer tables are not kept
+    here: they need no theta, so toeplitz.WindowTable keeps them in
+    Group.derived, one per (character value, bound).
     """
 
     group: Group
@@ -373,7 +375,8 @@ class GammaBasis:
     by 1/sphere_norm on the ball.  A rep that is not canonical (on
     G(m,p,n): not weakly increasing) or whose projection vanishes raises
     KeyError.  Elements are memoised with factor(); use shared() to reuse
-    them."""
+    them.  The shared polydisc basis supplies the factors of every
+    toeplitz.WindowTable, so ambient windows agree with it exactly."""
 
     def __init__(self, character: Character, domain: str = "polydisc"):
         if domain == "polydisc":

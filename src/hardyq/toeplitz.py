@@ -21,6 +21,7 @@ from .invariants import (
     BasicMap,
     GammaBasis,
     NotInIsotypicError,
+    _signed_orbit,
     basic_map,
     ell,
     index_set,
@@ -135,8 +136,10 @@ def apply_toeplitz(symbol: SymbolPair, character: Character | None,
 
 def _fill(items: list, column, pair) -> np.ndarray:
     """out[i, j] = pair(column(items[j]), items[i]), with column evaluated
-    once per item.  The only square-window loop: each window in this module
-    passes its own items (indices or basis vectors), column map and pairing."""
+    once per item.  The square-window loop of the comparison routes and of
+    the recovery's base and stabilized windows: each passes its own items
+    (indices or basis vectors), column map and pairing.  Ambient symbol
+    windows read WindowTable instead."""
     out = np.zeros((len(items), len(items)), dtype=complex)
     for j, a in enumerate(items):
         col = column(a)
@@ -185,21 +188,103 @@ class ToeplitzWindow:
         }
 
 
+class WindowTable:
+    """Exact integer tables for the ambient windows of one (character value,
+    bound).  gamma_r = F_r P~z^r with P~ = |S| P_chi (`_signed_orbit`, integer
+    weights) and F_r = GammaBasis.factor(r), and gamma_i is analytic and
+    isotypic, so the Hardy projection is absorbed and
+
+        <T_u gamma_j, gamma_i> = F_i F_j sum_e c_e W_e[i, j],
+        W_e[i, j] = <z^e P~z^{r_j}, P~z^{r_i}>,
+
+    an integer.  The table holds the window reps, each rep's signed orbit,
+    the owner map b -> (row, weight) (the reps' orbits are disjoint) and, on
+    first use of each symbol exponent e, W_e as sorted flat indices i k + j
+    with int64 weights: at most k |S| nonzeros for k reps.  One table per
+    exponent, not per orbit, so a symbol whose coefficients differ within an
+    orbit (SymbolPair accepts invariance to 1e-9) is still paired exactly.
+    A permutation sigma in S scales every signed-orbit weight at sigma b by
+    the same chi(sigma) = +-1, so W_{sigma e} = W_e: one build serves e's
+    whole orbit.  shared() keeps one table per (character value, bound) in
+    Group.derived."""
+
+    def __init__(self, character: Character, bound: int):
+        self.group = character.group
+        self.reps = list(index_set(character, bound, holomorphic=True).reps)
+        basis = GammaBasis.shared(character)
+        factor = np.array([basis.factor(r) for r in self.reps], dtype=float)
+        self.factors = np.outer(factor, factor).ravel()
+        self.orbits = [{b: w for b, w in _signed_orbit(character, r).items() if w}
+                       for r in self.reps]
+        self.owner = {b: (i, w) for i, orbit in enumerate(self.orbits) for b, w in orbit.items()}
+        self.tables: dict[Expo, tuple[np.ndarray, np.ndarray]] = {}
+
+    @classmethod
+    def shared(cls, character: Character, bound: int) -> WindowTable:
+        key = ("window_table", character.diag, character.swap, bound)
+        derived = character.group.derived
+        got = derived.get(key)
+        if got is None:
+            got = derived[key] = cls(character, bound)
+        return got
+
+    def table(self, e: Expo) -> tuple[np.ndarray, np.ndarray]:
+        """W_e as (flat indices i k + j, ascending; int64 weights), built once
+        per orbit of e."""
+        got = self.tables.get(e)
+        if got is None:
+            k = len(self.reps)
+            acc: dict[int, int] = {}
+            for j, orbit in enumerate(self.orbits):
+                for b, w in orbit.items():
+                    hit = self.owner.get(tuple(x + y for x, y in zip(b, e)))
+                    if hit is not None:
+                        flat = hit[0] * k + j
+                        acc[flat] = acc.get(flat, 0) + w * hit[1]
+            flat = sorted(f for f, v in acc.items() if v)
+            got = (np.array(flat, dtype=np.intp), np.array([acc[f] for f in flat], dtype=np.int64))
+            for image in orbit_exponents(self.group, e):
+                self.tables[image] = got
+        return got
+
+    def entries(self, terms: dict[Expo, complex]) -> np.ndarray:
+        """The window of the symbol with these torus terms: one bincount of
+        the real parts and one of the imaginary parts over the concatenated
+        tables, in ascending exponent order, scaled by F (x) F.  Each entry's
+        sum runs in an order fixed by the symbol alone."""
+        k = len(self.reps)
+        index, real, imag = [], [], []
+        for e in sorted(terms):
+            flat, weight = self.table(e)
+            c = complex(terms[e])
+            index.append(flat)
+            real.append(weight * c.real)
+            imag.append(weight * c.imag)
+        out = np.zeros(k * k, dtype=complex)
+        if index:
+            index = np.concatenate(index)
+            out.real = np.bincount(index, np.concatenate(real), k * k) * self.factors
+            out.imag = np.bincount(index, np.concatenate(imag), k * k) * self.factors
+        return out.reshape(k, k)
+
+
 def toeplitz_window(symbol: SymbolPair, character: Character, bound: int,
                     basis: GammaBasis | None = None) -> ToeplitzWindow:
     """Matrix of <T_u gamma_p, gamma_m> over the canonical index set with
-    sup-norm <= bound.  Each entry is an exact torus pairing (gamma_m is
-    analytic and isotypic, so the Hardy projection is absorbed)."""
-    reps = list(index_set(character, bound, holomorphic=True).reps)
+    sup-norm <= bound, read from the exact integer WindowTable of
+    (character, bound).  `basis`, if given, must be the polydisc gamma basis
+    of `character` (ValueError otherwise); the table's factors are its
+    factors."""
+    if basis is not None and (basis.domain != "polydisc" or basis.character != character):
+        raise ValueError("basis must be the polydisc gamma basis of the window's character")
+    table = WindowTable.shared(character, bound)
     if bound < symbol.radius():
         warnings.warn(
             f"window bound {bound} is below the symbol degree radius "
             f"{symbol.radius()}; edge entries will not determine the symbol",
             stacklevel=2,
         )
-    basis = basis or GammaBasis.shared(character)
-    entries = _fill([basis(r) for r in reps], lambda g: symbol.pullback * g, torus_inner)
-    return ToeplitzWindow(character, bound, reps, entries)
+    return ToeplitzWindow(character, bound, list(table.reps), table.entries(symbol.pullback.terms))
 
 
 # -- Brown-Halmos window verification -----------------------------------------
@@ -765,7 +850,8 @@ def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
     group = character.group
     q = group.q
     basis = GammaBasis.shared(character)
-    reps = list(index_set(character, base_bound, holomorphic=True).reps)
+    table = WindowTable.shared(character, base_bound)
+    reps = list(table.reps)
     if not reps:
         raise RecoveryError("empty index window; increase base_bound")
 
@@ -844,9 +930,7 @@ def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
         rows.append([torus_inner(mono * gp, gm) for _, mono in monomials])
         rhs.append(entry_fn(p_s, m_s))
     # then every stabilized entry, against each candidate's own window
-    gammas = [basis(r) for r in reps]
-    windows = [_fill(gammas, lambda g, mono=mono: mono * g, torus_inner).T.ravel()
-               for _, mono in monomials]
+    windows = [table.entries(mono.terms).T.ravel() for _, mono in monomials]
     A = np.vstack([np.array(rows, dtype=complex).reshape(-1, len(monomials)),
                    np.stack(windows, axis=1)])
     y = np.concatenate([np.array(rhs, dtype=complex), stabilized.T.ravel()])

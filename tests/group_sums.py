@@ -2,12 +2,12 @@
 implementations that the orbit-sum projection, its exact norm, the
 closed-form quotient kernel, the characters' generator forms, the
 generator-set invariance test, the pushforward moment table, the sparse
-series table, the closed-form reflecting hyperplanes, the shift-table
-Brown-Halmos check and compactness probe, and the series-table
-reproducing check are tested against; the float hyperplane product that
-the closed-form relative invariants are tested against; the base-ball
-Toeplitz entry and its sphere pair integral; and the per-element and
-per-term helpers they and the tests use (the point tables among them).
+series table, the closed-form reflecting hyperplanes, the window tables,
+the shift-table Brown-Halmos check and compactness probe, and the
+series-table reproducing check are tested against; the float hyperplane
+product that the closed-form relative invariants are tested against; the
+base-ball Toeplitz entry and its sphere pair integral; and the per-element
+and per-term helpers they and the tests use (the point tables among them).
 Test oracles only; nothing in the package calls them."""
 
 import functools
@@ -62,7 +62,7 @@ def torus_restriction(h: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(n, out)
 from hardyq.invariants import (GammaBasis, NotInIsotypicError, hyperplane_form, index_set, lift,
                                lower, project)
-from hardyq.toeplitz import RESIDUAL_TOL, BHReport, CompactnessReport
+from hardyq.toeplitz import RESIDUAL_TOL, BHReport, CompactnessReport, ToeplitzWindow
 
 
 def point_tables(group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,6 +314,20 @@ def reproducing_loop(spec: KernelSpec, f: LaurentPoly, w, bound: int) -> float:
         gam = g * (1.0 / math.sqrt(inner(g, g).real))
         total += inner(F, gam) * lower(spec.ellp, spec.bmap, gam).eval(tw)
     return abs(total - f.eval(tw))
+
+
+def toeplitz_window_loop(symbol, character, bound: int, basis=None) -> ToeplitzWindow:
+    """toeplitz_window with one torus_inner per entry: column j is the
+    LaurentPoly product u * gamma_{r_j}, paired with every gamma_{r_i}."""
+    basis = basis or GammaBasis(character)
+    reps = list(index_set(character, bound, holomorphic=True).reps)
+    gammas = [basis(r) for r in reps]
+    out = np.zeros((len(reps), len(reps)), dtype=complex)
+    for j, g in enumerate(gammas):
+        col = symbol.pullback * g
+        for i, h in enumerate(gammas):
+            out[i, j] = torus_inner(col, h)
+    return ToeplitzWindow(character, bound, reps, out)
 
 
 def _shift(rep: Expo, k: int) -> Expo:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import inspect
 import io
 import json
@@ -249,6 +250,54 @@ class TestToeplitzVerb:
             capsys, "toeplitz", "bh", "--group", "G(1,1,2)", "--symbol", "-", "-D", "5"
         )
         assert code == 0
+
+
+SYMBOL_FLOAT = json.dumps(
+    {"dim": 2, "terms": [
+        {"c": [0.3, -1.1], "e": [1, 0]}, {"c": [0.3, -1.1], "e": [0, 1]},
+        {"c": [-0.7, 0.2], "e": [-1, 0]}, {"c": [-0.7, 0.2], "e": [0, -1]},
+        {"c": [0.1, 0.9], "e": [2, -1]}, {"c": [0.1, 0.9], "e": [-1, 2]},
+        {"c": [1.3, 0.0], "e": [0, 0]},
+    ]}
+)
+
+
+class TestWindowTableBytes:
+    """The window tables are built lazily and kept on the group, but a
+    window's sums run in an order fixed by its symbol: the same query prints
+    the same bytes cold, again, and after other windows warmed the tables."""
+
+    WINDOW = ("toeplitz", "window", "--group", "G(1,1,2)", "--symbol", SYMBOL_FLOAT, "-D", "5")
+    BH = ("toeplitz", "bh", "--group", "G(1,1,2)", "--symbol", SYMBOL_FLOAT, "-D", "5")
+
+    @staticmethod
+    def share_groups(monkeypatch, module):
+        """Make `module` reuse one group object per spec, so its tables stay
+        warm from one call to the next."""
+        monkeypatch.setattr(module, "make_group", functools.cache(groups.make_group))
+
+    @pytest.mark.parametrize("argv", [WINDOW, BH, ("verify", "bh")])
+    def test_same_bytes_twice_in_one_process(self, capsys, argv):
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0
+        assert run_cli(capsys, *argv) == first
+
+    def test_toeplitz_bytes_after_warm_tables(self, capsys, monkeypatch):
+        cold = [run_cli(capsys, *argv) for argv in (self.WINDOW, self.BH)]
+        self.share_groups(monkeypatch, cli)
+        # tables for the exponents that sort last are built first
+        late = json.dumps({"dim": 2, "terms": [{"c": [1, 0], "e": [2, -1]},
+                                               {"c": [1, 0], "e": [-1, 2]}]})
+        for symbol, bound in ((late, "5"), (SYMBOL_MIXED, "3"), (SYMBOL_MIXED, "7")):
+            run_cli(capsys, "toeplitz", "window", "--group", "G(1,1,2)",
+                    "--symbol", symbol, "-D", bound)
+        assert [run_cli(capsys, *argv) for argv in (self.WINDOW, self.BH)] == cold
+
+    def test_verify_bh_bytes_after_warm_tables(self, capsys, monkeypatch):
+        cold = run_cli(capsys, "verify", "bh")
+        self.share_groups(monkeypatch, suites)
+        warmed = run_cli(capsys, "verify", "bh")
+        assert run_cli(capsys, "verify", "bh") == warmed == cold
 
 
 class TestVerify:
