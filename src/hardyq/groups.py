@@ -380,14 +380,11 @@ class Character:
                 for perm in self.group.perm_images() for k in block]
 
     @cached_property
-    def perm_part(self) -> tuple[tuple[tuple[int, ...], Fraction, complex], ...]:
-        """(perm, turn, conj(chi)) on each zero-phase permutation element:
-        the turn is parity(perm) * swap."""
-        out = []
-        for perm in self.group.perm_images():
-            t = Fraction(_perm_parity(perm) * self.swap, self.den)
-            out.append((perm, t, root_of_unity(-t)))
-        return tuple(out)
+    def perm_part(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(perm, conj(chi)) on each zero-phase permutation element, as the
+        int +-1: the turn is parity(perm) * swap, with swap 0 or N/2."""
+        odd = -1 if self.swap else 1
+        return tuple((perm, odd if _perm_parity(perm) else 1) for perm in self.group.perm_images())
 
     def __eq__(self, other) -> bool:
         return (

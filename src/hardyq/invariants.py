@@ -216,38 +216,45 @@ def project(char: Character, f: LaurentPoly) -> LaurentPoly:
             continue
         scaled = c / len(char.perm_part)
         for b, w in _signed_orbit(char, a).items():
-            if w != 0:
-                out[b] = out.get(b, 0j) + scaled * w
+            out[b] = out.get(b, 0j) + scaled * w
     return LaurentPoly(n, out)
 
 
 def _signed_orbit(char: Character, alpha: Expo) -> dict[Expo, int]:
-    """sum_sigma conj(chi(P_sigma)) z^(sigma . alpha) over S, as integer
-    weights per image (chi(P_sigma) = +-1: its turn is parity * swap, swap
-    0 or N/2); |S| P_chi z^alpha when the diagonal test passes."""
-    n = len(alpha)
-    weights: dict[Expo, int] = {}
-    for perm, turn, _ in char.perm_part:
-        b = tuple(alpha[perm[j]] for j in range(n))
-        weights[b] = weights.get(b, 0) + (-1 if turn else 1)
-    return weights
+    """sum_sigma conj(chi(P_sigma)) z^(sigma . alpha) over S, as the nonzero
+    integer weights per image (chi(P_sigma) = +-1: its turn is parity *
+    swap, swap 0 or N/2); |S| P_chi z^alpha when the diagonal test passes.
+
+    The weight at sigma alpha is chi(sigma) times the sum of conj(chi) over
+    the stabilizer Stab_S(alpha): |Stab_S(alpha)| when chi is trivial there
+    and 0 otherwise, so the table is empty exactly when the projection
+    vanishes.  It depends only on whether swap is 0, so it is memoised in
+    Group.derived under ("signed_orbit", bool(swap), alpha) for every
+    character of the group; callers must not mutate it.
+    """
+    alpha = tuple(alpha)
+    key = ("signed_orbit", bool(char.swap), alpha)
+    derived = char.group.derived
+    got = derived.get(key)
+    if got is None:
+        image = alpha.__getitem__
+        weights: dict[Expo, int] = {}
+        for perm, sign in char.perm_part:
+            b = tuple(map(image, perm))
+            weights[b] = weights.get(b, 0) + sign
+        got = derived[key] = {b: w for b, w in weights.items() if w}
+    return got
 
 
 def projection_norm_sq(char: Character, alpha: Expo) -> Fraction:
-    """Exact squared torus norm of the projected monomial: |Stab_S(alpha)|/|S|
-    when the diagonal test passes and chi is trivial on the permutation
-    stabilizer Stab_S(alpha), else 0."""
+    """Exact squared torus norm of the projected monomial: the signed-orbit
+    weight at alpha over |S|, that is |Stab_S(alpha)|/|S| when the diagonal
+    test passes and chi is trivial on the permutation stabilizer
+    Stab_S(alpha), else 0."""
     alpha = tuple(alpha)
     if not _diagonal_match(char, alpha):
         return Fraction(0)
-    perms = char.perm_part
-    stab = 0
-    for perm, turn, _ in perms:
-        if all(alpha[perm[j]] == x for j, x in enumerate(alpha)):
-            if turn != 0:
-                return Fraction(0)
-            stab += 1
-    return Fraction(stab, len(perms))
+    return Fraction(_signed_orbit(char, alpha).get(alpha, 0), len(char.perm_part))
 
 
 # -- relative invariants -----------------------------------------------------
@@ -374,7 +381,10 @@ class GammaBasis:
     inner product `inner`: by the exact 1/sqrt(|S_m|/|S|) on the polydisc,
     by 1/sphere_norm on the ball.  A rep that is not canonical (on
     G(m,p,n): not weakly increasing) or whose projection vanishes raises
-    KeyError.  Elements are memoised with factor(); use shared() to reuse
+    KeyError.  Each element is built in one pass over the signed orbit
+    (_signed_orbit), with the float operations of project(z^rep) followed
+    by `* (1.0 / scale)`, so it equals that route bit for bit.  Elements
+    are memoised per basis together with factor(); use shared() to reuse
     them.  The shared polydisc basis supplies the factors of every
     toeplitz.WindowTable, so ambient windows agree with it exactly."""
 
@@ -416,9 +426,18 @@ class GammaBasis:
             nsq = projection_norm_sq(char, rep)
             if nsq == 0:
                 raise KeyError(f"projection of z^{rep} vanishes")
-            f = project(char, LaurentPoly.monomial(char.group.n, rep))
-            scale = sphere_norm(f) if self.domain == "ball" else math.sqrt(nsq)
-            got = self._cache[rep] = (f * (1.0 / scale), 1.0 / (len(char.perm_part) * scale))
+            # project()'s terms for z^rep in one pass over the signed orbit:
+            # every weight has 1 <= |w| <= |S|, so cleanup would drop none
+            n, size = char.group.n, len(char.perm_part)
+            scaled = 1 / size
+            f = {b: 0j + scaled * w for b, w in _signed_orbit(char, rep).items()}
+            if self.domain == "ball":
+                scale = sphere_norm(LaurentPoly._wrap(n, f))
+            else:
+                scale = math.sqrt(nsq)
+            inv = 1.0 / scale
+            got = self._cache[rep] = (LaurentPoly._wrap(n, {b: c * inv for b, c in f.items()}),
+                                      1.0 / (size * scale))
         return got
 
     def expand(self, poly: LaurentPoly) -> dict[Expo, complex]:

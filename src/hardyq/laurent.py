@@ -50,6 +50,14 @@ class LaurentPoly:
     # -- constructors --------------------------------------------------
 
     @classmethod
+    def _wrap(cls, dim: int, terms: dict[Expo, complex]) -> "LaurentPoly":
+        """`terms` as they are, neither copied nor cleaned: for callers that
+        know the cleanup would keep every term."""
+        poly = cls.__new__(cls)
+        poly.dim, poly.terms = dim, terms
+        return poly
+
+    @classmethod
     def zero(cls, dim: int) -> "LaurentPoly":
         return cls(dim)
 

@@ -214,8 +214,7 @@ class WindowTable:
         basis = GammaBasis.shared(character)
         factor = np.array([basis.factor(r) for r in self.reps], dtype=float)
         self.factors = np.outer(factor, factor).ravel()
-        self.orbits = [{b: w for b, w in _signed_orbit(character, r).items() if w}
-                       for r in self.reps]
+        self.orbits = [_signed_orbit(character, r) for r in self.reps]
         self.owner = {b: (i, w) for i, orbit in enumerate(self.orbits) for b, w in orbit.items()}
         self.tables: dict[Expo, tuple[np.ndarray, np.ndarray]] = {}
 

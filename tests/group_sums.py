@@ -1,8 +1,9 @@
 """Plain O(|G|) group sums and per-entry loops: the reference
 implementations that the orbit-sum projection, its exact norm, the
-closed-form quotient kernel, the characters' generator forms, the
-generator-set invariance test, the pushforward moment table, the sparse
-series table, the closed-form reflecting hyperplanes, the window tables,
+one-pass gamma elements, the closed-form quotient kernel, the
+characters' generator forms, the generator-set invariance test, the
+pushforward moment table, the sparse series table, the closed-form
+reflecting hyperplanes, the window tables,
 the shift-table Brown-Halmos check and compactness probe, and the
 series-table reproducing check are tested against; the float hyperplane
 product that the closed-form relative invariants are tested against; the
@@ -20,7 +21,7 @@ import numpy as np
 from hardyq.groups import GroupElement, _perm_parity, root_of_unity
 from hardyq.kernels import KernelSpec, base_kernel
 from hardyq.laurent import (Expo, LaurentPoly, act, sphere_inner, sphere_monomial_weight,
-                            torus_inner)
+                            sphere_norm, torus_inner)
 
 
 def apply_point(g: GroupElement, z) -> tuple[complex, ...]:
@@ -244,6 +245,24 @@ def stabilizer_norm_sq(char, alpha: Expo) -> Fraction:
             return Fraction(0)
         stab += 1
     return Fraction(stab, len(group))
+
+
+def gamma_element_loop(char, domain: str, rep: Expo) -> tuple[LaurentPoly, float]:
+    """GammaBasis's (gamma_rep, factor) through project(z^rep) and
+    LaurentPoly's scalar product, each with its cleanup: scaled by
+    1/sqrt(stabilizer_norm_sq) on the polydisc and by 1/sphere_norm on the
+    ball.  KeyError for a rep that is not canonical (on G(m,p,n): not
+    weakly increasing) or whose projection vanishes."""
+    group = char.group
+    rep = tuple(rep)
+    if group.spec.kind == "Gmpn" and list(rep) != sorted(rep):
+        raise KeyError(f"{rep} is not a canonical representative")
+    nsq = stabilizer_norm_sq(char, rep)
+    if nsq == 0:
+        raise KeyError(f"projection of z^{rep} vanishes")
+    f = project(char, LaurentPoly.monomial(group.n, rep))
+    scale = sphere_norm(f) if domain == "ball" else math.sqrt(nsq)
+    return f * (1.0 / scale), 1.0 / (len(group.perm_images()) * scale)
 
 
 def group_sum_kernel(spec: KernelSpec, z, w) -> tuple[complex, float]:

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import inspect
 import io
 import json
@@ -298,6 +299,30 @@ class TestWindowTableBytes:
         self.share_groups(monkeypatch, suites)
         warmed = run_cli(capsys, "verify", "bh")
         assert run_cli(capsys, "verify", "bh") == warmed == cold
+
+
+class TestPinnedBytes:
+    """The deterministic stdout of four queries, pinned by sha256: a change
+    that moves any of these bytes changes a published result and must say
+    so.  The float window and Brown-Halmos report run through the gamma
+    factors, the index listing through the projection norms."""
+
+    PINNED = {
+        ("verify", "all"):
+            "fdcdb37568a99fb0e5d5845e75ad2bf0530c2ccfbade641d7b8473bde6245d1b",
+        TestWindowTableBytes.WINDOW:
+            "e451ce7bf3aa847b5bfdb7b9e4d12d4dcaf0c524187ec3c633602e4f9d7d99ae",
+        TestWindowTableBytes.BH:
+            "aed93dd25831dcee3838aee4e9715677211d21658877b809628bb78621903f5a",
+        ("invariant", "index", "G(4,2,3)", "--character", "trivial", "-D", "6"):
+            "6e681493e1c116e951886b43da6eb2acf2d8218d4214277536122468bb228a71",
+    }
+
+    @pytest.mark.parametrize("argv", list(PINNED), ids=lambda argv: " ".join(argv[:2]))
+    def test_stdout_sha256(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[argv]
 
 
 class TestVerify:

@@ -45,6 +45,7 @@ from group_sums import (
     closure_turns,
     det_turns,
     elements,
+    gamma_element_loop,
     hyperplane_product,
     group_sum_kernel,
     group_sum_project,
@@ -58,14 +59,16 @@ from hardyq.groups import (
     Character,
     CharacterError,
     GroupElement,
+    builtin_characters,
     extend_from_generators,
     make_character,
     make_group,
 )
-from hardyq.invariants import basic_map, ell, jacobian, project, projection_norm_sq
+from hardyq.invariants import (GammaBasis, _diagonal_match, _signed_orbit, basic_map, ell,
+                               index_set, jacobian, project, projection_norm_sq)
 from hardyq.kernels import KernelSpec, quotient_kernel
 from hardyq.laurent import LaurentPoly, act
-from hardyq.toeplitz import SymbolError, SymbolPair
+from hardyq.toeplitz import SymbolError, SymbolPair, WindowTable, toeplitz_window
 
 EPS = 2.0 ** -52
 
@@ -204,6 +207,101 @@ def test_norm_matches_stabilizer_list(data, index):
     _, ch = CHARS[index]
     alpha = data.draw(st.tuples(*[st.integers(-4, 4)] * ch.group.n))
     assert projection_norm_sq(ch, alpha) == stabilizer_norm_sq(ch, alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), index=characters)
+def test_orbit_weight_at_alpha_is_the_stabilizer_count(data, index):
+    """The signed orbit holds nonzero int weights of one magnitude, and its
+    weight at alpha is |S| times the stabilizer-list norm (0 when empty)."""
+    _, ch = CHARS[index]
+    alpha = data.draw(st.tuples(*[st.integers(-4, 4)] * ch.group.n))
+    orbit = _signed_orbit(ch, alpha)
+    want = len(ch.perm_part) * stabilizer_norm_sq(ch, alpha)
+    if _diagonal_match(ch, alpha):
+        assert orbit.get(alpha, 0) == want
+    else:
+        assert want == 0
+    assert all(type(w) is int and abs(w) == orbit[alpha] for w in orbit.values())
+
+
+def test_orbit_table_is_shared_by_character_value():
+    """A fresh make_character of the same value, or any character with the
+    same swap turn, reads the same table entry; the other swap does not."""
+    g = make_group("G(2,1,3)")
+    alpha = (0, 1, 2)
+    sgn = make_character(g, "sgn")
+    table = _signed_orbit(sgn, alpha)
+    again = make_character(g, "sgn")
+    assert again is not sgn and _signed_orbit(again, alpha) is table
+    assert _signed_orbit(make_character(g, "det"), alpha) is table
+    triv = _signed_orbit(make_character(g, "trivial"), alpha)
+    assert triv is not table and triv == {b: abs(w) for b, w in table.items()}
+    assert g.derived[("signed_orbit", True, alpha)] is table
+
+
+def test_no_consumer_mutates_the_orbit_table():
+    """After project, index_set, WindowTable, BasicMap.row and GammaBasis
+    on both domains have run twice, every table entry is the object first
+    built and equals the entry of a group no consumer touched."""
+    g, pristine = make_group("G(2,1,3)"), make_group("G(2,1,3)")
+    chars = builtin_characters(g)
+    bmap = basic_map(g)
+    symbol = SymbolPair(g, LaurentPoly(3, {e: 1 for k in (2, -2)
+                                           for e in ((k, 0, 0), (0, k, 0), (0, 0, k))}))
+
+    def consume():
+        for ch in chars:
+            reps = index_set(ch, 3).reps
+            project(ch, LaurentPoly(3, {r: 1.5 - 2j for r in reps}))
+            WindowTable(ch, 3).entries(symbol.pullback.terms)
+            toeplitz_window(symbol, ch, 3)
+            for r in reps:
+                bmap.row(ch, r)
+                for domain in ("polydisc", "ball"):
+                    GammaBasis(ch, domain)(r)
+
+    consume()
+    tables = {k: v for k, v in g.derived.items()
+              if isinstance(k, tuple) and k[0] == "signed_orbit"}
+    assert any(tables.values())
+    consume()
+    reference = {False: make_character(pristine, "trivial"), True: make_character(pristine, "sgn")}
+    for (tag, swap, alpha), v in tables.items():
+        assert g.derived[tag, swap, alpha] is v
+        assert v == _signed_orbit(reference[swap], alpha), alpha
+
+
+GAMMA_GROUPS = ("G(1,1,2)", "G(2,2,2)", "G(2,1,2)", "G(1,1,3)", "G(3,1,3)", "G(2,1,4)",
+                "G(4,2,3)", "Z(3)@1^2")
+GAMMA_CHARS = [ch for spec in GAMMA_GROUPS for ch in builtin_characters(make_group(spec))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), index=st.integers(0, len(GAMMA_CHARS) - 1),
+       domain=st.sampled_from(["polydisc", "ball"]))
+def test_gamma_element_is_bit_identical_to_project(data, index, domain):
+    """GammaBasis's one-pass element and factor equal project(z^rep) scaled
+    through LaurentPoly exactly, value types included; reps that are not
+    canonical or whose projection vanishes raise KeyError on both."""
+    ch = GAMMA_CHARS[index]
+    rep = data.draw(st.tuples(*[st.integers(0, 6)] * ch.group.n))
+    if data.draw(st.booleans()):
+        rep = tuple(sorted(rep))
+    basis = GammaBasis(ch, domain)
+    try:
+        want, factor = gamma_element_loop(ch, domain, rep)
+    except KeyError:
+        with pytest.raises(KeyError):
+            basis(rep)
+        with pytest.raises(KeyError):
+            basis.factor(rep)
+        return
+    got = basis(rep)
+    assert got.dim == want.dim and got.terms == want.terms
+    assert all(type(c) is complex for c in got.terms.values())
+    assert all(type(c) is complex for c in want.terms.values())
+    assert basis.factor(rep) == factor and type(basis.factor(rep)) is float
 
 
 # ball quotients exist for the cyclic coordinate groups only
