@@ -17,10 +17,12 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 
 def root_of_unity(turn: Fraction | int) -> complex:
@@ -208,6 +210,14 @@ class Group:
         return (tuple(range(self.n)),)
 
     @cached_property
+    def perm_actions(self) -> tuple[tuple[Callable[[tuple[int, ...]], tuple[int, ...]], int], ...]:
+        """(image, parity) per perm_images() entry: image(alpha) is the tuple
+        sigma . alpha = (alpha[perm[0]], ..., alpha[perm[n-1]]) for a tuple
+        alpha, parity 0 for even and 1 for odd; built once per group."""
+        return tuple((itemgetter(*perm) if len(perm) > 1 else tuple, _perm_parity(perm))
+                     for perm in self.perm_images())
+
+    @cached_property
     def diagonal_generators(self) -> tuple[GroupElement, ...]:
         """Generators of the diagonal-phase subgroup A: e_i - e_n (i < n) and
         p*e_n for G(m,p,n), e_k for Z(m)@k^n; reduced mod m, identities
@@ -378,13 +388,6 @@ class Character:
         block = [self._num(phase, 0) for phase in self.group.phase_vectors()]
         return [(k + _perm_parity(perm) * self.swap) % self.den
                 for perm in self.group.perm_images() for k in block]
-
-    @cached_property
-    def perm_part(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(perm, conj(chi)) on each zero-phase permutation element, as the
-        int +-1: the turn is parity(perm) * swap, with swap 0 or N/2."""
-        odd = -1 if self.swap else 1
-        return tuple((perm, odd if _perm_parity(perm) else 1) for perm in self.group.perm_images())
 
     def __eq__(self, other) -> bool:
         return (

@@ -211,13 +211,19 @@ def project(char: Character, f: LaurentPoly) -> LaurentPoly:
     if n != char.group.n:
         raise ValueError("character dimension does not match polynomial")
     out: dict[Expo, complex] = {}
+    size = len(char.group.perm_images())
     for a, c in f.terms.items():
-        if not _diagonal_match(char, a):
-            continue
-        scaled = c / len(char.perm_part)
-        for b, w in _signed_orbit(char, a).items():
-            out[b] = out.get(b, 0j) + scaled * w
+        if _diagonal_match(char, a):
+            _add_orbit(out, _signed_orbit(char, a), c / size)
     return LaurentPoly(n, out)
+
+
+def _add_orbit(out: dict[Expo, complex], orbit: dict[Expo, int], scaled) -> dict[Expo, complex]:
+    """out[b] += scaled * w at each image b of a signed orbit, from 0j: the
+    float recipe of project(), which GammaBasis follows bit for bit."""
+    for b, w in orbit.items():
+        out[b] = out.get(b, 0j) + scaled * w
+    return out
 
 
 def _signed_orbit(char: Character, alpha: Expo) -> dict[Expo, int]:
@@ -227,23 +233,16 @@ def _signed_orbit(char: Character, alpha: Expo) -> dict[Expo, int]:
 
     The weight at sigma alpha is chi(sigma) times the sum of conj(chi) over
     the stabilizer Stab_S(alpha): |Stab_S(alpha)| when chi is trivial there
-    and 0 otherwise, so the table is empty exactly when the projection
-    vanishes.  It depends only on whether swap is 0, so it is memoised in
-    Group.derived under ("signed_orbit", bool(swap), alpha) for every
-    character of the group; callers must not mutate it.
+    and 0 otherwise, so the dict is empty exactly when the projection
+    vanishes.  A new dict on every call.
     """
     alpha = tuple(alpha)
-    key = ("signed_orbit", bool(char.swap), alpha)
-    derived = char.group.derived
-    got = derived.get(key)
-    if got is None:
-        image = alpha.__getitem__
-        weights: dict[Expo, int] = {}
-        for perm, sign in char.perm_part:
-            b = tuple(map(image, perm))
-            weights[b] = weights.get(b, 0) + sign
-        got = derived[key] = {b: w for b, w in weights.items() if w}
-    return got
+    odd = -1 if char.swap else 1
+    weights: dict[Expo, int] = {}
+    for image, parity in char.group.perm_actions:
+        b = image(alpha)
+        weights[b] = weights.get(b, 0) + (odd if parity else 1)
+    return {b: w for b, w in weights.items() if w}
 
 
 def projection_norm_sq(char: Character, alpha: Expo) -> Fraction:
@@ -254,7 +253,7 @@ def projection_norm_sq(char: Character, alpha: Expo) -> Fraction:
     alpha = tuple(alpha)
     if not _diagonal_match(char, alpha):
         return Fraction(0)
-    return Fraction(_signed_orbit(char, alpha).get(alpha, 0), len(char.perm_part))
+    return Fraction(_signed_orbit(char, alpha).get(alpha, 0), len(char.group.perm_images()))
 
 
 # -- relative invariants -----------------------------------------------------
@@ -381,11 +380,11 @@ class GammaBasis:
     inner product `inner`: by the exact 1/sqrt(|S_m|/|S|) on the polydisc,
     by 1/sphere_norm on the ball.  A rep that is not canonical (on
     G(m,p,n): not weakly increasing) or whose projection vanishes raises
-    KeyError.  Each element is built in one pass over the signed orbit
-    (_signed_orbit), with the float operations of project(z^rep) followed
-    by `* (1.0 / scale)`, so it equals that route bit for bit.  Elements
-    are memoised per basis together with factor(); use shared() to reuse
-    them.  The shared polydisc basis supplies the factors of every
+    KeyError.  Each element is built from one signed orbit (_signed_orbit),
+    which also gives its norm, with the float operations of project(z^rep)
+    followed by `* (1.0 / scale)`, so it equals that route bit for bit.
+    Elements are memoised per basis together with factor(); use shared()
+    to reuse them.  The shared polydisc basis supplies the factors of every
     toeplitz.WindowTable, so ambient windows agree with it exactly."""
 
     def __init__(self, character: Character, domain: str = "polydisc"):
@@ -423,21 +422,21 @@ class GammaBasis:
             char = self.character
             if char.group.spec.kind == "Gmpn" and any(a > b for a, b in zip(rep, rep[1:])):
                 raise KeyError(f"{rep} is not a canonical representative")
-            nsq = projection_norm_sq(char, rep)
-            if nsq == 0:
+            orbit = _signed_orbit(char, rep) if _diagonal_match(char, rep) else {}
+            if rep not in orbit:
                 raise KeyError(f"projection of z^{rep} vanishes")
-            # project()'s terms for z^rep in one pass over the signed orbit:
-            # every weight has 1 <= |w| <= |S|, so cleanup would drop none
-            n, size = char.group.n, len(char.perm_part)
-            scaled = 1 / size
-            f = {b: 0j + scaled * w for b, w in _signed_orbit(char, rep).items()}
-            if self.domain == "ball":
-                scale = sphere_norm(LaurentPoly._wrap(n, f))
-            else:
-                scale = math.sqrt(nsq)
+            # project(z^rep) in one pass: every weight has 1 <= |w| <= |S|,
+            # so its cleanup would drop none
+            size = len(char.group.perm_images())
+            terms = _add_orbit({}, orbit, 1 / size)
+            f = LaurentPoly._wrap(char.group.n, terms)
+            # |S_rep|/|S| = orbit[rep]/|S|, an int/int division correctly
+            # rounded like float(projection_norm_sq)
+            scale = sphere_norm(f) if self.domain == "ball" else math.sqrt(orbit[rep] / size)
             inv = 1.0 / scale
-            got = self._cache[rep] = (LaurentPoly._wrap(n, {b: c * inv for b, c in f.items()}),
-                                      1.0 / (size * scale))
+            for b, c in terms.items():
+                terms[b] = c * inv
+            got = self._cache[rep] = (f, 1.0 / (size * scale))
         return got
 
     def expand(self, poly: LaurentPoly) -> dict[Expo, complex]:

@@ -305,11 +305,13 @@ class TestPinnedBytes:
     """The deterministic stdout of four queries, pinned by sha256: a change
     that moves any of these bytes changes a published result and must say
     so.  The float window and Brown-Halmos report run through the gamma
-    factors, the index listing through the projection norms."""
+    factors, the index listing through the projection norms.  `verify all`
+    is hashed without the recovery fields that come from LAPACK's lstsq,
+    whose last bits depend on the numpy build and the CPU."""
 
     PINNED = {
         ("verify", "all"):
-            "fdcdb37568a99fb0e5d5845e75ad2bf0530c2ccfbade641d7b8473bde6245d1b",
+            "cbe44d2706e3ad3bade6b7fac1b37d0c4800524e79b46cc63c4fa8dc382265b6",
         TestWindowTableBytes.WINDOW:
             "e451ce7bf3aa847b5bfdb7b9e4d12d4dcaf0c524187ec3c633602e4f9d7d99ae",
         TestWindowTableBytes.BH:
@@ -317,12 +319,24 @@ class TestPinnedBytes:
         ("invariant", "index", "G(4,2,3)", "--character", "trivial", "-D", "6"):
             "6e681493e1c116e951886b43da6eb2acf2d8218d4214277536122468bb228a71",
     }
+    LAPACK_FIELDS = ("coeff_deviation", "lstsq_residual")
+
+    @classmethod
+    def pinned_text(cls, argv, out: str) -> str:
+        if argv != ("verify", "all"):
+            return out
+        report = json.loads(out)
+        for case in report["suites"]["recovery"]["cases"]:
+            for key in cls.LAPACK_FIELDS:
+                del case[key]
+        return json.dumps(report, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("argv", list(PINNED), ids=lambda argv: " ".join(argv[:2]))
     def test_stdout_sha256(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[argv]
+        text = self.pinned_text(argv, out)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[argv]
 
 
 class TestVerify:

@@ -561,7 +561,7 @@ class TestExactLowering:
         back = lower(ep, bm, F)
         mass = sum(abs(c) * sum(abs(v) for v in lowered(ep, bm, rep).terms.values())
                    for rep, c in GammaBasis.shared(ch).expand(F).items())
-        assert (back - f).max_abs_coeff() <= (len(ch.perm_part) + 8) * 2.0 ** -52 * mass
+        assert (back - f).max_abs_coeff() <= (len(ch.group.perm_images()) + 8) * 2.0 ** -52 * mass
 
     def test_rows_are_integer_and_exact(self):
         # ell (L o theta) = kappa sum_sigma chi(P_sigma) z^(sigma . rep) in

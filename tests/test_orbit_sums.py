@@ -217,7 +217,7 @@ def test_orbit_weight_at_alpha_is_the_stabilizer_count(data, index):
     _, ch = CHARS[index]
     alpha = data.draw(st.tuples(*[st.integers(-4, 4)] * ch.group.n))
     orbit = _signed_orbit(ch, alpha)
-    want = len(ch.perm_part) * stabilizer_norm_sq(ch, alpha)
+    want = len(ch.group.perm_images()) * stabilizer_norm_sq(ch, alpha)
     if _diagonal_match(ch, alpha):
         assert orbit.get(alpha, 0) == want
     else:
@@ -225,26 +225,11 @@ def test_orbit_weight_at_alpha_is_the_stabilizer_count(data, index):
     assert all(type(w) is int and abs(w) == orbit[alpha] for w in orbit.values())
 
 
-def test_orbit_table_is_shared_by_character_value():
-    """A fresh make_character of the same value, or any character with the
-    same swap turn, reads the same table entry; the other swap does not."""
-    g = make_group("G(2,1,3)")
-    alpha = (0, 1, 2)
-    sgn = make_character(g, "sgn")
-    table = _signed_orbit(sgn, alpha)
-    again = make_character(g, "sgn")
-    assert again is not sgn and _signed_orbit(again, alpha) is table
-    assert _signed_orbit(make_character(g, "det"), alpha) is table
-    triv = _signed_orbit(make_character(g, "trivial"), alpha)
-    assert triv is not table and triv == {b: abs(w) for b, w in table.items()}
-    assert g.derived[("signed_orbit", True, alpha)] is table
-
-
-def test_no_consumer_mutates_the_orbit_table():
+def test_no_consumer_mutates_a_stored_orbit():
     """After project, index_set, WindowTable, BasicMap.row and GammaBasis
-    on both domains have run twice, every table entry is the object first
-    built and equals the entry of a group no consumer touched."""
-    g, pristine = make_group("G(2,1,3)"), make_group("G(2,1,3)")
+    on both domains have run twice, the signed orbits that the shared
+    window tables keep still equal freshly built ones."""
+    g = make_group("G(2,1,3)")
     chars = builtin_characters(g)
     bmap = basic_map(g)
     symbol = SymbolPair(g, LaurentPoly(3, {e: 1 for k in (2, -2)
@@ -254,22 +239,20 @@ def test_no_consumer_mutates_the_orbit_table():
         for ch in chars:
             reps = index_set(ch, 3).reps
             project(ch, LaurentPoly(3, {r: 1.5 - 2j for r in reps}))
-            WindowTable(ch, 3).entries(symbol.pullback.terms)
+            WindowTable.shared(ch, 3).entries(symbol.pullback.terms)
             toeplitz_window(symbol, ch, 3)
             for r in reps:
                 bmap.row(ch, r)
                 for domain in ("polydisc", "ball"):
                     GammaBasis(ch, domain)(r)
+                    GammaBasis.shared(ch, domain)(r)
 
     consume()
-    tables = {k: v for k, v in g.derived.items()
-              if isinstance(k, tuple) and k[0] == "signed_orbit"}
-    assert any(tables.values())
     consume()
-    reference = {False: make_character(pristine, "trivial"), True: make_character(pristine, "sgn")}
-    for (tag, swap, alpha), v in tables.items():
-        assert g.derived[tag, swap, alpha] is v
-        assert v == _signed_orbit(reference[swap], alpha), alpha
+    tables = [WindowTable.shared(ch, 3) for ch in chars]
+    assert any(table.reps for table in tables)
+    for ch, table in zip(chars, tables):
+        assert table.orbits == [_signed_orbit(ch, r) for r in table.reps]
 
 
 GAMMA_GROUPS = ("G(1,1,2)", "G(2,2,2)", "G(2,1,2)", "G(1,1,3)", "G(3,1,3)", "G(2,1,4)",

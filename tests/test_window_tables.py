@@ -142,7 +142,7 @@ def test_tables_are_sparse_integers(spec, chname):
     sym = random_invariant_symbol(g, random.Random(2), radius=2, terms=4)
     toeplitz_window(sym, ch, 6)
     table = WindowTable.shared(ch, 6)
-    k, perms = len(table.reps), len(ch.perm_part)
+    k, perms = len(table.reps), len(ch.group.perm_images())
     assert table.tables.keys() == sym.pullback.terms.keys()
     for flat, weight in table.tables.values():
         assert np.issubdtype(flat.dtype, np.integer)
