@@ -336,13 +336,6 @@ def sphere_norm(f: LaurentPoly) -> float:
 # -- pluriharmonic side ------------------------------------------------------
 
 
-def conj_zbar(f: LaurentPoly) -> LaurentPoly:
-    """Complex conjugate of a (z, conj z) polynomial of dimension 2n: swap
-    the z and conj(z) halves and conjugate the coefficients."""
-    n = f.dim // 2
-    return LaurentPoly(f.dim, {e[n:] + e[:n]: c.conjugate() for e, c in f.terms.items()})
-
-
 def harmonic_extension(f: LaurentPoly) -> LaurentPoly:
     """Pluriharmonic extension of a torus function, monomial by monomial:
     z^a -> z^(a+) conj(z)^(a-) with a+ = max(a,0), a- = max(-a,0), as a

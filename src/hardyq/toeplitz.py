@@ -35,7 +35,6 @@ from .laurent import (
     LaurentPoly,
     act,
     canonical_exponent,
-    conj_zbar,
     harmonic_extension,
     orbit_exponents,
     torus_inner,
@@ -577,8 +576,11 @@ class QuotientRealization:
 
     Functions are (t, conj t) polynomials of dimension 2n.  The measure
     enters only through its moments mu(e) = CT(pull(t^e) |ell|^2),
-    memoised: this is the package's one pushforward integral.  Use shared()
-    to reuse them, and the lowered basis, across comparisons."""
+    memoised: this is the package's one pushforward integral.  Every
+    pairing is against a lowered basis element e_r, through the functional
+    phi_r(k) = sum_j conj(e_r[j]) mu(k + swap(j)), memoised per (rep, k) and
+    read from the moments.  Use shared() to reuse the moments, functionals
+    and lowered basis across comparisons."""
 
     def __init__(self, character: Character, bmap: BasicMap):
         self.character = character
@@ -588,6 +590,7 @@ class QuotientRealization:
         self._down: dict[Expo, LaurentPoly] = {}
         self._reps: dict[int, list[Expo]] = {}
         self._moments: dict[Expo, complex] = {}
+        self._functionals: dict[Expo, dict[Expo, complex]] = {}
         self._weight = self.ellp.poly * self.ellp.poly.conj_torus()
 
     @classmethod
@@ -624,33 +627,46 @@ class QuotientRealization:
             self._moments[key] = got
         return got
 
-    def inner(self, f: LaurentPoly, g: LaurentPoly) -> complex:
-        """<f, g> in L^2 of the pushforward measure, scaled by 1/c^2 so the
-        lowered basis is orthonormal: sum of (f conj(g))_e mu(e)."""
+    def inner(self, f: LaurentPoly, rep: Expo) -> complex:
+        """<f, e_rep> in L^2 of the pushforward measure, e_rep = basis_down(rep),
+        scaled by 1/c^2 so the lowered basis is orthonormal: the sum of
+        f_k phi_rep(k), with no product polynomial.  e_rep is holomorphic:
+        conjugating its term at j = (a, 0) moves a to the conj(t) half,
+        swap(j) = (0, a)."""
+        phi = self._functionals.setdefault(tuple(rep), {})
+        n = self.group.n
         total = 0j
-        for key, c in (f * conj_zbar(g)).terms.items():
-            total += c * self.moment(key)
+        for key, c in f.terms.items():
+            p = phi.get(key)
+            if p is None:
+                p = 0j
+                for j, w in self.basis_down(rep).terms.items():
+                    p += w.conjugate() * self.moment(
+                        tuple(a + b for a, b in zip(key, j[n:] + j[:n])))
+                phi[key] = p
+            total += c * p
         return total / self.ellp.cnorm_sq
 
     def project_hardy(self, f: LaurentPoly, exp_bound: int) -> LaurentPoly:
         """Orthogonal projection onto the span of the lowered basis up to the
-        given ambient sup-norm bound (exact once the bound dominates f)."""
+        given ambient sup-norm bound (exact once the bound dominates f):
+        sum_r <f, e_r> e_r accumulated in one dict, cleaned once."""
         reps = self._reps.get(exp_bound)
         if reps is None:
             reps = self._reps[exp_bound] = index_set(self.character, exp_bound).reps
-        out = LaurentPoly.zero(2 * self.group.n)
+        out: dict[Expo, complex] = {}
         for rep in reps:
-            e = self.basis_down(rep)
-            c = self.inner(f, e)
+            c = self.inner(f, rep)
             if c:
-                out = out + c * e
-        return out
+                for e, w in self.basis_down(rep).terms.items():
+                    out[e] = out.get(e, 0) + c * w
+        return LaurentPoly(2 * self.group.n, out)
 
     def toeplitz_apply(self, u: LaurentPoly, f: LaurentPoly, exp_bound: int) -> LaurentPoly:
         return self.project_hardy(u * f, exp_bound)
 
     def window_entry(self, u: LaurentPoly, row: Expo, col: Expo) -> complex:
-        return self.inner(u * self.basis_down(col), self.basis_down(row))
+        return self.inner(u * self.basis_down(col), row)
 
 
 def _monomial_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
@@ -676,7 +692,8 @@ def _quotient_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
     vh = v.theta_form(bmap)
     reps = list(index_set(character, bound, holomorphic=True).reps)
 
-    def column(fa: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    def column(rep: Expo) -> tuple[LaurentPoly, LaurentPoly]:
+        fa = qr.basis_down(rep)
         if mode == "semi":
             mid = qr.toeplitz_apply(vh, fa, v.radius() + bound)
             return uh * mid, (uh * vh) * fa
@@ -684,10 +701,10 @@ def _quotient_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
         mid_u = qr.toeplitz_apply(uh, fa, u.radius() + bound)
         return uh * mid_v, vh * mid_u
 
-    def pair(cols: tuple[LaurentPoly, LaurentPoly], eb: LaurentPoly) -> complex:
-        return qr.inner(cols[0], eb) - qr.inner(cols[1], eb)
+    def pair(cols: tuple[LaurentPoly, LaurentPoly], rep: Expo) -> complex:
+        return qr.inner(cols[0], rep) - qr.inner(cols[1], rep)
 
-    res = _fill([qr.basis_down(r) for r in reps], column, pair)
+    res = _fill(reps, column, pair)
     return CompareReport._judge(mode, reps, res, _verdict_scale([u, v]))
 
 

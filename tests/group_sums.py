@@ -2,10 +2,11 @@
 implementations that the orbit-sum projection, its exact norm, the
 one-pass gamma elements, the closed-form quotient kernel, the
 characters' generator forms, the generator-set invariance test, the
-pushforward moment table, the sparse series table, the closed-form
-reflecting hyperplanes, the window tables,
-the shift-table Brown-Halmos check and compactness probe, and the
-series-table reproducing check are tested against; the float hyperplane
+pushforward moment table, the quotient route's per-basis functionals
+(the product pairing through conj_zbar), the sparse series table, the
+closed-form reflecting hyperplanes, the window tables, the shift-table
+Brown-Halmos check and compactness probe, and the series-table
+reproducing check are tested against; the float hyperplane
 product that the closed-form relative invariants are tested against; the
 base-ball Toeplitz entry and its sphere pair integral; and the per-element
 and per-term helpers they and the tests use (the point tables among them).
@@ -52,6 +53,13 @@ def is_disjoint(h: LaurentPoly) -> bool:
     return all(all(min(e[i], e[n + i]) == 0 for i in range(n)) for e in h.terms)
 
 
+def conj_zbar(f: LaurentPoly) -> LaurentPoly:
+    """Complex conjugate of a (z, conj z) polynomial of dimension 2n: swap
+    the z and conj(z) halves and conjugate the coefficients."""
+    n = f.dim // 2
+    return LaurentPoly(f.dim, {e[n:] + e[:n]: c.conjugate() for e, c in f.terms.items()})
+
+
 def torus_restriction(h: LaurentPoly) -> LaurentPoly:
     """Substitute conj(z) = z^{-1} in every coordinate of a (z, conj z)
     polynomial of dimension 2n."""
@@ -63,7 +71,8 @@ def torus_restriction(h: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(n, out)
 from hardyq.invariants import (GammaBasis, NotInIsotypicError, hyperplane_form, index_set, lift,
                                lower, project)
-from hardyq.toeplitz import RESIDUAL_TOL, BHReport, CompactnessReport, ToeplitzWindow
+from hardyq.toeplitz import (RESIDUAL_TOL, BHReport, CompactnessReport, CompareReport,
+                             QuotientRealization, ToeplitzWindow, _verdict_scale)
 
 
 def point_tables(group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,6 +309,64 @@ def pushforward_inner(qr, f: LaurentPoly, g: LaurentPoly) -> tuple[complex, floa
                              for a, p in pulled.terms.items())
     c2 = qr.ellp.cnorm ** 2
     return integrand.coeff((0,) * n) / c2, mass / c2, widest
+
+
+def quotient_route_loop(u, v, mode: str, character, bmap, bound: int,
+                        magnitude: bool = False) -> tuple[CompareReport, int]:
+    """_quotient_route_compare with the product pairing: <f, g> is
+    sum_e h_e mu(e) / c^2 over h = f conj(g), each projection adds
+    <f, e_r> e_r to a LaurentPoly one rep at a time, and every column is
+    paired against the lowered polynomials.  Shares only the realisation's
+    moments and lowered basis with the route.  With magnitude=True the theta
+    forms, lowered elements and moments are replaced by their absolute
+    values and the residual's difference by a sum, so each entry is the sum
+    of the magnitudes of the leaves the entry adds up.  Also returns the
+    largest number of terms any one sum adds: a product h or a projection's
+    rep set."""
+    qr = QuotientRealization.shared(character, bmap)
+    n = character.group.n
+    widest = 0
+
+    def mag(p: LaurentPoly) -> LaurentPoly:
+        return LaurentPoly(p.dim, {e: abs(c) for e, c in p.terms.items()}) if magnitude else p
+
+    def inner(f: LaurentPoly, g: LaurentPoly) -> complex:
+        nonlocal widest
+        h = f * conj_zbar(g)
+        widest = max(widest, len(h.terms))
+        total = 0j
+        for key, c in h.terms.items():
+            mu = qr.moment(key)
+            total += c * (abs(mu) if magnitude else mu)
+        return total / qr.ellp.cnorm_sq
+
+    def project(f: LaurentPoly, exp_bound: int) -> LaurentPoly:
+        nonlocal widest
+        reps = index_set(character, exp_bound).reps
+        widest = max(widest, len(reps))
+        out = LaurentPoly.zero(2 * n)
+        for rep in reps:
+            e = mag(qr.basis_down(rep))
+            c = inner(f, e)
+            if c:
+                out = out + c * e
+        return out
+
+    uh, vh = mag(u.theta_form(bmap)), mag(v.theta_form(bmap))
+    reps = list(index_set(character, bound, holomorphic=True).reps)
+    out = np.zeros((len(reps), len(reps)), dtype=complex)
+    for j, a in enumerate(reps):
+        fa = mag(qr.basis_down(a))
+        first = uh * project(vh * fa, v.radius() + bound)
+        if mode == "semi":
+            second = (uh * vh) * fa
+        else:
+            second = vh * project(uh * fa, u.radius() + bound)
+        for i, b in enumerate(reps):
+            e = mag(qr.basis_down(b))
+            x, y = inner(first, e), inner(second, e)
+            out[i, j] = x + y if magnitude else x - y
+    return CompareReport._judge(mode, reps, out, _verdict_scale([u, v])), widest
 
 
 def series_sum(sk, x, y) -> tuple[complex, float]:

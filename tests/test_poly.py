@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from group_sums import (apply_point, elements, is_disjoint, sphere_pair_integral,
+from group_sums import (apply_point, conj_zbar, elements, is_disjoint, sphere_pair_integral,
                         torus_restriction)
 from hardyq.groups import GroupElement, make_group
 from hardyq.invariants import basic_map
 from hardyq.laurent import (
     LaurentPoly,
     act,
-    conj_zbar,
     harmonic_extension,
     sphere_inner,
     sphere_monomial_weight,

@@ -1,27 +1,56 @@
 """The quotient-side tables against the per-entry loops in group_sums.py:
-the pushforward moment table behind QuotientRealization.inner, and the
-sparse coefficient table behind SeriesKernel.eval.
+the pushforward moments and per-basis functionals behind
+QuotientRealization.inner and the quotient route, and the sparse
+coefficient table behind SeriesKernel.eval.
 
 Tolerances.  eps is the double-precision machine epsilon, u = eps/2 the unit
-roundoff; a complex product has relative error at most sqrt(5) u, a
-recursive sum of k terms at most sqrt(2) (k - 1) u times the sum of their
-magnitudes.  Bounds are first order in u.
+roundoff; a complex product has relative error at most sqrt(5) u, a real
+times a complex number or a division by an integer at most u, and a
+recursive sum of k complex terms at most sqrt(2) (k - 1) u times the sum of
+their magnitudes.  Bounds are first order in u.
 * Pushforward inner products.  For the trivial and sign characters the
   theta components and ell have integer coefficients, so the pulled
   monomials P = pull(t^beta conj(t)^gamma), the weight W = |ell|^2 and every
-  moment mu = sum_a P[a] W[-a] are exact integers in doubles.  The table
-  then rounds only in summing the N_h terms h_{beta gamma} mu(beta, gamma)
-  of h = f conj(g) and in the division by c^2.  The oracle multiplies each
-  coefficient of h by at most 2n pulled theta powers, sums at most T_P
+  moment mu = sum_a P[a] W[-a] are exact integers in doubles, and c^2 is an
+  exact integer.  inner(f, r) pairs f with e = basis_down(r), a holomorphic
+  polynomial of N_e terms, through phi(k) = sum_j conj(e_j) mu(k + swap(j)):
+  N_e real-times-complex products summed, then the N_f products f_k phi(k)
+  summed, then one division by c^2: at most
+  (sqrt(2) (N_e + N_f) + sqrt(5) + 1) u <= (N_e + N_f + 2) eps relative to
+  the leaves.  The oracle forms h = f conj(e) (each coefficient a sum of at
+  most N_f products, one per term of f: at most (N_f + 1) eps), multiplies
+  each coefficient of h by at most 2n pulled theta powers, sums at most T_P
   contributions per coefficient in each of those products (T_P the largest
-  term count of a pulled monomial), adds the N_h pulled terms, and sums at
-  most |W| products for the constant term.  Every leaf of either
-  computation is h_{beta gamma} times non-negative integers times one
+  term count of a pulled monomial), adds the N_h pulled terms, sums at most
+  |W| products for the constant term and divides by cnorm**2, each step
+  within eps: at most (2n (T_P + 1) + N_h + |W| + 2) eps.  Every leaf of
+  either computation is f_k conj(e_j) times non-negative integers times one
   coefficient of W, so the sum of the leaf magnitudes is
-  S = sum |h_{beta gamma}| sum_a |P[a]| |W[-a]|, and the two results differ
-  by at most k eps S / c^2 with k = 2n (T_P + 1) + N_h + |W| + 4.
-  Coefficients are drawn with magnitudes in [1/10, 1], so the 1e-12 relative
-  cleanup of LaurentPoly drops rounding residue only.
+  M = sum_k sum_j |f_k| |e_j| sum_a |P[a]| |W[-a]| with P = pull of
+  t^(k + swap(j)): the oracle's mass of |f| and |e|, whose product has no
+  cancellation.  The two results differ by at most k eps M / c^2 with
+  k = 2n (T_P + 1) + N_h + |W| + N_e + 2 N_f + 5.  Coefficients of f are
+  drawn with magnitudes in [1/10, 1], so the 1e-12 relative cleanup of the
+  oracle's h drops rounding residue only.
+* The quotient route.  _quotient_route_compare and quotient_route_loop
+  share the theta forms, the lowered basis, the moments and every product
+  of those; they differ in the pairings (functional against product
+  polynomial), in how the projections accumulate (one dict against one
+  LaurentPoly per rep, each with its cleanup) and in the rounding of
+  everything downstream of a pairing.  Along one leaf of a residual entry
+  each side rounds in a pairing (2 sums, 2 products and a division), the
+  projection (a product and a sum), a product polynomial (a product and a
+  sum), a second pairing and the final difference: with at most W terms in
+  any one sum that is 6 W + 9 steps of relative error at most sqrt(5) u.
+  The two sides then differ by at most
+  (12 W + 18) sqrt(5) u L <= (14 W + 21) eps L, where L is the entry
+  computed in magnitudes (quotient_route_loop with magnitude=True: absolute
+  theta forms, lowered elements and moments, differences as sums).  L
+  carries the symbols' scale, the factor that _verdict_scale judges the
+  residuals against.  W is the largest product h or projection rep set
+  either loop meets: every sum on the route adds at most that many terms.
+  Symbol coefficients are uniform random doubles, so a cleanup drops
+  rounding residue only.
 * Series values.  Both sides evaluate sum_m e_m(x) conj(e_m(y)) over the
   same terms c x^a.  The table raises x_i to the power k by k - 1 products
   and multiplies n powers; LaurentPoly.eval raises by binary powering (at
@@ -37,22 +66,24 @@ import cmath
 import functools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from group_sums import pushforward_inner, series_sum
-from hardyq.groups import make_character, make_group
-from hardyq.invariants import BasicMap, basic_map
+from group_sums import conj_zbar, pushforward_inner, quotient_route_loop, series_sum
+from hardyq import invariants, laurent, toeplitz
+from hardyq.groups import builtin_characters, make_character, make_group
+from hardyq.invariants import BasicMap, basic_map, index_set
 from hardyq.kernels import KernelSpec, SeriesKernel
-from hardyq.laurent import LaurentPoly, conj_zbar
+from hardyq.laurent import LaurentPoly
 from hardyq.suites import random_invariant_symbol
-from hardyq.toeplitz import QuotientRealization, correspondence_check
+from hardyq.toeplitz import QuotientRealization, _quotient_route_compare, correspondence_check
 
 EPS = 2.0 ** -52
 
-CASES = [(g, ch) for g in ("G(1,1,2)", "G(2,1,2)", "G(2,2,2)", "G(1,1,3)")
-         for ch in ("trivial", "sgn")]
+GROUPS = ("G(1,1,2)", "G(2,1,2)", "G(2,2,2)", "G(1,1,3)")
+CASES = [(g, ch) for g in GROUPS for ch in ("trivial", "sgn")]
 # window bound of the series table per dimension, and the largest
 # exponent per coordinate of the drawn harmonic polynomials: on G(1,1,3)
 # a pulled monomial of degree 4 per coordinate already has thousands of terms
@@ -99,19 +130,51 @@ def point(draw, n):
     return tuple(draw(r) * cmath.exp(1j * draw(phase)) for _ in range(n))
 
 
+def magnitudes(p: LaurentPoly) -> LaurentPoly:
+    return LaurentPoly(p.dim, {e: abs(c) for e, c in p.terms.items()})
+
+
 @pytest.mark.parametrize("spec,chname", CASES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_inner_matches_pull_per_entry(spec, chname, data):
     qr = realization(spec, chname)
     n = qr.group.n
-    f, g = data.draw(harmonic(n)), data.draw(harmonic(n))
-    want, mass, widest = pushforward_inner(qr, f, g)
+    f = data.draw(harmonic(n))
+    rep = data.draw(st.sampled_from(index_set(qr.character, 4).reps))
+    g = qr.basis_down(rep)
+    want, _, widest = pushforward_inner(qr, f, g)
+    _, mass, _ = pushforward_inner(qr, magnitudes(f), magnitudes(g))
     h_terms = len((f * conj_zbar(g)).terms)
     weight_terms = len((qr.ellp.poly * qr.ellp.poly.conj_torus()).terms)
-    k = 2 * n * (widest + 1) + h_terms + weight_terms + 4
-    got = qr.inner(f, g)
+    k = (2 * n * (widest + 1) + h_terms + weight_terms
+         + len(g.terms) + 2 * len(f.terms) + 5)
+    got = qr.inner(f, rep)
     assert abs(got - want) <= k * EPS * mass, (got, want, mass)
+
+
+ROUTE_CASES = [(g, ch.name) for g in GROUPS for ch in builtin_characters(group(g))]
+
+
+@pytest.mark.parametrize("spec,chname", ROUTE_CASES)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from(["semi", "commute"]),
+       bound=st.integers(2, 4))
+def test_route_matches_product_pairing_loop(spec, chname, seed, mode, bound):
+    g = group(spec)
+    bm = basic_map(g)
+    ch = make_character(g, chname)
+    rng = random.Random(seed)
+    u = random_invariant_symbol(g, rng, radius=1, terms=3)
+    v = random_invariant_symbol(g, rng, radius=1, terms=3)
+    got = _quotient_route_compare(u, v, mode, ch, bm, bound)
+    want, widest = quotient_route_loop(u, v, mode, ch, bm, bound)
+    leaves, widest_abs = quotient_route_loop(u, v, mode, ch, bm, bound, magnitude=True)
+    assert got.reps == want.reps
+    assert got.verdict == want.verdict
+    tol = (14 * max(widest, widest_abs) + 21) * EPS * leaves.residuals.real
+    gap = np.abs(got.residuals - want.residuals)
+    assert np.all(gap <= tol), float(np.max(gap - tol))
 
 
 @pytest.mark.parametrize("spec,chname", CASES)
@@ -131,6 +194,10 @@ def test_series_table_matches_per_element_eval(spec, chname, data):
     assert abs(got - want) <= tol, (got, want, mass)
 
 
+def functional_entries(qr: QuotientRealization) -> int:
+    return sum(len(phi) for phi in qr._functionals.values())
+
+
 def test_second_check_adds_no_moment(monkeypatch):
     g = make_group("G(1,1,2)")
     sgn = make_character(g, "sgn")
@@ -138,6 +205,9 @@ def test_second_check_adds_no_moment(monkeypatch):
     u = random_invariant_symbol(g, rng, radius=1, terms=3)
     v = random_invariant_symbol(g, rng, radius=1, terms=3)
     first = correspondence_check(u, v, [sgn], 3, mode="commute")
+    qr = QuotientRealization.shared(sgn, basic_map(g))
+    entries = functional_entries(qr)
+    assert entries > 0
     calls = []
     real_pull = BasicMap.pull
 
@@ -149,5 +219,34 @@ def test_second_check_adds_no_moment(monkeypatch):
     # a fresh character object: realisations are keyed by character value
     second = correspondence_check(u, v, [make_character(g, "sgn")], 3, mode="commute")
     assert calls == []
+    assert functional_entries(qr) == entries
     assert second.to_json() == first.to_json()
     assert basic_map(g) is basic_map(g)
+
+
+@pytest.mark.parametrize("mode", ["semi", "commute"])
+def test_warm_route_reads_no_ambient_path(monkeypatch, mode):
+    """The quotient route stays independent of the isotypic and monomial
+    routes: once warm, it calls none of their pairings, projections,
+    Toeplitz applications, window tables or basis expansions."""
+    g = make_group("G(1,1,2)")
+    bm = basic_map(g)
+    sgn = make_character(g, "sgn")
+    rng = random.Random(8)
+    u = random_invariant_symbol(g, rng, radius=1, terms=3)
+    v = random_invariant_symbol(g, rng, radius=1, terms=3)
+    first = _quotient_route_compare(u, v, mode, sgn, bm, 3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the quotient route left the quotient side")
+
+    for module in (laurent, invariants, toeplitz):
+        monkeypatch.setattr(module, "torus_inner", forbidden)
+    monkeypatch.setattr(toeplitz, "hol_project", forbidden)
+    monkeypatch.setattr(toeplitz, "apply_toeplitz", forbidden)
+    monkeypatch.setattr(toeplitz.WindowTable, "entries", forbidden)
+    monkeypatch.setattr(invariants.GammaBasis, "expand", forbidden)
+    second = _quotient_route_compare(u, v, mode, sgn, bm, 3)
+    assert np.array_equal(second.residuals, first.residuals)
+    # the product pairing's conj_zbar lives on only as a test oracle
+    assert not hasattr(laurent, "conj_zbar") and not hasattr(toeplitz, "conj_zbar")
