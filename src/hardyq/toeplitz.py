@@ -578,9 +578,9 @@ class QuotientRealization:
     enters only through its moments mu(e) = CT(pull(t^e) |ell|^2),
     memoised: this is the package's one pushforward integral.  Every
     pairing is against a lowered basis element e_r, through the functional
-    phi_r(k) = sum_j conj(e_r[j]) mu(k + swap(j)), memoised per (rep, k) and
-    read from the moments.  Use shared() to reuse the moments, functionals
-    and lowered basis across comparisons."""
+    phi_r(k) = sum_j conj(e_r[j]) mu(k + swap(j)) read from the moments and
+    kept by the caller for one batch of pairings.  Use shared() to reuse the
+    moments and lowered basis across comparisons."""
 
     def __init__(self, character: Character, bmap: BasicMap):
         self.character = character
@@ -590,7 +590,6 @@ class QuotientRealization:
         self._down: dict[Expo, LaurentPoly] = {}
         self._reps: dict[int, list[Expo]] = {}
         self._moments: dict[Expo, complex] = {}
-        self._functionals: dict[Expo, dict[Expo, complex]] = {}
         self._weight = self.ellp.poly * self.ellp.poly.conj_torus()
 
     @classmethod
@@ -627,13 +626,16 @@ class QuotientRealization:
             self._moments[key] = got
         return got
 
-    def inner(self, f: LaurentPoly, rep: Expo) -> complex:
+    def inner(self, f: LaurentPoly, rep: Expo,
+              functionals: dict[Expo, dict[Expo, complex]]) -> complex:
         """<f, e_rep> in L^2 of the pushforward measure, e_rep = basis_down(rep),
         scaled by 1/c^2 so the lowered basis is orthonormal: the sum of
         f_k phi_rep(k), with no product polynomial.  e_rep is holomorphic:
         conjugating its term at j = (a, 0) moves a to the conj(t) half,
-        swap(j) = (0, a)."""
-        phi = self._functionals.setdefault(tuple(rep), {})
+        swap(j) = (0, a).  functionals[rep][k] holds phi_rep(k) for the
+        caller's later pairings: one dict per batch (one route call), since
+        its keys grow with every f paired."""
+        phi = functionals.setdefault(tuple(rep), {})
         n = self.group.n
         total = 0j
         for key, c in f.terms.items():
@@ -647,26 +649,27 @@ class QuotientRealization:
             total += c * p
         return total / self.ellp.cnorm_sq
 
-    def project_hardy(self, f: LaurentPoly, exp_bound: int) -> LaurentPoly:
+    def project_hardy(self, f: LaurentPoly, exp_bound: int,
+                      functionals: dict[Expo, dict[Expo, complex]]) -> LaurentPoly:
         """Orthogonal projection onto the span of the lowered basis up to the
         given ambient sup-norm bound (exact once the bound dominates f):
-        sum_r <f, e_r> e_r accumulated in one dict, cleaned once."""
+        sum_r <f, e_r> e_r, pairing through `functionals` as inner does."""
         reps = self._reps.get(exp_bound)
         if reps is None:
             reps = self._reps[exp_bound] = index_set(self.character, exp_bound).reps
-        out: dict[Expo, complex] = {}
+        out = LaurentPoly.zero(2 * self.group.n)
         for rep in reps:
-            c = self.inner(f, rep)
+            c = self.inner(f, rep, functionals)
             if c:
-                for e, w in self.basis_down(rep).terms.items():
-                    out[e] = out.get(e, 0) + c * w
-        return LaurentPoly(2 * self.group.n, out)
+                out = out + c * self.basis_down(rep)
+        return out
 
-    def toeplitz_apply(self, u: LaurentPoly, f: LaurentPoly, exp_bound: int) -> LaurentPoly:
-        return self.project_hardy(u * f, exp_bound)
+    def toeplitz_apply(self, u: LaurentPoly, f: LaurentPoly, exp_bound: int,
+                       functionals: dict[Expo, dict[Expo, complex]]) -> LaurentPoly:
+        return self.project_hardy(u * f, exp_bound, functionals)
 
     def window_entry(self, u: LaurentPoly, row: Expo, col: Expo) -> complex:
-        return self.inner(u * self.basis_down(col), row)
+        return self.inner(u * self.basis_down(col), row, {})
 
 
 def _monomial_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
@@ -691,18 +694,20 @@ def _quotient_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
     uh = u.theta_form(bmap)
     vh = v.theta_form(bmap)
     reps = list(index_set(character, bound, holomorphic=True).reps)
+    # phi_r(k) for this call's pairings: the columns share most exponents k
+    functionals: dict[Expo, dict[Expo, complex]] = {}
 
     def column(rep: Expo) -> tuple[LaurentPoly, LaurentPoly]:
         fa = qr.basis_down(rep)
         if mode == "semi":
-            mid = qr.toeplitz_apply(vh, fa, v.radius() + bound)
+            mid = qr.toeplitz_apply(vh, fa, v.radius() + bound, functionals)
             return uh * mid, (uh * vh) * fa
-        mid_v = qr.toeplitz_apply(vh, fa, v.radius() + bound)
-        mid_u = qr.toeplitz_apply(uh, fa, u.radius() + bound)
+        mid_v = qr.toeplitz_apply(vh, fa, v.radius() + bound, functionals)
+        mid_u = qr.toeplitz_apply(uh, fa, u.radius() + bound, functionals)
         return uh * mid_v, vh * mid_u
 
     def pair(cols: tuple[LaurentPoly, LaurentPoly], rep: Expo) -> complex:
-        return qr.inner(cols[0], rep) - qr.inner(cols[1], rep)
+        return qr.inner(cols[0], rep, functionals) - qr.inner(cols[1], rep, functionals)
 
     res = _fill(reps, column, pair)
     return CompareReport._judge(mode, reps, res, _verdict_scale([u, v]))

@@ -12,32 +12,33 @@ their magnitudes.  Bounds are first order in u.
   theta components and ell have integer coefficients, so the pulled
   monomials P = pull(t^beta conj(t)^gamma), the weight W = |ell|^2 and every
   moment mu = sum_a P[a] W[-a] are exact integers in doubles, and c^2 is an
-  exact integer.  inner(f, r) pairs f with e = basis_down(r), a holomorphic
-  polynomial of N_e terms, through phi(k) = sum_j conj(e_j) mu(k + swap(j)):
-  N_e real-times-complex products summed, then the N_f products f_k phi(k)
-  summed, then one division by c^2: at most
-  (sqrt(2) (N_e + N_f) + sqrt(5) + 1) u <= (N_e + N_f + 2) eps relative to
-  the leaves.  The oracle forms h = f conj(e) (each coefficient a sum of at
-  most N_f products, one per term of f: at most (N_f + 1) eps), multiplies
-  each coefficient of h by at most 2n pulled theta powers, sums at most T_P
-  contributions per coefficient in each of those products (T_P the largest
-  term count of a pulled monomial), adds the N_h pulled terms, sums at most
-  |W| products for the constant term and divides by cnorm**2, each step
-  within eps: at most (2n (T_P + 1) + N_h + |W| + 2) eps.  Every leaf of
-  either computation is f_k conj(e_j) times non-negative integers times one
-  coefficient of W, so the sum of the leaf magnitudes is
-  M = sum_k sum_j |f_k| |e_j| sum_a |P[a]| |W[-a]| with P = pull of
-  t^(k + swap(j)): the oracle's mass of |f| and |e|, whose product has no
-  cancellation.  The two results differ by at most k eps M / c^2 with
-  k = 2n (T_P + 1) + N_h + |W| + N_e + 2 N_f + 5.  Coefficients of f are
-  drawn with magnitudes in [1/10, 1], so the 1e-12 relative cleanup of the
-  oracle's h drops rounding residue only.
+  exact integer.  inner(f, r, ...) pairs f with e = basis_down(r), a
+  holomorphic polynomial of N_e terms: phi(k) = sum_j conj(e_j)
+  mu(k + swap(j)) sums N_e terms of magnitude |e_j| |mu|, then
+  sum_k f_k phi(k) sums N_f terms, then one division by c^2: at most
+  (N_e + N_f + 2) eps relative to the leaf magnitudes
+  M = sum_k sum_j |f_k| |e_j| |mu(k + swap(j))|.  The oracle forms
+  h = f conj(e), each coefficient a sum of at most N_f products (at most
+  (N_f + 1) eps relative to the same M), multiplies each coefficient of h
+  by at most 2n pulled theta powers, sums at most T_P contributions per
+  coefficient in each of those products (T_P the largest term count of a
+  pulled monomial), adds the N_h pulled terms, and sums at most |W|
+  products for the constant term; those steps round relative to the mass
+  it returns, S = sum |h_{beta gamma}| sum_a |P[a]| |W[-a]|.  The test
+  keeps the bound k eps S / c^2 with k = 2n (T_P + 1) + N_h + |W| + 4,
+  derived when both sides summed the same h.  For this summation order it
+  is not a worst case: S <= M, with equality unless products f_k conj(e_j)
+  that fall on one exponent of h cancel, and the (N_e + 2 N_f + 3) eps M
+  that scales with M stays inside the bound only while that cancellation
+  is mild.  It is for the drawn coefficients (real and imaginary parts 0
+  or of magnitude in [1/10, 1]): over 400 examples per case the difference
+  used at most 7.8 % of the bound.  Those magnitudes also keep the 1e-12
+  relative cleanup of the oracle's h to rounding residue.
 * The quotient route.  _quotient_route_compare and quotient_route_loop
   share the theta forms, the lowered basis, the moments and every product
-  of those; they differ in the pairings (functional against product
-  polynomial), in how the projections accumulate (one dict against one
-  LaurentPoly per rep, each with its cleanup) and in the rounding of
-  everything downstream of a pairing.  Along one leaf of a residual entry
+  of those, and accumulate each projection one rep at a time; they differ
+  in the pairings (functional against product polynomial) and in the
+  rounding of everything downstream of a pairing.  Along one leaf of a residual entry
   each side rounds in a pairing (2 sums, 2 products and a division), the
   projection (a product and a sum), a product polynomial (a product and a
   sum), a second pairing and the final difference: with at most W terms in
@@ -130,10 +131,6 @@ def point(draw, n):
     return tuple(draw(r) * cmath.exp(1j * draw(phase)) for _ in range(n))
 
 
-def magnitudes(p: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly(p.dim, {e: abs(c) for e, c in p.terms.items()})
-
-
 @pytest.mark.parametrize("spec,chname", CASES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -143,13 +140,11 @@ def test_inner_matches_pull_per_entry(spec, chname, data):
     f = data.draw(harmonic(n))
     rep = data.draw(st.sampled_from(index_set(qr.character, 4).reps))
     g = qr.basis_down(rep)
-    want, _, widest = pushforward_inner(qr, f, g)
-    _, mass, _ = pushforward_inner(qr, magnitudes(f), magnitudes(g))
+    want, mass, widest = pushforward_inner(qr, f, g)
     h_terms = len((f * conj_zbar(g)).terms)
     weight_terms = len((qr.ellp.poly * qr.ellp.poly.conj_torus()).terms)
-    k = (2 * n * (widest + 1) + h_terms + weight_terms
-         + len(g.terms) + 2 * len(f.terms) + 5)
-    got = qr.inner(f, rep)
+    k = 2 * n * (widest + 1) + h_terms + weight_terms + 4
+    got = qr.inner(f, rep, {})
     assert abs(got - want) <= k * EPS * mass, (got, want, mass)
 
 
@@ -194,10 +189,6 @@ def test_series_table_matches_per_element_eval(spec, chname, data):
     assert abs(got - want) <= tol, (got, want, mass)
 
 
-def functional_entries(qr: QuotientRealization) -> int:
-    return sum(len(phi) for phi in qr._functionals.values())
-
-
 def test_second_check_adds_no_moment(monkeypatch):
     g = make_group("G(1,1,2)")
     sgn = make_character(g, "sgn")
@@ -205,9 +196,6 @@ def test_second_check_adds_no_moment(monkeypatch):
     u = random_invariant_symbol(g, rng, radius=1, terms=3)
     v = random_invariant_symbol(g, rng, radius=1, terms=3)
     first = correspondence_check(u, v, [sgn], 3, mode="commute")
-    qr = QuotientRealization.shared(sgn, basic_map(g))
-    entries = functional_entries(qr)
-    assert entries > 0
     calls = []
     real_pull = BasicMap.pull
 
@@ -219,7 +207,6 @@ def test_second_check_adds_no_moment(monkeypatch):
     # a fresh character object: realisations are keyed by character value
     second = correspondence_check(u, v, [make_character(g, "sgn")], 3, mode="commute")
     assert calls == []
-    assert functional_entries(qr) == entries
     assert second.to_json() == first.to_json()
     assert basic_map(g) is basic_map(g)
 
@@ -228,7 +215,8 @@ def test_second_check_adds_no_moment(monkeypatch):
 def test_warm_route_reads_no_ambient_path(monkeypatch, mode):
     """The quotient route stays independent of the isotypic and monomial
     routes: once warm, it calls none of their pairings, projections,
-    Toeplitz applications, window tables or basis expansions."""
+    Toeplitz applications, window tables or ambient gamma basis (its
+    elements, factors, expansions or the inner product an instance holds)."""
     g = make_group("G(1,1,2)")
     bm = basic_map(g)
     sgn = make_character(g, "sgn")
@@ -245,7 +233,10 @@ def test_warm_route_reads_no_ambient_path(monkeypatch, mode):
     monkeypatch.setattr(toeplitz, "hol_project", forbidden)
     monkeypatch.setattr(toeplitz, "apply_toeplitz", forbidden)
     monkeypatch.setattr(toeplitz.WindowTable, "entries", forbidden)
-    monkeypatch.setattr(invariants.GammaBasis, "expand", forbidden)
+    for basis in [b for b in g.derived.values() if isinstance(b, invariants.GammaBasis)]:
+        monkeypatch.setattr(basis, "inner", forbidden)
+    for name in ("__call__", "shared", "factor", "expand"):
+        monkeypatch.setattr(invariants.GammaBasis, name, forbidden)
     second = _quotient_route_compare(u, v, mode, sgn, bm, 3)
     assert np.array_equal(second.residuals, first.residuals)
     # the product pairing's conj_zbar lives on only as a test oracle
