@@ -17,12 +17,10 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
-from operator import itemgetter
 
 
 def root_of_unity(turn: Fraction | int) -> complex:
@@ -210,12 +208,10 @@ class Group:
         return (tuple(range(self.n)),)
 
     @cached_property
-    def perm_actions(self) -> tuple[tuple[Callable[[tuple[int, ...]], tuple[int, ...]], int], ...]:
-        """(image, parity) per perm_images() entry: image(alpha) is the tuple
-        sigma . alpha = (alpha[perm[0]], ..., alpha[perm[n-1]]) for a tuple
-        alpha, parity 0 for even and 1 for odd; built once per group."""
-        return tuple((itemgetter(*perm) if len(perm) > 1 else tuple, _perm_parity(perm))
-                     for perm in self.perm_images())
+    def perm_order(self) -> int:
+        """|S|, the number of permutation parts: n! for G(m,p,n), 1 for
+        Z(m)@k^n."""
+        return math.factorial(self.n) if self.spec.kind == "Gmpn" else 1
 
     @cached_property
     def diagonal_generators(self) -> tuple[GroupElement, ...]:

@@ -20,10 +20,13 @@ from .laurent import (
     Expo,
     LaurentPoly,
     _compose,
+    _young_order,
     canonical_exponent,
+    orbit_template,
     sphere_inner,
     sphere_monomial_weight,
     sphere_norm,
+    tie_pattern,
     torus_inner,
 )
 
@@ -211,7 +214,7 @@ def project(char: Character, f: LaurentPoly) -> LaurentPoly:
     if n != char.group.n:
         raise ValueError("character dimension does not match polynomial")
     out: dict[Expo, complex] = {}
-    size = len(char.group.perm_images())
+    size = char.group.perm_order
     for a, c in f.terms.items():
         if _diagonal_match(char, a):
             _add_orbit(out, _signed_orbit(char, a), c / size)
@@ -233,27 +236,50 @@ def _signed_orbit(char: Character, alpha: Expo) -> dict[Expo, int]:
 
     The weight at sigma alpha is chi(sigma) times the sum of conj(chi) over
     the stabilizer Stab_S(alpha): |Stab_S(alpha)| when chi is trivial there
-    and 0 otherwise, so the dict is empty exactly when the projection
-    vanishes.  A new dict on every call.
+    and 0 otherwise (swap nonzero and a repeated value, so the stabilizer
+    holds a transposition), so the dict is empty exactly when the
+    projection vanishes; that case is answered before any template is
+    read.  Otherwise read from alpha's orbit_template: one entry per
+    distinct image, in the order in which the lexicographic loop over S
+    first reaches it.  A new dict on every call.
     """
     alpha = tuple(alpha)
-    odd = -1 if char.swap else 1
-    weights: dict[Expo, int] = {}
-    for image, parity in char.group.perm_actions:
-        b = image(alpha)
-        weights[b] = weights.get(b, 0) + (odd if parity else 1)
-    return {b: w for b, w in weights.items() if w}
+    group = char.group
+    if len(set(alpha)) == len(alpha):
+        pattern = group.identity.perm  # the all-distinct pattern, without a scan
+    elif char.swap:
+        return {}
+    else:
+        pattern = tie_pattern(alpha)
+    images, stab = orbit_template(group, pattern)
+    # plain loops: a comprehension's own frame costs more than the two
+    # images of an n = 2 orbit
+    out: dict[Expo, int] = {}
+    if char.swap:
+        for image, parity in images:
+            out[image(alpha)] = -1 if parity else 1
+    else:
+        for image, _ in images:
+            out[image(alpha)] = stab
+    return out
 
 
 def projection_norm_sq(char: Character, alpha: Expo) -> Fraction:
-    """Exact squared torus norm of the projected monomial: the signed-orbit
-    weight at alpha over |S|, that is |Stab_S(alpha)|/|S| when the diagonal
-    test passes and chi is trivial on the permutation stabilizer
-    Stab_S(alpha), else 0."""
+    """Exact squared torus norm of the projected monomial, in closed form:
+    |Stab_S(alpha)|/|S| = prod_i m_i!/n! over the multiplicities m_i of
+    alpha's values (1 on Z(m)@k^n) when the diagonal test passes and chi is
+    trivial on the stabilizer, else 0.  The stabilizer is the Young
+    subgroup of alpha's repeated values, so chi is trivial on it unless
+    swap is nonzero and some value repeats.  No orbit is built."""
     alpha = tuple(alpha)
     if not _diagonal_match(char, alpha):
         return Fraction(0)
-    return Fraction(_signed_orbit(char, alpha).get(alpha, 0), len(char.group.perm_images()))
+    group = char.group
+    if group.spec.kind != "Gmpn" or len(set(alpha)) == len(alpha):
+        return Fraction(1, group.perm_order)
+    if char.swap:
+        return Fraction(0)
+    return Fraction(_young_order(alpha), group.perm_order)
 
 
 # -- relative invariants -----------------------------------------------------
@@ -427,7 +453,7 @@ class GammaBasis:
                 raise KeyError(f"projection of z^{rep} vanishes")
             # project(z^rep) in one pass: every weight has 1 <= |w| <= |S|,
             # so its cleanup would drop none
-            size = len(char.group.perm_images())
+            size = char.group.perm_order
             terms = _add_orbit({}, orbit, 1 / size)
             f = LaurentPoly._wrap(char.group.n, terms)
             # |S_rep|/|S| = orbit[rep]/|S|, an int/int division correctly

@@ -16,8 +16,11 @@ that arise here; exact terms are dropped only when exactly zero.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from fractions import Fraction
+from operator import itemgetter
 
 from .groups import Group, GroupElement, root_of_unity
 
@@ -245,40 +248,114 @@ def _compose(dim: int, terms: dict[Expo, complex], power) -> LaurentPoly:
 # -- group action ------------------------------------------------------------
 
 
+@functools.cache
+def _roots(m: int) -> tuple[complex, ...]:
+    """root_of_unity(k/m) for k = 0..m-1, built once per m."""
+    return tuple(root_of_unity(Fraction(k, m)) for k in range(m))
+
+
 def act(g: GroupElement, f: LaurentPoly) -> LaurentPoly:
     """(R_g f)(z) = f(g z), composition with the monomial matrix itself.
 
     Monomials transform exactly: z^a -> zeta^(sum_i phase_i a_i) z^b with
-    b_j = a_{perm(j)}.  With this composition the Jacobian of the basic map
-    transforms by det(g)^{-1}, i.e. by the sign character, which is what
-    ties the relative invariant ell_sgn to the Jacobian.
+    b_j = a_{perm(j)}; the turn is reduced mod m as an integer and its root
+    read from a per-m table.  With this composition the Jacobian of the
+    basic map transforms by det(g)^{-1}, i.e. by the sign character, which
+    is what ties the relative invariant ell_sgn to the Jacobian.
     """
     if len(g.perm) != f.dim:
         raise ValueError("element dimension does not match polynomial")
-    m = g.mod
+    perm, phase, m = g.perm, g.phase, g.mod
+    roots = _roots(m)
     out: dict[Expo, complex] = {}
     for e, c in f.terms.items():
-        b = tuple(e[g.perm[j]] for j in range(f.dim))
-        turn = Fraction(sum(p * x for p, x in zip(g.phase, e)), m)
-        out[b] = out.get(b, 0j) + c * root_of_unity(turn)
+        b = tuple([e[j] for j in perm])
+        out[b] = out.get(b, 0j) + c * roots[sum([p * x for p, x in zip(phase, e)]) % m]
     return LaurentPoly(f.dim, out)
 
 
+Template = tuple[tuple[tuple[Callable[[Expo], Expo], int], ...], int]
+
+
+def tie_pattern(expo: Expo) -> Expo:
+    """expo with each value replaced by the index of its first occurrence:
+    (5, 2, 5) -> (0, 1, 0), and (0, 1, ..., n-1) exactly when the values
+    are distinct.  Exponents share their permutation orbit's structure
+    (orbit_template) exactly when they share this pattern."""
+    return tuple(map(expo.index, expo))
+
+
+def orbit_template(group: Group, pattern: Expo) -> Template:
+    """(images, stab) for the permutation orbit of any exponent tuple expo
+    with this tie_pattern: one (image, parity) per distinct image sigma .
+    expo = (expo[sigma(0)], ..., expo[sigma(n-1)]), image an itemgetter
+    (tuple when n = 1) and parity 0 for even sigma, 1 for odd, in the order
+    in which the lexicographic loop over S first reaches each image; and
+    stab = |Stab_S(expo)|, the product of the factorials of expo's value
+    multiplicities (a Young subgroup).
+
+    Group.derived keeps one template per pattern: at most Bell(n) of them,
+    each with |orbit| = |S|/stab entries.  On Z(m)@k^n, S is the identity
+    alone, and so is every template."""
+    try:
+        return group.derived["orbit_templates"][pattern]
+    except KeyError:
+        pass
+    if group.spec.kind == "Gmpn":
+        got = _build_template(pattern)
+    else:
+        got = ((_getter(group.identity.perm), 0),), 1
+    return group.derived.setdefault("orbit_templates", {}).setdefault(pattern, got)
+
+
+def _getter(index) -> Callable[[Expo], Expo]:
+    """alpha -> (alpha[index[0]], ...) as a tuple, also for one index."""
+    return itemgetter(*index) if len(index) > 1 else tuple
+
+
+def _build_template(pattern: Expo) -> Template:
+    """The template of a tie pattern (see orbit_template), by recursion over
+    the unused indices in increasing order: at each depth only the first
+    unused index of each value is tried, since a later one with the same
+    value reaches only images that the first already reached.  So every
+    leaf is a new image and the first sigma of the lexicographic loop to
+    reach it; the parity grows by the number of unused indices below each
+    choice."""
+    n = len(pattern)
+    images: list[tuple[Callable[[Expo], Expo], int]] = []
+
+    def walk(prefix: Expo, unused: Expo, parity: int):
+        if not unused:
+            images.append((_getter(prefix), parity))
+            return
+        tried = set()
+        for k, i in enumerate(unused):
+            if pattern[i] not in tried:
+                tried.add(pattern[i])
+                walk(prefix + (i,), unused[:k] + unused[k + 1:], parity ^ (k & 1))
+
+    walk((), tuple(range(n)), 0)
+    return tuple(images), _young_order(pattern)
+
+
+def _young_order(expo: Expo) -> int:
+    """prod_i m_i! over the multiplicities m_i of expo's values: the order
+    of the Young subgroup of S_n that fixes expo."""
+    return math.prod(math.factorial(expo.count(v)) for v in set(expo))
+
+
 def orbit_exponents(group: Group, expo: Expo) -> list[Expo]:
-    """Distinct images of an exponent vector under the permutation parts."""
-    seen = set()
-    for perm in group.perm_images():
-        b = [0] * len(expo)
-        for j, x in enumerate(expo):
-            b[perm[j]] = x
-        seen.add(tuple(b))
-    return sorted(seen)
+    """Distinct images of an exponent vector under the permutation parts,
+    sorted: one per entry of its orbit_template."""
+    expo = tuple(expo)
+    return sorted([image(expo) for image, _ in orbit_template(group, tie_pattern(expo))[0]])
 
 
 def canonical_exponent(group: Group, expo: Expo) -> Expo:
-    """Lexicographic minimum over the permutation orbit; for G(m,p,n) this is
-    the weakly increasing sort."""
-    return min(orbit_exponents(group, expo))
+    """Lexicographic minimum over the permutation orbit: the weakly
+    increasing sort on G(m,p,n), expo itself on Z(m)@k^n, where S is
+    trivial."""
+    return tuple(sorted(expo)) if group.spec.kind == "Gmpn" else tuple(expo)
 
 
 # -- inner products ----------------------------------------------------------

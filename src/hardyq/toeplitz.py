@@ -196,10 +196,12 @@ class WindowTable:
         <T_u gamma_j, gamma_i> = F_i F_j sum_e c_e W_e[i, j],
         W_e[i, j] = <z^e P~z^{r_j}, P~z^{r_i}>,
 
-    an integer.  The table holds the window reps, each rep's signed orbit,
+    an integer.  The table holds the window reps, each rep's signed orbit
+    (read from its orbit template, so O(|orbit|) to build, not O(|S|)),
     the owner map b -> (row, weight) (the reps' orbits are disjoint) and, on
     first use of each symbol exponent e, W_e as sorted flat indices i k + j
-    with int64 weights: at most k |S| nonzeros for k reps.  One table per
+    with int64 weights: one nonzero at most per column and image of the
+    column's orbit, so at most k |S| for k reps.  One table per
     exponent, not per orbit, so a symbol whose coefficients differ within an
     orbit (SymbolPair accepts invariance to 1e-9) is still paired exactly.
     A permutation sigma in S scales every signed-orbit weight at sigma b by

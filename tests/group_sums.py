@@ -1,6 +1,8 @@
-"""Plain O(|G|) group sums and per-entry loops: the reference
-implementations that the orbit-sum projection, its exact norm, the
-one-pass gamma elements, the closed-form quotient kernel, the
+"""Plain O(|G|) group sums, O(n!) permutation loops and per-entry loops:
+the reference implementations that the orbit-sum projection, its exact
+norm, the orbit templates (signed orbits, orbit exponents, canonical
+exponents and the closed-form stabiliser norm), the one-pass gamma
+elements, the closed-form quotient kernel, the
 characters' generator forms, the generator-set invariance test, the
 pushforward moment table, the quotient route's per-basis functionals
 (the product pairing through conj_zbar), the sparse series table, the
@@ -69,8 +71,8 @@ def torus_restriction(h: LaurentPoly) -> LaurentPoly:
         f = tuple(e[i] - e[n + i] for i in range(n))
         out[f] = out.get(f, 0j) + c
     return LaurentPoly(n, out)
-from hardyq.invariants import (GammaBasis, NotInIsotypicError, hyperplane_form, index_set, lift,
-                               lower, project)
+from hardyq.invariants import (GammaBasis, NotInIsotypicError, _diagonal_match, hyperplane_form,
+                               index_set, lift, lower, project)
 from hardyq.toeplitz import (RESIDUAL_TOL, BHReport, CompactnessReport, CompareReport,
                              QuotientRealization, ToeplitzWindow, _verdict_scale)
 
@@ -256,6 +258,45 @@ def stabilizer_norm_sq(char, alpha: Expo) -> Fraction:
     return Fraction(stab, len(group))
 
 
+def signed_orbit_loop(char, alpha: Expo) -> dict[Expo, int]:
+    """_signed_orbit by the loop over every permutation part: sigma . alpha =
+    (alpha[sigma(0)], ...) gets + or - chi(sigma) (+1 on even sigma, and on
+    odd sigma when swap is 0), summed per image in the lexicographic order
+    of perm_images(), zero weights dropped."""
+    alpha = tuple(alpha)
+    odd = -1 if char.swap else 1
+    weights: dict[Expo, int] = {}
+    for perm in char.group.perm_images():
+        b = tuple(alpha[j] for j in perm)
+        weights[b] = weights.get(b, 0) + (odd if _perm_parity(perm) else 1)
+    return {b: w for b, w in weights.items() if w}
+
+
+def orbit_exponents_loop(group, expo: Expo) -> list[Expo]:
+    """The sorted set of images of expo over every permutation part."""
+    seen = set()
+    for perm in group.perm_images():
+        b = [0] * len(expo)
+        for j, x in enumerate(expo):
+            b[perm[j]] = x
+        seen.add(tuple(b))
+    return sorted(seen)
+
+
+def canonical_loop(group, expo: Expo) -> Expo:
+    """The lexicographic minimum over orbit_exponents_loop."""
+    return min(orbit_exponents_loop(group, expo))
+
+
+def orbit_norm_loop(char, alpha: Expo) -> Fraction:
+    """projection_norm_sq as the signed_orbit_loop weight at alpha over |S|
+    after the diagonal test."""
+    alpha = tuple(alpha)
+    if not _diagonal_match(char, alpha):
+        return Fraction(0)
+    return Fraction(signed_orbit_loop(char, alpha).get(alpha, 0), len(char.group.perm_images()))
+
+
 def gamma_element_loop(char, domain: str, rep: Expo) -> tuple[LaurentPoly, float]:
     """GammaBasis's (gamma_rep, factor) through project(z^rep) and
     LaurentPoly's scalar product, each with its cleanup: scaled by
@@ -403,16 +444,23 @@ def reproducing_loop(spec: KernelSpec, f: LaurentPoly, w, bound: int) -> float:
 
 
 def toeplitz_window_loop(symbol, character, bound: int, basis=None) -> ToeplitzWindow:
-    """toeplitz_window with one torus_inner per entry: column j is the
-    LaurentPoly product u * gamma_{r_j}, paired with every gamma_{r_i}."""
+    """toeplitz_window with one pairing per entry: column j is the product
+    u * gamma_{r_j} summed into a raw coefficient dict, with no cleanup (a
+    LaurentPoly product would drop terms below 1e-12 of its largest, such
+    as the 1e-12-sized entries of a symbol that is invariant only to
+    1e-11), and paired with every gamma_{r_i} as sum_a col_a conj(g_a)."""
     basis = basis or GammaBasis(character)
     reps = list(index_set(character, bound, holomorphic=True).reps)
-    gammas = [basis(r) for r in reps]
+    gammas = [basis(r).terms for r in reps]
     out = np.zeros((len(reps), len(reps)), dtype=complex)
     for j, g in enumerate(gammas):
-        col = symbol.pullback * g
+        col: dict[Expo, complex] = {}
+        for e1, c1 in symbol.pullback.terms.items():
+            for e2, c2 in g.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                col[e] = col.get(e, 0) + c1 * c2
         for i, h in enumerate(gammas):
-            out[i, j] = torus_inner(col, h)
+            out[i, j] = sum(col[e] * c.conjugate() for e, c in sorted(h.items()) if e in col)
     return ToeplitzWindow(character, bound, reps, out)
 
 

@@ -10,7 +10,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hardyq.toeplitz as toeplitz
@@ -50,10 +50,11 @@ coefficients = st.one_of(
 
 
 @st.composite
-def symbols(draw, spec):
-    """An invariant symbol of a few orbit sums with complex float, int or
-    Fraction coefficients; sometimes one image of one orbit carries its
-    coefficient times 1 + 1e-11, which SymbolPair still accepts."""
+def symbol_terms(draw, spec):
+    """The torus terms of an invariant symbol of a few orbit sums with
+    complex float, int or Fraction coefficients; sometimes one image of one
+    orbit carries its coefficient times 1 + 1e-11, which SymbolPair still
+    accepts."""
     g = setting(spec, "trivial")[0]
     reps = draw(st.lists(st.sampled_from(invariant_reps(spec)), min_size=1, max_size=4,
                          unique=True))
@@ -67,15 +68,27 @@ def symbols(draw, spec):
         if wide:
             e = orbit_exponents(g, draw(st.sampled_from(wide)))[-1]
             terms[e] = complex(terms[e]) * (1 + 1e-11)
-    return SymbolPair(g, LaurentPoly(g.n, terms))
+    return terms
+
+
+@st.composite
+def window_cases(draw):
+    """(group spec, character name, bound, symbol terms)."""
+    spec = draw(st.sampled_from(GROUPS))
+    return (spec, draw(st.sampled_from(CHARACTERS)), draw(st.integers(0, 8)),
+            draw(symbol_terms(spec)))
 
 
 @settings(max_examples=120, deadline=None)
-@given(data=st.data(), spec=st.sampled_from(GROUPS), chname=st.sampled_from(CHARACTERS),
-       bound=st.integers(0, 8))
-def test_table_window_matches_loop(data, spec, chname, bound):
-    _, ch = setting(spec, chname)
-    sym = data.draw(symbols(spec))
+@given(case=window_cases())
+# the entry is -2.5e-12, from the 1e-11 mismatch within the orbit of
+# (-2, 2); a LaurentPoly product's relative cleanup would drop it
+@example(case=("G(2,2,2)", "sgn", 2, {(-2, -2): 1, (-2, 2): 0.5, (-1, -1): 6, (0, 0): 0.5,
+                                      (2, -2): 0.5 * (1 + 1e-11)}))
+def test_table_window_matches_loop(case):
+    spec, chname, bound, terms = case
+    g, ch = setting(spec, chname)
+    sym = SymbolPair(g, LaurentPoly(g.n, terms))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # bound below the symbol radius
         fast = toeplitz_window(sym, ch, bound)
