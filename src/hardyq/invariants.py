@@ -63,14 +63,15 @@ class BasicMap:
     """The components theta_1..theta_n generating the invariant ring, with
     integer coefficients.
 
-    Holds the only table of theta powers: every substitution t = theta(z)
-    goes through pull() or theta(), so reuse one map rather than rebuilding
-    it (basic_map returns one map per group); and the only lowered-basis
-    table, `rows` (row()).  `quotients` keeps the quotient-side realisation
-    of each character (toeplitz), so its moment table lives as long as the
-    map.  `shift_tables` keeps the shift-relation table of each (character,
-    window reps) (toeplitz), so its shift maps and theta expansions serve
-    every later symbol.  The ambient windows' integer tables are not kept
+    Holds the only table of theta powers (no conj(theta)): every
+    substitution t = theta(z) goes through pull() or theta(), so reuse one
+    map rather than rebuilding it (basic_map returns one map per group); and
+    the only lowered-basis table, `rows` (row()).  `quotients` keeps the
+    quotient-side realisation of each character (toeplitz), whose moments
+    are the integer Gram of the theta(b) * ell, so its moment table lives
+    as long as the map.  `shift_tables` keeps the shift-relation table of
+    each (character, window reps) (toeplitz), so its shift maps and theta
+    expansions serve every later symbol.  The ambient windows' integer tables are not kept
     here: they need no theta, so toeplitz.WindowTable keeps them in
     Group.derived, one per (character value, bound).
     """
@@ -92,20 +93,16 @@ class BasicMap:
         return tuple(c.eval(z) for c in self.components)
 
     def power(self, k: int, e: int) -> LaurentPoly:
-        """theta_{k+1}^e for k < n, and conj(theta_{k-n+1})^e on the torus
-        for n <= k < 2n; memoised."""
+        """theta_{k+1}^e, memoised."""
         got = self._powers.get((k, e))
         if got is None:
-            n = self.dim
-            comp = self.components[k] if k < n else self.components[k - n].conj_torus()
-            got = self._powers[(k, e)] = comp ** e
+            got = self._powers[(k, e)] = self.components[k] ** e
         return got
 
     def pull(self, f: LaurentPoly) -> LaurentPoly:
         """f o theta on the torus, for an analytic LaurentPoly f in t
-        (dimension n) or in (t, conj t) (dimension 2n, coordinate n + k
-        standing for conj(t_{k+1}), as in power())."""
-        if f.dim not in (self.dim, 2 * self.dim):
+        (dimension n)."""
+        if f.dim != self.dim:
             raise ValueError("polynomial dimension does not match the basic map")
         if not f.is_analytic():
             raise ValueError("substitution requires an analytic polynomial")

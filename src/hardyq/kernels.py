@@ -2,7 +2,7 @@
 Cartan domain; quotient kernels in closed form; the tetrablock kernel;
 truncated series kernels in quotient coordinates; and reproducing-property
 residuals.  The pushforward-measure integral is QuotientRealization.moment
-(toeplitz).
+(toeplitz): an integer Gram entry sum_a (theta^b ell)_a (theta^c ell)_a.
 """
 
 from __future__ import annotations

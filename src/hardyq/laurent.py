@@ -5,7 +5,8 @@ A LaurentPoly is a dict from integer exponent vectors to complex
 coefficients.  Functions on the n-torus are Laurent polynomials; conjugation
 there sends z^a to z^{-a}.  A function of z and conj(z) is a LaurentPoly
 in 2n variables with non-negative exponents, coordinate n + i standing for
-conj(z_i); BasicMap.power uses the same convention for conj(theta).
+conj(z_i); the quotient route's (t, conj t) polynomials use the same
+convention.
 
 Coefficients keep the type they are given: ints and Fractions stay exact,
 floats and complex doubles are rounded.  After every arithmetic operation,

@@ -577,9 +577,10 @@ class QuotientRealization:
     Agreement with the ambient windows is the unitary-equivalence check.
 
     Functions are (t, conj t) polynomials of dimension 2n.  The measure
-    enters only through its moments mu(e) = CT(pull(t^e) |ell|^2),
-    memoised: this is the package's one pushforward integral.  Every
-    pairing is against a lowered basis element e_r, through the functional
+    enters only through its moments, memoised: the package's one pushforward
+    integral, a torus pairing once pushed through theta, so the moment of
+    t^b conj(t)^c is the integer Gram entry <theta^b ell, theta^c ell>.
+    Every pairing is against a lowered basis element e_r, through the functional
     phi_r(k) = sum_j conj(e_r[j]) mu(k + swap(j)) read from the moments and
     kept by the caller for one batch of pairings.  Use shared() to reuse the
     moments and lowered basis across comparisons."""
@@ -592,7 +593,7 @@ class QuotientRealization:
         self._down: dict[Expo, LaurentPoly] = {}
         self._reps: dict[int, list[Expo]] = {}
         self._moments: dict[Expo, complex] = {}
-        self._weight = self.ellp.poly * self.ellp.poly.conj_torus()
+        self._gram_rows: dict[Expo, dict[Expo, int]] = {}
 
     @classmethod
     def shared(cls, character: Character, bmap: BasicMap) -> QuotientRealization:
@@ -613,19 +614,16 @@ class QuotientRealization:
         return got
 
     def moment(self, key: Expo) -> complex:
-        """mu(key): the constant term of pull(t^key) times |ell|^2, without
-        forming the product (key of length 2n, the second half the conj(t)
-        exponents)."""
+        """mu(key) for key = b + c, the moment of t^b conj(t)^c: the sparse
+        dot sum_a P_b[a] P_c[a] of the integer terms of P_b = theta^b ell
+        (memoised per b; no conjugate), summed in Python ints."""
         got = self._moments.get(key)
         if got is None:
-            pulled = self.bmap.pull(LaurentPoly(2 * self.group.n, {key: 1.0}))
-            weight = self._weight.terms
-            got = 0j
-            for e, c in pulled.terms.items():
-                w = weight.get(tuple(-x for x in e))
-                if w is not None:
-                    got += c * w
-            self._moments[key] = got
+            n, rows = self.group.n, self._gram_rows
+            for b in {key[:n], key[n:]} - rows.keys():
+                rows[b] = (self.bmap.theta(b) * self.ellp.poly).terms
+            p, q = rows[key[:n]], rows[key[n:]]
+            got = self._moments[key] = complex(sum(c * q[a] for a, c in p.items() if a in q))
         return got
 
     def inner(self, f: LaurentPoly, rep: Expo,

@@ -2,16 +2,17 @@
 the reference implementations that the orbit-sum projection, its exact
 norm, the orbit templates (signed orbits, orbit exponents, canonical
 exponents and the closed-form stabiliser norm), the one-pass gamma
-elements, the closed-form quotient kernel, the
-characters' generator forms, the generator-set invariance test, the
-pushforward moment table, the quotient route's per-basis functionals
-(the product pairing through conj_zbar), the sparse series table, the
+elements, the closed-form quotient kernel, the characters' generator
+forms, the generator-set invariance test, the pushforward moments'
+integer Gram (the (t, conj t) composition pull_harmonic and the constant
+term against |ell|^2), the quotient route's per-basis functionals (the
+product pairing through conj_zbar), the sparse series table, the
 closed-form reflecting hyperplanes, the window tables, the shift-table
 Brown-Halmos check and compactness probe, and the series-table
-reproducing check are tested against; the float hyperplane
-product that the closed-form relative invariants are tested against; the
-base-ball Toeplitz entry and its sphere pair integral; and the per-element
-and per-term helpers they and the tests use (the point tables among them).
+reproducing check are tested against; the float hyperplane product that
+the closed-form relative invariants are tested against; the base-ball
+Toeplitz entry and its sphere pair integral; and the per-element and
+per-term helpers they and the tests use (the point tables among them).
 Test oracles only; nothing in the package calls them."""
 
 import functools
@@ -331,20 +332,83 @@ def group_sum_kernel(spec: KernelSpec, z, w) -> tuple[complex, float]:
     return scale * total / (ell_z * ell_w.conjugate()), scale * mass / abs(ell_z * ell_w)
 
 
+_TORUS_POWERS: dict[tuple, LaurentPoly] = {}
+
+
+def _torus_power(bmap, k: int, e: int) -> LaurentPoly:
+    """theta_{k+1}^e for k < n and conj(theta_{k-n+1})^e on the torus for
+    n <= k < 2n, from the components alone; memoised per group spec."""
+    key = (bmap.group.spec, k, e)
+    got = _TORUS_POWERS.get(key)
+    if got is None:
+        n = bmap.dim
+        comp = bmap.components[k] if k < n else bmap.components[k - n].conj_torus()
+        got = _TORUS_POWERS[key] = comp ** e
+    return got
+
+
+def pull_harmonic(bmap, f: LaurentPoly) -> LaurentPoly:
+    """f o (theta, conj theta) on the torus, for an analytic (t, conj t)
+    polynomial f of dimension 2n (coordinate n + k standing for
+    conj(t_{k+1})): sum of c * prod_k power(k, e_k) over the sorted exponent
+    vectors e, factors in the order constant, then k ascending."""
+    n = bmap.dim
+    if f.dim != 2 * n:
+        raise ValueError("pull_harmonic takes a (t, conj t) polynomial of dimension 2n")
+    if not f.is_analytic():
+        raise ValueError("substitution requires an analytic polynomial")
+    total = LaurentPoly.zero(n)
+    for e in sorted(f.terms):
+        mono = LaurentPoly.constant(n, f.terms[e])
+        for k, ek in enumerate(e):
+            if ek:
+                mono = mono * _torus_power(bmap, k, ek)
+        total = total + mono
+    return total
+
+
+def ell_weight(qr) -> LaurentPoly:
+    """|ell|^2 = ell conj(ell) on the torus."""
+    return qr.ellp.poly * qr.ellp.poly.conj_torus()
+
+
+_PULLED_MOMENTS: dict[tuple, complex] = {}
+
+
+def pulled_moment(qr, key: Expo) -> complex:
+    """QuotientRealization.moment(key) without the Gram: the constant term
+    of pull_harmonic(t^key) times |ell|^2, summed in doubles without forming
+    the product.  Memoised per realisation value (group spec, character
+    turns) and key, so the realisations of fresh groups share it."""
+    memo = (qr.group.spec, qr.character.diag, qr.character.swap, key)
+    got = _PULLED_MOMENTS.get(memo)
+    if got is None:
+        pulled = pull_harmonic(qr.bmap, LaurentPoly(2 * qr.group.n, {key: 1.0}))
+        weight = ell_weight(qr).terms
+        got = 0j
+        for e, c in pulled.terms.items():
+            w = weight.get(tuple(-x for x in e))
+            if w is not None:
+                got += c * w
+        _PULLED_MOMENTS[memo] = got
+    return got
+
+
 def pushforward_inner(qr, f: LaurentPoly, g: LaurentPoly) -> tuple[complex, float, int]:
     """<f, g> of the pushforward measure for (t, conj t) polynomials of
     dimension 2n, with the whole product pulled back through theta on every
-    call: CT(pull(f conj(g)) |ell|^2) / c^2.  Also returns the magnitude
-    sum_e |h_e| sum_a |P[a]| |W[-a]| / c^2 of h = f conj(g), P = pull(t^e)
-    and W = |ell|^2, and the largest term count of such a P."""
+    call: CT(pull_harmonic(f conj(g)) |ell|^2) / c^2.  Also returns the
+    magnitude sum_e |h_e| sum_a |P[a]| |W[-a]| / c^2 of h = f conj(g),
+    P = pull_harmonic(t^e) and W = |ell|^2, and the largest term count of
+    such a P."""
     n = f.dim // 2
     gbar = LaurentPoly(2 * n, {e[n:] + e[:n]: c.conjugate() for e, c in g.terms.items()})
     h = f * gbar
-    weight = qr.ellp.poly * qr.ellp.poly.conj_torus()
-    integrand = qr.bmap.pull(h) * weight
+    weight = ell_weight(qr)
+    integrand = pull_harmonic(qr.bmap, h) * weight
     mass, widest = 0.0, 0
     for key, c in h.terms.items():
-        pulled = qr.bmap.pull(LaurentPoly(2 * n, {key: 1.0}))
+        pulled = pull_harmonic(qr.bmap, LaurentPoly(2 * n, {key: 1.0}))
         widest = max(widest, len(pulled.terms))
         mass += abs(c) * sum(abs(p) * abs(weight.coeff(tuple(-x for x in a)))
                              for a, p in pulled.terms.items())
@@ -357,8 +421,9 @@ def quotient_route_loop(u, v, mode: str, character, bmap, bound: int,
     """_quotient_route_compare with the product pairing: <f, g> is
     sum_e h_e mu(e) / c^2 over h = f conj(g), each projection adds
     <f, e_r> e_r to a LaurentPoly one rep at a time, and every column is
-    paired against the lowered polynomials.  Shares only the realisation's
-    moments and lowered basis with the route.  With magnitude=True the theta
+    paired against the lowered polynomials, and the moments are
+    pulled_moment's, not the route's Gram.  Shares only the realisation's
+    lowered basis with the route.  With magnitude=True the theta
     forms, lowered elements and moments are replaced by their absolute
     values and the residual's difference by a sum, so each entry is the sum
     of the magnitudes of the leaves the entry adds up.  Also returns the
@@ -377,7 +442,7 @@ def quotient_route_loop(u, v, mode: str, character, bmap, bound: int,
         widest = max(widest, len(h.terms))
         total = 0j
         for key, c in h.terms.items():
-            mu = qr.moment(key)
+            mu = pulled_moment(qr, key)
             total += c * (abs(mu) if magnitude else mu)
         return total / qr.ellp.cnorm_sq
 

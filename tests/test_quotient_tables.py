@@ -8,12 +8,15 @@ roundoff; a complex product has relative error at most sqrt(5) u, a real
 times a complex number or a division by an integer at most u, and a
 recursive sum of k complex terms at most sqrt(2) (k - 1) u times the sum of
 their magnitudes.  Bounds are first order in u.
-* Pushforward inner products.  For the trivial and sign characters the
-  theta components and ell have integer coefficients, so the pulled
-  monomials P = pull(t^beta conj(t)^gamma), the weight W = |ell|^2 and every
-  moment mu = sum_a P[a] W[-a] are exact integers in doubles, and c^2 is an
-  exact integer.  inner(f, r, ...) pairs f with e = basis_down(r), a
-  holomorphic polynomial of N_e terms: phi(k) = sum_j conj(e_j)
+* Pushforward moments.  The theta components and ell have integer
+  coefficients, so every moment is an exact integer: the route's Gram
+  entry sum_a (theta^beta ell)_a (theta^gamma ell)_a, summed in Python ints,
+  and the oracle's constant term sum_a P[a] W[-a] of the pulled monomial
+  P = pull_harmonic(t^beta conj(t)^gamma) against W = |ell|^2, summed in
+  doubles.  On the cases below both are exact, so they agree with ==.
+* Pushforward inner products.  The moments are exact integers in doubles,
+  and c^2 is an exact integer.  inner(f, r, ...) pairs f with
+  e = basis_down(r), a holomorphic polynomial of N_e terms: phi(k) = sum_j conj(e_j)
   mu(k + swap(j)) sums N_e terms of magnitude |e_j| |mu|, then
   sum_k f_k phi(k) sums N_f terms, then one division by c^2: at most
   (N_e + N_f + 2) eps relative to the leaf magnitudes
@@ -72,7 +75,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from group_sums import conj_zbar, pushforward_inner, quotient_route_loop, series_sum
+from group_sums import (conj_zbar, ell_weight, pulled_moment, pushforward_inner,
+                        quotient_route_loop, series_sum)
 from hardyq import invariants, laurent, toeplitz
 from hardyq.groups import builtin_characters, make_character, make_group
 from hardyq.invariants import BasicMap, basic_map, index_set
@@ -142,7 +146,7 @@ def test_inner_matches_pull_per_entry(spec, chname, data):
     g = qr.basis_down(rep)
     want, mass, widest = pushforward_inner(qr, f, g)
     h_terms = len((f * conj_zbar(g)).terms)
-    weight_terms = len((qr.ellp.poly * qr.ellp.poly.conj_torus()).terms)
+    weight_terms = len(ell_weight(qr).terms)
     k = 2 * n * (widest + 1) + h_terms + weight_terms + 4
     got = qr.inner(f, rep, {})
     assert abs(got - want) <= k * EPS * mass, (got, want, mass)
@@ -172,6 +176,62 @@ def test_route_matches_product_pairing_loop(spec, chname, seed, mode, bound):
     assert np.all(gap <= tol), float(np.max(gap - tol))
 
 
+# cold routes whose every moment must equal the oracle's: 36 to 7,391 keys
+GRAM_CASES = [("G(1,1,2)", "sgn", 6), ("G(1,1,2)", "trivial", 4), ("G(2,2,2)", "sgn", 4),
+              ("G(2,1,2)", "trivial", 4), ("G(1,1,3)", "sgn", 3), ("G(1,1,3)", "trivial", 4)]
+
+
+def cold_route(spec, chname, bound, mode="semi"):
+    """A fresh group, two seeded symbols and one _quotient_route_compare:
+    the realisation then holds the moments of one cold route."""
+    g = make_group(spec)
+    bm = basic_map(g)
+    ch = make_character(g, chname)
+    rng = random.Random(1)
+    u = random_invariant_symbol(g, rng, radius=1, terms=3)
+    v = random_invariant_symbol(g, rng, radius=1, terms=3)
+    report = _quotient_route_compare(u, v, mode, ch, bm, bound)
+    return QuotientRealization.shared(ch, bm), report
+
+
+@pytest.mark.parametrize("spec,chname,bound", GRAM_CASES)
+def test_cold_route_moments_equal_pulled_moments(spec, chname, bound):
+    """Every moment of a cold route equals the oracle's pull-based moment
+    bit for bit, and is an exact integer: imaginary part 0.0 and real part
+    the Python-int Gram sum_a P_b[a] P_c[a], with P_b = ell theta^b built
+    here from the components' own powers."""
+    qr, _ = cold_route(spec, chname, bound)
+    n = qr.group.n
+
+    @functools.cache
+    def gram_row(b):
+        p = qr.ellp.poly
+        for comp, e in zip(qr.bmap.components, b):
+            p = p * comp ** e
+        assert all(type(c) is int for c in p.terms.values())
+        return p.terms
+
+    assert qr._moments
+    for key, mu in qr._moments.items():
+        assert mu == pulled_moment(qr, key), key
+        P, Q = gram_row(key[:n]), gram_row(key[n:])
+        assert mu.imag == 0.0 and mu.real == sum(c * Q.get(a, 0) for a, c in P.items()), key
+
+
+@pytest.mark.parametrize("spec,chname,mode", [
+    ("G(1,1,2)", "sgn", "semi"), ("G(1,1,2)", "sgn", "commute"), ("G(1,1,3)", "trivial", "semi")])
+def test_cold_route_calls_no_pull(monkeypatch, spec, chname, mode):
+    """The moments are Gram entries of BasicMap.theta products, so a cold
+    route on a fresh group composes nothing through BasicMap.pull."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the quotient route pulled a polynomial")
+
+    monkeypatch.setattr(BasicMap, "pull", forbidden)
+    qr, report = cold_route(spec, chname, 3, mode)
+    assert qr._moments and report.reps
+
+
 @pytest.mark.parametrize("spec,chname", CASES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -196,17 +256,20 @@ def test_second_check_adds_no_moment(monkeypatch):
     u = random_invariant_symbol(g, rng, radius=1, terms=3)
     v = random_invariant_symbol(g, rng, radius=1, terms=3)
     first = correspondence_check(u, v, [sgn], 3, mode="commute")
+    qr = QuotientRealization.shared(sgn, basic_map(g))
+    sizes = len(qr._moments), len(qr._gram_rows)
     calls = []
-    real_pull = BasicMap.pull
+    real_theta = BasicMap.theta
 
-    def counting_pull(self, f):
-        calls.append(f)
-        return real_pull(self, f)
+    def counting_theta(self, a):
+        calls.append(a)
+        return real_theta(self, a)
 
-    monkeypatch.setattr(BasicMap, "pull", counting_pull)
+    monkeypatch.setattr(BasicMap, "theta", counting_theta)
     # a fresh character object: realisations are keyed by character value
     second = correspondence_check(u, v, [make_character(g, "sgn")], 3, mode="commute")
     assert calls == []
+    assert (len(qr._moments), len(qr._gram_rows)) == sizes
     assert second.to_json() == first.to_json()
     assert basic_map(g) is basic_map(g)
 
