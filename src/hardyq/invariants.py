@@ -3,8 +3,9 @@ projections, orbit index sets, and the lift/lower unitaries between the
 quotient Hardy space and the isotypic component upstairs.
 
 ell_rho, the projected monomials and their theta forms have integer
-coefficients and are computed in Python ints: ell_rho in closed form, each
-lowered basis element (a "row") by exact division and elimination.  Float
+coefficients and are computed in Python ints: ell_rho in closed form as one
+signed orbit, each lowered basis element (a "row") by leading-term
+elimination in S_n-orbit coordinates, with no polynomial product.  Float
 polynomials are lowered linearly, through the gamma basis.
 """
 
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import add, sub
 
 from .groups import Character, Group, Hyperplane, InputError, _perm_parity, make_character
 from .laurent import (
@@ -23,6 +25,7 @@ from .laurent import (
     _young_order,
     canonical_exponent,
     orbit_template,
+    sort_sign,
     sphere_inner,
     sphere_monomial_weight,
     sphere_norm,
@@ -66,7 +69,9 @@ class BasicMap:
     Holds the only table of theta powers (no conj(theta)): every
     substitution t = theta(z) goes through pull() or theta(), so reuse one
     map rather than rebuilding it (basic_map returns one map per group); and
-    the only lowered-basis table, `rows` (row()).  `quotients` keeps the
+    the only lowered-basis table, `rows`: one _OrbitRows per character,
+    which keeps the rows (row()) next to the orbit-coordinate products
+    ellhat * theta^a they are eliminated against.  `quotients` keeps the
     quotient-side realisation of each character (toeplitz), whose moments
     are the integer Gram of the theta(b) * ell, so its moment table lives
     as long as the map.  `shift_tables` keeps the shift-relation table of
@@ -81,7 +86,7 @@ class BasicMap:
     q: int
     _powers: dict[tuple[int, int], LaurentPoly] = _table()
     _heads: dict[Expo, LaurentPoly] = _table()
-    rows: dict[Character, tuple[LaurentPoly, dict[Expo, LaurentPoly]]] = _table()
+    rows: dict[Character, _OrbitRows] = _table()
     quotients: dict[Character, object] = _table()
     shift_tables: dict[tuple, object] = _table()
 
@@ -117,16 +122,145 @@ class BasicMap:
 
     def row(self, char: Character, rep: Expo) -> LaurentPoly:
         """The integer polynomial L with ellhat * (L o theta) = |S| P_chi z^rep
-        (ellhat = ell_rho / kappa, S the permutation elements), by exact
-        division and elimination; memoised per (character, rep)."""
-        if char not in self.rows:
-            self.rows[char] = (_ell_form(char)[1], {})
-        ellhat, table = self.rows[char]
-        if rep not in table:
-            quotient = divide_exact(LaurentPoly(self.dim, _signed_orbit(char, rep)), ellhat)
-            table[rep] = _eliminate(quotient, lambda lam: (
-                a := _theta_exponent(self.group, lam), self.theta(a)))
-        return table[rep]
+        (ellhat = ell_rho / kappa, S the permutation elements), by
+        leading-term elimination in orbit coordinates (_OrbitRows.row);
+        memoised per (character, rep)."""
+        rows = self.rows.get(char)
+        if rows is None:
+            rows = self.rows[char] = _OrbitRows(self, char)
+        return rows.row(rep)
+
+
+class _OrbitRows:
+    """The lowered rows of one character, eliminated in S-orbit coordinates.
+
+    A polynomial f in the character's isotypic component is symmetric under
+    S when swap is 0 and alternating otherwise, so it is fixed by its
+    coefficient at the lex-leading member of each orbit: the decreasing sort
+    on G(m,p,n), and on Z(m)@k^n, where S is trivial, every exponent.  It
+    is kept as the dict {key: coefficient}; z^v has coefficient
+    sign * f[key] with (key, sign) = orient(v), sign 0 at a repeated value
+    when f is alternating.  The lex-leading term of f is at max(f).
+
+    P_chi is a G-module map, so for an invariant u = sum_e c_e z^e,
+    u * |S| P_chi z^r = sum_e c_e |S| P_chi z^(r+e): multiplying by u reads
+    (u f)[s] = sum_e c_e f(z^(s-e)) at the keys s = key(t + e) over f's
+    keys t, and no orbit is enumerated.  `products` memoises
+    ellhat * theta^a per a with the monomial components' exponents zeroed
+    (a "head"); each head is one multiplication by a theta_k from a smaller
+    head, and a monomial component (theta_n, and every component on
+    Z(m)@k^n) is a shift of the keys.
+    """
+
+    def __init__(self, bmap: BasicMap, char: Character):
+        group = self.group = bmap.group
+        self.components, self.q = bmap.components, bmap.q
+        self.sort = group.spec.kind == "Gmpn"
+        self.swap = self.sort and bool(char.swap)
+        # the sign of reversing n distinct values: decreasing from increasing
+        self.reverse = -1 if (group.n * (group.n - 1) // 2) % 2 else 1
+        self.shifts = [next(iter(c.terms)) if len(c.terms) == 1 else None
+                       for c in bmap.components]
+        ellhat = _ell_form(char)[1]
+        self.lead = max(ellhat.terms)
+        self.products: dict[Expo, dict[Expo, int]] = {
+            (0,) * group.n: {e: c for e, c in ellhat.terms.items() if self.orient(e) == (e, 1)}}
+        self.table: dict[Expo, LaurentPoly] = {}
+
+    def orient(self, v: Expo) -> tuple[Expo, int]:
+        """(key, sign) with f's coefficient at z^v equal to sign * f[key]."""
+        if not self.sort:
+            return v, 1
+        key = tuple(sorted(v, reverse=True))
+        if not self.swap:
+            return key, 1
+        return key, sort_sign(v) * self.reverse
+
+    def times(self, f: dict[Expo, int], k: int) -> dict[Expo, int]:
+        """theta_{k+1} * f in orbit coordinates."""
+        u = self.components[k].terms
+        out: dict[Expo, int] = {}
+        seen = set()
+        for t in f:
+            for e in u:
+                s = self.orient(tuple(map(add, t, e)))[0]
+                if s in seen:
+                    continue
+                seen.add(s)
+                total = 0
+                for d, c in u.items():
+                    key, sign = self.orient(tuple(map(sub, s, d)))
+                    if sign and key in f:
+                        total += sign * c * f[key]
+                if total:
+                    out[s] = total
+        return out
+
+    def product(self, a: Expo) -> dict[Expo, int]:
+        """ellhat * theta^a in orbit coordinates."""
+        shift = [0] * len(a)
+        head = list(a)
+        for k, e in enumerate(self.shifts):
+            if e is not None and a[k]:
+                head[k] = 0
+                shift = [x + a[k] * y for x, y in zip(shift, e)]
+        f = self._head(tuple(head))
+        if not any(shift):
+            return f
+        # a monomial component is (z_1...z_n)^q on G(m,p,n): keys stay sorted
+        return {tuple(map(add, t, shift)): c for t, c in f.items()}
+
+    def _head(self, head: Expo) -> dict[Expo, int]:
+        chain = []
+        while head not in self.products:
+            k = max(i for i, x in enumerate(head) if x)
+            chain.append((head, k))
+            head = head[:k] + (head[k] - 1,) + head[k + 1:]
+        f = self.products[head]
+        for head, k in reversed(chain):
+            f = self.products[head] = self.times(f, k)
+        return f
+
+    def row(self, rep: Expo) -> LaurentPoly:
+        """Eliminate |S| P_chi z^rep against the ellhat * theta^a: the
+        lex-leading term c z^lam left is that of c ellhat * theta^a, with
+        a = _theta_exponent(lam - lead(ellhat)) (ellhat and theta^a are monic),
+        so c is recorded at a and c ellhat * theta^a subtracted.  The products'
+        other terms lie below lam and share its total degree, so this ends.
+        Each step is the step of the elimination of the exact quotient
+        |S| P_chi z^rep / ellhat against the theta^a, so the row is the same.
+
+        On G(m,p,n), theta_n = (z_1...z_n)^q, so |S| P_chi z^rep =
+        theta_n^k |S| P_chi z^(rep - kq) for k = min(rep) // q: the row is
+        that of rep - kq with t_n^k, and only reps with min(rep) < q are
+        eliminated."""
+        got = self.table.get(rep)
+        if got is None and self.sort and min(rep) >= self.q:
+            k = min(rep) // self.q
+            base = self.row(tuple(x - k * self.q for x in rep))
+            got = self.table[rep] = LaurentPoly(
+                len(rep), {a[:-1] + (a[-1] + k,): c for a, c in base.terms.items()})
+        if got is None:
+            key, sign = self.orient(rep)
+            # |S| P_chi z^rep at key: chi(sort) on distinct values, else the
+            # stabiliser order
+            top = sign if self.swap else (_young_order(rep) if self.sort else 1)
+            work = {key: top} if top else {}
+            out: dict[Expo, int] = {}
+            group = self.group
+            while work:
+                lam = max(work)
+                c = work[lam]
+                a = _theta_exponent(group, tuple(map(sub, lam, self.lead)))
+                out[a] = c
+                for e, v in self.product(a).items():
+                    left = work.get(e, 0) - c * v
+                    if left:
+                        work[e] = left
+                    else:
+                        work.pop(e, None)
+            got = self.table[rep] = LaurentPoly(group.n, out)
+        return got
 
 
 def basic_map(group: Group) -> BasicMap:
@@ -310,24 +444,32 @@ def _ell_form(char: Character) -> tuple[int, LaurentPoly]:
     z_1^(m/2) - z_2^(m/2) (+ z_2^(m/2)).  Z(m)@k^n: z_k^c, chi(e_k) = zeta_m^c.
     kappa = m^n/p on G(m,p,n) and m on Z(m)@k^n for sgn, which keeps ell_sgn
     the Jacobian of the basic map, and 1 otherwise.
+
+    Each form is one signed orbit, built without a polynomial product: the
+    Vandermonde prod_{i<j} (x_i - x_j) is sum_sigma sgn(sigma) x^(sigma delta),
+    delta = (n-1, ..., 0), so ellhat is the signed orbit (_signed_orbit) of its
+    lex-leading exponent, divided by that exponent's weight (its stabiliser
+    order when chi is symmetric).
     """
     group = char.group
     n, m = group.n, group.m
     step = char.den // m
-    z = [LaurentPoly.variable(n, i) for i in range(n)]
     sgn = char == make_character(group, "sgn")
     if group.spec.kind == "CyclicCoord":
         c = char.diag[0] // step if char.diag else 0
-        return (m if sgn else 1), z[group.spec.coord - 1] ** c
-    a = char.diag[n - 1] // step // group.p if group.p < m else 0
-    ellhat = LaurentPoly.monomial(n, (a,) * n)
-    if n == 2 and m > 1 and char.diag[0]:
-        x, y = z[0] ** (m // 2), z[1] ** (m // 2)
-        ellhat = ellhat * (x - y if char.swap else x + y)
-    elif char.swap:
-        for i, j in combinations(range(n), 2):
-            ellhat = ellhat * (z[i] ** m - z[j] ** m)
-    return (m ** n // group.p if sgn else 1), ellhat
+        lead = tuple(c if i == group.spec.coord - 1 else 0 for i in range(n))
+        kappa = m if sgn else 1
+    else:
+        a = char.diag[n - 1] // step // group.p if group.p < m else 0
+        if n == 2 and m > 1 and char.diag[0]:
+            lead = (a + m // 2, a)
+        elif char.swap:
+            lead = tuple(a + m * (n - 1 - i) for i in range(n))
+        else:
+            lead = (a,) * n
+        kappa = m ** n // group.p if sgn else 1
+    orbit = _signed_orbit(char, lead)
+    return kappa, LaurentPoly(n, {b: w // orbit[lead] for b, w in orbit.items()})
 
 
 def ell(char: Character, domain: str = "polydisc", bmap: BasicMap | None = None) -> EllPoly:
@@ -483,45 +625,7 @@ class GammaBasis:
         return out
 
 
-# -- exact division and the theta rewrite ------------------------------------
-
-
-def divide_exact(F: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
-    """F / divisor for an analytic monic divisor (lex-leading coefficient 1),
-    exact for int and Fraction coefficients.  For a multiple F, every leading
-    term of the remainder is divisible by the divisor's; the first that is
-    not (or has a negative exponent) raises NotInIsotypicError."""
-    lt = max(divisor.terms, default=None)
-    if lt is None or divisor.terms[lt] != 1 or not divisor.is_analytic():
-        raise ValueError("the divisor must be analytic and monic")
-
-    def leading(e: Expo) -> tuple[Expo, LaurentPoly]:
-        diff = tuple(a - b for a, b in zip(e, lt))
-        if min(diff) < 0:
-            raise NotInIsotypicError(
-                f"nonzero division remainder at z^{e}; input is not in the isotypic component")
-        return diff, divisor * LaurentPoly.monomial(F.dim, diff, 1)
-
-    return _eliminate(F, leading)
-
-
-def _eliminate(h: LaurentPoly, leading) -> LaurentPoly:
-    """Leading-term elimination: for the lex-leading term c z^lam left,
-    leading(lam) gives (a, p), p with lex-leading term z^lam; c * p is
-    subtracted and c recorded at a.  p's other terms lie below lam, and lex
-    order well-orders the exponents, so this ends."""
-    work = dict(h.terms)
-    out: dict[Expo, complex] = {}
-    while work:
-        lam = max(work)
-        c = work[lam]
-        a, p = leading(lam)
-        out[a] = c
-        for e, v in p.terms.items():
-            work[e] = work.get(e, 0) - c * v
-            if not work[e]:
-                del work[e]
-    return LaurentPoly(h.dim, out)
+# -- the theta rewrite ------------------------------------------------------
 
 
 def _theta_exponent(group: Group, lam: Expo) -> Expo:

@@ -359,6 +359,17 @@ def canonical_exponent(group: Group, expo: Expo) -> Expo:
     return tuple(sorted(expo)) if group.spec.kind == "Gmpn" else tuple(expo)
 
 
+def sort_sign(expo: Expo) -> int:
+    """The sign of the permutation that sorts expo into increasing order,
+    +1 or -1, and 0 when a value repeats: z^expo = sort_sign(expo) z^s in
+    an alternating polynomial, s = sorted(expo), whose coefficient at a
+    repeated value is 0."""
+    if len(set(expo)) < len(expo):
+        return 0
+    inversions = sum(x > y for i, x in enumerate(expo) for y in expo[i + 1:])
+    return -1 if inversions & 1 else 1
+
+
 # -- inner products ----------------------------------------------------------
 
 

@@ -20,7 +20,6 @@ from .groups import Character, Group, GroupSpecError, InputError, make_character
 from .invariants import (
     BasicMap,
     GammaBasis,
-    NotInIsotypicError,
     _signed_orbit,
     basic_map,
     ell,
@@ -37,6 +36,7 @@ from .laurent import (
     canonical_exponent,
     harmonic_extension,
     orbit_exponents,
+    sort_sign,
     torus_inner,
     wirtinger_D,
 )
@@ -318,9 +318,9 @@ def _shift(rep: Expo, k: int) -> Expo:
 @dataclass
 class _Expansions:
     """theta_j gamma_r over the gamma basis, for every rep r of a window:
-    term k of row r is coef[r, k] gamma_{reps[index[r, k]]}, in the order
-    GammaBasis.expand returns, for k < size[r].  Only rows whose expansion
-    stays inside the window (`inside`) are filled."""
+    term k of row r is coef[r, k] gamma_{reps[index[r, k]]}, in increasing
+    order of rep, for k < size[r].  Only rows whose expansion stays inside
+    the window (`inside`) are filled."""
 
     index: np.ndarray
     coef: np.ndarray
@@ -328,14 +328,38 @@ class _Expansions:
     inside: np.ndarray
 
 
+def _theta_gamma(basis: GammaBasis, u: LaurentPoly, rep: Expo) -> dict[Expo, float]:
+    """u * gamma_rep over `basis` for an invariant u = sum_e c_e z^e, by the
+    G-module identity u * |S| P_chi z^r = sum_e c_e |S| P_chi z^(r+e) and
+    |S| P_chi z^(tau s) = chi(tau) |S| P_chi z^s: with gamma_r = F_r |S| P_chi z^r
+    (F = basis.factor), the coefficient of gamma_s, s = sorted(r + e), is
+    (F_r / F_s) sum_e c_e chi(tau_e), chi(tau_e) the sign of sorting r + e
+    when swap is nonzero.  A term drops when, swap nonzero, s repeats a
+    value (its projection vanishes).  z^s passes the diagonal test exactly
+    when z^rep does, since the diagonal subgroup fixes every z^e of the
+    invariant u, and basis.factor(rep) raises KeyError when z^rep fails it.
+    No polynomial product; keys in increasing order."""
+    swap = basis.character.swap
+    counts: dict[Expo, int] = {}
+    for e, c in u.terms.items():
+        v = tuple(x + y for x, y in zip(rep, e))
+        sign = sort_sign(v) if swap else 1
+        if sign:
+            s = tuple(sorted(v))
+            counts[s] = counts.get(s, 0) + c * sign
+    factor = basis.factor(rep)
+    return {s: k * (factor / basis.factor(s)) for s, k in sorted(counts.items()) if k}
+
+
 class ShiftTable:
     """The index side of the shift relations on one window's reps, shared by
     every symbol: the position of each rep shifted by q (theta_n) and by m
     (theta_n^p), -1 where the shifted rep leaves the window, and on first
     use the expansions of theta_{i+1} gamma_r and theta_{n-i-1} gamma_r for
-    i in 0..n-2.  shared() keeps one table per (character, reps) on the
-    basic map; compactness_probe reads only the shift maps, so the
-    expansions wait for the first bh_check."""
+    i in 0..n-2 (_theta_gamma, one per component and rep).  shared() keeps
+    one table per (character, reps) on the basic map; compactness_probe
+    reads only the shift maps, so the expansions wait for the first
+    bh_check."""
 
     def __init__(self, character: Character, reps: list[Expo], bmap: BasicMap):
         self.character = character
@@ -366,18 +390,9 @@ class ShiftTable:
         if self._cross is None:
             basis = basis or GammaBasis.shared(self.character)
             n = self.character.group.n
-            theta = self.bmap.components
-            self._cross = []
-            for i in range(n - 1):
-                left: dict[Expo, dict[Expo, complex]] = {}
-                right: dict[Expo, dict[Expo, complex]] = {}
-                for r in self.reps:
-                    try:
-                        left[r] = basis.expand(theta[i] * basis(r))
-                        right[r] = basis.expand(theta[n - i - 2] * basis(r))
-                    except NotInIsotypicError:  # pragma: no cover - structural
-                        continue
-                self._cross.append((self._pack(left), self._pack(right)))
+            packed = [self._pack({r: _theta_gamma(basis, theta, r) for r in self.reps})
+                      for theta in self.bmap.components[:n - 1]]
+            self._cross = [(packed[i], packed[n - i - 2]) for i in range(n - 1)]
         return self._cross
 
     def _pack(self, expansions: dict[Expo, dict[Expo, complex]]) -> _Expansions:
@@ -400,8 +415,8 @@ class ShiftTable:
 def _relations(table: ShiftTable, entries: np.ndarray, basis: GammaBasis | None):
     """(name, rows b, columns a, lhs - rhs) per shift relation, over the
     pairs whose shifted and expanded indices stay inside the window.  The
-    cross sums add one expansion term at a time in expand's order, so each
-    entry rounds as the scalar sum over the terms does."""
+    cross sums add one expansion term at a time in increasing order of rep,
+    so each entry rounds as the scalar sum over the terms does."""
     sq = table.shift_q
     live = np.flatnonzero(sq >= 0)
     yield ("shift", live, live,
@@ -439,10 +454,11 @@ def bh_check(window: ToeplitzWindow, bmap: BasicMap,
         (a)  <T theta_n g_a, theta_n g_b> = <T g_a, g_b>
         (b)  <T theta_n^p g_a, theta_i g_b> = <T theta_{n-i} g_a, g_b>
 
-    The expansions gamma -> theta_j gamma are exact ambient multiplications,
-    kept with the shift maps in the window's ShiftTable.  Reports the worst
-    violation, the first in the order (relation, a, b) on ties; never
-    raises on one.
+    The expansions gamma -> theta_j gamma come from the G-module identity
+    (_theta_gamma), with no polynomial product, and are kept with the shift
+    maps in the window's ShiftTable; `basis` supplies their gamma factors.
+    Reports the worst violation, the first in the order (relation, a, b) on
+    ties; never raises on one.
     """
     group = window.group
     if group.spec.kind != "Gmpn":

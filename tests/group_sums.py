@@ -8,7 +8,9 @@ integer Gram (the (t, conj t) composition pull_harmonic and the constant
 term against |ell|^2), the quotient route's per-basis functionals (the
 product pairing through conj_zbar), the sparse series table, the
 closed-form reflecting hyperplanes, the window tables, the shift-table
-Brown-Halmos check and compactness probe, and the series-table
+Brown-Halmos check (its expansions by GammaBasis.expand of the ambient
+product) and compactness probe, the orbit-coordinate lowered rows (exact
+division and elimination on full polynomials), and the series-table
 reproducing check are tested against; the float hyperplane product that
 the closed-form relative invariants are tested against; the base-ball
 Toeplitz entry and its sphere pair integral; and the per-element and
@@ -72,8 +74,8 @@ def torus_restriction(h: LaurentPoly) -> LaurentPoly:
         f = tuple(e[i] - e[n + i] for i in range(n))
         out[f] = out.get(f, 0j) + c
     return LaurentPoly(n, out)
-from hardyq.invariants import (GammaBasis, NotInIsotypicError, _diagonal_match, hyperplane_form,
-                               index_set, lift, lower, project)
+from hardyq.invariants import (GammaBasis, NotInIsotypicError, _diagonal_match, _ell_form,
+                               _theta_exponent, hyperplane_form, index_set, lift, lower, project)
 from hardyq.toeplitz import (RESIDUAL_TOL, BHReport, CompactnessReport, CompareReport,
                              QuotientRealization, ToeplitzWindow, _verdict_scale)
 
@@ -533,31 +535,26 @@ def _shift(rep: Expo, k: int) -> Expo:
     return tuple(x + k for x in rep)
 
 
-def bh_check_loop(window, bmap, basis=None) -> BHReport:
+def bh_check_loop(window, bmap, basis=None) -> tuple[BHReport, list[tuple[tuple, float]]]:
     """bh_check with one ToeplitzWindow.entry lookup per term of every
-    checked pair: relation (a), then one cross relation per coordinate,
-    each with a outer and b inner; the worst pair moves on a strict >."""
+    checked pair, and every checked pair with its violation ((relation, a,
+    b), v), in the loop's order: relation (a), then one cross relation per
+    coordinate, each with a outer and b inner; the worst pair moves on a
+    strict >.  The expansions theta_j gamma_r are GammaBasis.expand of the
+    ambient product."""
     group = window.group
     basis = basis or GammaBasis(window.character)
     n, q, m = group.n, group.q, group.m
     reps = window.reps
     scale = window.scale()
-    worst = 0.0
-    worst_pair = None
-    checked = 0
-    rel_max = {"shift": 0.0}
+    out = []
 
     for a in reps:
         for b in reps:
             e0 = window.entry(b, a)
             e1 = window.entry(_shift(b, q), _shift(a, q))
-            if e1 is None:
-                continue
-            checked += 1
-            v = abs(e1 - e0) / scale
-            rel_max["shift"] = max(rel_max["shift"], v)
-            if v > worst:
-                worst, worst_pair = v, ("shift", a, b)
+            if e1 is not None:
+                out.append((("shift", a, b), abs(e1 - e0) / scale))
 
     expansions = {}
     for i in range(n - 1):
@@ -588,14 +585,16 @@ def bh_check_loop(window, bmap, basis=None) -> BHReport:
                 lhs = sum(c.conjugate() * window.entry(k, lhs_col)
                           for k, c in lhs_terms.items())
                 rhs = sum(c * window.entry(b, k) for k, c in rhs_terms.items())
-                checked += 1
-                v = abs(lhs - rhs) / scale
-                key = f"cross_{i + 1}"
-                rel_max[key] = max(rel_max.get(key, 0.0), v)
-                if v > worst:
-                    worst, worst_pair = v, (key, a, b)
+                out.append(((f"cross_{i + 1}", a, b), abs(lhs - rhs) / scale))
 
-    return BHReport(worst, worst_pair, checked, rel_max)
+    worst = 0.0
+    worst_pair = None
+    rel_max = {"shift": 0.0}
+    for pair, v in out:
+        rel_max[pair[0]] = max(rel_max.get(pair[0], 0.0), v)
+        if v > worst:
+            worst, worst_pair = v, pair
+    return BHReport(worst, worst_pair, len(out), rel_max), out
 
 
 def compactness_loop(windows, bmap) -> CompactnessReport:
@@ -625,6 +624,54 @@ def compactness_loop(windows, bmap) -> CompactnessReport:
             if persists:
                 persistent.append((a, b, v0))
     return CompactnessReport(max_dev, persistent, all_zero)
+
+
+def divide_exact(F: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
+    """F / divisor for an analytic monic divisor (lex-leading coefficient 1),
+    exact for int and Fraction coefficients.  For a multiple F, every leading
+    term of the remainder is divisible by the divisor's; the first that is
+    not (or has a negative exponent) raises NotInIsotypicError."""
+    lt = max(divisor.terms, default=None)
+    if lt is None or divisor.terms[lt] != 1 or not divisor.is_analytic():
+        raise ValueError("the divisor must be analytic and monic")
+
+    def leading(e: Expo) -> tuple[Expo, LaurentPoly]:
+        diff = tuple(a - b for a, b in zip(e, lt))
+        if min(diff) < 0:
+            raise NotInIsotypicError(
+                f"nonzero division remainder at z^{e}; input is not in the isotypic component")
+        return diff, divisor * LaurentPoly.monomial(F.dim, diff, 1)
+
+    return _eliminate(F, leading)
+
+
+def _eliminate(h: LaurentPoly, leading) -> LaurentPoly:
+    """Leading-term elimination: for the lex-leading term c z^lam left,
+    leading(lam) gives (a, p), p with lex-leading term z^lam; c * p is
+    subtracted and c recorded at a.  p's other terms lie below lam, and lex
+    order well-orders the exponents, so this ends."""
+    work = dict(h.terms)
+    out: dict[Expo, complex] = {}
+    while work:
+        lam = max(work)
+        c = work[lam]
+        a, p = leading(lam)
+        out[a] = c
+        for e, v in p.terms.items():
+            work[e] = work.get(e, 0) - c * v
+            if not work[e]:
+                del work[e]
+    return LaurentPoly(h.dim, out)
+
+
+def row_loop(bmap, char, rep: Expo) -> LaurentPoly:
+    """BasicMap.row on full polynomials: the signed orbit (by the loop over
+    every permutation) divided exactly by ellhat, then eliminated against
+    the products theta^a (BasicMap.theta)."""
+    quotient = divide_exact(LaurentPoly(bmap.dim, signed_orbit_loop(char, rep)),
+                            _ell_form(char)[1])
+    return _eliminate(quotient, lambda lam: (
+        a := _theta_exponent(bmap.group, lam), bmap.theta(a)))
 
 
 def c_exponent(plane, char) -> int:

@@ -311,11 +311,11 @@ class TestPinnedBytes:
 
     PINNED = {
         ("verify", "all"):
-            "cbe44d2706e3ad3bade6b7fac1b37d0c4800524e79b46cc63c4fa8dc382265b6",
+            "76c45e108863de9c794dd7a6f4431120abec2e64c5097d666b8c77e59f9dd21a",
         TestWindowTableBytes.WINDOW:
             "e451ce7bf3aa847b5bfdb7b9e4d12d4dcaf0c524187ec3c633602e4f9d7d99ae",
         TestWindowTableBytes.BH:
-            "aed93dd25831dcee3838aee4e9715677211d21658877b809628bb78621903f5a",
+            "66d4db8097c46357526968e3ae4887535dd47aa15a5536606ee7a4c0a90ca12f",
         ("invariant", "index", "G(4,2,3)", "--character", "trivial", "-D", "6"):
             "6e681493e1c116e951886b43da6eb2acf2d8218d4214277536122468bb228a71",
     }

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from group_sums import elements, pull_harmonic
+from group_sums import divide_exact, elements, pull_harmonic, row_loop
 from hardyq.suites import hyperplane_factorization
 from hardyq.groups import Group, _perm_parity, builtin_characters, make_character, make_group
 from hardyq.invariants import (
     GammaBasis,
     NotInIsotypicError,
+    BasicMap,
     basic_map,
-    divide_exact,
     ell,
     index_set,
     jacobian,
@@ -599,6 +599,30 @@ class TestExactLowering:
                     sign = -1 if ch.swap and _perm_parity(perm) else 1
                     orbit = orbit + LaurentPoly(3, {tuple(rep[k] for k in perm): sign})
                 assert (ep.poly * bm.pull(row)).same_terms(orbit * ep.kappa)
+
+    # (group, bound) with every built-in character, split n = 2 included
+    ROW_CATALOGUE = (
+        ("G(1,1,2)", 8), ("G(2,2,2)", 8), ("G(2,1,2)", 8), ("G(3,3,2)", 8), ("G(4,4,2)", 8),
+        ("G(4,2,2)", 8), ("G(6,3,2)", 8), ("G(1,1,3)", 6), ("G(2,1,3)", 6), ("G(3,3,3)", 6),
+        ("G(4,2,3)", 6), ("G(2,2,4)", 4), ("G(1,1,4)", 4), ("Z(3)@1^2", 6), ("Z(2)@2^3", 6),
+    )
+
+    def test_rows_match_row_loop(self):
+        """The orbit-coordinate elimination on a map with no tables yet
+        gives every row of the full-polynomial division and elimination
+        exactly, term for term and in Python ints; also the 820 sgn rows of
+        G(1,1,2) at D = 40."""
+        cases = [(spec, name, bound) for spec, bound in self.ROW_CATALOGUE
+                 for name in [ch.name for ch in builtin_characters(make_group(spec))]]
+        for spec, name, bound in cases + [("G(1,1,2)", "sgn", 40)]:
+            g = make_group(spec)
+            shared = basic_map(g)
+            fresh = BasicMap(g, shared.components, shared.q)
+            ch = make_character(g, name)
+            for rep in index_set(ch, bound):
+                row = fresh.row(ch, rep)
+                assert row.terms == row_loop(shared, ch, rep).terms, (spec, name, rep)
+                assert all(type(c) is int for c in row.terms.values())
 
 
 class TestTorusRelationGrid:
