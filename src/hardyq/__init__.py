@@ -40,8 +40,7 @@ from .laurent import (
 # layers do not load numpy
 _MODULE_OF = {
     **dict.fromkeys(("KernelSpec", "base_kernel", "ellipsoid_constants", "make_kernel_spec",
-                     "quotient_kernel", "reproducing_check",
-                     "series_kernel", "tetrablock_kernel"), "kernels"),
+                     "quotient_kernel", "tetrablock_kernel"), "kernels"),
     **dict.fromkeys(("SymbolPair", "ToeplitzWindow", "apply_toeplitz",
                      "bh_check", "compactness_probe", "correspondence_check", "hol_project",
                      "product_compare", "semd2_check", "symbol_recover", "toeplitz_window"),

@@ -5,8 +5,8 @@ quotient Hardy space and the isotypic component upstairs.
 ell_rho, the projected monomials and their theta forms have integer
 coefficients and are computed in Python ints: ell_rho in closed form as one
 signed orbit, each lowered basis element (a "row") by leading-term
-elimination in S_n-orbit coordinates, with no polynomial product.  Float
-polynomials are lowered linearly, through the gamma basis.
+elimination in S_n-orbit coordinates, with no polynomial product.  lower
+reads coefficients off the rows, so it is exact on exact input.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from operator import add, sub
 
 from .groups import Character, Group, Hyperplane, InputError, _perm_parity, make_character
 from .laurent import (
+    _EXACT,
     Expo,
     LaurentPoly,
     _compose,
@@ -26,11 +27,9 @@ from .laurent import (
     canonical_exponent,
     orbit_template,
     sort_sign,
-    sphere_inner,
     sphere_monomial_weight,
     sphere_norm,
     tie_pattern,
-    torus_inner,
 )
 
 
@@ -534,34 +533,25 @@ def index_set(char: Character, bound: int, holomorphic: bool = True) -> BasisInd
     return BasisIndexSet(char, bound, holomorphic, reps)
 
 
-# Residual GammaBasis.expand may leave unexplained, relative to the input's
-# largest coefficient.
-_EXPAND_TOL = 1e-9
-
-
 class GammaBasis:
     """The orthonormal basis gamma_m of one isotypic component of H^2:
     P_chi z^m for canonical reps m, scaled to unit norm in the domain's
-    inner product `inner`: by the exact 1/sqrt(|S_m|/|S|) on the polydisc,
-    by 1/sphere_norm on the ball.  A rep that is not canonical (on
-    G(m,p,n): not weakly increasing) or whose projection vanishes raises
-    KeyError.  Each element is built from one signed orbit (_signed_orbit),
-    which also gives its norm, with the float operations of project(z^rep)
-    followed by `* (1.0 / scale)`, so it equals that route bit for bit.
-    Elements are memoised per basis together with factor(); use shared()
-    to reuse them.  The shared polydisc basis supplies the factors of every
-    toeplitz.WindowTable, so ambient windows agree with it exactly."""
+    inner product: by the exact 1/sqrt(|S_m|/|S|) on the polydisc, by
+    1/sphere_norm on the ball.  A rep that is not canonical (on G(m,p,n):
+    not weakly increasing) or whose projection vanishes raises KeyError.
+    Each element is built from one signed orbit (_signed_orbit), which also
+    gives its norm, with the float operations of project(z^rep) followed by
+    `* (1.0 / scale)`, so it equals that route bit for bit.  Elements and
+    factors are memoised per basis, which shared() keeps; its polydisc
+    factors serve every toeplitz.WindowTable."""
 
     def __init__(self, character: Character, domain: str = "polydisc"):
-        if domain == "polydisc":
-            self.inner = torus_inner
-        elif domain == "ball":
-            self.inner = sphere_inner
-        else:
+        if domain not in ("polydisc", "ball"):
             raise ValueError(f"unknown domain tag {domain!r}")
         self.character = character
         self.domain = domain
         self._cache: dict[Expo, tuple[LaurentPoly, float]] = {}
+        self._factors: dict[Expo, float] = {}
 
     @classmethod
     def shared(cls, character: Character, domain: str = "polydisc") -> GammaBasis:
@@ -577,16 +567,33 @@ class GammaBasis:
         return self._entry(rep)[0]
 
     def factor(self, rep: Expo) -> float:
-        """s with gamma_rep = s * |S| P_chi z^rep, the integer projection."""
-        return self._entry(rep)[1]
+        """s with gamma_rep = s * |S| P_chi z^rep, the integer projection: on
+        the polydisc 1/(|S| sqrt(|S_rep|/|S|)) from projection_norm_sq, with
+        no element built (float of its Fraction rounds like the element's
+        int/int division, so the bits agree), on the ball off the element."""
+        rep = self._canonical(rep)
+        got = self._factors.get(rep)
+        if got is None:
+            if self.domain == "ball":
+                got = self._entry(rep)[1]
+            elif norm_sq := projection_norm_sq(self.character, rep):
+                got = 1.0 / (self.character.group.perm_order * math.sqrt(norm_sq))
+            else:
+                raise KeyError(f"projection of z^{rep} vanishes")
+            self._factors[rep] = got
+        return got
+
+    def _canonical(self, rep: Expo) -> Expo:
+        rep = tuple(rep)
+        if self.character.group.spec.kind == "Gmpn" and any(a > b for a, b in zip(rep, rep[1:])):
+            raise KeyError(f"{rep} is not a canonical representative")
+        return rep
 
     def _entry(self, rep: Expo) -> tuple[LaurentPoly, float]:
-        rep = tuple(rep)
+        rep = self._canonical(rep)
         got = self._cache.get(rep)
         if got is None:
             char = self.character
-            if char.group.spec.kind == "Gmpn" and any(a > b for a, b in zip(rep, rep[1:])):
-                raise KeyError(f"{rep} is not a canonical representative")
             orbit = _signed_orbit(char, rep) if _diagonal_match(char, rep) else {}
             if rep not in orbit:
                 raise KeyError(f"projection of z^{rep} vanishes")
@@ -603,26 +610,6 @@ class GammaBasis:
                 terms[b] = c * inv
             got = self._cache[rep] = (f, 1.0 / (size * scale))
         return got
-
-    def expand(self, poly: LaurentPoly) -> dict[Expo, complex]:
-        """Coefficients of an analytic isotypic polynomial over the basis;
-        raises if a residual remains (input outside the component)."""
-        group = self.character.group
-        out: dict[Expo, complex] = {}
-        recon = LaurentPoly.zero(poly.dim)
-        reps = sorted({canonical_exponent(group, e) for e in poly.terms})
-        for rep in reps:
-            if projection_norm_sq(self.character, rep) == 0:
-                continue
-            g = self(rep)
-            c = self.inner(poly, g)
-            if c != 0:
-                out[rep] = c
-                recon = recon + c * g
-        scale = max(poly.max_abs_coeff(), 1.0)
-        if not (poly - recon).is_zero(tol=_EXPAND_TOL * scale):
-            raise NotInIsotypicError("polynomial is not in this isotypic component")
-        return out
 
 
 # -- the theta rewrite ------------------------------------------------------
@@ -653,6 +640,9 @@ def rewrite_in_theta(bmap: BasicMap, h: LaurentPoly) -> LaurentPoly:
 
 # -- lift and lower ----------------------------------------------------------
 
+# lower's float tolerance, relative to max(F's largest |coefficient|, 1)
+_LOWER_TOL = 1e-9
+
 
 def lift(ellp: EllPoly, bmap: BasicMap, f: LaurentPoly) -> LaurentPoly:
     """(1/c_rho) ell_rho * (f o theta): carries polynomials on the quotient
@@ -668,10 +658,41 @@ def lowered(ellp: EllPoly, bmap: BasicMap, rep: Expo) -> LaurentPoly:
 
 
 def lower(ellp: EllPoly, bmap: BasicMap, F: LaurentPoly) -> LaurentPoly:
-    """Inverse of lift, linear in F: F's expansion over the gamma basis of
-    ellp's character and domain, summed over the lowered elements.  Raises
-    NotInIsotypicError when F is not of the form ell_rho * (invariant)."""
-    total = LaurentPoly.zero(F.dim)
-    for rep, c in GammaBasis.shared(ellp.character, ellp.domain).expand(F).items():
-        total = total + lowered(ellp, bmap, rep) * c
-    return total
+    """Inverse of lift, read off F's coefficients.  With P~ = |S| P_chi, an
+    isotypic F is sum_r x_r P~z^r over canonical reps r, x_r = F[r] / w_r
+    with w_r = _signed_orbit(chi, r)[r]; ellhat * (row_r o theta) = P~z^r,
+    so lower(F) = (c_rho / kappa) sum_r x_r row_r.  Summed in F's
+    coefficient type over the common denominator |S| (w_r divides it) and
+    scaled once at the end, not at all when c_rho = kappa (the trivial
+    character): exact on int and Fraction input.  Raises NotInIsotypicError
+    unless F = sum_r x_r P~z^r image by image (exactly on exact input,
+    within _LOWER_TOL on float input)."""
+    char = ellp.character
+    group = char.group
+    size = group.perm_order
+    terms = F.terms
+    exact = all(isinstance(c, _EXACT) for c in terms.values())
+    limit = 0 if exact else _LOWER_TOL * max(F.max_abs_coeff(), 1.0)
+    total: dict[Expo, complex] = {}
+    for r in sorted({canonical_exponent(group, e) for e in terms}):
+        orbit = _signed_orbit(char, r) if min(r) >= 0 and _diagonal_match(char, r) else {}
+        w = orbit.get(r)
+        if w is None:  # a negative exponent, a failed diagonal test or a vanishing orbit
+            raise NotInIsotypicError(f"z^{r} is outside this isotypic component of H^2")
+        top = terms.get(r, 0)
+        # F[b] = x_r orbit[b] at every image b, both sides times w_r
+        for b, v in orbit.items():
+            if abs(terms.get(b, 0) * w - top * v) > limit * w:
+                raise NotInIsotypicError("polynomial is not in this isotypic component")
+        k = top * (size // w)  # |S| x_r
+        for a, c in bmap.row(char, r).terms.items():
+            total[a] = total.get(a, 0) + k * c
+    scale = 1 if ellp.cnorm_sq == ellp.kappa ** 2 else ellp.cnorm / ellp.kappa
+    return LaurentPoly(F.dim, {a: _divide(c, size) * scale for a, c in total.items()})
+
+
+def _divide(c, d: int):
+    """c / d: an int when d divides an int c, else a Fraction for an int c."""
+    if isinstance(c, int):
+        return c // d if c % d == 0 else Fraction(c, d)
+    return c / d

@@ -1,8 +1,8 @@
 """Szego kernels: closed forms on the polydisc, ball and the rank-2 type-III
-Cartan domain; quotient kernels in closed form; the tetrablock kernel;
-truncated series kernels in quotient coordinates; and reproducing-property
-residuals.  The pushforward-measure integral is QuotientRealization.moment
-(toeplitz): an integer Gram entry sum_a (theta^b ell)_a (theta^c ell)_a.
+Cartan domain; quotient kernels in closed form; the tetrablock kernel; and
+truncated series kernels in quotient coordinates.  The pushforward-measure
+integral is QuotientRealization.moment (toeplitz): an integer Gram entry
+sum_a (theta^b ell)_a (theta^c ell)_a.
 """
 
 from __future__ import annotations
@@ -15,14 +15,11 @@ from .groups import Character, Group, InputError, make_character, make_group
 from .invariants import (
     BasicMap,
     EllPoly,
-    GammaBasis,
     basic_map,
     ell,
     index_set,
-    lift,
     lowered,
 )
-from .laurent import LaurentPoly
 
 Point = tuple[complex, ...]
 
@@ -366,7 +363,7 @@ def tetrablock_kernel(z: Point, w: Point, tol: float = 1e-12) -> complex:
 class SeriesKernel:
     """Truncated expansion sum_m e_m(x) conj(e_m(y)) over the lowered
     orthonormal basis e_m = lower(gamma_m) (invariants.lowered), for points
-    x = theta(z) in quotient coordinates; row r is gamma_{reps[r]} of `basis`.
+    x = theta(z) in quotient coordinates; row r is e_{reps[r]}.
 
     The basis is flattened at build into a sparse table: term k is
     coeffs[k] * x^expos[slots[k]] in basis element rows[k], over one matrix
@@ -379,7 +376,6 @@ class SeriesKernel:
         self.spec = spec
         self.bound = bound
         self.reps = index_set(spec.character, bound, holomorphic=True).reps
-        self.basis = GammaBasis.shared(spec.character, spec.domain)
         self.basis_down = [lowered(spec.ellp, spec.bmap, r) for r in self.reps]
         slot_of: dict[tuple[int, ...], int] = {}
         rows, slots, coeffs = [], [], []
@@ -410,26 +406,6 @@ class SeriesKernel:
 
     def eval(self, x: Point, y: Point) -> complex:
         return complex(self._values(x) @ np.conj(self._values(y)))
-
-
-def series_kernel(spec: KernelSpec, x: Point, y: Point, bound: int) -> complex:
-    return SeriesKernel(spec, bound).eval(x, y)
-
-
-# -- reproducing property -----------------------------------------------------
-
-
-def reproducing_check(spec: KernelSpec, f: LaurentPoly, w: Point, bound: int) -> float:
-    """|<f, S(. , theta(w))> - f(theta(w))| for the truncated kernel: the sum
-    of <lift f, gamma_m> e_m(theta(w)) over the rows of SeriesKernel(spec,
-    bound).  Zero up to rounding once the truncation dominates deg f."""
-    check_point(spec.domain, tuple(w))
-    series = SeriesKernel(spec, bound)
-    F = lift(spec.ellp, spec.bmap, f)
-    coeffs = np.array([series.basis.inner(F, series.basis(r)) for r in series.reps],
-                      dtype=complex)
-    tw = spec.bmap.eval(tuple(w))
-    return abs(complex(coeffs @ series._values(tw)) - f.eval(tw))
 
 
 # -- ellipsoid constants (reported, not asserted) ------------------------------

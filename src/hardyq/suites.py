@@ -65,6 +65,17 @@ GMPN_GRID = [
 
 BH_GROUPS = ("G(1,1,2)", "G(2,2,2)", "G(2,1,2)", "G(1,1,3)")
 
+# Each suite's fixed sizes, window bounds and tolerances; only `seed` (and
+# kernel-identity's `pairs`) are passed.
+JACOBIAN_TOL = C_SGN_TOL = 1e-10
+KERNEL_IDENTITY_TOL = 1e-9
+PROJECTION_TOL = 1e-12
+GRAM_BOUND, GRAM_TOL = 5, 1e-10
+BH_PER_GROUP, BH_BOUND, BH_TOL = 20, 8, 1e-10  # the corpus is compactness's too
+RECOVERY_COUNT, RECOVERY_TOL = 10, 1e-9
+CORRESPONDENCE_BOUND = 4
+COMPACTNESS_TOL = 1e-10
+
 
 def random_point(rng: random.Random, n: int, radius: float = 0.8) -> tuple:
     """Uniform polar sampling, kept off the boundary."""
@@ -135,15 +146,15 @@ def hyperplane_factorization(J: LaurentPoly, group: Group, tol: float) -> bool:
     return J.approx_eq(c * prod, tol=tol)
 
 
-def check_jacobian_forms(tol: float = 1e-10) -> dict:
+def check_jacobian_forms() -> dict:
     """The Jacobian against the closed-form ell_sgn and its factorization."""
     cases = []
     ok = True
     for m, p, n in GMPN_GRID:
         g = make_group(f"G({m},{p},{n})")
         J = jacobian(basic_map(g))
-        match_closed = J.approx_eq(ell(make_character(g, "sgn")).poly, tol=tol)
-        factor_ok = hyperplane_factorization(J, g, tol)
+        match_closed = J.approx_eq(ell(make_character(g, "sgn")).poly, tol=JACOBIAN_TOL)
+        factor_ok = hyperplane_factorization(J, g, JACOBIAN_TOL)
         good = match_closed and factor_ok
         ok = ok and good
         cases.append({
@@ -154,7 +165,7 @@ def check_jacobian_forms(tol: float = 1e-10) -> dict:
     return {"ok": ok, "cases": cases}
 
 
-def check_c_sgn(tol: float = 1e-10) -> dict:
+def check_c_sgn() -> dict:
     cases = []
     ok = True
     for m, p, n in GMPN_GRID:
@@ -162,7 +173,7 @@ def check_c_sgn(tol: float = 1e-10) -> dict:
         J = jacobian(basic_map(g))
         got = torus_norm(J)
         expected = m**n * math.sqrt(math.factorial(n)) / p
-        good = abs(got - expected) <= tol * expected
+        good = abs(got - expected) <= C_SGN_TOL * expected
         ok = ok and good
         cases.append({"group": str(g), "norm": got, "expected": expected, "ok": good})
     return {"ok": ok, "cases": cases}
@@ -197,7 +208,7 @@ def _signed_sum(spec, z: tuple, w: tuple) -> complex:
     return spec.ellp.cnorm_sq / len(spec.group) * total / (lz * lw.conjugate())
 
 
-def check_kernel_identity(pairs: int = 100, seed: int = 7, tol: float = 1e-9) -> dict:
+def check_kernel_identity(pairs: int = 100, seed: int = 7) -> dict:
     """The sign kernel of G(1,1,n), n = 2, 3, against the product formula
     prod_ij 1/(1 - z_i conj(w_j)), both as quotient_kernel and as the
     definitional signed sum over S_n; max_rel_error is the worse of the two."""
@@ -215,11 +226,11 @@ def check_kernel_identity(pairs: int = 100, seed: int = 7, tol: float = 1e-9) ->
                     ref /= 1.0 - zi * wj.conjugate()
             for got in (quotient_kernel(spec, z, w), _signed_sum(spec, z, w)):
                 worst = max(worst, abs(got - ref) / abs(ref))
-    return {"ok": worst <= tol, "max_rel_error": worst, "pairs_per_n": pairs,
+    return {"ok": worst <= KERNEL_IDENTITY_TOL, "max_rel_error": worst, "pairs_per_n": pairs,
             "elapsed_s": time.time() - t0}
 
 
-def check_projection_algebra(seed: int = 11, tol: float = 1e-12) -> dict:
+def check_projection_algebra(seed: int = 11) -> dict:
     """Idempotence, self-adjointness and pairwise orthogonality of the
     isotypic projections on the monomial corpus with exponents in [-3,3]^n.
 
@@ -261,7 +272,7 @@ def check_projection_algebra(seed: int = 11, tol: float = 1e-12) -> dict:
                 for a, b in orbit_pairs + cross:
                     v = torus_inner(projs[ch1.name][a], projs[ch2.name][b])
                     worst_orth = max(worst_orth, abs(v))
-        good = max(worst_idem, worst_adj, worst_orth) <= tol
+        good = max(worst_idem, worst_adj, worst_orth) <= PROJECTION_TOL
         ok = ok and good
         report.append({
             "group": gname,
@@ -274,39 +285,38 @@ def check_projection_algebra(seed: int = 11, tol: float = 1e-12) -> dict:
     return {"ok": ok, "cases": report}
 
 
-def check_gram(bound: int = 5, tol: float = 1e-10) -> dict:
+def check_gram() -> dict:
     cases = []
     ok = True
     for gname in BH_GROUPS:
         g = make_group(gname)
         sgn = make_character(g, "sgn")
         basis = GammaBasis.shared(sgn)
-        gams = [basis(r) for r in index_set(sgn, bound, holomorphic=True)]
+        gams = [basis(r) for r in index_set(sgn, GRAM_BOUND, holomorphic=True)]
         k = len(gams)
         gram = np.zeros((k, k), dtype=complex)
         for i in range(k):
             for j in range(k):
                 gram[i, j] = torus_inner(gams[i], gams[j])
         dev = float(np.max(np.abs(gram - np.eye(k)))) if k else 0.0
-        good = dev <= tol
+        good = dev <= GRAM_TOL
         ok = ok and good
         cases.append({"group": gname, "basis_size": k, "max_gram_deviation": dev,
                       "ok": good})
     return {"ok": ok, "cases": cases}
 
 
-def _bh_corpus(seed: int, per_group: int):
+def _bh_corpus(seed: int):
     rng = random.Random(seed)
     corpus = []
     for gname in BH_GROUPS:
         g = make_group(gname)
-        for _ in range(per_group):
+        for _ in range(BH_PER_GROUP):
             corpus.append((gname, random_invariant_symbol(g, rng, radius=2, terms=4)))
     return corpus
 
 
-def check_brown_halmos(seed: int = 23, per_group: int = 20, bound: int = 8,
-                       tol: float = 1e-10) -> dict:
+def check_brown_halmos(seed: int = 23) -> dict:
     t0 = time.time()
     worst = 0.0
     cases = []
@@ -314,11 +324,11 @@ def check_brown_halmos(seed: int = 23, per_group: int = 20, bound: int = 8,
     groups = {name: make_group(name) for name in BH_GROUPS}
     bmaps = {name: basic_map(groups[name]) for name in BH_GROUPS}
     chars = {name: make_character(groups[name], "sgn") for name in BH_GROUPS}
-    for gname, sym in _bh_corpus(seed, per_group):
-        win = toeplitz_window(sym, chars[gname], bound)
+    for gname, sym in _bh_corpus(seed):
+        win = toeplitz_window(sym, chars[gname], BH_BOUND)
         rep = bh_check(win, bmaps[gname])
         worst = max(worst, rep.max_violation)
-        good = rep.max_violation <= tol
+        good = rep.max_violation <= BH_TOL
         ok = ok and good
         cases.append({"group": gname, "max_violation": rep.max_violation,
                       "pairs": rep.checked_pairs, "ok": good})
@@ -326,19 +336,19 @@ def check_brown_halmos(seed: int = 23, per_group: int = 20, bound: int = 8,
             "elapsed_s": time.time() - t0}
 
 
-def check_recovery(seed: int = 31, count: int = 10, tol: float = 1e-9) -> dict:
+def check_recovery(seed: int = 31) -> dict:
     rng = random.Random(seed)
     g = make_group("G(1,1,2)")
     sgn = make_character(g, "sgn")
     bm = basic_map(g)
     cases = []
     ok = True
-    for k in range(count):
+    for k in range(RECOVERY_COUNT):
         sym = random_invariant_symbol(g, rng, radius=2, terms=3)
         res = symbol_recover(window_entry_fn(sym, sgn), sgn, bm, base_bound=4)
         scale = max(sym.pullback.max_abs_coeff(), 1.0)
         dev = (res.symbol.pullback - sym.pullback).max_abs_coeff()
-        good = dev <= tol * scale
+        good = dev <= RECOVERY_TOL * scale
         ok = ok and good
         cases.append({"trial": k, "coeff_deviation": dev, "lstsq_residual": res.residual,
                       "ok": good})
@@ -362,7 +372,7 @@ def check_recovery(seed: int = 31, count: int = 10, tol: float = 1e-9) -> dict:
     return {"ok": ok, "violator_rejected": rejected, "cases": cases}
 
 
-def check_correspondence(seed: int = 47, bound: int = 4) -> dict:
+def check_correspondence(seed: int = 47) -> dict:
     rng = random.Random(seed)
     g = make_group("G(1,1,2)")
     chars = [make_character(g, "trivial"), make_character(g, "sgn")]
@@ -373,7 +383,7 @@ def check_correspondence(seed: int = 47, bound: int = 4) -> dict:
 
     def run(u, v, label, mode="semi"):
         nonlocal ok
-        rep = correspondence_check(u, v, chars, bound, mode=mode)
+        rep = correspondence_check(u, v, chars, CORRESPONDENCE_BOUND, mode=mode)
         ok = ok and rep.agree
         cases.append({"pair": label, "mode": mode, "agree": rep.agree,
                       "verdicts": rep.to_json()["verdicts"]})
@@ -426,7 +436,7 @@ def check_semd2() -> dict:
     return {"ok": ok, "cases": cases}
 
 
-def check_compactness(seed: int = 23, per_group: int = 20, tol: float = 1e-10) -> dict:
+def check_compactness(seed: int = 23) -> dict:
     """Shift constancy for every window in the Brown-Halmos corpus (same
     seed), over a family of growing windows."""
     worst = 0.0
@@ -435,11 +445,11 @@ def check_compactness(seed: int = 23, per_group: int = 20, tol: float = 1e-10) -
     groups = {name: make_group(name) for name in BH_GROUPS}
     bmaps = {name: basic_map(groups[name]) for name in BH_GROUPS}
     chars = {name: make_character(groups[name], "sgn") for name in BH_GROUPS}
-    for gname, sym in _bh_corpus(seed, per_group):
+    for gname, sym in _bh_corpus(seed):
         wins = [toeplitz_window(sym, chars[gname], d) for d in (4, 6, 8)]
         rep = compactness_probe(wins, bmaps[gname])
         worst = max(worst, rep.max_shift_deviation)
-        ok = ok and rep.max_shift_deviation <= tol
+        ok = ok and rep.max_shift_deviation <= COMPACTNESS_TOL
         if rep.persistent_entries:
             zero_only = False
     return {"ok": ok, "max_shift_deviation": worst,

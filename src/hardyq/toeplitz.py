@@ -680,13 +680,6 @@ class QuotientRealization:
                 out = out + c * self.basis_down(rep)
         return out
 
-    def toeplitz_apply(self, u: LaurentPoly, f: LaurentPoly, exp_bound: int,
-                       functionals: dict[Expo, dict[Expo, complex]]) -> LaurentPoly:
-        return self.project_hardy(u * f, exp_bound, functionals)
-
-    def window_entry(self, u: LaurentPoly, row: Expo, col: Expo) -> complex:
-        return self.inner(u * self.basis_down(col), row, {})
-
 
 def _monomial_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
                             character: Character, bound: int) -> CompareReport:
@@ -715,11 +708,10 @@ def _quotient_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
 
     def column(rep: Expo) -> tuple[LaurentPoly, LaurentPoly]:
         fa = qr.basis_down(rep)
+        mid_v = qr.project_hardy(vh * fa, v.radius() + bound, functionals)
         if mode == "semi":
-            mid = qr.toeplitz_apply(vh, fa, v.radius() + bound, functionals)
-            return uh * mid, (uh * vh) * fa
-        mid_v = qr.toeplitz_apply(vh, fa, v.radius() + bound, functionals)
-        mid_u = qr.toeplitz_apply(uh, fa, u.radius() + bound, functionals)
+            return uh * mid_v, (uh * vh) * fa
+        mid_u = qr.project_hardy(uh * fa, u.radius() + bound, functionals)
         return uh * mid_v, vh * mid_u
 
     def pair(cols: tuple[LaurentPoly, LaurentPoly], rep: Expo) -> complex:

@@ -8,14 +8,16 @@ integer Gram (the (t, conj t) composition pull_harmonic and the constant
 term against |ell|^2), the quotient route's per-basis functionals (the
 product pairing through conj_zbar), the sparse series table, the
 closed-form reflecting hyperplanes, the window tables, the shift-table
-Brown-Halmos check (its expansions by GammaBasis.expand of the ambient
-product) and compactness probe, the orbit-coordinate lowered rows (exact
-division and elimination on full polynomials), and the series-table
-reproducing check are tested against; the float hyperplane product that
-the closed-form relative invariants are tested against; the base-ball
-Toeplitz entry and its sphere pair integral; and the per-element and
-per-term helpers they and the tests use (the point tables among them).
-Test oracles only; nothing in the package calls them."""
+Brown-Halmos check (its expansions by expand_loop of the ambient product)
+and compactness probe, the orbit-coordinate lowered rows (exact division
+and elimination on full polynomials), the series-table reproducing check
+and the coefficient-reading lower (pairing with the gamma basis,
+expand_loop and lower_loop) are tested against; the series kernel and
+reproducing check, which only the tests call; the float hyperplane
+product that the closed-form relative invariants are tested against; the
+base-ball Toeplitz entry and its sphere pair integral; and the
+per-element and per-term helpers they and the tests use (the point tables
+among them).  Test oracles only; nothing in the package calls them."""
 
 import functools
 import math
@@ -25,9 +27,9 @@ from itertools import permutations, product
 import numpy as np
 
 from hardyq.groups import GroupElement, _perm_parity, root_of_unity
-from hardyq.kernels import KernelSpec, base_kernel
-from hardyq.laurent import (Expo, LaurentPoly, act, sphere_inner, sphere_monomial_weight,
-                            sphere_norm, torus_inner)
+from hardyq.kernels import KernelSpec, SeriesKernel, base_kernel, check_point
+from hardyq.laurent import (Expo, LaurentPoly, act, canonical_exponent, sphere_inner,
+                            sphere_monomial_weight, sphere_norm, torus_inner)
 
 
 def apply_point(g: GroupElement, z) -> tuple[complex, ...]:
@@ -75,7 +77,8 @@ def torus_restriction(h: LaurentPoly) -> LaurentPoly:
         out[f] = out.get(f, 0j) + c
     return LaurentPoly(n, out)
 from hardyq.invariants import (GammaBasis, NotInIsotypicError, _diagonal_match, _ell_form,
-                               _theta_exponent, hyperplane_form, index_set, lift, lower, project)
+                               _theta_exponent, hyperplane_form, index_set, lift, lower, lowered,
+                               project, projection_norm_sq)
 from hardyq.toeplitz import (RESIDUAL_TOL, BHReport, CompactnessReport, CompareReport,
                              QuotientRealization, ToeplitzWindow, _verdict_scale)
 
@@ -494,6 +497,28 @@ def series_sum(sk, x, y) -> tuple[complex, float]:
     return total, mass
 
 
+def series_kernel(spec: KernelSpec, x, y, bound: int) -> complex:
+    """The truncated series kernel at one pair of quotient points, from a
+    SeriesKernel built for the call."""
+    return SeriesKernel(spec, bound).eval(x, y)
+
+
+def reproducing_check(spec: KernelSpec, f: LaurentPoly, w, bound: int) -> float:
+    """|<f, S(. , theta(w))> - f(theta(w))| for the truncated kernel: the sum
+    of <lift f, gamma_m> e_m(theta(w)) over the rows of SeriesKernel(spec,
+    bound), gamma_m from the shared basis of the spec's domain and paired in
+    that domain's inner product.  Zero up to rounding once the truncation
+    dominates deg f."""
+    check_point(spec.domain, tuple(w))
+    series = SeriesKernel(spec, bound)
+    basis = GammaBasis.shared(spec.character, spec.domain)
+    inner = torus_inner if spec.domain == "polydisc" else sphere_inner
+    F = lift(spec.ellp, spec.bmap, f)
+    coeffs = np.array([inner(F, basis(r)) for r in series.reps], dtype=complex)
+    tw = spec.bmap.eval(tuple(w))
+    return abs(complex(coeffs @ series._values(tw)) - f.eval(tw))
+
+
 def reproducing_loop(spec: KernelSpec, f: LaurentPoly, w, bound: int) -> float:
     """reproducing_check with one basis element at a time: gamma_m is the
     projected monomial scaled by its norm in the domain's own inner
@@ -540,8 +565,8 @@ def bh_check_loop(window, bmap, basis=None) -> tuple[BHReport, list[tuple[tuple,
     checked pair, and every checked pair with its violation ((relation, a,
     b), v), in the loop's order: relation (a), then one cross relation per
     coordinate, each with a outer and b inner; the worst pair moves on a
-    strict >.  The expansions theta_j gamma_r are GammaBasis.expand of the
-    ambient product."""
+    strict >.  The expansions theta_j gamma_r are expand_loop of the ambient
+    product."""
     group = window.group
     basis = basis or GammaBasis(window.character)
     n, q, m = group.n, group.q, group.m
@@ -563,8 +588,8 @@ def bh_check_loop(window, bmap, basis=None) -> tuple[BHReport, list[tuple[tuple,
         theta_ni = bmap.components[n - i - 2]
         for r in reps:
             try:
-                exp_i[r] = basis.expand(theta_i * basis(r))
-                exp_ni[r] = basis.expand(theta_ni * basis(r))
+                exp_i[r] = expand_loop(basis, theta_i * basis(r))
+                exp_ni[r] = expand_loop(basis, theta_ni * basis(r))
             except NotInIsotypicError:
                 continue
         expansions[i] = (exp_i, exp_ni)
@@ -624,6 +649,45 @@ def compactness_loop(windows, bmap) -> CompactnessReport:
             if persists:
                 persistent.append((a, b, v0))
     return CompactnessReport(max_dev, persistent, all_zero)
+
+
+# The residual expand_loop may leave unexplained, relative to max(the input's
+# largest |coefficient|, 1).
+EXPAND_TOL = 1e-9
+
+
+def expand_loop(basis: GammaBasis, poly: LaurentPoly) -> dict[Expo, complex]:
+    """Coefficients of an analytic isotypic polynomial over a GammaBasis:
+    the pairing with each element gamma_r, r the canonical reps of poly's
+    terms, in the basis domain's inner product (torus_inner or
+    sphere_inner), summed into a running reconstruction; raises
+    NotInIsotypicError when the residual exceeds EXPAND_TOL."""
+    char = basis.character
+    inner = torus_inner if basis.domain == "polydisc" else sphere_inner
+    out: dict[Expo, complex] = {}
+    recon = LaurentPoly.zero(poly.dim)
+    for rep in sorted({canonical_exponent(char.group, e) for e in poly.terms}):
+        if projection_norm_sq(char, rep) == 0:
+            continue
+        g = basis(rep)
+        c = inner(poly, g)
+        if c != 0:
+            out[rep] = c
+            recon = recon + c * g
+    scale = max(poly.max_abs_coeff(), 1.0)
+    if not (poly - recon).is_zero(tol=EXPAND_TOL * scale):
+        raise NotInIsotypicError("polynomial is not in this isotypic component")
+    return out
+
+
+def lower_loop(ellp, bmap, F: LaurentPoly) -> LaurentPoly:
+    """lower by pairing: F's expand_loop coefficients over the shared gamma
+    basis of ellp's character and domain, each times its lowered element
+    (the row times one float), summed one LaurentPoly at a time."""
+    total = LaurentPoly.zero(F.dim)
+    for rep, c in expand_loop(GammaBasis.shared(ellp.character, ellp.domain), F).items():
+        total = total + lowered(ellp, bmap, rep) * c
+    return total
 
 
 def divide_exact(F: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:

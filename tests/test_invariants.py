@@ -2,26 +2,27 @@ import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from types import FunctionType
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from group_sums import divide_exact, elements, pull_harmonic, row_loop
+from group_sums import divide_exact, elements, lower_loop, pull_harmonic, row_loop
 from hardyq.suites import hyperplane_factorization
 from hardyq.groups import Group, _perm_parity, builtin_characters, make_character, make_group
 from hardyq.invariants import (
     GammaBasis,
     NotInIsotypicError,
     BasicMap,
+    _signed_orbit,
     basic_map,
     ell,
     index_set,
     jacobian,
     lift,
     lower,
-    lowered,
     project,
     projection_norm_sq,
     rewrite_in_theta,
@@ -30,6 +31,7 @@ from hardyq.laurent import (
     CLEANUP_REL,
     LaurentPoly,
     act,
+    canonical_exponent,
     sphere_inner,
     torus_inner,
 )
@@ -423,7 +425,7 @@ class TestBasisElements:
     def test_ball_and_polydisc_bases_differ(self, sgn112):
         ball = GammaBasis.shared(sgn112, "ball")
         assert ball is not GammaBasis.shared(sgn112)
-        assert ball.domain == "ball" and ball.inner is sphere_inner
+        assert ball.domain == "ball"
 
     def test_ball_basis_orthonormal(self):
         sgn = make_character(make_group("Z(3)@1^2"), "sgn")
@@ -446,9 +448,9 @@ class TestDivisionAndRewrite:
             divide_exact(P(2, {(1, 0): 1}), P(2, {(1, 0): 1, (0, 1): -1}))
 
     def test_rewrite_power_sum(self, g112, bm112):
-        # z1^2 + z2^2 = t1^2 - 2 t2
-        h = P(2, {(2, 0): 1, (0, 2): 1})
-        assert rewrite_in_theta(bm112, h).approx_eq(P(2, {(2, 0): 1, (0, 1): -2}), 1e-12)
+        # z1^2 + z2^2 = t1^2 - 2 t2, in ints
+        h = LaurentPoly(2, {(2, 0): 1, (0, 2): 1})
+        assert rewrite_in_theta(bm112, h).same_terms(LaurentPoly(2, {(2, 0): 1, (0, 1): -2}))
 
     def test_rewrite_rejects_non_invariant(self, bm112):
         with pytest.raises(NotInIsotypicError):
@@ -457,8 +459,8 @@ class TestDivisionAndRewrite:
     def test_rewrite_cyclic(self):
         g = make_group("Z(3)@1^2")
         bm = basic_map(g)
-        h = P(2, {(3, 2): 1, (6, 0): -2})
-        assert rewrite_in_theta(bm, h).approx_eq(P(2, {(1, 2): 1, (2, 0): -2}), 1e-12)
+        h = LaurentPoly(2, {(3, 2): 1, (6, 0): -2})
+        assert rewrite_in_theta(bm, h).same_terms(LaurentPoly(2, {(1, 2): 1, (2, 0): -2}))
         with pytest.raises(NotInIsotypicError):
             rewrite_in_theta(bm, P(2, {(2, 0): 1}))
 
@@ -553,35 +555,217 @@ def g113_quotient_polys(draw):
     return make_character(G113, name), LaurentPoly(3, terms)
 
 
+def lowering_mass(ep, bm, F):
+    """Per t-exponent a: (M_a, N_a) with M_a = (c/kappa) sum_r |x_r| |row_r[a]|
+    over the canonical reps r of F, x_r = F[r] / w_r, and N_a the number of
+    reps whose row has a term at a: the absolute sum that lower adds up at
+    a, and its number of summands."""
+    ch = ep.character
+    mass, count = {}, {}
+    for r in {canonical_exponent(ch.group, e) for e in F.terms}:
+        x = abs(F.coeff(r)) / _signed_orbit(ch, r)[r]
+        for a, c in bm.row(ch, r).terms.items():
+            mass[a] = mass.get(a, 0.0) + x * abs(c) * ep.cnorm / ep.kappa
+            count[a] = count.get(a, 0) + 1
+    return mass, count
+
+
+# t-exponents and exact coefficients of the quotient polynomials f drawn for
+# the exactness test, per group: the trivial character, so ell = 1
+EXACT_GROUPS = {"G(1,1,2)": 6, "G(2,1,2)": 4, "G(3,3,2)": 3, "G(1,1,3)": 3, "Z(3)@1^2": 4}
+exact_coefficients = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)))
+
+
+@st.composite
+def exact_quotient_polys(draw):
+    spec = draw(st.sampled_from(sorted(EXACT_GROUPS)))
+    g = make_group(spec)
+    expo = st.tuples(*[st.integers(0, EXACT_GROUPS[spec])] * g.n)
+    return spec, LaurentPoly(g.n, draw(st.dictionaries(expo, exact_coefficients, max_size=6)))
+
+
 class TestExactLowering:
     @given(g113_quotient_polys())
     @settings(max_examples=60, deadline=None)
     def test_lower_inverts_lift_on_g113(self, case):
-        """lower(lift(f)) = f.  lift rounds F by a few ulps; expand pairs F
-        with gamma_m over |S| terms; each row is exact and is scaled once and
-        added.  So every coefficient is off by at most (|S| + 8) eps M, with
-        M = sum_m |c_m| ||lower(gamma_m)||_1 the mass of the final sum."""
+        """lower(lift(f)) = f.  f has Gaussian-integer coefficients, so
+        P = ell * pull(f) is exact in doubles and lift's F[b] = fl(P[b] s),
+        s = fl(1/fl(c)).  lower forms fl(fl(F[r] k_r) row_r[a]), k_r =
+        |S|/w_r, adds the N_a of them recursively, divides by |S| and
+        multiplies by fl(fl(c)/kappa); s * fl(c) = 1 + delta with |delta| <= u
+        cancels c.  So back[a] = f[a] + (N_a + 5) u M_a at most to first
+        order, u = 2^-53 and M_a as in lowering_mass; one more u covers M_a
+        being read off the rounded F.  N_a <= 19 here (partitions of the
+        ambient degree <= 12 into at most 3 parts), so this implies the
+        earlier bound (|S| + 8) eps M = 28 u M, M = sum_a M_a, which is
+        checked as well."""
         ch, f = case
         bm = basic_map(G113)
         ep = ell(ch, bmap=bm)
         F = lift(ep, bm, f)
         back = lower(ep, bm, F)
-        mass = sum(abs(c) * sum(abs(v) for v in lowered(ep, bm, rep).terms.values())
-                   for rep, c in GammaBasis.shared(ch).expand(F).items())
-        assert (back - f).max_abs_coeff() <= (len(ch.group.perm_images()) + 8) * 2.0 ** -52 * mass
+        mass, count = lowering_mass(ep, bm, F)
+        u = 2.0 ** -53
+        for a in set(back.terms) | set(f.terms) | set(mass):
+            err = abs(back.coeff(a) - f.coeff(a))
+            assert err <= (count.get(a, 0) + 6) * u * mass.get(a, 0.0), (a, err)
+        total = sum(mass.values())
+        assert (back - f).max_abs_coeff() <= (len(ch.group.perm_images()) + 8) * 2.0 ** -52 * total
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 3: lower scales each integer row by a float before the "
-        "sum, so the cancellation leaves rounding residue"))
     def test_lower_is_exact_on_integer_input(self):
-        """lower(ell * pull(f)) = f term for term for integer f.  Today it
-        returns a stray 1.36e-12 at t^(0,0,3) and 0.9999999999998863 at
-        t^(4,1,1)."""
+        """lower(ell * pull(f)) = f term for term for integer f; a lowering
+        that scaled each integer row by a float left a stray 1.36e-12 at
+        t^(0,0,3) and 0.9999999999998863 at t^(4,1,1)."""
         ch = make_character(G113, "trivial")
         bm = basic_map(G113)
         ep = ell(ch, bmap=bm)
         f = LaurentPoly(3, {(0, 0, 0): 1, (4, 1, 1): 1, (9, 0, 0): 1})
         assert lower(ep, bm, ep.poly * bm.pull(f)).terms == f.terms
+
+    @given(exact_quotient_polys())
+    @settings(max_examples=80, deadline=None)
+    def test_lower_is_exact_on_int_and_fraction_input(self, case):
+        """On the trivial character ell = 1 and c = kappa = 1, so lower sums
+        the rows in F's own coefficient type: ints stay ints, Fractions stay
+        Fractions, and the result is f exactly."""
+        spec, f = case
+        g = make_group(spec)
+        ch = make_character(g, "trivial")
+        bm = basic_map(g)
+        ep = ell(ch, bmap=bm)
+        back = lower(ep, bm, ep.poly * bm.pull(f))
+        assert back.terms == f.terms
+        kinds = (int,) if all(type(c) is int for c in f.terms.values()) else (int, Fraction)
+        assert all(type(c) in kinds for c in back.terms.values())
+
+    def test_lower_rejects_inputs_outside_the_component(self):
+        """Each raises NotInIsotypicError, on exact and float input."""
+        g = make_group("G(1,1,2)")
+        bm = basic_map(g)
+        triv = ell(make_character(g, "trivial"), bmap=bm)
+        sgn = ell(make_character(g, "sgn"), bmap=bm)
+        # one off at z^(1,0): pairing with the gamma basis averaged it into
+        # 10000000000.499998 t_1
+        big = triv.poly * bm.pull(LaurentPoly(2, {(1, 0): 10 ** 10}))
+        off_by_one = big + LaurentPoly(2, {(1, 0): 1})
+        pulled = sgn.poly * bm.pull(LaurentPoly(2, {(1, 0): 1}))  # z1^2 - z2^2
+        g3 = make_group("G(1,1,3)")
+        bm3 = basic_map(g3)
+        sgn3 = ell(make_character(g3, "sgn"), bmap=bm3)
+        F3 = sgn3.poly * bm3.pull(LaurentPoly(3, {(1, 0, 0): 1}))
+        g212 = make_group("G(2,1,2)")
+        bm212 = basic_map(g212)
+        cases = [
+            (triv, bm, off_by_one),
+            # a missing orbit image: the canonical term or another one
+            (sgn, bm, LaurentPoly(2, {(0, 2): -1})),
+            (sgn, bm, LaurentPoly(2, {(2, 0): 1})),
+            (sgn3, bm3, LaurentPoly(3, dict(list(F3.terms.items())[1:]))),
+            # a negative exponent
+            (triv, bm, LaurentPoly(2, {(-1, 1): 1, (1, -1): 1})),
+            (triv, bm, LaurentPoly(2, {(-1, 0): 0.5, (0, -1): 0.5})),
+            # z^(0,1) fails the diagonal test of G(2,1,2)
+            (ell(make_character(g212, "trivial"), bmap=bm212), bm212,
+             LaurentPoly(2, {(0, 1): 1, (1, 0): 1})),
+            # the sgn orbit of a repeated value vanishes
+            (sgn, bm, LaurentPoly(2, {(1, 1): 1})),
+            (sgn, bm, LaurentPoly(2, {(1, 1): 1.0})),
+        ]
+        assert lower(sgn, bm, pulled).terms  # the complete input lowers
+        for ep, bmap, F in cases:
+            with pytest.raises(NotInIsotypicError):
+                lower(ep, bmap, F)
+
+    def test_lower_matches_lower_loop(self):
+        """lower against the pairing oracle lower_loop on F = lift(f), f with
+        Gaussian-integer coefficients, for every built-in character of the
+        row catalogue and on the ball of its two cyclic groups.  lower is
+        within (N_a + 6) u M_a of the exact lowering (see
+        test_lower_inverts_lift_on_g113).  lower_loop: on the polydisc each
+        gamma coefficient carries at most 6u relative error and on the ball
+        at most (|O| + 8) u (sphere_norm sums |O| terms); the pairing adds
+        one product of at most three factors per image and sums |O| of them
+        with one phase (F[b] conj(gamma_r[b]) is x_r times a positive
+        weight), so c_r is within (2|O| + 12) u of its value relative; the
+        lowered element carries 8u (c, the factor's 4, its product, kappa,
+        the row's product) and c_r times it one more; the sum adds N_a
+        terms at a.  So the roundings stay within (2|O| + N_a + 21) u M_a.
+        On top, each of the three LaurentPoly cleanups per rep (the lowered
+        element, its product with c_r, the running sum) drops terms below
+        CLEANUP_REL of a polynomial whose coefficients are at most
+        M = sum_r (c/kappa) |x_r| max|row_r|, R reps in all: 3 R CLEANUP_REL M."""
+        u = 2.0 ** -53
+        cases = [(spec, bound, ch, "polydisc") for spec, bound in self.ROW_CATALOGUE
+                 for ch in builtin_characters(make_group(spec))]
+        cases += [(spec, 6, ch, "ball") for spec in ("Z(3)@1^2", "Z(2)@2^3")
+                  for ch in builtin_characters(make_group(spec))]
+        rng = random.Random(28)
+        for spec, bound, ch, domain in cases:
+            g = ch.group
+            bm = basic_map(g)
+            ep = ell(ch, domain=domain, bmap=bm)
+            top = {2: 3, 3: 2}.get(g.n, 1)
+            f = LaurentPoly(g.n, {tuple(rng.randint(0, top) for _ in range(g.n)):
+                                  complex(rng.randint(-9, 9), rng.randint(-9, 9))
+                                  for _ in range(4)})
+            F = lift(ep, bm, f)
+            fast, slow = lower(ep, bm, F), lower_loop(ep, bm, F)
+            mass, count = lowering_mass(ep, bm, F)
+            reps = {canonical_exponent(g, e) for e in F.terms}
+            orbit = max(len(_signed_orbit(ch, r)) for r in reps)
+            M = sum(abs(F.coeff(r)) / _signed_orbit(ch, r)[r] * ep.cnorm / ep.kappa
+                    * max(abs(c) for c in bm.row(ch, r).terms.values()) for r in reps)
+            for a in set(fast.terms) | set(slow.terms):
+                bound_a = ((2 * orbit + 2 * count.get(a, 0) + 27) * u * mass.get(a, 0.0)
+                           + 3 * len(reps) * CLEANUP_REL * M)
+                err = abs(fast.coeff(a) - slow.coeff(a))
+                assert err <= bound_a, (spec, ch.name, domain, a, err, bound_a)
+
+    def test_cold_lower_makes_no_product_and_reads_no_gamma_basis(self, monkeypatch):
+        """lower needs neither a polynomial product nor the gamma basis: on a
+        fresh group, with LaurentPoly's product and every GammaBasis method
+        raising, a cold lower (its rows built on the way) still completes,
+        and lower(ell * pull(f)) = c f."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lower multiplied polynomials or read the gamma basis")
+
+        cases = []
+        for spec, name in (("G(1,1,3)", "sgn"), ("G(2,1,2)", "det"), ("Z(3)@1^2", "trivial")):
+            g = make_group(spec)
+            ep = ell(make_character(g, name))
+            f = LaurentPoly(g.n, {(1,) * g.n: 2, (0,) * (g.n - 1) + (2,): -1})
+            # the input is pulled through the map of another group object
+            F = ep.poly * basic_map(make_group(spec)).pull(f)
+            cases.append((ep, basic_map(g), f, F))
+        with monkeypatch.context() as guard:
+            guard.setattr(LaurentPoly, "__mul__", forbidden)
+            guard.setattr(LaurentPoly, "__rmul__", forbidden)
+            for name, attr in vars(GammaBasis).items():
+                if isinstance(attr, (FunctionType, classmethod)):
+                    guard.setattr(GammaBasis, name, forbidden)
+            backs = []
+            for ep, bm, f, F in cases:
+                assert not bm.rows
+                backs.append(lower(ep, bm, F))
+        for (ep, bm, f, F), back in zip(cases, backs):
+            assert back.approx_eq(f * ep.cnorm, tol=1e-12)
+
+    def test_polydisc_factor_is_the_element_route_bit_for_bit(self):
+        """The closed-form polydisc factor equals the factor read off the
+        element, compared with ==, and builds no element."""
+        checked = 0
+        for spec, bound in (("G(1,1,2)", 10), ("G(2,2,2)", 10), ("G(2,1,2)", 10), ("G(4,4,2)", 10),
+                            ("G(6,3,2)", 10), ("G(1,1,3)", 6), ("G(3,1,3)", 6), ("G(4,2,3)", 6),
+                            ("G(2,1,4)", 4), ("Z(3)@1^2", 8)):
+            for ch in builtin_characters(make_group(spec)):
+                closed, element = GammaBasis(ch), GammaBasis(ch)
+                for rep in index_set(ch, bound):
+                    assert closed.factor(rep) == element._entry(rep)[1], (spec, ch.name, rep)
+                    checked += 1
+                assert not closed._cache
+        assert checked > 500
 
     def test_rows_are_integer_and_exact(self):
         # ell (L o theta) = kappa sum_sigma chi(P_sigma) z^(sigma . rep) in

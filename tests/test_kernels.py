@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from group_sums import apply_point, elements, group_sum_kernel, reproducing_loop
+from group_sums import (apply_point, elements, group_sum_kernel, reproducing_check,
+                        reproducing_loop, series_kernel)
 from hardyq import invariants, kernels
 from hardyq.groups import make_character, make_group
 from hardyq.invariants import basic_map, ell
@@ -19,8 +20,6 @@ from hardyq.kernels import (
     in_cartan3_rank2,
     make_kernel_spec,
     quotient_kernel,
-    reproducing_check,
-    series_kernel,
     tetrablock_kernel,
 )
 from hardyq.laurent import LaurentPoly

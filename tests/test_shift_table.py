@@ -1,7 +1,7 @@
 """The shift-table bh_check and compactness_probe against the per-entry
 loops in group_sums.py.  compactness_probe is compared with == on every
 report field.  bh_check's expansions come from the G-module identity and
-the loop's from GammaBasis.expand of the ambient product, so they are
+the loop's from expand_loop of the ambient product, so they are
 other floats: the expansions and the reports agree within the bounds
 derived below.  Also a negative control for bh_check (the window of
 T_u T_v is Toeplitz exactly when the semi-commutator vanishes), the table
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hardyq.toeplitz as toeplitz
-from group_sums import bh_check_loop, compactness_loop
+from group_sums import bh_check_loop, compactness_loop, expand_loop
 from hardyq.groups import builtin_characters, make_character, make_group
 from hardyq.invariants import BasicMap, basic_map, index_set
 from hardyq.kernels import KernelSpec, SeriesKernel
@@ -87,11 +87,11 @@ def window(draw, bound=None):
 
 
 def expansion_tol(terms: int, orbit: int) -> float:
-    """Bound on |identity - expand| for one coefficient c_s of theta_j gamma_r
+    """Bound on |identity - expand_loop| for one coefficient c_s of theta_j gamma_r
     over gamma_s, theta_j with `terms` coefficients 1 and gamma_s with
     `orbit` terms.  u = UNIT.  Exactly, |c_s| = |<theta_j gamma_r, gamma_s>|
     <= ||theta_j gamma_r|| <= terms (gamma unit norm, |theta_j| <= terms on
-    the torus).  expand: each gamma coefficient carries at most 6u relative
+    the torus).  expand_loop: each gamma coefficient carries at most 6u relative
     error (1/|S|, the weight, the scale's quotient and sqrt, its reciprocal,
     the product); each product coefficient sums at most `terms` of them,
     adding (terms - 1) u of their absolute sum; the pairing sums `orbit`
@@ -152,7 +152,7 @@ EXPANSION_GROUPS = ("G(1,1,2)", "G(2,2,2)", "G(4,4,2)", "G(6,3,2)", "G(1,1,3)", 
 
 @pytest.mark.parametrize("spec", EXPANSION_GROUPS)
 def test_identity_expansions_match_expand(spec):
-    """theta_j gamma_r from the module identity against GammaBasis.expand of
+    """theta_j gamma_r from the module identity against expand_loop of
     the ambient product, for theta_1..theta_{n-1}, every built-in character
     and every rep up to D = 5 (D = 3 at n = 4): the same reps in the same
     order, each coefficient within expansion_tol."""
@@ -164,7 +164,7 @@ def test_identity_expansions_match_expand(spec):
         for rep in index_set(ch, 3 if g.n == 4 else 5):
             for theta in bm.components[:g.n - 1]:
                 fast = toeplitz._theta_gamma(basis, theta, rep)
-                slow = basis.expand(theta * basis(rep))
+                slow = expand_loop(basis, theta * basis(rep))
                 assert list(fast) == list(slow), (ch.name, rep)
                 for s, c in slow.items():
                     tol = expansion_tol(len(theta.terms), len(basis(s).terms))

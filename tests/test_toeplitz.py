@@ -414,7 +414,7 @@ class TestCorrespondence:
             uh = sym.theta_form(bm)
             for a in w.reps:
                 for b in w.reps:
-                    got = qr.window_entry(uh, b, a)
+                    got = qr.inner(uh * qr.basis_down(a), b, {})
                     assert abs(got - w.entry(b, a)) < 1e-10
 
 
