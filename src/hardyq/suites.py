@@ -28,7 +28,6 @@ from .invariants import (
     index_set,
     jacobian,
     project,
-    projection_norm_sq,
 )
 from .kernels import (
     base_kernel,
@@ -85,17 +84,63 @@ def random_point(rng: random.Random, n: int, radius: float = 0.8) -> tuple:
     )
 
 
+def _surviving_tuples(group: Group, span: range):
+    """(count, unrank) over the tuples a in span^n whose trivial projection
+    survives, in itertools.product order, without listing them.  For the
+    trivial character that is the diagonal test alone, d . a = 0 (mod m)
+    for the phase vector d of every diagonal generator: linear, so the tail
+    a_i, ..., a_{n-1} of a tuple matters only through its residues
+    (d . tail mod m)_d.  tails[i] counts the tails from position i by
+    residue, and a prefix with residues t has tails[i][-t] completions;
+    unrank(k) fixes each coordinate in span order by skipping whole blocks
+    of completions.  The residues take at most m^n values, against
+    |span|^n tuples."""
+    n, m = group.n, group.m
+    phases = [d.phase for d in group.diagonal_generators]
+    zero = (0,) * len(phases)
+
+    def step(res: tuple, i: int, a: int) -> tuple:
+        return tuple((x + d[i] * a) % m for x, d in zip(res, phases))
+
+    def neg(res: tuple) -> tuple:
+        return tuple(-x % m for x in res)
+
+    tails: list[dict[tuple, int]] = [{} for _ in range(n)] + [{zero: 1}]
+    for i in reversed(range(n)):
+        moves: dict[tuple, int] = {}  # residues of one coordinate, with multiplicity
+        for a in span:
+            move = step(zero, i, a)
+            moves[move] = moves.get(move, 0) + 1
+        for res, count in tails[i + 1].items():
+            for move, mult in moves.items():
+                key = tuple((x + y) % m for x, y in zip(res, move))
+                tails[i][key] = tails[i].get(key, 0) + count * mult
+
+    def unrank(k: int) -> tuple[int, ...]:
+        out, res = [], zero
+        for i in range(n):
+            for a in span:
+                nxt = step(res, i, a)
+                block = tails[i + 1].get(neg(nxt), 0)
+                if k < block:
+                    out.append(a)
+                    res = nxt
+                    break
+                k -= block
+        return tuple(out)
+
+    return tails[0].get(zero, 0), unrank
+
+
 def _orbit_sum(group: Group, rng: random.Random, span: range, terms: int) -> LaurentPoly:
     """Complex combination of `terms` trivial-isotypic orbit sums of monomials
-    with every exponent in `span`."""
+    with every exponent in `span`: each monomial is drawn uniformly from the
+    surviving tuples of span^n in itertools.product order."""
     triv = make_character(group, "trivial")
-    cands = [
-        a for a in iproduct(span, repeat=group.n)
-        if projection_norm_sq(triv, a) > 0
-    ]
+    count, unrank = _surviving_tuples(group, span)
     total = LaurentPoly.zero(group.n)
     for _ in range(terms):
-        rep = cands[rng.randrange(len(cands))]
+        rep = unrank(rng.randrange(count))
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         total = total + c * project(triv, LaurentPoly.monomial(group.n, rep))
     return total

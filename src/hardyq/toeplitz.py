@@ -112,22 +112,17 @@ class SymbolPair:
 # -- Hardy projections and the operator action --------------------------------
 
 
-def hol_project(f: LaurentPoly, character: Character | None = None) -> LaurentPoly:
+def hol_project(f: LaurentPoly) -> LaurentPoly:
     """Hardy projection on the polydisc: drop every term with a negative
-    exponent.  With a character, also apply the isotypic projection; the two
-    commute (permutations preserve the negativity pattern)."""
-    kept = {e: c for e, c in f.terms.items() if min(e) >= 0}
-    out = LaurentPoly(f.dim, kept)
-    if character is not None:
-        out = project(character, out)
-    return out
+    exponent."""
+    return LaurentPoly(f.dim, {e: c for e, c in f.terms.items() if min(e) >= 0})
 
 
-def apply_toeplitz(symbol: SymbolPair, character: Character | None,
-                   f: LaurentPoly) -> LaurentPoly:
-    """T_u f = P(u f) for f in the isotypic Hardy component; exact.  With no
-    character, P is the plain negative-exponent cut of the full Hardy space."""
-    return hol_project(symbol.pullback * f, character)
+def apply_toeplitz(symbol: SymbolPair, f: LaurentPoly) -> LaurentPoly:
+    """T_u f = P(u f) on the full Hardy space, P the negative-exponent cut;
+    exact.  On an isotypic f the product u f stays isotypic (u is
+    G-invariant), so this is also T_u on the component."""
+    return hol_project(symbol.pullback * f)
 
 
 # -- windows ------------------------------------------------------------------
@@ -135,10 +130,11 @@ def apply_toeplitz(symbol: SymbolPair, character: Character | None,
 
 def _fill(items: list, column, pair) -> np.ndarray:
     """out[i, j] = pair(column(items[j]), items[i]), with column evaluated
-    once per item.  The square-window loop of the comparison routes and of
-    the recovery's base and stabilized windows: each passes its own items
-    (indices or basis vectors), column map and pairing.  Ambient symbol
-    windows read WindowTable instead."""
+    once per item.  The square-window loop of the monomial and quotient
+    routes and of the recovery's base and stabilized windows: each passes
+    its own items (indices or basis vectors), column map and pairing.
+    Ambient symbol windows and the isotypic product route read WindowTable
+    instead."""
     out = np.zeros((len(items), len(items)), dtype=complex)
     for j, a in enumerate(items):
         col = column(a)
@@ -492,95 +488,97 @@ class CompareReport:
     max_residual: float
     reps: list[Expo]
     residuals: np.ndarray
+    scale: float
 
     @classmethod
     def _judge(cls, mode: str, reps: list[Expo], residuals: np.ndarray,
                scale: float) -> CompareReport:
         """Verdict: the largest residual entry is at most RESIDUAL_TOL * scale."""
         max_res = float(np.max(np.abs(residuals))) if residuals.size else 0.0
-        return cls(mode, max_res <= RESIDUAL_TOL * scale, max_res, reps, residuals)
+        return cls(mode, max_res <= RESIDUAL_TOL * scale, max_res, reps, residuals, scale)
 
     def to_json(self) -> dict:
+        """The verdict with what it was judged against: the scale, the
+        tolerance RESIDUAL_TOL * scale and the [row, col] reps of the first
+        largest residual entry (None for an empty window)."""
+        worst = None
+        if self.residuals.size:
+            i, j = np.unravel_index(np.argmax(np.abs(self.residuals)), self.residuals.shape)
+            worst = [list(self.reps[i]), list(self.reps[j])]
         return {
             "mode": self.mode,
             "verdict": bool(self.verdict),
             "max_residual": self.max_residual,
+            "scale": self.scale,
+            "tolerance": RESIDUAL_TOL * self.scale,
+            "worst": worst,
             "reps": [list(r) for r in self.reps],
         }
 
 
-def _column_fn(mode: str, symbols: list[SymbolPair], character: Character | None):
-    """Column map g -> (compared operator) g, built once per comparison."""
-    if mode == "semi":
-        u, v = symbols
-        uv = SymbolPair(u.group, u.pullback * v.pullback)
-
-        def col(g: LaurentPoly) -> LaurentPoly:
-            lhs = apply_toeplitz(u, character, apply_toeplitz(v, character, g))
-            return lhs - apply_toeplitz(uv, character, g)
-
-        return col
-    if mode == "commute":
-        u, v = symbols
-
-        def col(g: LaurentPoly) -> LaurentPoly:
-            a = apply_toeplitz(u, character, apply_toeplitz(v, character, g))
-            b = apply_toeplitz(v, character, apply_toeplitz(u, character, g))
-            return a - b
-
-        return col
-    if mode in ("zeroProduct", "finiteProduct"):
-
-        def col(g: LaurentPoly) -> LaurentPoly:
-            out = g
-            for s in reversed(symbols):
-                out = apply_toeplitz(s, character, out)
-            return out
-
-        return col
-    raise ValueError(f"unknown comparison mode {mode!r}")
-
-
-def product_compare(u: SymbolPair, v: SymbolPair | None, mode: str,
-                    character: Character, bound: int,
-                    chain: list[SymbolPair] | None = None) -> CompareReport:
-    """Entries of T_u T_v - T_{uv} (semi), T_u T_v - T_v T_u (commute), or a
-    product chain (zeroProduct / finiteProduct) over the window.
-
-    Columns are computed by exact repeated application, so every entry is
-    exact; the margin requirement keeps the window verdict meaningful for
-    the symbols' degree range.
-    """
-    if mode in ("zeroProduct", "finiteProduct"):
-        symbols = chain if chain is not None else [u, v]
-        symbols = [s for s in symbols if s is not None]
-    else:
-        symbols = [u, v]
-    return _ambient_compare(mode, symbols, character, character, bound,
-                            _verdict_scale(symbols))
-
-
-def _verdict_scale(symbols: list[SymbolPair]) -> float:
-    """max(prod of the symbols' largest coefficients, 1): the one scale every
-    route and the derivative criterion judge a product residual against."""
-    return max(math.prod(s.pullback.max_abs_coeff() for s in symbols), 1.0)
-
-
-def _ambient_compare(mode: str, symbols: list[SymbolPair], character: Character,
-                     cut: Character | None, bound: int, scale: float) -> CompareReport:
-    """Residual window of the compared operator over the gamma basis of
-    `character`, with columns projected by `cut` (None: the plain
-    negative-exponent cut).  Shared by the isotypic and monomial routes."""
+def _check_margin(symbols: list[SymbolPair], bound: int) -> None:
     radius = sum(s.radius() for s in symbols)
     if bound < radius:
         raise WindowMarginError(
             f"window bound {bound} is below the combined symbol radius; "
             f"need D >= {radius}"
         )
-    basis = GammaBasis.shared(character)
-    reps = list(index_set(character, bound, holomorphic=True).reps)
-    res = _fill([basis(r) for r in reps], _column_fn(mode, symbols, cut), torus_inner)
-    return CompareReport._judge(mode, reps, res, scale)
+
+
+def product_compare(u: SymbolPair, v: SymbolPair | None, mode: str,
+                    character: Character, bound: int,
+                    chain: list[SymbolPair] | None = None) -> CompareReport:
+    """Entries of T_u T_v - T_{uv} (semi), T_u T_v - T_v T_u (commute), or
+    of the product chain T_{s_1} ... T_{s_k} (zeroProduct / finiteProduct)
+    over the window of reps with sup-norm <= bound, as products of the
+    WindowTable windows A_s of one wider table.
+
+    Every gamma_k is analytic and isotypic, so T_v gamma_j = sum_k
+    A_v[k, j] gamma_k and <T_u T_v gamma_j, gamma_i> = sum_k A_u[i, k]
+    A_v[k, j].  A term needs k reachable from j through v and from i
+    through conj(u), so |k| <= bound + min(r_u, r_v).  In a chain the k
+    between s_t and s_{t+1} is reachable from j through the factors to its
+    right and from i through the conjugates of those to its left, so
+    |k| <= bound + min(r_1 + ... + r_t, r_{t+1} + ... + r_k); the table's
+    width is the largest of these over the cuts t (min(r_u, r_v) for two
+    factors).  At that width every sum is complete, and any wider table
+    gives the same entries.  The inner reps are the table's reps with
+    sup-norm <= bound, in the (total degree, lex) order of
+    index_set(character, bound).  The margin requirement keeps the window
+    verdict meaningful for the symbols' degree range."""
+    if mode in ("zeroProduct", "finiteProduct"):
+        symbols = [s for s in (chain if chain is not None else [u, v]) if s is not None]
+        if not symbols:
+            raise ValueError("a product chain needs at least one symbol")
+    elif mode in ("semi", "commute"):
+        symbols = [u, v]
+    else:
+        raise ValueError(f"unknown comparison mode {mode!r}")
+    radii = [s.radius() for s in symbols]
+    width = max((min(sum(radii[:t]), sum(radii[t:])) for t in range(1, len(radii))), default=0)
+    _check_margin(symbols, bound)
+    table = WindowTable.shared(character, bound + width)
+    inner = np.array([i for i, r in enumerate(table.reps) if max(r) <= bound], dtype=np.intp)
+    windows = [table.entries(s.pullback.terms) for s in symbols]
+    if mode == "semi":
+        uv = table.entries((u.pullback * v.pullback).terms)
+        res = windows[0][inner] @ windows[1][:, inner] - uv[np.ix_(inner, inner)]
+    elif mode == "commute":
+        a, b = windows
+        res = a[inner] @ b[:, inner] - b[inner] @ a[:, inner]
+    else:
+        cols = windows[-1][:, inner]
+        for a in reversed(windows[:-1]):
+            cols = a @ cols
+        res = cols[inner]
+    reps = [table.reps[i] for i in inner]
+    return CompareReport._judge(mode, reps, res, _verdict_scale(symbols))
+
+
+def _verdict_scale(symbols: list[SymbolPair]) -> float:
+    """max(prod of the symbols' largest coefficients, 1): the one scale every
+    route and the derivative criterion judge a product residual against."""
+    return max(math.prod(s.pullback.max_abs_coeff() for s in symbols), 1.0)
 
 
 # -- quotient-realization entries via the pushforward measure ------------------
@@ -684,12 +682,28 @@ class QuotientRealization:
 def _monomial_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
                             character: Character, bound: int) -> CompareReport:
     """Same comparison computed on the full-Hardy monomial window restricted
-    to the isotypic basis: columns use the plain negative-exponent cut with
-    no isotypic projection step (multiplication by invariant symbols keeps
-    the component invariant, so the verdicts must match product_compare)."""
+    to the isotypic basis: each column is the polynomial (compared
+    operator) gamma_j, built by products and the plain negative-exponent
+    cut with no isotypic projection step (multiplication by invariant
+    symbols keeps the component invariant, so the verdicts must match
+    product_compare), and paired with every gamma_i by torus_inner."""
     if mode not in ("semi", "commute"):
         raise ValueError("monomial route supports semi and commute modes")
-    return _ambient_compare(mode, [u, v], character, None, bound, _verdict_scale([u, v]))
+    _check_margin([u, v], bound)
+    if mode == "semi":
+        uv = SymbolPair(u.group, u.pullback * v.pullback)
+
+        def column(g: LaurentPoly) -> LaurentPoly:
+            return apply_toeplitz(u, apply_toeplitz(v, g)) - apply_toeplitz(uv, g)
+    else:
+
+        def column(g: LaurentPoly) -> LaurentPoly:
+            return apply_toeplitz(u, apply_toeplitz(v, g)) - apply_toeplitz(v, apply_toeplitz(u, g))
+
+    basis = GammaBasis.shared(character)
+    reps = list(index_set(character, bound, holomorphic=True).reps)
+    res = _fill([basis(r) for r in reps], column, torus_inner)
+    return CompareReport._judge(mode, reps, res, _verdict_scale([u, v]))
 
 
 def _quotient_route_compare(u: SymbolPair, v: SymbolPair, mode: str,

@@ -10,9 +10,12 @@ product pairing through conj_zbar), the sparse series table, the
 closed-form reflecting hyperplanes, the window tables, the shift-table
 Brown-Halmos check (its expansions by expand_loop of the ambient product)
 and compactness probe, the orbit-coordinate lowered rows (exact division
-and elimination on full polynomials), the series-table reproducing check
-and the coefficient-reading lower (pairing with the gamma basis,
-expand_loop and lower_loop) are tested against; the series kernel and
+and elimination on full polynomials), the series-table reproducing check,
+the coefficient-reading lower (pairing with the gamma basis,
+expand_loop and lower_loop), the isotypic product route's window products
+(the column route product_compare_loop, with the isotypic Hardy
+projection) and the unranked symbol draws (orbit_sum_loop) are tested
+against; the series kernel and
 reproducing check, which only the tests call; the float hyperplane
 product that the closed-form relative invariants are tested against; the
 base-ball Toeplitz entry and its sphere pair integral; and the
@@ -26,7 +29,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from hardyq.groups import GroupElement, _perm_parity, root_of_unity
+from hardyq.groups import GroupElement, _perm_parity, make_character, root_of_unity
 from hardyq.kernels import KernelSpec, SeriesKernel, base_kernel, check_point
 from hardyq.laurent import (Expo, LaurentPoly, act, canonical_exponent, sphere_inner,
                             sphere_monomial_weight, sphere_norm, torus_inner)
@@ -80,7 +83,8 @@ from hardyq.invariants import (GammaBasis, NotInIsotypicError, _diagonal_match, 
                                _theta_exponent, hyperplane_form, index_set, lift, lower, lowered,
                                project, projection_norm_sq)
 from hardyq.toeplitz import (RESIDUAL_TOL, BHReport, CompactnessReport, CompareReport,
-                             QuotientRealization, ToeplitzWindow, _verdict_scale)
+                             QuotientRealization, SymbolPair, ToeplitzWindow, _fill,
+                             _verdict_scale)
 
 
 def point_tables(group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -554,6 +558,69 @@ def toeplitz_window_loop(symbol, character, bound: int, basis=None) -> ToeplitzW
         for i, h in enumerate(gammas):
             out[i, j] = sum(col[e] * c.conjugate() for e, c in sorted(h.items()) if e in col)
     return ToeplitzWindow(character, bound, reps, out)
+
+
+def isotypic_hol_project(f: LaurentPoly, character) -> LaurentPoly:
+    """The Hardy projection onto one isotypic component of the polydisc:
+    the negative-exponent cut followed by the isotypic projection (the two
+    commute: permutations preserve the negativity pattern)."""
+    kept = {e: c for e, c in f.terms.items() if min(e) >= 0}
+    return project(character, LaurentPoly(f.dim, kept))
+
+
+def isotypic_toeplitz(symbol, character, f: LaurentPoly) -> LaurentPoly:
+    """T_u f = P_chi(u f) on the isotypic component of `character`."""
+    return isotypic_hol_project(symbol.pullback * f, character)
+
+
+def product_compare_loop(u, v, mode: str, character, bound: int,
+                         chain=None) -> CompareReport:
+    """product_compare by columns: each column is the polynomial (compared
+    operator) gamma_j, built by LaurentPoly products, each followed by the
+    isotypic Hardy projection, and paired with every gamma_i by
+    torus_inner through toeplitz._fill.  No WindowTable, no margin check."""
+    if mode in ("zeroProduct", "finiteProduct"):
+        symbols = [s for s in (chain if chain is not None else [u, v]) if s is not None]
+    else:
+        symbols = [u, v]
+
+    def T(s, g: LaurentPoly) -> LaurentPoly:
+        return isotypic_toeplitz(s, character, g)
+
+    if mode == "semi":
+        uv = SymbolPair(u.group, u.pullback * v.pullback)
+
+        def column(g):
+            return T(u, T(v, g)) - T(uv, g)
+    elif mode == "commute":
+
+        def column(g):
+            return T(u, T(v, g)) - T(v, T(u, g))
+    else:
+
+        def column(g):
+            for s in reversed(symbols):
+                g = T(s, g)
+            return g
+
+    basis = GammaBasis.shared(character)
+    reps = list(index_set(character, bound, holomorphic=True).reps)
+    res = _fill([basis(r) for r in reps], column, torus_inner)
+    return CompareReport._judge(mode, reps, res, _verdict_scale(symbols))
+
+
+def orbit_sum_loop(group, rng, span: range, terms: int) -> LaurentPoly:
+    """suites._orbit_sum by enumeration: list every tuple of span^n whose
+    trivial projection survives, in itertools.product order, and draw
+    `terms` of them with rng.randrange over that list."""
+    triv = make_character(group, "trivial")
+    cands = [a for a in product(span, repeat=group.n) if projection_norm_sq(triv, a) > 0]
+    total = LaurentPoly.zero(group.n)
+    for _ in range(terms):
+        rep = cands[rng.randrange(len(cands))]
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        total = total + c * project(triv, LaurentPoly.monomial(group.n, rep))
+    return total
 
 
 def _shift(rep: Expo, k: int) -> Expo:

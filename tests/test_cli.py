@@ -231,6 +231,24 @@ class TestToeplitzVerb:
         assert code == 0
         assert json.loads(out)["consistent"] is True
 
+    def test_product_reports_scale_tolerance_and_worst(self, capsys):
+        u = json.dumps({"dim": 2, "terms": [{"c": [3, 0], "e": [1, 0]}, {"c": [3, 0], "e": [0, 1]},
+                                            {"c": [3, 0], "e": [-1, 0]},
+                                            {"c": [3, 0], "e": [0, -1]}]})
+        code, out, _ = run_cli(
+            capsys, "toeplitz", "product", "--group", "G(1,1,2)",
+            "--symbol", u, "--symbol2", SYMBOL_MIXED, "--mode", "semi", "-D", "4",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["verdict"] is False
+        assert data["scale"] == 3.0 and data["tolerance"] == 1e-10 * 3.0
+        # u = 3v: three times the semi-commutator of theta_1 + conj theta_1
+        # with itself, whose largest entry, 1, is the diagonal one at (0, 2)
+        assert abs(data["max_residual"] - 3.0) < 1e-12
+        assert data["worst"] == [[0, 2], [0, 2]]
+        assert data["worst"][0] in data["reps"]
+
     @pytest.mark.parametrize("verb", ["window", "bh"])
     def test_small_window_warning_is_one_json_line(self, capsys, verb):
         argv = ["toeplitz", verb, "--group", "G(1,1,2)", "--symbol", SYMBOL_MIXED, "-D", "0"]

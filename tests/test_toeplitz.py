@@ -7,7 +7,8 @@ import pytest
 
 from hardyq.groups import builtin_characters, make_character, make_group
 from hardyq.invariants import basic_map, ell, index_set, lower, project
-from group_sums import ball_toeplitz_entry, pull_harmonic
+from group_sums import (ball_toeplitz_entry, isotypic_hol_project, isotypic_toeplitz,
+                        pull_harmonic)
 from hardyq.laurent import LaurentPoly, act, torus_inner
 from hardyq.suites import random_invariant_symbol
 from hardyq.toeplitz import (
@@ -19,7 +20,6 @@ from hardyq.toeplitz import (
     SymbolError,
     ToeplitzWindow,
     WindowMarginError,
-    apply_toeplitz,
     bh_check,
     compactness_probe,
     correspondence_check,
@@ -95,13 +95,13 @@ class TestHolProject:
         basis = GammaBasis(sgn)
         th1bar = bm.components[0].conj_torus()
         f = th1bar * basis((0, 2))
-        got = hol_project(f, sgn)
+        got = isotypic_hol_project(f, sgn)
         assert got.approx_eq(basis((0, 1)), tol=1e-12)
 
     def test_invariant_fixed(self, ctx):
         g, sgn, triv, bm = ctx
         th1 = bm.components[0]
-        assert hol_project(th1, triv).approx_eq(th1, tol=1e-12)
+        assert isotypic_hol_project(th1, triv).approx_eq(th1, tol=1e-12)
 
     def test_projections_commute(self, ctx):
         g, sgn, triv, bm = ctx
@@ -120,20 +120,20 @@ class TestApplyToeplitz:
         g, sgn, triv, bm = ctx
         basis = GammaBasis(sgn)
         sym = SymbolPair(g, bm.components[0])
-        assert apply_toeplitz(sym, sgn, basis((0, 1))).approx_eq(basis((0, 2)), 1e-12)
+        assert isotypic_toeplitz(sym, sgn, basis((0, 1))).approx_eq(basis((0, 2)), 1e-12)
 
     def test_coanalytic_shift_back(self, ctx):
         g, sgn, triv, bm = ctx
         basis = GammaBasis(sgn)
         sym = SymbolPair(g, bm.components[0].conj_torus())
-        assert apply_toeplitz(sym, sgn, basis((0, 2))).approx_eq(basis((0, 1)), 1e-12)
+        assert isotypic_toeplitz(sym, sgn, basis((0, 2))).approx_eq(basis((0, 1)), 1e-12)
 
     def test_unit_symbol_is_identity(self, ctx):
         g, sgn, triv, bm = ctx
         basis = GammaBasis(sgn)
         one = SymbolPair(g, LaurentPoly.constant(2, 1.0))
         for rep in [(0, 1), (1, 2), (0, 3)]:
-            assert apply_toeplitz(one, sgn, basis(rep)).approx_eq(basis(rep), 1e-12)
+            assert isotypic_toeplitz(one, sgn, basis(rep)).approx_eq(basis(rep), 1e-12)
 
 
 class TestWindows:
