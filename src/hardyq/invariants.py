@@ -73,11 +73,14 @@ class BasicMap:
     ellhat * theta^a they are eliminated against.  `quotients` keeps the
     quotient-side realisation of each character (toeplitz), whose moments
     are the integer Gram of the theta(b) * ell, so its moment table lives
-    as long as the map.  `shift_tables` keeps the shift-relation table of
-    each (character, window reps) (toeplitz), so its shift maps and theta
-    expansions serve every later symbol.  The ambient windows' integer tables are not kept
-    here: they need no theta, so toeplitz.WindowTable keeps them in
-    Group.derived, one per (character value, bound).
+    as long as the map.  `shift_tables` keeps the toeplitz.ShiftTable of
+    each (character, window reps): its shift maps, and the gather plans of
+    bh_check (built on its first call, O(width k) for k reps) and of
+    compactness_probe (built on its first call per base reps, at most
+    k_base^2 floor(D / q) index pairs), serve every later symbol.  The
+    ambient windows' integer tables are not kept here: they need no theta,
+    so toeplitz.WindowTable keeps them in Group.derived, one per
+    (character value, bound).
     """
 
     group: Group

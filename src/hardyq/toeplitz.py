@@ -264,6 +264,11 @@ class WindowTable:
         return out.reshape(k, k)
 
 
+def _check_basis(basis: GammaBasis | None, character: Character) -> None:
+    if basis is not None and (basis.domain != "polydisc" or basis.character != character):
+        raise ValueError("basis must be the polydisc gamma basis of the window's character")
+
+
 def toeplitz_window(symbol: SymbolPair, character: Character, bound: int,
                     basis: GammaBasis | None = None) -> ToeplitzWindow:
     """Matrix of <T_u gamma_p, gamma_m> over the canonical index set with
@@ -271,8 +276,7 @@ def toeplitz_window(symbol: SymbolPair, character: Character, bound: int,
     (character, bound).  `basis`, if given, must be the polydisc gamma basis
     of `character` (ValueError otherwise); the table's factors are its
     factors."""
-    if basis is not None and (basis.domain != "polydisc" or basis.character != character):
-        raise ValueError("basis must be the polydisc gamma basis of the window's character")
+    _check_basis(basis, character)
     table = WindowTable.shared(character, bound)
     if bound < symbol.radius():
         warnings.warn(
@@ -311,19 +315,6 @@ def _shift(rep: Expo, k: int) -> Expo:
     return tuple(x + k for x in rep)
 
 
-@dataclass
-class _Expansions:
-    """theta_j gamma_r over the gamma basis, for every rep r of a window:
-    term k of row r is coef[r, k] gamma_{reps[index[r, k]]}, in increasing
-    order of rep, for k < size[r].  Only rows whose expansion stays inside
-    the window (`inside`) are filled."""
-
-    index: np.ndarray
-    coef: np.ndarray
-    size: np.ndarray
-    inside: np.ndarray
-
-
 def _theta_gamma(basis: GammaBasis, u: LaurentPoly, rep: Expo) -> dict[Expo, float]:
     """u * gamma_rep over `basis` for an invariant u = sum_e c_e z^e, by the
     G-module identity u * |S| P_chi z^r = sum_e c_e |S| P_chi z^(r+e) and
@@ -347,15 +338,73 @@ def _theta_gamma(basis: GammaBasis, u: LaurentPoly, rep: Expo) -> dict[Expo, flo
     return {s: k * (factor / basis.factor(s)) for s, k in sorted(counts.items()) if k}
 
 
+class _ShiftRelation:
+    """Gather plan of relation (a): the reps whose shift by q stays inside
+    the window (rows b and columns a alike) and the np.ix_ grids of the
+    shifted and unshifted pairs."""
+
+    name = "shift"
+
+    def __init__(self, shift_q: np.ndarray):
+        live = np.flatnonzero(shift_q >= 0)
+        self.rows = self.cols = live
+        self._shifted = np.ix_(shift_q[live], shift_q[live])
+        self._pairs = np.ix_(live, live)
+
+    def residual(self, entries: np.ndarray) -> np.ndarray:
+        return entries[self._shifted] - entries[self._pairs]
+
+
+class _CrossRelation:
+    """Gather plan of relation (b) for one i: the rows b whose expansion of
+    theta_{i+1} gamma_b stays inside the window, the columns a whose
+    expansion of theta_{n-i-1} gamma_a and shift by m stay inside, the
+    shifted columns, and each side's expansion terms as a (width x rows)
+    resp. (width x columns) index and coefficient array: term k of a row or
+    column sits in array row k, in increasing order of rep, index 0 and
+    coefficient 0 past the expansion's size.  The left coefficients are
+    conjugated.  O(width k) memory for k reps, width the most terms of one
+    expansion (at most the terms of theta_j)."""
+
+    def __init__(self, name: str, left: tuple, right: tuple, shift_m: np.ndarray):
+        (l_index, l_coef, l_inside), (r_index, r_coef, r_inside) = left, right
+        self.name = name
+        self.rows = np.flatnonzero(l_inside)
+        self.cols = np.flatnonzero(r_inside & (shift_m >= 0))
+        self._shifted = shift_m[self.cols]
+        self._left = list(zip(l_index[:, self.rows], np.conj(l_coef[:, self.rows])))
+        self._right = list(zip(r_index[:, self.cols], r_coef[:, self.cols]))
+
+    def residual(self, entries: np.ndarray) -> np.ndarray:
+        """lhs - rhs over rows x columns from one gather of the shifted
+        columns and one of the rows.  Each side adds one term per k, in
+        increasing k, to a zero start, so each entry rounds as the scalar
+        sum over its terms does; on finite entries a padded term adds a
+        signed zero, which leaves every magnitude unchanged."""
+        shifted = entries[:, self._shifted]
+        lhs = np.zeros((self.rows.size, self.cols.size), dtype=complex)
+        for index, coef in self._left:
+            lhs += coef[:, None] * shifted[index]
+        inner = entries[self.rows]
+        rhs = np.zeros_like(lhs)
+        for index, coef in self._right:
+            rhs += coef * inner[:, index]
+        return lhs - rhs
+
+
 class ShiftTable:
-    """The index side of the shift relations on one window's reps, shared by
-    every symbol: the position of each rep shifted by q (theta_n) and by m
-    (theta_n^p), -1 where the shifted rep leaves the window, and on first
-    use the expansions of theta_{i+1} gamma_r and theta_{n-i-1} gamma_r for
-    i in 0..n-2 (_theta_gamma, one per component and rep).  shared() keeps
-    one table per (character, reps) on the basic map; compactness_probe
-    reads only the shift maps, so the expansions wait for the first
-    bh_check."""
+    """The index side of the shift relations and of the compactness probe
+    on one window's reps, shared by every symbol.  Built with the table:
+    the position of each rep shifted by q (theta_n) and by m (theta_n^p),
+    -1 where the shifted rep leaves the window.  Built on the first
+    bh_check, with the expansions of theta_{i+1} gamma_r and
+    theta_{n-i-1} gamma_r for i in 0..n-2 (_theta_gamma, one per component
+    and rep): the gather plan of each relation (_ShiftRelation,
+    _CrossRelation), O(width k) memory for k reps.  Built on the first
+    compactness_probe against each base window's reps: the probe plan
+    (probe()), at most k_base^2 floor(D / q) pairs of flat indices for
+    this window's bound D, 16 bytes a pair.  A warm call only gathers.
+    shared() keeps one table per (character, reps) on the basic map."""
 
     def __init__(self, character: Character, reps: list[Expo], bmap: BasicMap):
         self.character = character
@@ -365,7 +414,8 @@ class ShiftTable:
         group = character.group
         self.shift_q = self.positions(self.reps, group.q)
         self.shift_m = self.positions(self.reps, group.m)  # theta_n^p: q * p = m
-        self._cross: list[tuple[_Expansions, _Expansions]] | None = None
+        self._relations: list | None = None
+        self._probes: dict[tuple[Expo, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def shared(cls, window: ToeplitzWindow, bmap: BasicMap) -> ShiftTable:
@@ -379,60 +429,51 @@ class ShiftTable:
         """Position of each rep + k in this window, -1 when outside."""
         return np.array([self.pos.get(_shift(r, k), -1) for r in reps], dtype=np.intp)
 
-    def cross(self, basis: GammaBasis | None = None) -> list[tuple[_Expansions, _Expansions]]:
-        """Per relation i (reported as cross_{i+1}): the expansions of
-        theta_{i+1} gamma_r (left) and theta_{n-i-1} gamma_r (right), built
-        once."""
-        if self._cross is None:
+    def relations(self, basis: GammaBasis | None = None) -> list:
+        """Relation (a), then one cross relation per i (reported as
+        cross_{i+1}), as gather plans, built once."""
+        if self._relations is None:
             basis = basis or GammaBasis.shared(self.character)
             n = self.character.group.n
-            packed = [self._pack({r: _theta_gamma(basis, theta, r) for r in self.reps})
+            packed = [self._pack([_theta_gamma(basis, theta, r) for r in self.reps])
                       for theta in self.bmap.components[:n - 1]]
-            self._cross = [(packed[i], packed[n - i - 2]) for i in range(n - 1)]
-        return self._cross
+            self._relations = [_ShiftRelation(self.shift_q)] + [
+                _CrossRelation(f"cross_{i + 1}", packed[i], packed[n - i - 2], self.shift_m)
+                for i in range(n - 1)]
+        return self._relations
 
-    def _pack(self, expansions: dict[Expo, dict[Expo, complex]]) -> _Expansions:
-        rows = len(self.reps)
-        width = max((len(t) for t in expansions.values()), default=0)
-        out = _Expansions(np.zeros((rows, width), dtype=np.intp),
-                          np.zeros((rows, width), dtype=complex),
-                          np.zeros(rows, dtype=np.intp), np.zeros(rows, dtype=bool))
-        for r, rep in enumerate(self.reps):
-            terms = expansions.get(rep)
-            if terms is None or not all(k in self.pos for k in terms):
-                continue
-            out.index[r, :len(terms)] = [self.pos[k] for k in terms]
-            out.coef[r, :len(terms)] = list(terms.values())
-            out.size[r] = len(terms)
-            out.inside[r] = True
-        return out
+    def _pack(self, expansions: list[dict[Expo, float]]) -> tuple:
+        """The expansions of every rep as (width x reps) index and
+        coefficient arrays, zero past each expansion's size, and the mask
+        of the reps whose expansion stays inside the window."""
+        width = max(map(len, expansions), default=0)
+        index = np.zeros((width, len(self.reps)), dtype=np.intp)
+        coef = np.zeros((width, len(self.reps)), dtype=complex)
+        inside = np.zeros(len(self.reps), dtype=bool)
+        for r, terms in enumerate(expansions):
+            if all(s in self.pos for s in terms):
+                index[:len(terms), r] = [self.pos[s] for s in terms]
+                coef[:len(terms), r] = list(terms.values())
+                inside[r] = True
+        return index, coef, inside
 
-
-def _relations(table: ShiftTable, entries: np.ndarray, basis: GammaBasis | None):
-    """(name, rows b, columns a, lhs - rhs) per shift relation, over the
-    pairs whose shifted and expanded indices stay inside the window.  The
-    cross sums add one expansion term at a time in increasing order of rep,
-    so each entry rounds as the scalar sum over the terms does."""
-    sq = table.shift_q
-    live = np.flatnonzero(sq >= 0)
-    yield ("shift", live, live,
-           entries[np.ix_(sq[live], sq[live])] - entries[np.ix_(live, live)])
-    sm = table.shift_m
-    for i, (left, right) in enumerate(table.cross(basis)):
-        rows = np.flatnonzero(left.inside)
-        cols = np.flatnonzero(right.inside & (sm >= 0))
-        lhs = np.zeros((rows.size, cols.size), dtype=complex)
-        for k in range(left.index.shape[1]):
-            on = left.size[rows] > k
-            b = rows[on]
-            lhs[on] += (np.conj(left.coef[b, k])[:, None]
-                        * entries[np.ix_(left.index[b, k], sm[cols])])
-        rhs = np.zeros_like(lhs)
-        for k in range(right.index.shape[1]):
-            on = right.size[cols] > k
-            a = cols[on]
-            rhs[:, on] += right.coef[a, k] * entries[np.ix_(rows, right.index[a, k])]
-        yield f"cross_{i + 1}", rows, cols, lhs - rhs
+    def probe(self, reps: list[Expo]) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices (into the square window over `reps`, into this
+        window) of every pair (a, b) of `reps` against (a + rq, b + rq) in
+        this window, for r = 1, 2, ... while both stay inside; built once
+        per reps."""
+        key = tuple(reps)
+        got = self._probes.get(key)
+        if got is None:
+            empty = np.zeros(0, dtype=np.intp)
+            src, dst = [empty], [empty]
+            at = self.positions(reps, self.character.group.q)
+            while (live := np.flatnonzero(at >= 0)).size:
+                src.append((live[:, None] * len(reps) + live).ravel())
+                dst.append((at[live][:, None] * len(self.reps) + at[live]).ravel())
+                at = np.where(at >= 0, self.shift_q[at], -1)
+            got = self._probes[key] = (np.concatenate(src), np.concatenate(dst))
+        return got
 
 
 def _magnitude(z: np.ndarray) -> np.ndarray:
@@ -451,30 +492,38 @@ def bh_check(window: ToeplitzWindow, bmap: BasicMap,
         (b)  <T theta_n^p g_a, theta_i g_b> = <T theta_{n-i} g_a, g_b>
 
     The expansions gamma -> theta_j gamma come from the G-module identity
-    (_theta_gamma), with no polynomial product, and are kept with the shift
-    maps in the window's ShiftTable; `basis` supplies their gamma factors.
-    Reports the worst violation, the first in the order (relation, a, b) on
-    ties; never raises on one.
+    (_theta_gamma), with no polynomial product.  The first call on a
+    window's reps builds them into the gather plans of its ShiftTable
+    (O(width k) memory for k reps); every call then reads the entries with
+    a few gathers per relation.  `basis`, if given, must be the polydisc
+    gamma basis of the window's character (ValueError otherwise); it
+    supplies the expansions' gamma factors.  The cross sums add one
+    expansion term at a time in increasing order of rep, so each entry
+    rounds as the scalar sum over its terms does.  Reports the worst
+    violation, the first in the order (relation, a, b) on ties; never
+    raises on one.
     """
     group = window.group
     if group.spec.kind != "Gmpn":
         raise GroupSpecError("the shift relations are stated for G(m,p,n) quotients")
+    _check_basis(basis, window.character)
     table = ShiftTable.shared(window, bmap)
     scale = window.scale()
     worst = 0.0
     worst_pair = None
     checked = 0
     rel_max = {"shift": 0.0}
-    for key, rows, cols, diff in _relations(table, window.entries, basis):
+    for rel in table.relations(basis):
+        diff = rel.residual(window.entries)
         if not diff.size:
             continue
         v = _magnitude(diff) / scale
         checked += v.size
         top = float(v.max())
-        rel_max[key] = max(0.0, top)
+        rel_max[rel.name] = max(0.0, top)
         if top > worst:
-            a, b = divmod(int(v.T.argmax()), rows.size)  # a outer, b inner
-            worst, worst_pair = top, (key, table.reps[cols[a]], table.reps[rows[b]])
+            a, b = divmod(int(v.T.argmax()), rel.rows.size)  # a outer, b inner
+            worst, worst_pair = top, (rel.name, table.reps[rel.cols[a]], table.reps[rel.rows[b]])
     return BHReport(worst, worst_pair, checked, rel_max)
 
 
@@ -1041,22 +1090,19 @@ def compactness_probe(windows: list[ToeplitzWindow], bmap: BasicMap) -> Compactn
     """Check entry constancy along the diagonal shift inside and across a
     family of windows; persistent nonzero entries rule out compactness.
     Each pair (a, b) of the first window is compared with (a + rq, b + rq)
-    of every window for r = 1, 2, ... while both stay inside it."""
-    q = bmap.group.q
+    of every window for r = 1, 2, ... while both stay inside it.  The
+    pairs come from the probe plan on each window's ShiftTable, built on
+    the first call per base reps (ShiftTable.probe); a warm call is one
+    gather, one subtraction and one max per window."""
     max_dev = 0.0
     scale = max(w.scale() for w in windows)
     base = windows[0]
     v0 = base.entries
     for w in windows:
-        table = ShiftTable.shared(w, bmap)
-        at = table.positions(base.reps, q)
-        while True:
-            live = np.flatnonzero(at >= 0)
-            if not live.size:
-                break
-            dev = w.entries[np.ix_(at[live], at[live])] - v0[np.ix_(live, live)]
-            max_dev = max(max_dev, float((_magnitude(dev) / scale).max()))
-            at = np.where(at >= 0, table.shift_q[at], -1)
+        src, dst = ShiftTable.shared(w, bmap).probe(base.reps)
+        if dst.size:
+            dev = np.take(w.entries, dst) - np.take(v0, src)
+            max_dev = max(max_dev, float(_magnitude(dev).max()) / scale)
     keep = np.argwhere((_magnitude(v0) > RESIDUAL_TOL * scale).T)  # a outer, b inner
     persistent = [(base.reps[a], base.reps[b], complex(v0[b, a])) for a, b in keep.tolist()]
     return CompactnessReport(max_dev, persistent, not persistent)

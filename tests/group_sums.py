@@ -9,8 +9,10 @@ term against |ell|^2), the quotient route's per-basis functionals (the
 product pairing through conj_zbar), the sparse series table, the
 closed-form reflecting hyperplanes, the window tables, the shift-table
 Brown-Halmos check (its expansions by expand_loop of the ambient product)
-and compactness probe, the orbit-coordinate lowered rows (exact division
-and elimination on full polynomials), the series-table reproducing check,
+and compactness probe, their gather plans (the index grids rebuilt per
+call of relations_ix, bh_check_ix and compactness_ix), the
+orbit-coordinate lowered rows (exact division and elimination on full
+polynomials), the series-table reproducing check,
 the coefficient-reading lower (pairing with the gamma basis,
 expand_loop and lower_loop), the isotypic product route's window products
 (the column route product_compare_loop, with the isotypic Hardy
@@ -84,7 +86,7 @@ from hardyq.invariants import (GammaBasis, NotInIsotypicError, _diagonal_match, 
                                project, projection_norm_sq)
 from hardyq.toeplitz import (RESIDUAL_TOL, BHReport, CompactnessReport, CompareReport,
                              QuotientRealization, SymbolPair, ToeplitzWindow, _fill,
-                             _verdict_scale)
+                             _magnitude, _theta_gamma, _verdict_scale)
 
 
 def point_tables(group) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -717,6 +719,112 @@ def compactness_loop(windows, bmap) -> CompactnessReport:
                 persistent.append((a, b, v0))
     return CompactnessReport(max_dev, persistent, all_zero)
 
+
+def _positions(window, reps, k: int) -> np.ndarray:
+    """Position of each rep + k in the window, -1 when outside."""
+    return np.array([window.pos.get(_shift(r, k), -1) for r in reps], dtype=np.intp)
+
+
+def _pack_rows(window, basis, theta):
+    """theta gamma_r over the gamma basis (_theta_gamma) for every rep r of
+    the window as (reps x width) index and coefficient arrays, each row's
+    size, and the mask of rows whose expansion stays inside the window."""
+    expansions = [_theta_gamma(basis, theta, r) for r in window.reps]
+    rows = len(window.reps)
+    width = max(map(len, expansions), default=0)
+    index = np.zeros((rows, width), dtype=np.intp)
+    coef = np.zeros((rows, width), dtype=complex)
+    size = np.zeros(rows, dtype=np.intp)
+    inside = np.zeros(rows, dtype=bool)
+    for r, terms in enumerate(expansions):
+        if all(s in window.pos for s in terms):
+            index[r, :len(terms)] = [window.pos[s] for s in terms]
+            coef[r, :len(terms)] = list(terms.values())
+            size[r] = len(terms)
+            inside[r] = True
+    return index, coef, size, inside
+
+
+def relations_ix(window, bmap, basis=None):
+    """(name, rows b, columns a, lhs - rhs) per shift relation of bh_check,
+    with the index grids rebuilt on every call: per relation, np.flatnonzero
+    of the live rows and columns, and per expansion term k a mask of the
+    rows with more than k terms and an np.ix_ gather of their entries,
+    added in increasing k.  The expansions are _theta_gamma's, as
+    bh_check's."""
+    group = window.group
+    basis = basis or GammaBasis.shared(window.character)
+    n = group.n
+    entries = window.entries
+    reps = window.reps
+    sq = _positions(window, reps, group.q)
+    live = np.flatnonzero(sq >= 0)
+    yield ("shift", live, live,
+           entries[np.ix_(sq[live], sq[live])] - entries[np.ix_(live, live)])
+    sm = _positions(window, reps, group.m)
+    packed = [_pack_rows(window, basis, theta) for theta in bmap.components[:n - 1]]
+    for i in range(n - 1):
+        (l_index, l_coef, l_size, l_inside) = packed[i]
+        (r_index, r_coef, r_size, r_inside) = packed[n - i - 2]
+        rows = np.flatnonzero(l_inside)
+        cols = np.flatnonzero(r_inside & (sm >= 0))
+        lhs = np.zeros((rows.size, cols.size), dtype=complex)
+        for k in range(l_index.shape[1]):
+            on = l_size[rows] > k
+            b = rows[on]
+            lhs[on] += (np.conj(l_coef[b, k])[:, None]
+                        * entries[np.ix_(l_index[b, k], sm[cols])])
+        rhs = np.zeros_like(lhs)
+        for k in range(r_index.shape[1]):
+            on = r_size[cols] > k
+            a = cols[on]
+            rhs[:, on] += r_coef[a, k] * entries[np.ix_(rows, r_index[a, k])]
+        yield f"cross_{i + 1}", rows, cols, lhs - rhs
+
+
+def bh_check_ix(window, bmap, basis=None) -> BHReport:
+    """bh_check over relations_ix, so its report equals bh_check's."""
+    reps = window.reps
+    scale = window.scale()
+    worst = 0.0
+    worst_pair = None
+    checked = 0
+    rel_max = {"shift": 0.0}
+    for key, rows, cols, diff in relations_ix(window, bmap, basis):
+        if not diff.size:
+            continue
+        v = _magnitude(diff) / scale
+        checked += v.size
+        top = float(v.max())
+        rel_max[key] = max(0.0, top)
+        if top > worst:
+            a, b = divmod(int(v.T.argmax()), rows.size)  # a outer, b inner
+            worst, worst_pair = top, (key, reps[cols[a]], reps[rows[b]])
+    return BHReport(worst, worst_pair, checked, rel_max)
+
+
+def compactness_ix(windows, bmap) -> CompactnessReport:
+    """compactness_probe walking the shift by q one step at a time per
+    window: np.flatnonzero of the pairs still inside, two np.ix_ gathers,
+    then the next shift through np.where."""
+    q = bmap.group.q
+    max_dev = 0.0
+    scale = max(w.scale() for w in windows)
+    base = windows[0]
+    v0 = base.entries
+    for w in windows:
+        shift_q = _positions(w, w.reps, q)
+        at = _positions(w, base.reps, q)
+        while True:
+            live = np.flatnonzero(at >= 0)
+            if not live.size:
+                break
+            dev = w.entries[np.ix_(at[live], at[live])] - v0[np.ix_(live, live)]
+            max_dev = max(max_dev, float((_magnitude(dev) / scale).max()))
+            at = np.where(at >= 0, shift_q[at], -1)
+    keep = np.argwhere((_magnitude(v0) > RESIDUAL_TOL * scale).T)  # a outer, b inner
+    persistent = [(base.reps[a], base.reps[b], complex(v0[b, a])) for a, b in keep.tolist()]
+    return CompactnessReport(max_dev, persistent, not persistent)
 
 # The residual expand_loop may leave unexplained, relative to max(the input's
 # largest |coefficient|, 1).

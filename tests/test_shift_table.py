@@ -1,11 +1,15 @@
-"""The shift-table bh_check and compactness_probe against the per-entry
-loops in group_sums.py.  compactness_probe is compared with == on every
-report field.  bh_check's expansions come from the G-module identity and
-the loop's from expand_loop of the ambient product, so they are
-other floats: the expansions and the reports agree within the bounds
-derived below.  Also a negative control for bh_check (the window of
-T_u T_v is Toeplitz exactly when the semi-commutator vanishes), the table
-cache on the basic map, and a guard that a cold bh_check and a cold series
+"""The shift-table bh_check and compactness_probe against the oracles in
+group_sums.py: with == against the index-grid versions bh_check_ix and
+compactness_ix (the same expansions and the same order of sums, rebuilt
+on every call), and against the per-entry loops.  compactness_probe is
+compared with the loop with == on every report field.  bh_check's
+expansions come from the G-module identity and the loop's from
+expand_loop of the ambient product, so they are other floats: the
+expansions and the reports agree within the bounds derived below.  Also
+a negative control for bh_check (the window of T_u T_v is Toeplitz
+exactly when the semi-commutator vanishes), the table cache on the basic
+map, the rejection of a basis of another character, a guard that a warm
+call only gathers, and a guard that a cold bh_check and a cold series
 build make no polynomial product."""
 
 import functools
@@ -18,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hardyq.toeplitz as toeplitz
-from group_sums import bh_check_loop, compactness_loop, expand_loop
+from group_sums import (bh_check_ix, bh_check_loop, compactness_ix, compactness_loop, expand_loop,
+                        relations_ix)
 from hardyq.groups import builtin_characters, make_character, make_group
 from hardyq.invariants import BasicMap, basic_map, index_set
 from hardyq.kernels import KernelSpec, SeriesKernel
@@ -26,6 +31,7 @@ from hardyq.laurent import LaurentPoly
 from hardyq.suites import random_invariant_symbol
 from hardyq.toeplitz import (
     GammaBasis,
+    ShiftTable,
     ToeplitzWindow,
     bh_check,
     compactness_probe,
@@ -144,6 +150,135 @@ def assert_same_bh(fast, window, bm, basis=None):
 def test_bh_check_matches_loop(w):
     bm = basic_map(w.group)
     assert_same_bh(bh_check(w, bm), w, bm)
+
+
+def fresh_map(group) -> BasicMap:
+    """The group's basic map with no shift tables yet."""
+    shared = basic_map(group)
+    return BasicMap(group, shared.components, shared.q)
+
+
+def assert_same_as_ix(w):
+    """The gather plans against the index grids rebuilt per call, on a cold
+    and then a warm table: equal reports and worst pair, and per relation
+    the same rows and columns and every residual's magnitude bit for bit
+    (a padded term may flip the sign of a zero)."""
+    bm = fresh_map(w.group)
+    slow = bh_check_ix(w, bm)
+    for _ in range(2):
+        fast = bh_check(w, bm)
+        assert fast.to_json() == slow.to_json()
+        assert fast.worst_pair == slow.worst_pair
+    plans = ShiftTable.shared(w, bm).relations()
+    for rel, (name, rows, cols, diff) in zip(plans, relations_ix(w, bm), strict=True):
+        assert rel.name == name
+        assert np.array_equal(rel.rows, rows) and np.array_equal(rel.cols, cols)
+        assert np.array_equal(np.abs(rel.residual(w.entries)), np.abs(diff))
+
+
+@settings(max_examples=80, deadline=None)
+@given(w=window())
+def test_bh_check_matches_ix(w):
+    assert_same_as_ix(w)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_bh_check_matches_ix_on_noise(spec):
+    """Every built-in character and bound with generic entries, where the
+    order of a cross sum shows in the last bits."""
+    g = make_group(spec)
+    rng = np.random.default_rng(7)
+    for ch in builtin_characters(g):
+        for bound in BOUNDS:
+            reps = list(index_set(ch, bound, holomorphic=True).reps)
+            k = len(reps)
+            assert_same_as_ix(ToeplitzWindow(
+                ch, bound, reps, rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))))
+
+
+@st.composite
+def family(draw):
+    """A drawn window first (any kind, any bound), then true windows of the
+    same symbol at drawn bounds in drawn order, smaller or larger than the
+    first."""
+    first = draw(window(bound=draw(st.sampled_from(BOUNDS))))
+    spec, chname = str(first.group.spec), first.character.name
+    seed = draw(st.integers(0, 3))
+    bounds = draw(st.lists(st.sampled_from(BOUNDS + (9,)), min_size=1, max_size=3))
+    return [first] + [true_window(spec, chname, d, seed) for d in bounds]
+
+
+@settings(max_examples=60, deadline=None)
+@given(wins=family())
+def test_compactness_matches_ix(wins):
+    bm = fresh_map(wins[0].group)
+    slow = compactness_ix(wins, bm)
+    for _ in range(2):
+        assert compactness_probe(wins, bm).to_json() == slow.to_json()
+
+
+@pytest.mark.parametrize("spec", ["G(1,1,2)", "G(2,2,2)", "G(1,1,3)", "G(2,1,3)"])
+def test_warm_calls_only_gather(spec, monkeypatch):
+    """On warm tables, bh_check and compactness_probe compute no position,
+    expansion or index grid and rebuild no plan; their reports equal the
+    unpatched calls'."""
+    g, sgn, _ = setting(spec, "sgn")
+    bm = fresh_map(g)
+    rng = random.Random(5)
+
+    def run(bm):
+        sym = random_invariant_symbol(g, rng, radius=g.m, terms=3)
+        wins = [toeplitz_window(sym, sgn, d) for d in BOUNDS]
+        families = [wins, wins[::-1], wins[1:]]
+        return [bh_check(w, bm) for w in wins], [compactness_probe(f, bm) for f in families]
+
+    run(bm)  # builds every plan
+    state = rng.getstate()
+    expected = run(bm)
+    tables = list(bm.shift_tables.values())
+    plans = [(t._relations, dict(t._probes)) for t in tables]
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ShiftTable, "positions", counting("positions", ShiftTable.positions))
+    monkeypatch.setattr(toeplitz, "_theta_gamma", counting("_theta_gamma", toeplitz._theta_gamma))
+    monkeypatch.setattr(np, "ix_", counting("ix_", np.ix_))
+    rng.setstate(state)
+    got = run(bm)
+    assert calls == []
+    for table, (relations, probes) in zip(tables, plans):
+        assert table._relations is relations
+        assert table._probes.keys() == probes.keys()
+        assert all(table._probes[k] is v for k, v in probes.items())
+    for bh, bh0 in zip(got[0], expected[0]):
+        assert bh.to_json() == bh0.to_json() and bh.worst_pair == bh0.worst_pair
+    assert [c.to_json() for c in got[1]] == [c.to_json() for c in expected[1]]
+    run(fresh_map(g))  # the counters do see a cold build
+    assert {"positions", "_theta_gamma", "ix_"} <= set(calls)
+
+
+def test_basis_of_another_character_is_rejected():
+    """A basis of another character (or of the ball) raises, as in
+    toeplitz_window, and leaves the shift tables as they were."""
+    g, sgn, _ = setting("G(1,1,3)", "sgn")
+    w = true_window("G(1,1,3)", "sgn", 5, 0)
+    bm = fresh_map(g)
+    for wrong in (GammaBasis(make_character(g, "trivial")), GammaBasis(sgn, "ball")):
+        with pytest.raises(ValueError, match="polydisc gamma basis"):
+            bh_check(w, bm, basis=wrong)
+    assert bm.shift_tables == {}
+    right = bh_check(w, bm, basis=GammaBasis(sgn))
+    assert right.checked_pairs == 300
+    relations = ShiftTable.shared(w, bm)._relations
+    with pytest.raises(ValueError):
+        bh_check(w, bm, basis=GammaBasis(make_character(g, "trivial")))
+    assert ShiftTable.shared(w, bm)._relations is relations
+    assert bh_check(w, bm).to_json() == right.to_json() == bh_check_ix(w, bm).to_json()
 
 
 EXPANSION_GROUPS = ("G(1,1,2)", "G(2,2,2)", "G(4,4,2)", "G(6,3,2)", "G(1,1,3)", "G(2,1,3)",
