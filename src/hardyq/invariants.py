@@ -643,7 +643,7 @@ def rewrite_in_theta(bmap: BasicMap, h: LaurentPoly) -> LaurentPoly:
 
 # -- lift and lower ----------------------------------------------------------
 
-# lower's float tolerance, relative to max(F's largest |coefficient|, 1)
+# lower's float tolerance, relative to F's largest |coefficient|
 _LOWER_TOL = 1e-9
 
 
@@ -675,7 +675,7 @@ def lower(ellp: EllPoly, bmap: BasicMap, F: LaurentPoly) -> LaurentPoly:
     size = group.perm_order
     terms = F.terms
     exact = all(isinstance(c, _EXACT) for c in terms.values())
-    limit = 0 if exact else _LOWER_TOL * max(F.max_abs_coeff(), 1.0)
+    limit = 0 if exact else _LOWER_TOL * F.max_abs_coeff()
     total: dict[Expo, complex] = {}
     for r in sorted({canonical_exponent(group, e) for e in terms}):
         orbit = _signed_orbit(char, r) if min(r) >= 0 and _diagonal_match(char, r) else {}

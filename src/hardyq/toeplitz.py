@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iproduct
 
 import numpy as np
@@ -130,11 +131,11 @@ def apply_toeplitz(symbol: SymbolPair, f: LaurentPoly) -> LaurentPoly:
 
 def _fill(items: list, column, pair) -> np.ndarray:
     """out[i, j] = pair(column(items[j]), items[i]), with column evaluated
-    once per item.  The square-window loop of the monomial and quotient
-    routes and of the recovery's base and stabilized windows: each passes
-    its own items (indices or basis vectors), column map and pairing.
-    Ambient symbol windows and the isotypic product route read WindowTable
-    instead."""
+    once per item.  The square-window loop of the monomial route and of
+    the recovery's base and stabilized windows: each passes its own items
+    (indices or basis vectors), column map and pairing.  Ambient symbol
+    windows and the isotypic product route read WindowTable instead, the
+    quotient route MomentWindows."""
     out = np.zeros((len(items), len(items)), dtype=complex)
     for j, a in enumerate(items):
         col = column(a)
@@ -165,7 +166,12 @@ class ToeplitzWindow:
         return complex(self.entries[i, j])
 
     def scale(self) -> float:
+        """max(largest |entry|, 1), the scale the checks judge a window
+        against.  Raises InputError on a NaN or infinite entry: no
+        violation measured against it would be reported."""
         top = float(np.max(np.abs(self.entries))) if self.entries.size else 0.0
+        if not math.isfinite(top):  # np.max propagates NaN
+            raise InputError("window entries must be finite; found NaN or inf")
         return max(top, 1.0)
 
     def to_json(self) -> dict:
@@ -501,14 +507,15 @@ def bh_check(window: ToeplitzWindow, bmap: BasicMap,
     expansion term at a time in increasing order of rep, so each entry
     rounds as the scalar sum over its terms does.  Reports the worst
     violation, the first in the order (relation, a, b) on ties; never
-    raises on one.
+    raises on one.  A window with a NaN or infinite entry raises
+    InputError (ToeplitzWindow.scale) before any table is read.
     """
     group = window.group
     if group.spec.kind != "Gmpn":
         raise GroupSpecError("the shift relations are stated for G(m,p,n) quotients")
     _check_basis(basis, window.character)
-    table = ShiftTable.shared(window, bmap)
     scale = window.scale()
+    table = ShiftTable.shared(window, bmap)
     worst = 0.0
     worst_pair = None
     checked = 0
@@ -643,10 +650,10 @@ class QuotientRealization:
     enters only through its moments, memoised: the package's one pushforward
     integral, a torus pairing once pushed through theta, so the moment of
     t^b conj(t)^c is the integer Gram entry <theta^b ell, theta^c ell>.
-    Every pairing is against a lowered basis element e_r, through the functional
-    phi_r(k) = sum_j conj(e_r[j]) mu(k + swap(j)) read from the moments and
-    kept by the caller for one batch of pairings.  Use shared() to reuse the
-    moments and lowered basis across comparisons."""
+    Operator windows on the lowered basis e_r = basis_down(r) are read from
+    MomentWindows, one per (wide bound, inner bound), built from the moments
+    and the lowered basis alone.  Use shared() to reuse the moments, the
+    lowered basis and the windows' blocks across comparisons."""
 
     def __init__(self, character: Character, bmap: BasicMap):
         self.character = character
@@ -657,6 +664,7 @@ class QuotientRealization:
         self._reps: dict[int, list[Expo]] = {}
         self._moments: dict[Expo, complex] = {}
         self._gram_rows: dict[Expo, dict[Expo, int]] = {}
+        self._windows: dict[tuple[int, int], MomentWindows] = {}
 
     @classmethod
     def shared(cls, character: Character, bmap: BasicMap) -> QuotientRealization:
@@ -676,6 +684,13 @@ class QuotientRealization:
             self._down[tuple(rep)] = got
         return got
 
+    def reps(self, bound: int) -> list[Expo]:
+        """index_set(character, bound).reps, listed once per bound."""
+        got = self._reps.get(bound)
+        if got is None:
+            got = self._reps[bound] = list(index_set(self.character, bound).reps)
+        return got
+
     def moment(self, key: Expo) -> complex:
         """mu(key) for key = b + c, the moment of t^b conj(t)^c: the sparse
         dot sum_a P_b[a] P_c[a] of the integer terms of P_b = theta^b ell
@@ -689,42 +704,105 @@ class QuotientRealization:
             got = self._moments[key] = complex(sum(c * q[a] for a, c in p.items() if a in q))
         return got
 
-    def inner(self, f: LaurentPoly, rep: Expo,
-              functionals: dict[Expo, dict[Expo, complex]]) -> complex:
-        """<f, e_rep> in L^2 of the pushforward measure, e_rep = basis_down(rep),
-        scaled by 1/c^2 so the lowered basis is orthonormal: the sum of
-        f_k phi_rep(k), with no product polynomial.  e_rep is holomorphic:
-        conjugating its term at j = (a, 0) moves a to the conj(t) half,
-        swap(j) = (0, a).  functionals[rep][k] holds phi_rep(k) for the
-        caller's later pairings: one dict per batch (one route call), since
-        its keys grow with every f paired."""
-        phi = functionals.setdefault(tuple(rep), {})
-        n = self.group.n
-        total = 0j
-        for key, c in f.terms.items():
-            p = phi.get(key)
-            if p is None:
-                p = 0j
-                for j, w in self.basis_down(rep).terms.items():
-                    p += w.conjugate() * self.moment(
-                        tuple(a + b for a, b in zip(key, j[n:] + j[:n])))
-                phi[key] = p
-            total += c * p
-        return total / self.ellp.cnorm_sq
+    def windows(self, wide: int, inner: int) -> MomentWindows:
+        """The MomentWindows of (wide, inner), built once."""
+        got = self._windows.get((wide, inner))
+        if got is None:
+            got = self._windows[(wide, inner)] = MomentWindows(self, wide, inner)
+        return got
 
-    def project_hardy(self, f: LaurentPoly, exp_bound: int,
-                      functionals: dict[Expo, dict[Expo, complex]]) -> LaurentPoly:
-        """Orthogonal projection onto the span of the lowered basis up to the
-        given ambient sup-norm bound (exact once the bound dominates f):
-        sum_r <f, e_r> e_r, pairing through `functionals` as inner does."""
-        reps = self._reps.get(exp_bound)
-        if reps is None:
-            reps = self._reps[exp_bound] = index_set(self.character, exp_bound).reps
-        out = LaurentPoly.zero(2 * self.group.n)
-        for rep in reps:
-            c = self.inner(f, rep, functionals)
-            if c:
-                out = out + c * self.basis_down(rep)
+
+class MomentWindows:
+    """Quotient-side windows M_s[i, k] = <s e_k, e_i> in L^2 of the
+    pushforward measure, scaled by 1/c^2 so the lowered basis is
+    orthonormal, for theta-form symbols s = sum s_(alpha beta) t^alpha
+    conj(t)^beta.  With E the lowered basis as a matrix (one row per theta
+    exponent of its elements, one column per rep; real, since each element
+    is an integer row times a real scale),
+
+        M_s = (1/c^2) sum_(alpha beta) s_(alpha beta) E_rows^T G E_cols,
+        G[l, j] = mu(alpha + j, beta + l),
+
+    the moments of realisation.moment: the pairing of t^(alpha + j)
+    conj(t)^beta with t^l.  Each theta_i is homogeneous, so theta^b ell is
+    homogeneous of degree deg ell + sum_i b_i deg theta_i, and mu(b, c) = 0
+    unless b and c have the same weighted degree: G is read from the
+    moments only there, which skips most entries, and is exactly zero
+    elsewhere.  The inner reps are index_set(character, inner), the wide
+    reps index_set(character, wide).  Each side keeps one real block
+    E_rows^T G E_cols / c^2 per theta exponent, built on first use from
+    the moments and the lowered basis alone, and only over the reps that
+    side pairs: "left" is inner x wide (the left factor of a product),
+    "right" wide x inner (the right factor), "inner" inner x inner.  A warm
+    window is a sum of scaled blocks; the blocks saturate, since the
+    symbols of one radius reach finitely many theta exponents."""
+
+    SIDES = {"left": ("inner", "wide"), "right": ("wide", "inner"), "inner": ("inner", "inner")}
+
+    def __init__(self, realization: QuotientRealization, wide: int, inner: int):
+        self.realization = realization
+        self.bounds = {"inner": inner, "wide": wide}
+        self._bases: dict[str, tuple] = {}
+        self.blocks: dict[tuple[Expo, str], np.ndarray] = {}
+
+    @cached_property
+    def _weights(self) -> list[int]:
+        return [comp.total_degree() for comp in self.realization.bmap.components]
+
+    def _degree(self, b: Expo) -> int:
+        return sum(x * w for x, w in zip(b, self._weights))
+
+    def reps(self, name: str) -> list[Expo]:
+        """The inner or the wide reps."""
+        return self.realization.reps(self.bounds[name])
+
+    def _basis(self, name: str) -> tuple[list[Expo], dict[int, list[int]], np.ndarray]:
+        """The theta exponents of the lowered elements of the reps of `name`
+        (t halves, sorted), their positions grouped by weighted degree, and
+        E: E[l, k] the coefficient of t^l in e_k; built once."""
+        got = self._bases.get(name)
+        if got is None:
+            qr = self.realization
+            n = qr.group.n
+            down = [qr.basis_down(r).terms for r in self.reps(name)]
+            exps = sorted({a[:n] for terms in down for a in terms})
+            pos = {a: l for l, a in enumerate(exps)}
+            matrix = np.zeros((len(exps), len(down)))
+            for k, terms in enumerate(down):
+                for a, c in terms.items():
+                    matrix[pos[a[:n]], k] = c
+            by_degree: dict[int, list[int]] = {}
+            for l, a in enumerate(exps):
+                by_degree.setdefault(self._degree(a), []).append(l)
+            got = self._bases[name] = (exps, by_degree, matrix)
+        return got
+
+    def block(self, key: Expo, side: str) -> np.ndarray:
+        """E_rows^T G E_cols / c^2 of the theta exponent key on `side`."""
+        got = self.blocks.get((key, side))
+        if got is None:
+            qr = self.realization
+            n = qr.group.n
+            alpha, beta = key[:n], key[n:]
+            (rows, row_degree, e_rows), (cols, col_degree, e_cols) = (
+                self._basis(name) for name in self.SIDES[side])
+            offset = self._degree(alpha) - self._degree(beta)
+            gram = np.zeros((len(rows), len(cols)))
+            for d, ls in row_degree.items():
+                for j in col_degree.get(d - offset, ()):
+                    a = tuple(x + y for x, y in zip(alpha, cols[j]))
+                    for l in ls:
+                        gram[l, j] = qr.moment(a + tuple(x + y for x, y in zip(beta, rows[l]))).real
+            got = self.blocks[(key, side)] = e_rows.T @ gram @ e_cols / float(qr.ellp.cnorm_sq)
+        return got
+
+    def window(self, terms: dict[Expo, complex], side: str) -> np.ndarray:
+        """M_s on `side` for the theta form with these terms, summed in
+        ascending exponent order."""
+        rows, cols = (len(self.reps(name)) for name in self.SIDES[side])
+        out = np.zeros((rows, cols), dtype=complex)
+        for key in sorted(terms):
+            out += terms[key] * self.block(key, side)
         return out
 
 
@@ -759,28 +837,27 @@ def _quotient_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
                             character: Character, bmap: BasicMap,
                             bound: int) -> CompareReport:
     """Same comparison computed entirely on the quotient side: functions in
-    theta coordinates, inner products through the pushforward measure."""
+    theta coordinates, inner products through the pushforward measure.
+    T_v e_a projected onto the lowered basis up to bound + r_v is
+    sum_k M_v[k, a] e_k, so <T_u T_v e_a, e_b> = sum_k M_u[b, k] M_v[k, a]
+    over the MomentWindows of (bound + r_v, bound): semi subtracts
+    M_uv[b, a], commute the same product over (bound + r_u, bound) with u
+    and v swapped."""
     if mode not in ("semi", "commute"):
         raise ValueError("quotient route supports semi and commute modes")
     qr = QuotientRealization.shared(character, bmap)
+    reps = qr.reps(bound)
+    if not reps:  # an empty window: skip listing and lowering the wide reps
+        return CompareReport._judge(mode, reps, np.zeros((0, 0)), _verdict_scale([u, v]))
     uh = u.theta_form(bmap)
     vh = v.theta_form(bmap)
-    reps = list(index_set(character, bound, holomorphic=True).reps)
-    # phi_r(k) for this call's pairings: the columns share most exponents k
-    functionals: dict[Expo, dict[Expo, complex]] = {}
-
-    def column(rep: Expo) -> tuple[LaurentPoly, LaurentPoly]:
-        fa = qr.basis_down(rep)
-        mid_v = qr.project_hardy(vh * fa, v.radius() + bound, functionals)
-        if mode == "semi":
-            return uh * mid_v, (uh * vh) * fa
-        mid_u = qr.project_hardy(uh * fa, u.radius() + bound, functionals)
-        return uh * mid_v, vh * mid_u
-
-    def pair(cols: tuple[LaurentPoly, LaurentPoly], rep: Expo) -> complex:
-        return qr.inner(cols[0], rep, functionals) - qr.inner(cols[1], rep, functionals)
-
-    res = _fill(reps, column, pair)
+    table = qr.windows(bound + v.radius(), bound)
+    res = table.window(uh.terms, "left") @ table.window(vh.terms, "right")
+    if mode == "semi":
+        res -= table.window((uh * vh).terms, "inner")
+    else:
+        swapped = qr.windows(bound + u.radius(), bound)
+        res -= swapped.window(vh.terms, "left") @ swapped.window(uh.terms, "right")
     return CompareReport._judge(mode, reps, res, _verdict_scale([u, v]))
 
 
@@ -1093,7 +1170,9 @@ def compactness_probe(windows: list[ToeplitzWindow], bmap: BasicMap) -> Compactn
     of every window for r = 1, 2, ... while both stay inside it.  The
     pairs come from the probe plan on each window's ShiftTable, built on
     the first call per base reps (ShiftTable.probe); a warm call is one
-    gather, one subtraction and one max per window."""
+    gather, one subtraction and one max per window.  A window with a NaN
+    or infinite entry raises InputError (ToeplitzWindow.scale) before any
+    gather."""
     max_dev = 0.0
     scale = max(w.scale() for w in windows)
     base = windows[0]

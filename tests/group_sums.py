@@ -5,7 +5,8 @@ exponents and the closed-form stabiliser norm), the one-pass gamma
 elements, the closed-form quotient kernel, the characters' generator
 forms, the generator-set invariance test, the pushforward moments'
 integer Gram (the (t, conj t) composition pull_harmonic and the constant
-term against |ell|^2), the quotient route's per-basis functionals (the
+term against |ell|^2), the quotient route's moment windows (the column
+loop quotient_route_functionals with per-basis functionals, and the
 product pairing through conj_zbar), the sparse series table, the
 closed-form reflecting hyperplanes, the window tables, the shift-table
 Brown-Halmos check (its expansions by expand_loop of the ambient product)
@@ -483,6 +484,71 @@ def quotient_route_loop(u, v, mode: str, character, bmap, bound: int,
             e = mag(qr.basis_down(b))
             x, y = inner(first, e), inner(second, e)
             out[i, j] = x + y if magnitude else x - y
+    return CompareReport._judge(mode, reps, out, _verdict_scale([u, v])), widest
+
+
+def quotient_route_functionals(u, v, mode: str, character, bmap,
+                               bound: int) -> tuple[CompareReport, int]:
+    """_quotient_route_compare as a column loop over the lowered basis: each
+    column T_v e_a is projected onto the lowered basis up to bound + r_v as
+    a polynomial, multiplied by the theta form of u and paired with every
+    e_b.  <f, e_r> is sum_k f_k phi_r(k) / c^2 through the functional
+    phi_r(k) = sum_j conj(e_r[j]) mu(k + swap(j)) (e_r is holomorphic:
+    conjugating its term at j = (a, 0) moves a to the conj(t) half,
+    swap(j) = (0, a)), read from the realisation's moments and kept for
+    this call's pairings.  Shares the realisation's moments and lowered
+    basis with the route.  Also returns the largest number of terms any one
+    sum adds: a paired polynomial, a functional's lowered element, a
+    projection's rep set or a factor of a product polynomial."""
+    qr = QuotientRealization.shared(character, bmap)
+    n = character.group.n
+    functionals: dict[Expo, dict[Expo, complex]] = {}
+    widest = 0
+
+    def inner(f: LaurentPoly, rep: Expo) -> complex:
+        nonlocal widest
+        phi = functionals.setdefault(tuple(rep), {})
+        e = qr.basis_down(rep)
+        widest = max(widest, len(f.terms), len(e.terms))
+        total = 0j
+        for key, c in f.terms.items():
+            p = phi.get(key)
+            if p is None:
+                p = 0j
+                for j, w in e.terms.items():
+                    p += w.conjugate() * qr.moment(tuple(a + b for a, b in zip(key, j[n:] + j[:n])))
+                phi[key] = p
+            total += c * p
+        return total / qr.ellp.cnorm_sq
+
+    def times(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+        nonlocal widest
+        widest = max(widest, len(f.terms), len(g.terms))
+        return f * g
+
+    def project(f: LaurentPoly, exp_bound: int) -> LaurentPoly:
+        nonlocal widest
+        reps = index_set(character, exp_bound).reps
+        widest = max(widest, len(reps))
+        out = LaurentPoly.zero(2 * n)
+        for rep in reps:
+            c = inner(f, rep)
+            if c:
+                out = out + c * qr.basis_down(rep)
+        return out
+
+    uh, vh = u.theta_form(bmap), v.theta_form(bmap)
+    reps = list(index_set(character, bound, holomorphic=True).reps)
+    out = np.zeros((len(reps), len(reps)), dtype=complex)
+    for j, a in enumerate(reps):
+        fa = qr.basis_down(a)
+        first = times(uh, project(times(vh, fa), v.radius() + bound))
+        if mode == "semi":
+            second = times(times(uh, vh), fa)
+        else:
+            second = times(vh, project(times(uh, fa), u.radius() + bound))
+        for i, b in enumerate(reps):
+            out[i, j] = inner(first, b) - inner(second, b)
     return CompareReport._judge(mode, reps, out, _verdict_scale([u, v])), widest
 
 

@@ -188,6 +188,27 @@ class TestToeplitzVerb:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_bh_rejects_non_finite_window(self):
+        # an infinite coefficient makes inf and NaN window entries, which bh
+        # reported as ok: true; run as a user would, numpy's overflow and
+        # invalid-value warnings on stderr as JSON lines
+        sym = json.dumps({"dim": 2, "terms": [
+            {"c": [1e308, 0], "e": [1, 0]}, {"c": [1e308, 0], "e": [0, 1]},
+            {"c": [1e308, 0], "e": [1, 1]},
+        ]})
+        src = str(Path(hardyq.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hardyq.cli", "toeplitz", "bh", "--group", "G(1,1,2)",
+             "--symbol", sym, "-D", "3"], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        warned = [json.loads(line) for line in lines if line.startswith('{"warning"')]
+        error = json.loads("\n".join(line for line in lines if not line.startswith('{"warning"')))
+        assert warned and all(set(w) == {"warning"} for w in warned)
+        assert error == {"error": "window entries must be finite; found NaN or inf"}
+
     def test_bh_pass_g212(self, capsys):
         # conj(theta_1) theta_2 pulled back for G(2,1,2)
         sym = json.dumps({"dim": 2, "terms": [

@@ -678,6 +678,21 @@ class TestExactLowering:
             with pytest.raises(NotInIsotypicError):
                 lower(ep, bmap, F)
 
+    def test_lower_tolerance_has_no_floor(self):
+        """The float limit is relative to F's largest coefficient alone: a
+        non-isotypic F with coefficients near 1e-10 is rejected, not
+        lowered against a floor of 1e-9; the same F scaled by 1e10, and
+        the isotypic 1e-10 (z_1 + z_2), behave as at unit scale."""
+        g = make_group("G(1,1,2)")
+        bm = basic_map(g)
+        triv = ell(make_character(g, "trivial"), bmap=bm)
+        tiny = LaurentPoly(2, {(1, 0): 1e-10, (0, 1): 3e-10})
+        for F in (tiny, tiny * 1e10):
+            with pytest.raises(NotInIsotypicError):
+                lower(triv, bm, F)
+        back = lower(triv, bm, LaurentPoly(2, {(1, 0): 1e-10, (0, 1): 1e-10}))
+        assert back.terms == {(1, 0): 1e-10}
+
     def test_lower_matches_lower_loop(self):
         """lower against the pairing oracle lower_loop on F = lift(f), f with
         Gaussian-integer coefficients, for every built-in character of the

@@ -204,6 +204,52 @@ class TestBrownHalmos:
         assert bh_check(w, bm).max_violation == 0
 
 
+class TestNonFiniteWindows:
+    """A NaN or infinite entry is rejected before any gather: scale() was
+    max(nan, 1.0) = nan, every violation then compared False, and a NaN
+    window with a bumped entry reported ok with violation 0.0."""
+
+    @staticmethod
+    def fresh_window():
+        g = make_group("G(1,1,2)")  # a fresh group: no shift table yet
+        bm = basic_map(g)
+        sym = SymbolPair(g, bm.components[0] + bm.components[0].conj_torus())
+        return bm, toeplitz_window(sym, make_character(g, "sgn"), 6)
+
+    @staticmethod
+    def rejected(bm, windows):
+        with pytest.raises(ValueError, match="finite"):
+            bh_check(windows[-1], bm)
+        with pytest.raises(ValueError, match="finite"):
+            compactness_probe(windows, bm)
+        assert not bm.shift_tables
+
+    def test_nan_entry_hides_no_bump(self):
+        bm, w = self.fresh_window()
+        good = ToeplitzWindow(w.character, w.bound, w.reps, w.entries.copy())
+        w.entries[0, 0] = np.nan
+        w.entries[3, 2] += 5.0
+        self.rejected(bm, [w])
+        self.rejected(bm, [good, w])  # also when the bad window is not the base
+
+    def test_all_nan_window(self):
+        bm, w = self.fresh_window()
+        w.entries[:] = np.nan
+        self.rejected(bm, [w])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0, np.inf)])
+    def test_infinite_entry(self, value):
+        bm, w = self.fresh_window()
+        w.entries[1, 4] = value
+        self.rejected(bm, [w])
+
+    def test_finite_window_still_checked(self):
+        bm, w = self.fresh_window()
+        w.entries[3, 2] += 5.0
+        assert not bh_check(w, bm).ok
+        assert compactness_probe([w], bm).max_shift_deviation > 0
+
+
 class TestMultiplierRelations:
     @pytest.mark.parametrize("gname", [
         "G(1,1,2)", "G(2,1,2)", "G(2,2,2)", "G(3,3,2)", "G(1,1,3)", "G(3,1,3)",
@@ -404,18 +450,17 @@ class TestCorrespondence:
         assert abs(quo - iso) <= 1e-12 * iso, (quo, iso)
 
     def test_unitary_equivalence_entrywise(self, ctx):
-        # quotient-side pushforward entries equal the ambient window entries
+        # quotient-side pushforward window entries equal the ambient window
+        # entries
         g, sgn, triv, bm = ctx
         rng = random.Random(20)
         for ch in (sgn, triv):
-            qr = QuotientRealization(ch, bm)
+            table = QuotientRealization(ch, bm).windows(3, 3)
             sym = random_invariant_symbol(g, rng, radius=2, terms=3)
             w = toeplitz_window(sym, ch, 3)
-            uh = sym.theta_form(bm)
-            for a in w.reps:
-                for b in w.reps:
-                    got = qr.inner(uh * qr.basis_down(a), b, {})
-                    assert abs(got - w.entry(b, a)) < 1e-10
+            assert table.reps("inner") == w.reps
+            got = table.window(sym.theta_form(bm).terms, "inner")
+            assert np.all(np.abs(got - w.entries) < 1e-10)
 
 
 class TestCrossCharacterSweep:
