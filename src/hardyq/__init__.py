@@ -35,7 +35,7 @@ from .laurent import (
     wirtinger_D,
 )
 
-# kernels and toeplitz compute on numpy arrays; their names are imported on
+# toeplitz and parts of kernels compute on numpy arrays; their names are imported on
 # first access (PEP 562), so `import hardyq` and the group and invariant
 # layers do not load numpy
 _MODULE_OF = {

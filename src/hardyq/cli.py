@@ -1,8 +1,9 @@
 """Command-line front end: group/invariant/kernel/toeplitz queries and the
 bundled verification suites.  All computation is delegated to the library
-modules; output is deterministic JSON (or CSV) for a fixed seed.  The kernel,
-toeplitz and verify verbs import their module when they run, so the group and
-invariant verbs start without numpy.
+modules; output is deterministic, strict JSON (or CSV) for a fixed seed.  The
+kernel, toeplitz and verify verbs import their module when they run, so the
+group and invariant verbs start without numpy; so does `kernel eval`, but for
+the permanent closed form (chi = 1 on the permutations of G(m,p,n)).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import traceback
 import warnings
@@ -59,21 +61,23 @@ def _reading_input():
         raise UsageError(str(exc)) from exc
 
 
-def _strip_volatile(obj):
-    """Drop wall-clock fields so fixed seed and flags give identical bytes."""
+def _finite_report(obj, path="report"):
+    """`obj` without its wall-clock fields, so fixed seed and flags give
+    identical bytes.  A NaN or infinity anywhere in it is a program fault
+    (ValueError): JSON has no token for either."""
     if isinstance(obj, dict):
-        return {k: _strip_volatile(v) for k, v in obj.items() if k != "elapsed_s"}
+        return {k: _finite_report(v, f"{path}.{k}") for k, v in obj.items() if k != "elapsed_s"}
     if isinstance(obj, list):
-        return [_strip_volatile(v) for v in obj]
+        return [_finite_report(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"{path} is {obj}, which JSON cannot hold")
     return obj
 
 
-def _emit(report: dict, fmt: str, stream) -> None:
-    report = _strip_volatile(report)
+def _render(report: dict, fmt: str) -> str:
+    report = _finite_report(report)
     if fmt == "json":
-        json.dump(report, stream, sort_keys=True, indent=2, default=str)
-        stream.write("\n")
-        return
+        return json.dumps(report, sort_keys=True, indent=2, default=str, allow_nan=False) + "\n"
     # csv: flatten one level deep, deterministic column order
     buf = io.StringIO()
     rows = report.get("records")
@@ -87,18 +91,24 @@ def _emit(report: dict, fmt: str, stream) -> None:
         writer = csv.writer(buf)
         writer.writerow(["key", "value"])
         for k in sorted(report):
-            writer.writerow([k, json.dumps(report[k], sort_keys=True, default=str)])
-    stream.write(buf.getvalue())
+            writer.writerow([k, json.dumps(report[k], sort_keys=True, default=str,
+                                           allow_nan=False)])
+    return buf.getvalue()
+
+
+def _refuse_constant(token: str):
+    raise UsageError(f"{token} is not a JSON number")
 
 
 def _read_json_arg(text: str):
-    """JSON literal, @file, or '-' for stdin."""
+    """Strict JSON (no NaN or Infinity) from a literal, @file, or '-' for
+    stdin."""
     if text == "-":
-        return json.load(sys.stdin)
+        return json.load(sys.stdin, parse_constant=_refuse_constant)
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(text)
+            return json.load(fh, parse_constant=_refuse_constant)
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 def _load_poly(text: str) -> LaurentPoly:
@@ -349,14 +359,15 @@ def main(argv=None) -> int:
             finally:  # each warning as one JSON line, outside the report
                 for w in caught:
                     sys.stderr.write(json.dumps({"warning": str(w.message)}) + "\n")
+        text = _render(report, args.output)
     except InputError as exc:
-        _emit({"error": str(exc)}, args.output, sys.stderr)
+        sys.stderr.write(_render({"error": str(exc)}, args.output))
         return USAGE_EXIT
     except Exception as exc:  # a program fault, not an input error
-        _emit({"error": f"{type(exc).__name__}: {exc}",
-               "traceback": traceback.format_exc()}, args.output, sys.stderr)
+        sys.stderr.write(_render({"error": f"{type(exc).__name__}: {exc}",
+                                  "traceback": traceback.format_exc()}, args.output))
         return FAULT_EXIT
-    _emit(report, args.output, sys.stdout)
+    sys.stdout.write(text)
     return code
 
 

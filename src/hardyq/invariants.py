@@ -397,21 +397,26 @@ def _signed_orbit(char: Character, alpha: Expo) -> dict[Expo, int]:
     return out
 
 
+def _projects_nonzero(char: Character, alpha: Expo) -> bool:
+    """P_chi z^alpha != 0: the diagonal test passes and chi is trivial on
+    Stab_S(alpha).  The stabilizer is the Young subgroup of alpha's repeated
+    values (trivial on Z(m)@k^n), so chi fails to be trivial on it only when
+    swap is nonzero and some value repeats."""
+    return ((char.group.spec.kind != "Gmpn" or not char.swap or len(set(alpha)) == len(alpha))
+            and _diagonal_match(char, alpha))
+
+
 def projection_norm_sq(char: Character, alpha: Expo) -> Fraction:
     """Exact squared torus norm of the projected monomial, in closed form:
     |Stab_S(alpha)|/|S| = prod_i m_i!/n! over the multiplicities m_i of
-    alpha's values (1 on Z(m)@k^n) when the diagonal test passes and chi is
-    trivial on the stabilizer, else 0.  The stabilizer is the Young
-    subgroup of alpha's repeated values, so chi is trivial on it unless
-    swap is nonzero and some value repeats.  No orbit is built."""
+    alpha's values (1 on Z(m)@k^n) when the projection is nonzero
+    (_projects_nonzero), else 0.  No orbit is built."""
     alpha = tuple(alpha)
-    if not _diagonal_match(char, alpha):
+    if not _projects_nonzero(char, alpha):
         return Fraction(0)
     group = char.group
     if group.spec.kind != "Gmpn" or len(set(alpha)) == len(alpha):
         return Fraction(1, group.perm_order)
-    if char.swap:
-        return Fraction(0)
     return Fraction(_young_order(alpha), group.perm_order)
 
 
@@ -527,11 +532,8 @@ def index_set(char: Character, bound: int, holomorphic: bool = True) -> BasisInd
     if bound < 0:
         raise BoundError("degree bound must be >= 0")
     group = char.group
-    reps = [
-        alpha
-        for alpha in _candidate_reps(group, bound, holomorphic)
-        if projection_norm_sq(char, alpha) > 0
-    ]
+    reps = [alpha for alpha in _candidate_reps(group, bound, holomorphic)
+            if _projects_nonzero(char, alpha)]
     reps.sort(key=lambda a: (sum(a), a))
     return BasisIndexSet(char, bound, holomorphic, reps)
 

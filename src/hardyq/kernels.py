@@ -3,13 +3,16 @@ Cartan domain; quotient kernels in closed form; the tetrablock kernel; and
 truncated series kernels in quotient coordinates.  The pushforward-measure
 integral is QuotientRealization.moment (toeplitz): an integer Gram entry
 sum_a (theta^b ell)_a (theta^c ell)_a.
+
+numpy is imported where it is used (the permanent of _polydisc_kernel and
+SeriesKernel), so the other closed forms, and `hardyq kernel eval` on them,
+run without it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import numpy as np
 
 from .groups import Character, Group, InputError, make_character, make_group
 from .invariants import (
@@ -188,6 +191,8 @@ def quotient_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
 
 def _perm_table(group: Group) -> np.ndarray:
     """perm_images() as an (n!, n) index array, built once per group."""
+    import numpy as np
+
     got = group.derived.get("perm_table")
     if got is None:
         got = group.derived["perm_table"] = np.array(group.perm_images(), dtype=np.intp)
@@ -257,6 +262,8 @@ def _polydisc_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
             for b in wm:
                 out /= 1.0 - a * b
         return out
+    import numpy as np
+
     cauchy = 1.0 / (1.0 - np.multiply.outer(zm, wm))
     perm = cauchy[_perm_table(group), np.arange(n)].prod(axis=1).sum()
     return twist * complex(perm) / math.factorial(n)
@@ -365,47 +372,55 @@ class SeriesKernel:
     orthonormal basis e_m = lower(gamma_m) (invariants.lowered), for points
     x = theta(z) in quotient coordinates; row r is e_{reps[r]}.
 
-    The basis is flattened at build into a sparse table: term k is
-    coeffs[k] * x^expos[slots[k]] in basis element rows[k], over one matrix
-    of the distinct exponents.  The table stays sparse: at D = 40 the sgn
-    basis of G(1,1,2) has 820 elements over 820 exponents but 5,950 terms."""
+    The basis is flattened at build into a sparse table over the distinct
+    exponents ("slots"): term k is coeffs[k] times the monomial of slot
+    slots[k], and the terms of row r run from starts[r] to starts[r + 1]
+    (each row is nonzero, so no run is empty).  A slot's exponent is kept as
+    one flat index per coordinate, expo_i + i W, into the (n, W) table of
+    powers x_i^k, k < W.  The table stays sparse: at D = 40 the sgn basis
+    of G(1,1,2) has 820 elements over 820 exponents but 5,950 terms.
+    Evaluation at a point is whole-array work with no loop over rows,
+    terms or powers: one cumprod for the power table, a gather and product
+    for the monomials, a gather by slot times the coefficients, and one
+    reduceat that sums each row's terms in order."""
 
     def __init__(self, spec: KernelSpec, bound: int):
         if not spec.is_quotient:
             raise DomainError("series kernels need a group and character")
+        import numpy as np
+
         self.spec = spec
         self.bound = bound
         self.reps = index_set(spec.character, bound, holomorphic=True).reps
         self.basis_down = [lowered(spec.ellp, spec.bmap, r) for r in self.reps]
+        n = spec.group.n
         slot_of: dict[tuple[int, ...], int] = {}
-        rows, slots, coeffs = [], [], []
-        for r, e in enumerate(self.basis_down):
+        starts, slots, coeffs = [], [], []
+        for e in self.basis_down:
+            starts.append(len(slots))
             for expo, c in e.terms.items():
-                rows.append(r)
                 slots.append(slot_of.setdefault(expo, len(slot_of)))
                 coeffs.append(c)
-        self._rows = np.array(rows, dtype=np.intp)
+        expos = np.array(list(slot_of), dtype=np.intp).reshape(-1, n)
+        self._width = int(expos.max(initial=0)) + 1
+        self._flat = np.ascontiguousarray(expos.T + self._width * np.arange(n)[:, None])
+        self._starts = np.array(starts, dtype=np.intp)
         self._slots = np.array(slots, dtype=np.intp)
         self._coeffs = np.array(coeffs, dtype=complex)
-        self._expos = np.array(list(slot_of), dtype=np.intp).reshape(-1, spec.group.n)
 
     def _values(self, x: Point) -> np.ndarray:
-        """e_m(x) for every basis element: a table of x_i^k by repeated
-        multiplication, a gather of each exponent's monomial, and one
-        bincount of the terms per basis element."""
-        x = np.array(x, dtype=complex)
-        top = int(self._expos.max(initial=0))
-        powers = np.ones((len(x), top + 1), dtype=complex)
-        for k in range(1, top + 1):
-            powers[:, k] = powers[:, k - 1] * x
-        monos = powers[np.arange(len(x)), self._expos].prod(axis=1)
-        terms = self._coeffs * monos[self._slots]
-        size = len(self.basis_down)
-        return (np.bincount(self._rows, terms.real, size)
-                + 1j * np.bincount(self._rows, terms.imag, size))
+        """e_m(x) for every basis element, in row order."""
+        import numpy as np
+
+        table = np.empty((len(self._flat), self._width), dtype=complex)
+        table[:, 0] = 1.0
+        table[:, 1:] = np.array(x, dtype=complex)[:, None]
+        powers = table.cumprod(axis=1).ravel()
+        monos = powers[self._flat].prod(axis=0)
+        return np.add.reduceat(self._coeffs * monos[self._slots], self._starts)
 
     def eval(self, x: Point, y: Point) -> complex:
-        return complex(self._values(x) @ np.conj(self._values(y)))
+        return complex(self._values(x) @ self._values(y).conj())
 
 
 # -- ellipsoid constants (reported, not asserted) ------------------------------

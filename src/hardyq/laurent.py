@@ -17,13 +17,14 @@ that arise here; exact terms are dropped only when exactly zero.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from collections.abc import Callable
 from fractions import Fraction
 from operator import itemgetter
 
-from .groups import Group, GroupElement, root_of_unity
+from .groups import Group, GroupElement, InputError, root_of_unity
 
 CLEANUP_REL = 1e-12
 
@@ -225,9 +226,15 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPoly":
+        """The inverse of to_json.  A NaN or infinite coefficient is an
+        InputError: the cleanup compares every term with the largest, so
+        one such term would drop or swamp the finite ones."""
         terms = {
             tuple(t["e"]): complex(t["c"][0], t["c"][1]) for t in data["terms"]
         }
+        if not all(map(cmath.isfinite, terms.values())):
+            e, c = next((e, c) for e, c in terms.items() if not cmath.isfinite(c))
+            raise InputError(f"coefficient {c} of exponent {list(e)} is not finite")
         return cls(int(data["dim"]), terms)
 
 

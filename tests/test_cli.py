@@ -479,18 +479,61 @@ class TestExitCodes:
                                '{"domain": "polydisc", "group": 5}', "--points", "[]")
         assert code == 2 and json.loads(err) == {"error": "cannot parse group spec 5"}
 
+    NAN_SYMBOL = '{"dim": 2, "terms": [{"c": [NaN, 0], "e": [1, 0]}, {"c": [NaN, 0], "e": [0, 1]}]}'
+
+    @pytest.mark.parametrize("argv", [
+        ["toeplitz", "bh", "--group", "G(1,1,2)", "--symbol", NAN_SYMBOL, "-D", "3"],
+        ["kernel", "eval", "--spec", TestKernelVerb.SPEC, "--points",
+         '[{"z": [[Infinity, 0.0], [0.0, 0.1]], "w": [[0.2, 0.0], [-0.4, 0.0]]}]'],
+    ], ids=["nan-symbol", "infinite-point"])
+    def test_non_finite_json_tokens_are_usage_errors(self, capsys, argv):
+        # the NaN symbol once gave a zero window and `"ok": true`
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] in ("NaN is not a JSON number",
+                                            "Infinity is not a JSON number")
+
+    def test_overflowing_coefficient_is_usage_error(self, capsys):
+        # 1e999 is valid JSON that parses to inf
+        sym = '{"dim": 2, "terms": [{"c": [1e999, 0], "e": [1, 0]}, {"c": [1, 0], "e": [0, 1]}]}'
+        code, out, err = run_cli(capsys, "toeplitz", "bh", "--group", "G(1,1,2)",
+                                 "--symbol", sym, "-D", "3")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "coefficient (inf+0j) of exponent [1, 0] is not finite"}
+
+    def test_non_finite_report_is_a_program_fault(self, capsys):
+        # the Gram products of 1e308 coefficients overflow: the report once
+        # printed "max_residual": NaN, which is not JSON
+        big = json.dumps({"dim": 2, "terms": [{"c": [1e308, 0], "e": e} for e in
+                                              ([1, 0], [0, 1], [-1, 0], [0, -1])]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy's overflow warnings
+            code, out, err = run_cli(capsys, "toeplitz", "product", "--group", "G(1,1,2)",
+                                     "--symbol", big, "--symbol2", big, "-D", "3")
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error.startswith("ValueError: report.") and "JSON cannot hold" in error
+
 
 class TestNumpyFreeCore:
-    """`import hardyq` and the group and invariant verbs run with numpy
-    blocked; kernels, toeplitz and suites load it when first used."""
+    """`import hardyq`, the group and invariant verbs and `kernel eval` on
+    the swap, split-residue and ball closed forms run with numpy blocked;
+    the permanent closed form, SeriesKernel, toeplitz and suites load it
+    when first used."""
 
     GROUPS = ("G(1,1,2)", "G(4,2,3)", "Z(3)@1^2")
+    # a generic pair, and one at the origin (a zero of every ell)
+    POINTS = json.dumps([{"z": [[0.3, 0.1], [-0.2, 0.05]], "w": [[0.25, -0.1], [0.1, 0.3]]},
+                         {"z": [[0.0, 0.0], [0.0, 0.0]], "w": [[0.2, 0.0], [0.1, 0.0]]}])
     CALLS = [argv for g in GROUPS for argv in (
         ["group", "info", g], ["group", "character", g],
         ["invariant", "index", g], ["invariant", "ell", g],
         ["invariant", "map", g], ["invariant", "jacobian", g])] + [
         ["invariant", "ell", "G(3,1,3)", "--character", "det"],
-        ["invariant", "ell", "G(4,4,2)", "--character", "rho1"]]
+        ["invariant", "ell", "G(4,4,2)", "--character", "rho1"],
+        ["kernel", "eval", "--spec", TestKernelVerb.SPEC, "--points", POINTS],
+        ["kernel", "eval", "--spec", TestKernelVerb.SPLIT_SPEC, "--points", POINTS],
+        ["kernel", "eval", "--spec", TestKernelVerb.BALL_SPEC, "--points", POINTS]]
 
     # a None entry in sys.modules makes every import of numpy raise
     BLOCKED = """
@@ -510,7 +553,7 @@ g = hardyq.make_group("G(1,1,3)")
 ep = hardyq.ell(hardyq.make_character(g, "sgn"))
 out.append(hardyq.lower(ep, hardyq.basic_map(g), hardyq.GammaBasis.shared(ep.character)((1, 2, 5))).to_json())
 try:
-    hardyq.quotient_kernel
+    hardyq.bh_check
 except ImportError:
     out.append("deferred")
 print(json.dumps(out))
@@ -539,6 +582,18 @@ print(json.dumps(out))
             want.append([code, buf.getvalue()])
         assert [code for code, _ in want] == [0] * len(self.CALLS)
         assert got == want
+
+    def test_permanent_kernel_eval_runs_with_numpy(self, capsys):
+        # chi = 1 on the permutations of G(2,1,3): the permanent closed form
+        spec = '{"domain": "polydisc", "group": "G(2,1,3)", "character": "trivial"}'
+        z, w = (0.3 + 0.1j, -0.2, 0.1j), (0.25, 0.1 + 0.3j, -0.15)
+        points = json.dumps([{"z": [[a.real, a.imag] for a in z],
+                              "w": [[b.real, b.imag] for b in w]}])
+        code, out, _ = run_cli(capsys, "kernel", "eval", "--spec", spec, "--points", points)
+        assert code == 0
+        want = kernels.quotient_kernel(kernels.make_kernel_spec("polydisc", "G(2,1,3)", "trivial"),
+                                       z, w)
+        assert complex(*json.loads(out)["records"][0]["value"]) == want
 
     def test_deferred_names_resolve(self):
         assert hardyq.quotient_kernel is kernels.quotient_kernel

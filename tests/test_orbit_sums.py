@@ -32,6 +32,7 @@ roundoff).
 """
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -207,6 +208,24 @@ def test_norm_matches_stabilizer_list(data, index):
     _, ch = CHARS[index]
     alpha = data.draw(st.tuples(*[st.integers(-4, 4)] * ch.group.n))
     assert projection_norm_sq(ch, alpha) == stabilizer_norm_sq(ch, alpha)
+
+
+@pytest.mark.parametrize("index", range(len(CHARS)),
+                         ids=[f"{spec}-{ch.name}" for spec, ch in CHARS])
+@pytest.mark.parametrize("holomorphic", [True, False], ids=["holomorphic", "full"])
+def test_index_set_is_the_nonzero_norm_filter(index, holomorphic):
+    """index_set's boolean test keeps exactly the canonical candidates whose
+    exact projection norm is nonzero."""
+    _, ch = CHARS[index]
+    group, bound = ch.group, 4
+    values = range(0 if holomorphic else -bound, bound + 1)
+    if group.spec.kind == "Gmpn":
+        candidates = itertools.combinations_with_replacement(values, group.n)
+    else:
+        candidates = itertools.product(values, repeat=group.n)
+    want = sorted((a for a in candidates if projection_norm_sq(ch, a) > 0),
+                  key=lambda a: (sum(a), a))
+    assert index_set(ch, bound, holomorphic).reps == want
 
 
 @settings(max_examples=300, deadline=None)

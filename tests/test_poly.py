@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from group_sums import (apply_point, conj_zbar, elements, is_disjoint, sphere_pair_integral,
                         torus_restriction)
-from hardyq.groups import GroupElement, make_group
+from hardyq.groups import GroupElement, InputError, make_group
 from hardyq.invariants import basic_map
 from hardyq.laurent import (
     LaurentPoly,
@@ -121,6 +121,18 @@ class TestArithmetic:
     def test_json_roundtrip(self):
         f = P(2, {(1, -2): 0.5 + 0.25j, (0, 0): -1})
         assert LaurentPoly.from_json(f.to_json()).same_terms(f)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_refuses_non_finite_coefficients(self, bad):
+        # the cleanup compares with the largest |c|: a NaN term wiped out
+        # LaurentPoly(2, {(1, 0): nan, (0, 1): 1.0}), an infinite one kept
+        # nothing else
+        data = {"dim": 2, "terms": [{"c": [bad, 0.0], "e": [1, 0]}, {"c": [1.0, 0.0], "e": [0, 1]}]}
+        with pytest.raises(InputError, match=r"of exponent \[1, 0\] is not finite"):
+            LaurentPoly.from_json(data)
+        data["terms"][0]["c"] = [0.0, bad]
+        with pytest.raises(InputError, match=r"exponent \[1, 0\]"):
+            LaurentPoly.from_json(data)
 
 
 class TestGroupAction:

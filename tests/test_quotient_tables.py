@@ -339,6 +339,60 @@ def test_series_table_matches_per_element_eval(spec, chname, data):
     assert abs(got - want) <= tol, (got, want, mass)
 
 
+# (domain, group, character, bound, point radius, x at the origin)
+SERIES_EDGES = [
+    ("polydisc", "G(1,1,2)", "sgn", 0, 0.5, False),   # no terms at all
+    ("polydisc", "G(1,1,2)", "sgn", 40, 0.5, True),
+    ("polydisc", "G(1,1,3)", "sgn", 12, 0.15, False),
+    ("polydisc", "G(4,4,2)", "rho1", 12, 0.5, False),  # split residues
+    ("ball", "Z(3)@1^2", "sgn", 30, 0.5, False),
+]
+
+
+@pytest.mark.parametrize("domain,spec,chname,bound,radius,origin", SERIES_EDGES,
+                         ids=[f"{d}-{g}-{c}-D{b}{'-x0' if o else ''}"
+                              for d, g, c, b, _, o in SERIES_EDGES])
+def test_series_eval_edge_cases_match_per_element_eval(domain, spec, chname, bound, radius,
+                                                       origin):
+    """The bound of test_series_table_matches_per_element_eval, on an empty
+    table, at x = 0, for n = 3, split residues and the ball."""
+    g = group(spec)
+    sk = SeriesKernel(KernelSpec(domain, g, make_character(g, chname)), bound)
+    n, bmap = g.n, sk.spec.bmap
+    rng = random.Random(bound)
+    for _ in range(4):
+        z, w = ([radius / n ** 0.5 * cmath.exp(1j * rng.uniform(-3.2, 3.2)) * rng.random()
+                 for _ in range(n)] for _ in range(2))
+        x = (0,) * n if origin else bmap.eval(tuple(z))
+        y = bmap.eval(tuple(w))
+        want, mass = series_sum(sk, x, y)
+        deg = max((e.total_degree() for e in sk.basis_down), default=0)
+        widest = max((len(e.terms) for e in sk.basis_down), default=0)
+        tol = (5 * (deg + 2 * n + 1) + 3 * widest + 2 * len(sk.basis_down)) * EPS * mass
+        got = sk.eval(x, y)
+        assert abs(got - want) <= tol, (got, want, mass)
+    if bound == 0:
+        assert sk.reps == [] and sk._values(x).shape == (0,) and got == 0
+
+
+def test_warm_series_eval_reads_only_its_table(monkeypatch):
+    """A warm eval evaluates no LaurentPoly and does not read basis_down."""
+    g = group("G(1,1,2)")
+    sk = SeriesKernel(KernelSpec("polydisc", g, make_character(g, "sgn")), 20)
+    x, y = sk.spec.bmap.eval((0.3 + 0.1j, -0.2)), sk.spec.bmap.eval((0.1, 0.25j))
+    want = sk.eval(x, y)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the series kernel evaluated a LaurentPoly")
+
+    def unread(self):
+        raise AssertionError("the series kernel read basis_down")
+
+    monkeypatch.setattr(LaurentPoly, "eval", forbidden)
+    # a property on the class shadows the instance attribute
+    sk.__class__ = type("Watched", (SeriesKernel,), {"basis_down": property(unread)})
+    assert sk.eval(x, y) == want
+
 def test_second_check_adds_no_moment(monkeypatch):
     g = make_group("G(1,1,2)")
     sgn = make_character(g, "sgn")
