@@ -21,13 +21,13 @@ from .groups import Character, Group, GroupSpecError, InputError, make_character
 from .invariants import (
     BasicMap,
     GammaBasis,
+    _projects_nonzero,
     _signed_orbit,
     basic_map,
     ell,
     index_set,
     lowered,
     project,
-    projection_norm_sq,
     rewrite_in_theta,
 )
 from .laurent import (
@@ -115,8 +115,9 @@ class SymbolPair:
 
 def hol_project(f: LaurentPoly) -> LaurentPoly:
     """Hardy projection on the polydisc: drop every term with a negative
-    exponent."""
-    return LaurentPoly(f.dim, {e: c for e, c in f.terms.items() if min(e) >= 0})
+    exponent.  The kept terms need no cleanup: a sub-dict of clean terms is
+    clean, since its floor can only drop."""
+    return LaurentPoly._wrap(f.dim, {e: c for e, c in f.terms.items() if min(e) >= 0})
 
 
 def apply_toeplitz(symbol: SymbolPair, f: LaurentPoly) -> LaurentPoly:
@@ -131,11 +132,11 @@ def apply_toeplitz(symbol: SymbolPair, f: LaurentPoly) -> LaurentPoly:
 
 def _fill(items: list, column, pair) -> np.ndarray:
     """out[i, j] = pair(column(items[j]), items[i]), with column evaluated
-    once per item.  The square-window loop of the monomial route and of
-    the recovery's base and stabilized windows: each passes its own items
-    (indices or basis vectors), column map and pairing.  Ambient symbol
-    windows and the isotypic product route read WindowTable instead, the
-    quotient route MomentWindows."""
+    once per item.  The square-window loop of the recovery's base and
+    stabilized windows, and of the test oracles' column routes.  Ambient
+    symbol windows and the isotypic product route read WindowTable
+    instead, the monomial route pairs by an owner map, the quotient route
+    reads MomentWindows."""
     out = np.zeros((len(items), len(items)), dtype=complex)
     for j, a in enumerate(items):
         col = column(a)
@@ -813,7 +814,10 @@ def _monomial_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
     operator) gamma_j, built by products and the plain negative-exponent
     cut with no isotypic projection step (multiplication by invariant
     symbols keeps the component invariant, so the verdicts must match
-    product_compare), and paired with every gamma_i by torus_inner."""
+    product_compare), and paired with every gamma_i in one sorted pass over
+    the column: the gamma_i have disjoint supports (distinct orbits), so an
+    owner map sends each exponent to its row and the conjugate coefficient,
+    and each entry gets torus_inner's additions in torus_inner's order."""
     if mode not in ("semi", "commute"):
         raise ValueError("monomial route supports semi and commute modes")
     _check_margin([u, v], bound)
@@ -829,7 +833,17 @@ def _monomial_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
 
     basis = GammaBasis.shared(character)
     reps = list(index_set(character, bound, holomorphic=True).reps)
-    res = _fill([basis(r) for r in reps], column, torus_inner)
+    gammas = [basis(r) for r in reps]
+    owner = {e: (i, c.conjugate()) for i, g in enumerate(gammas) for e, c in g.terms.items()}
+    res = np.zeros((len(reps), len(reps)), dtype=complex)
+    for j, g in enumerate(gammas):
+        terms = column(g).terms
+        acc = [0j] * len(reps)
+        for e in sorted(terms):
+            hit = owner.get(e)
+            if hit is not None:
+                acc[hit[0]] += terms[e] * hit[1]
+        res[:, j] = acc
     return CompareReport._judge(mode, reps, res, _verdict_scale([u, v]))
 
 
@@ -998,7 +1012,7 @@ class RecoveryResult:
 def _invariant_monomial(trivial: Character, rep: Expo) -> LaurentPoly | None:
     """Trivial-isotypic orbit sum with unit leading coefficient, or None when
     the orbit dies under averaging."""
-    if projection_norm_sq(trivial, rep) == 0:
+    if not _projects_nonzero(trivial, rep):
         return None
     f = project(trivial, LaurentPoly.monomial(trivial.group.n, rep))
     lead = f.coeff(tuple(rep))
@@ -1093,7 +1107,7 @@ def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
             lift_shift += q
         p_s = _shift(anchor, lift_shift)
         m_s = canonical_exponent(group, _shift(m_raw, lift_shift))
-        if projection_norm_sq(character, m_s) == 0:
+        if not _projects_nonzero(character, m_s):
             continue
         gp, gm = basis(p_s), basis(m_s)
         rows.append([torus_inner(mono * gp, gm) for _, mono in monomials])
@@ -1124,7 +1138,7 @@ def _spread_anchor(character: Character, spread: int) -> Expo:
     for off in iproduct(range(2 * m), repeat=n):
         cand = tuple(sorted(b + o for b, o in zip(base, off)))
         cand = canonical_exponent(group, cand)
-        if projection_norm_sq(character, cand) > 0:
+        if _projects_nonzero(character, cand):
             return cand
     raise RecoveryError("no spread anchor index found for this character")
 

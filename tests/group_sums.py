@@ -17,8 +17,11 @@ polynomials), the series-table reproducing check,
 the coefficient-reading lower (pairing with the gamma basis,
 expand_loop and lower_loop), the isotypic product route's window products
 (the column route product_compare_loop, with the isotypic Hardy
-projection) and the unranked symbol draws (orbit_sum_loop) are tested
-against; the series kernel and
+projection), the unranked symbol draws (orbit_sum_loop), the LaurentPoly
+arithmetic (two-pass clean_loop, mul_loop, sub_loop as a + (-b), pow_loop
+with every squaring, substitute_loop with one power per term) and the
+monomial route's pairing (the _fill loop over torus_inner,
+monomial_route_loop) are tested against; the series kernel and
 reproducing check, which only the tests call; the float hyperplane
 product that the closed-form relative invariants are tested against; the
 base-ball Toeplitz entry and its sphere pair integral; and the
@@ -34,8 +37,8 @@ import numpy as np
 
 from hardyq.groups import GroupElement, _perm_parity, make_character, root_of_unity
 from hardyq.kernels import KernelSpec, SeriesKernel, base_kernel, check_point
-from hardyq.laurent import (Expo, LaurentPoly, act, canonical_exponent, sphere_inner,
-                            sphere_monomial_weight, sphere_norm, torus_inner)
+from hardyq.laurent import (CLEANUP_REL, Expo, LaurentPoly, act, canonical_exponent,
+                            sphere_inner, sphere_monomial_weight, sphere_norm, torus_inner)
 
 
 def apply_point(g: GroupElement, z) -> tuple[complex, ...]:
@@ -675,6 +678,109 @@ def product_compare_loop(u, v, mode: str, character, bound: int,
     reps = list(index_set(character, bound, holomorphic=True).reps)
     res = _fill([basis(r) for r in reps], column, torus_inner)
     return CompareReport._judge(mode, reps, res, _verdict_scale(symbols))
+
+
+# -- reference Laurent arithmetic ---------------------------------------------
+
+
+def clean_loop(terms: dict[Expo, complex]) -> dict[Expo, complex]:
+    """The cleanup in two passes into a new dict: the largest magnitude,
+    then every term tested against CLEANUP_REL times it (exact terms are
+    kept unless zero)."""
+    if not terms:
+        return {}
+    top = max(abs(c) for c in terms.values())
+    if top == 0:
+        return {}
+    floor = CLEANUP_REL * top
+    return {e: c for e, c in terms.items()
+            if abs(c) >= floor or (c and isinstance(c, (int, Fraction)))}
+
+
+def _cleaned(dim: int, terms: dict[Expo, complex]) -> LaurentPoly:
+    return LaurentPoly._wrap(dim, clean_loop(terms))
+
+
+def add_loop(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        out[e] = out.get(e, 0) + c
+    return _cleaned(f.dim, out)
+
+
+def neg_loop(f: LaurentPoly) -> LaurentPoly:
+    return _cleaned(f.dim, {e: -c for e, c in f.terms.items()})
+
+
+def sub_loop(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    return add_loop(f, neg_loop(g))
+
+
+def scale_loop(f: LaurentPoly, c) -> LaurentPoly:
+    return _cleaned(f.dim, {e: a * c for e, a in f.terms.items()})
+
+
+def mul_loop(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    out: dict[Expo, complex] = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _cleaned(f.dim, out)
+
+
+def pow_loop(f: LaurentPoly, k: int) -> LaurentPoly:
+    """Square-and-multiply with every squaring, the last one included."""
+    out = _cleaned(f.dim, {(0,) * f.dim: 1})
+    base = f
+    while k:
+        if k & 1:
+            out = mul_loop(out, base)
+        base = mul_loop(base, base)
+        k >>= 1
+    return out
+
+
+def substitute_loop(f: LaurentPoly, polys: list[LaurentPoly]) -> LaurentPoly:
+    """f(p_1, ..., p_dim) over f's sorted exponents, constant first, with
+    a fresh power of p_k for every term."""
+    dim = polys[0].dim
+    total = _cleaned(dim, {})
+    for e in sorted(f.terms):
+        mono = _cleaned(dim, {(0,) * dim: f.terms[e]})
+        for k, ek in enumerate(e):
+            if ek:
+                mono = mul_loop(mono, pow_loop(polys[k], ek))
+        total = add_loop(total, mono)
+    return total
+
+
+def hol_project_loop(f: LaurentPoly) -> LaurentPoly:
+    return _cleaned(f.dim, {e: c for e, c in f.terms.items() if min(e) >= 0})
+
+
+def monomial_route_loop(u, v, mode: str, character, bound: int) -> np.ndarray:
+    """The monomial route's residual matrix from the reference arithmetic:
+    each column (compared operator) gamma_j by mul_loop, hol_project_loop
+    and sub_loop, paired with every gamma_i by torus_inner through
+    toeplitz._fill."""
+
+    def T(s, g: LaurentPoly) -> LaurentPoly:
+        return hol_project_loop(mul_loop(s.pullback, g))
+
+    if mode == "semi":
+        uv = SymbolPair(u.group, mul_loop(u.pullback, v.pullback))
+
+        def column(g):
+            return sub_loop(T(u, T(v, g)), T(uv, g))
+    else:
+
+        def column(g):
+            return sub_loop(T(u, T(v, g)), T(v, T(u, g)))
+
+    basis = GammaBasis.shared(character)
+    reps = list(index_set(character, bound, holomorphic=True).reps)
+    return _fill([basis(r) for r in reps], column, torus_inner)
 
 
 def orbit_sum_loop(group, rng, span: range, terms: int) -> LaurentPoly:

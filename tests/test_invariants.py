@@ -375,6 +375,40 @@ class TestIndexSets:
             assert rep[0] % 2 == 1 and rep[1] % 2 == 1 and rep[0] != rep[1]
 
 
+GRADED_GROUPS = ("G(1,1,2)", "G(2,1,2)", "G(2,2,2)", "G(3,3,2)", "G(4,4,2)", "G(4,2,2)",
+                 "G(1,1,3)", "G(2,1,3)", "G(4,2,3)", "G(1,1,4)", "Z(3)@1^2", "Z(4)@2^3",
+                 "Z(2)@1^4")
+GRADED_CASES = [(spec, ch.name) for spec in GRADED_GROUPS
+                for ch in builtin_characters(make_group(spec))]
+
+
+def fake_degree_series(shift: int, degrees: list[int], K: int) -> list[int]:
+    """[q^k] q^shift / prod_i (1 - q^(d_i)) for k = 0..K: the graded
+    dimension of a one-dimensional isotypic component, ell_chi times the
+    invariant ring, which is free on the basic invariants."""
+    series = [int(k == shift) for k in range(K + 1)]
+    for d in degrees:
+        for k in range(d, K + 1):
+            series[k] += series[k - d]
+    return series
+
+
+@pytest.mark.parametrize("spec,name", GRADED_CASES, ids=[f"{s}-{c}" for s, c in GRADED_CASES])
+def test_index_set_counts_match_the_fake_degree_series(spec, name):
+    """Reps of total degree k in index_set(ch, K) (sup-norm <= K holds
+    every rep of total degree <= K), counted against the series from the
+    basic invariants' degrees and deg ell_chi alone, for every k <= K."""
+    K = 10
+    group = make_group(spec)
+    ch = make_character(group, name)
+    degrees = [c.total_degree() for c in basic_map(group).components]
+    counts = [0] * (K + 1)
+    for rep in index_set(ch, K).reps:
+        if sum(rep) <= K:
+            counts[sum(rep)] += 1
+    assert counts == fake_degree_series(ell(ch).poly.total_degree(), degrees, K)
+
+
 class TestBasisElements:
     def test_unit_norm_and_value(self, sgn112):
         gam = GammaBasis.shared(sgn112)((0, 1))

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from group_sums import (apply_point, conj_zbar, elements, is_disjoint, sphere_pair_integral,
-                        torus_restriction)
+from group_sums import (add_loop, apply_point, clean_loop, conj_zbar, elements,
+                        hol_project_loop, is_disjoint, mul_loop, neg_loop, pow_loop, scale_loop,
+                        sphere_pair_integral, sub_loop, substitute_loop, torus_restriction)
 from hardyq.groups import GroupElement, InputError, make_group
 from hardyq.invariants import basic_map
 from hardyq.laurent import (
@@ -20,6 +21,7 @@ from hardyq.laurent import (
     torus_inner,
     wirtinger_D,
 )
+from hardyq.toeplitz import hol_project
 
 
 def P(dim, terms):
@@ -133,6 +135,85 @@ class TestArithmetic:
         data["terms"][0]["c"] = [0.0, bad]
         with pytest.raises(InputError, match=r"exponent \[1, 0\]"):
             LaurentPoly.from_json(data)
+
+
+def pairs(terms) -> list:
+    """(exponent, repr(coefficient)) in dict order: repr tells int from
+    float and 0.0 from -0.0, and the order is what later loops iterate."""
+    return [(e, repr(c)) for e, c in terms.items()]
+
+
+# magnitudes around the 1e-12 relative cleanup floor, for coefficients of
+# size up to 4 (exact ones are kept below it unless zero); whole-number
+# parts cancel exactly, to signed zeros
+NEAR_FLOOR = (1.0, 1e-11, 4e-12, 1e-12, 3e-13, 1e-13, 1e-16, 0.0)
+_reals = st.one_of(st.floats(-4, 4, allow_nan=False), st.integers(-2, 2).map(float),
+                   st.sampled_from([-0.0, 0.1 + 0.2 - 0.3]))
+coefficient = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 3, 10 ** 12, 10 ** 14])),
+    st.builds(lambda x, s: x * s, _reals, st.sampled_from(NEAR_FLOOR)),
+    st.builds(lambda x, y, s: complex(x * s, y * s), _reals, _reals, st.sampled_from(NEAR_FLOOR)),
+)
+
+
+def term_dicts(dim: int, low: int = -3, high: int = 3, size: int = 6):
+    return st.dictionaries(st.tuples(*[st.integers(low, high)] * dim), coefficient,
+                           max_size=size)
+
+
+@st.composite
+def operands(draw):
+    dim = draw(st.integers(1, 4))
+    f, g = (LaurentPoly(dim, draw(term_dicts(dim))) for _ in range(2))
+    return f, g, draw(coefficient), draw(st.integers(0, 5))
+
+
+class TestReferenceArithmetic:
+    """Every operation against the two-pass loops in group_sums.py: the
+    same terms, coefficients (repr, so types and signed zeros) and order."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_cleanup(self, data):
+        dim = data.draw(st.integers(1, 4))
+        terms = data.draw(term_dicts(dim))
+        assert pairs(LaurentPoly(dim, terms).terms) == pairs(clean_loop(terms))
+
+    @pytest.mark.parametrize("terms", [
+        {(0,): 1.0, (1,): math.nan, (2,): 2.0},
+        {(0,): math.nan, (1,): 1.0},
+        {(0,): complex(1, 0), (1,): complex(math.nan, 0.0), (2,): 3},
+        {(0,): math.inf, (1,): 1.0, (2,): 1},
+        {(0,): 1e-300, (1,): 5e-313},
+    ])
+    def test_cleanup_of_non_finite_and_subnormal_terms(self, terms):
+        # a NaN magnitude is never kept, wherever it sits in the dict
+        assert pairs(LaurentPoly(1, terms).terms) == pairs(clean_loop(terms))
+
+    @given(operands())
+    @settings(max_examples=300, deadline=None)
+    def test_operations(self, case):
+        f, g, c, k = case
+        for got, want in [
+            (f + g, add_loop(f, g)),
+            (f - g, sub_loop(f, g)),
+            (f - c, sub_loop(f, LaurentPoly.constant(f.dim, c))),
+            (-f, neg_loop(f)),
+            (f * g, mul_loop(f, g)),
+            (f * c, scale_loop(f, c)),
+            (f ** k, pow_loop(f, k)),
+            (hol_project(f), hol_project_loop(f)),
+        ]:
+            assert pairs(got.terms) == pairs(want.terms)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_substitute(self, data):
+        n, dim = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        f = LaurentPoly(n, data.draw(term_dicts(n, low=0, size=4)))
+        polys = [LaurentPoly(dim, data.draw(term_dicts(dim, size=3))) for _ in range(n)]
+        assert pairs(f.substitute(polys).terms) == pairs(substitute_loop(f, polys).terms)
 
 
 class TestGroupAction:

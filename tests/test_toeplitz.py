@@ -8,7 +8,7 @@ import pytest
 from hardyq.groups import builtin_characters, make_character, make_group
 from hardyq.invariants import basic_map, ell, index_set, lower, project
 from group_sums import (ball_toeplitz_entry, isotypic_hol_project, isotypic_toeplitz,
-                        pull_harmonic)
+                        monomial_route_loop, pull_harmonic)
 from hardyq.laurent import LaurentPoly, act, torus_inner
 from hardyq.suites import random_invariant_symbol
 from hardyq.toeplitz import (
@@ -435,6 +435,25 @@ class TestCorrespondence:
             assert iso.reps == mono.reps
             diff = np.max(np.abs(iso.residuals - mono.residuals), initial=0.0)
             assert diff <= RESIDUAL_TOL * scale, (ch.name, diff)
+
+    @pytest.mark.parametrize("gname", ["G(1,1,2)", "G(2,2,2)", "G(2,1,2)", "G(1,1,3)",
+                                       "G(4,4,2)"])
+    @pytest.mark.parametrize("mode", ["semi", "commute"])
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_monomial_route_pairing_is_the_torus_inner_loop(self, gname, mode, extra):
+        """The route's one-pass pairing against monomial_route_loop (the
+        reference arithmetic, then _fill over torus_inner): the same
+        residual bytes for every built-in character at D = r_u + r_v and
+        at D = r_u + r_v + 2."""
+        g = make_group(gname)
+        rng = random.Random(22)
+        u = random_invariant_symbol(g, rng, radius=g.q, terms=3)
+        v = random_invariant_symbol(g, rng, radius=g.q, terms=3)
+        bound = u.radius() + v.radius() + extra
+        for ch in builtin_characters(g):
+            got = _monomial_route_compare(u, v, mode, ch, bound).residuals
+            want = monomial_route_loop(u, v, mode, ch, bound)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), ch.name
 
     def test_quotient_route_scales_with_a_tiny_symbol(self, ctx):
         # every projection coefficient of 1e-15 (theta1 + conj theta1) is
