@@ -66,28 +66,26 @@ class BasicMap:
     integer coefficients.
 
     Holds the only table of theta powers (no conj(theta)): every
-    substitution t = theta(z) goes through pull() or theta(), so reuse one
-    map rather than rebuilding it (basic_map returns one map per group); and
-    the only lowered-basis table, `rows`: one _OrbitRows per character,
-    which keeps the rows (row()) next to the orbit-coordinate products
-    ellhat * theta^a they are eliminated against.  `quotients` keeps the
-    quotient-side realisation of each character (toeplitz), whose moments
-    are the integer Gram of the theta(b) * ell, so its moment table lives
-    as long as the map.  `shift_tables` keeps the toeplitz.ShiftTable of
-    each (character, window reps): its shift maps, and the gather plans of
-    bh_check (built on its first call, O(width k) for k reps) and of
-    compactness_probe (built on its first call per base reps, at most
-    k_base^2 floor(D / q) index pairs), serve every later symbol.  The
-    ambient windows' integer tables are not kept here: they need no theta,
-    so toeplitz.WindowTable keeps them in Group.derived, one per
-    (character value, bound).
+    substitution t = theta(z) goes through pull(), so reuse one map rather
+    than rebuilding it (basic_map returns one map per group); and the only
+    table of the products ell * theta^a, `rows`: one _OrbitRows per
+    character, which keeps them in orbit coordinates for both the lowered
+    rows (row()) and the integer Gram moments (gram()).  `quotients` keeps
+    the quotient-side realisation of each character (toeplitz), so its
+    moment table lives as long as the map.  `shift_tables` keeps the
+    toeplitz.ShiftTable of each (character, window reps): its shift maps,
+    and the gather plans of bh_check (built on its first call, O(width k)
+    for k reps) and of compactness_probe (built on its first call per base
+    reps, at most k_base^2 floor(D / q) index pairs), serve every later
+    symbol.  The ambient windows' integer tables are not kept here: they
+    need no theta, so toeplitz.WindowTable keeps them in Group.derived, one
+    per (character value, bound).
     """
 
     group: Group
     components: tuple[LaurentPoly, ...]
     q: int
     _powers: dict[tuple[int, int], LaurentPoly] = _table()
-    _heads: dict[Expo, LaurentPoly] = _table()
     rows: dict[Character, _OrbitRows] = _table()
     quotients: dict[Character, object] = _table()
     shift_tables: dict[tuple, object] = _table()
@@ -115,22 +113,21 @@ class BasicMap:
             raise ValueError("substitution requires an analytic polynomial")
         return _compose(self.dim, f.terms, self.power)
 
-    def theta(self, a: Expo) -> LaurentPoly:
-        """theta^a.  theta_n is a monomial, so only the product of the other
-        powers is memoised (per a[:-1]) and theta_n^(a_n) shifts it."""
-        if a[:-1] not in self._heads:
-            self._heads[a[:-1]] = _compose(self.dim, {a[:-1] + (0,): 1}, self.power)
-        return self._heads[a[:-1]] * self.power(self.dim - 1, a[-1])
-
     def row(self, char: Character, rep: Expo) -> LaurentPoly:
         """The integer polynomial L with ellhat * (L o theta) = |S| P_chi z^rep
         (ellhat = ell_rho / kappa, S the permutation elements), by
         leading-term elimination in orbit coordinates (_OrbitRows.row);
         memoised per (character, rep)."""
-        rows = self.rows.get(char)
-        if rows is None:
-            rows = self.rows[char] = _OrbitRows(self, char)
-        return rows.row(rep)
+        return self._orbit_rows(char).row(rep)
+
+    def gram(self, char: Character, b: Expo, c: Expo) -> int:
+        """<theta^b ell_rho, theta^c ell_rho>, from the rows' products."""
+        return self._orbit_rows(char).gram(b, c)
+
+    def _orbit_rows(self, char: Character) -> _OrbitRows:
+        if char not in self.rows:
+            self.rows[char] = _OrbitRows(self, char)
+        return self.rows[char]
 
 
 class _OrbitRows:
@@ -163,7 +160,7 @@ class _OrbitRows:
         self.reverse = -1 if (group.n * (group.n - 1) // 2) % 2 else 1
         self.shifts = [next(iter(c.terms)) if len(c.terms) == 1 else None
                        for c in bmap.components]
-        ellhat = _ell_form(char)[1]
+        self.kappa, ellhat = _ell_form(char)
         self.lead = max(ellhat.terms)
         self.products: dict[Expo, dict[Expo, int]] = {
             (0,) * group.n: {e: c for e, c in ellhat.terms.items() if self.orient(e) == (e, 1)}}
@@ -211,6 +208,14 @@ class _OrbitRows:
             return f
         # a monomial component is (z_1...z_n)^q on G(m,p,n): keys stay sorted
         return {tuple(map(add, t, shift)): c for t, c in f.items()}
+
+    def gram(self, b: Expo, c: Expo) -> int:
+        """<ell theta^b, ell theta^c> = kappa^2 sum_t P_b[t] P_c[t] w(t) over
+        the keys the products P = product() share, w(t) the number of images
+        of t (sign^2 = 1): |S| / _young_order(t) on G(m,p,n), 1 on Z(m)@k^n."""
+        p, q, size = self.product(b), self.product(c), self.group.perm_order
+        return self.kappa ** 2 * sum(x * q[t] * (size // _young_order(t) if self.sort else 1)
+                                     for t, x in p.items() if t in q)
 
     def _head(self, head: Expo) -> dict[Expo, int]:
         chain = []

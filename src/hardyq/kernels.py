@@ -1,8 +1,7 @@
 """Szego kernels: closed forms on the polydisc, ball and the rank-2 type-III
 Cartan domain; quotient kernels in closed form; the tetrablock kernel; and
 truncated series kernels in quotient coordinates.  The pushforward-measure
-integral is QuotientRealization.moment (toeplitz): an integer Gram entry
-sum_a (theta^b ell)_a (theta^c ell)_a.
+integral is BasicMap.gram, read by QuotientRealization.moment (toeplitz).
 
 numpy is imported where it is used (the permanent of _polydisc_kernel and
 SeriesKernel), so the other closed forms, and `hardyq kernel eval` on them,

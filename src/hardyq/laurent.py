@@ -184,7 +184,7 @@ class LaurentPoly:
         out = dict(self.terms)
         get = out.get
         for e, c in other.terms.items():
-            out[e] = get(e, 0) - c
+            out[e] = get(e, 0) + -c
         return LaurentPoly._fresh(self.dim, out)
 
     def __rsub__(self, other):

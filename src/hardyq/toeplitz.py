@@ -93,20 +93,21 @@ class SymbolPair:
 
     def theta_form(self, bmap: BasicMap) -> LaurentPoly:
         """u as a polynomial in (t, conj t) of dimension 2n: clear torus
-        denominators with theta_n (unimodular on the torus), rewrite the
-        analytic invariant in theta coordinates, then restore conj(t_n)^K."""
+        denominators with the monomial components theta_j (unimodular on the
+        torus), rewrite in theta coordinates, then restore conj(t_j)^K_j."""
         if self._theta_form is not None:
             return self._theta_form
-        n = self.group.n
-        q = bmap.q
-        worst = 0
-        for e in self.pullback.terms:
-            worst = max(worst, max((-x for x in e), default=0))
-        K = -(-worst // q)  # ceil
-        cleared = self.pullback * bmap.power(n - 1, K)
+        gbar = [0] * self.group.n
+        cleared = self.pullback
+        for j, comp in enumerate(bmap.components):
+            if len(comp.terms) == 1:
+                shift, = comp.terms
+                worst = max([0] + [-x for e in cleared.terms for x, y in zip(e, shift) if y])
+                gbar[j] = -(-worst // max(shift))  # ceil
+                cleared = cleared * bmap.power(j, gbar[j])
         analytic_t = rewrite_in_theta(bmap, cleared)
-        gbar = (0,) * (n - 1) + (K,)
-        self._theta_form = LaurentPoly(2 * n, {e + gbar: c for e, c in analytic_t.terms.items()})
+        self._theta_form = LaurentPoly(2 * len(gbar), {e + tuple(gbar): c
+                                                       for e, c in analytic_t.terms.items()})
         return self._theta_form
 
 
@@ -586,7 +587,7 @@ def product_compare(u: SymbolPair, v: SymbolPair | None, mode: str,
                     character: Character, bound: int,
                     chain: list[SymbolPair] | None = None) -> CompareReport:
     """Entries of T_u T_v - T_{uv} (semi), T_u T_v - T_v T_u (commute), or
-    of the product chain T_{s_1} ... T_{s_k} (zeroProduct / finiteProduct)
+    of the product chain T_{s_1} ... T_{s_k} (zeroProduct)
     over the window of reps with sup-norm <= bound, as products of the
     WindowTable windows A_s of one wider table.
 
@@ -603,7 +604,7 @@ def product_compare(u: SymbolPair, v: SymbolPair | None, mode: str,
     sup-norm <= bound, in the (total degree, lex) order of
     index_set(character, bound).  The margin requirement keeps the window
     verdict meaningful for the symbols' degree range."""
-    if mode in ("zeroProduct", "finiteProduct"):
+    if mode == "zeroProduct":
         symbols = [s for s in (chain if chain is not None else [u, v]) if s is not None]
         if not symbols:
             raise ValueError("a product chain needs at least one symbol")
@@ -650,11 +651,11 @@ class QuotientRealization:
     Functions are (t, conj t) polynomials of dimension 2n.  The measure
     enters only through its moments, memoised: the package's one pushforward
     integral, a torus pairing once pushed through theta, so the moment of
-    t^b conj(t)^c is the integer Gram entry <theta^b ell, theta^c ell>.
-    Operator windows on the lowered basis e_r = basis_down(r) are read from
-    MomentWindows, one per (wide bound, inner bound), built from the moments
-    and the lowered basis alone.  Use shared() to reuse the moments, the
-    lowered basis and the windows' blocks across comparisons."""
+    t^b conj(t)^c is the integer Gram entry BasicMap.gram.  Operator windows
+    on the lowered basis e_r = basis_down(r) are read from MomentWindows,
+    one per (wide bound, inner bound), built from the moments and the
+    lowered basis alone.  Use shared() to reuse the moments, the lowered
+    basis and the windows' blocks across comparisons."""
 
     def __init__(self, character: Character, bmap: BasicMap):
         self.character = character
@@ -664,7 +665,6 @@ class QuotientRealization:
         self._down: dict[Expo, LaurentPoly] = {}
         self._reps: dict[int, list[Expo]] = {}
         self._moments: dict[Expo, complex] = {}
-        self._gram_rows: dict[Expo, dict[Expo, int]] = {}
         self._windows: dict[tuple[int, int], MomentWindows] = {}
 
     @classmethod
@@ -693,16 +693,12 @@ class QuotientRealization:
         return got
 
     def moment(self, key: Expo) -> complex:
-        """mu(key) for key = b + c, the moment of t^b conj(t)^c: the sparse
-        dot sum_a P_b[a] P_c[a] of the integer terms of P_b = theta^b ell
-        (memoised per b; no conjugate), summed in Python ints."""
+        """mu(key) for key = b + c, the moment of t^b conj(t)^c: the integer
+        Gram entry <theta^b ell, theta^c ell> of BasicMap.gram."""
         got = self._moments.get(key)
         if got is None:
-            n, rows = self.group.n, self._gram_rows
-            for b in {key[:n], key[n:]} - rows.keys():
-                rows[b] = (self.bmap.theta(b) * self.ellp.poly).terms
-            p, q = rows[key[:n]], rows[key[n:]]
-            got = self._moments[key] = complex(sum(c * q[a] for a, c in p.items() if a in q))
+            n = self.group.n
+            got = self._moments[key] = complex(self.bmap.gram(self.character, key[:n], key[n:]))
         return got
 
     def windows(self, wide: int, inner: int) -> MomentWindows:

@@ -650,7 +650,7 @@ def product_compare_loop(u, v, mode: str, character, bound: int,
     operator) gamma_j, built by LaurentPoly products, each followed by the
     isotypic Hardy projection, and paired with every gamma_i by
     torus_inner through toeplitz._fill.  No WindowTable, no margin check."""
-    if mode in ("zeroProduct", "finiteProduct"):
+    if mode == "zeroProduct":
         symbols = [s for s in (chain if chain is not None else [u, v]) if s is not None]
     else:
         symbols = [u, v]
@@ -1078,11 +1078,11 @@ def _eliminate(h: LaurentPoly, leading) -> LaurentPoly:
 def row_loop(bmap, char, rep: Expo) -> LaurentPoly:
     """BasicMap.row on full polynomials: the signed orbit (by the loop over
     every permutation) divided exactly by ellhat, then eliminated against
-    the products theta^a (BasicMap.theta)."""
+    the products theta^a, each pulled from the monomial t^a."""
     quotient = divide_exact(LaurentPoly(bmap.dim, signed_orbit_loop(char, rep)),
                             _ell_form(char)[1])
     return _eliminate(quotient, lambda lam: (
-        a := _theta_exponent(bmap.group, lam), bmap.theta(a)))
+        a := _theta_exponent(bmap.group, lam), bmap.pull(LaurentPoly.monomial(bmap.dim, a))))
 
 
 def c_exponent(plane, char) -> int:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from group_sums import (add_loop, apply_point, clean_loop, conj_zbar, elements,
@@ -192,6 +192,8 @@ class TestReferenceArithmetic:
         assert pairs(LaurentPoly(1, terms).terms) == pairs(clean_loop(terms))
 
     @given(operands())
+    # 1 - 0j minus -1: (1 - 0j) - (-1) is 2 - 0j, the reference (1 - 0j) + 1 is 2 + 0j
+    @example((LaurentPoly(1, {(0,): complex(1.0, -0.0)}), LaurentPoly(1, {}), -1, 0))
     @settings(max_examples=300, deadline=None)
     def test_operations(self, case):
         f, g, c, k = case

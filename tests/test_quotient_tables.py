@@ -16,7 +16,8 @@ relative to the leaf's magnitude, so a computed entry errs by at most its
 step count times u times the sum of its leaf magnitudes.
 * Pushforward moments.  The theta components and ell have integer
   coefficients, so every moment is an exact integer: the route's Gram
-  entry sum_a (theta^beta ell)_a (theta^gamma ell)_a, summed in Python ints,
+  entry (BasicMap.gram, an orbit-weighted sum over the orbit-coordinate
+  products ell theta^beta and ell theta^gamma), summed in Python ints,
   and the oracle's constant term sum_a P[a] W[-a] of the pulled monomial
   P = pull_harmonic(t^beta conj(t)^gamma) against W = |ell|^2, summed in
   doubles.  On the cases below both are exact, so they agree with ==.
@@ -95,7 +96,7 @@ from group_sums import (conj_zbar, ell_weight, pulled_moment, pushforward_inner,
                         quotient_route_functionals, quotient_route_loop, series_sum)
 from hardyq import invariants, laurent, toeplitz
 from hardyq.groups import builtin_characters, make_character, make_group
-from hardyq.invariants import BasicMap, basic_map, index_set
+from hardyq.invariants import BasicMap, _OrbitRows, basic_map, index_set
 from hardyq.kernels import KernelSpec, SeriesKernel
 from hardyq.laurent import LaurentPoly
 from hardyq.suites import random_invariant_symbol
@@ -266,9 +267,13 @@ def test_route_matches_functionals(spec, chname, seed, mode, bound, radii):
     assert np.all(gap <= tol), float(np.max(gap - tol))
 
 
-# cold routes whose every moment must equal the oracle's: 8 to 541 keys
+# cold routes whose every moment must equal the oracle's: 8 to 541 keys, and
+# each orbit weight of BasicMap.gram: alternating keys (sgn), tied values
+# (G(2,1,3) trivial), the split characters of G(4,4,2), and Z(m)@k^n
 GRAM_CASES = [("G(1,1,2)", "sgn", 6), ("G(1,1,2)", "trivial", 4), ("G(2,2,2)", "sgn", 4),
-              ("G(2,1,2)", "trivial", 4), ("G(1,1,3)", "sgn", 3), ("G(1,1,3)", "trivial", 4)]
+              ("G(2,1,2)", "trivial", 4), ("G(1,1,3)", "sgn", 3), ("G(1,1,3)", "trivial", 4),
+              ("G(1,1,4)", "sgn", 4), ("G(2,1,3)", "trivial", 4), ("G(4,4,2)", "rho1", 4),
+              ("G(4,4,2)", "rho2", 4), ("Z(3)@1^2", "sgn", 4), ("Z(2)@2^3", "trivial", 3)]
 
 
 def cold_route(spec, chname, bound, mode="semi"):
@@ -311,8 +316,9 @@ def test_cold_route_moments_equal_pulled_moments(spec, chname, bound):
 @pytest.mark.parametrize("spec,chname,mode", [
     ("G(1,1,2)", "sgn", "semi"), ("G(1,1,2)", "sgn", "commute"), ("G(1,1,3)", "trivial", "semi")])
 def test_cold_route_calls_no_pull(monkeypatch, spec, chname, mode):
-    """The moments are Gram entries of BasicMap.theta products, so a cold
-    route on a fresh group composes nothing through BasicMap.pull."""
+    """The moments are Gram entries of the lowered rows' orbit-coordinate
+    products, so a cold route on a fresh group composes nothing through
+    BasicMap.pull."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the quotient route pulled a polynomial")
@@ -401,19 +407,19 @@ def test_second_check_adds_no_moment(monkeypatch):
     v = random_invariant_symbol(g, rng, radius=1, terms=3)
     first = correspondence_check(u, v, [sgn], 3, mode="commute")
     qr = QuotientRealization.shared(sgn, basic_map(g))
-    sizes = len(qr._moments), len(qr._gram_rows)
+    sizes = len(qr._moments), len(basic_map(g).rows[sgn].products)
     calls = []
-    real_theta = BasicMap.theta
+    real_times = _OrbitRows.times
 
-    def counting_theta(self, a):
-        calls.append(a)
-        return real_theta(self, a)
+    def counting_times(self, f, k):
+        calls.append(k)
+        return real_times(self, f, k)
 
-    monkeypatch.setattr(BasicMap, "theta", counting_theta)
+    monkeypatch.setattr(_OrbitRows, "times", counting_times)
     # a fresh character object: realisations are keyed by character value
     second = correspondence_check(u, v, [make_character(g, "sgn")], 3, mode="commute")
     assert calls == []
-    assert (len(qr._moments), len(qr._gram_rows)) == sizes
+    assert (len(qr._moments), len(basic_map(g).rows[sgn].products)) == sizes
     assert second.to_json() == first.to_json()
     assert basic_map(g) is basic_map(g)
 

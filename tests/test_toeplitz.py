@@ -10,7 +10,7 @@ from hardyq.invariants import basic_map, ell, index_set, lower, project
 from group_sums import (ball_toeplitz_entry, isotypic_hol_project, isotypic_toeplitz,
                         monomial_route_loop, pull_harmonic)
 from hardyq.laurent import LaurentPoly, act, torus_inner
-from hardyq.suites import random_invariant_symbol
+from hardyq.suites import random_invariant_symbol, random_onesided_symbol
 from hardyq.toeplitz import (
     RESIDUAL_TOL,
     GammaBasis,
@@ -355,13 +355,16 @@ class TestProductCompare:
         rep2 = product_compare(u, u, "zeroProduct", sgn, 3)
         assert not rep2.verdict
 
-    def test_finite_product_chain(self, ctx):
+    def test_zero_product_three_factor_chain(self, ctx):
         g, sgn, triv, bm = ctx
         u = SymbolPair(g, bm.components[0])
         zero = SymbolPair(g, LaurentPoly.zero(2))
-        rep = product_compare(None, None, "finiteProduct", sgn, 4,
+        rep = product_compare(None, None, "zeroProduct", sgn, 4,
                               chain=[u, zero, u])
         assert rep.verdict
+        # a vanishing window says nothing about finite rank: no such mode
+        with pytest.raises(ValueError, match="finiteProduct"):
+            product_compare(None, None, "finiteProduct", sgn, 4, chain=[u, zero, u])
 
 
 class TestCorrespondence:
@@ -387,6 +390,26 @@ class TestCorrespondence:
         v = random_invariant_symbol(g, rng, radius=1, terms=3)
         rep = correspondence_check(u, v, [triv, sgn], 4, mode="commute")
         assert rep.agree
+
+    @pytest.mark.parametrize("gname", ["Z(2)@2^3", "Z(3)@1^2", "Z(4)@2^2"])
+    @pytest.mark.parametrize("mode", ["semi", "commute"])
+    def test_routes_agree_on_cyclic_groups(self, gname, mode):
+        """On Z(m)@k^n every component of theta is a monomial, and
+        theta_form clears the negative exponents of every coordinate with
+        them, so none reaches lower.  Seeded radius-2 pairs, and pairs with
+        an analytic v (both analytic to commute), reach both verdicts."""
+        g = make_group(gname)
+        chars = builtin_characters(g)
+        verdicts = set()
+        for seed in range(3):
+            rng = random.Random(seed)
+            u, v = (random_invariant_symbol(g, rng, radius=2, terms=3) for _ in range(2))
+            x, w = (random_onesided_symbol(g, rng, 2, "analytic") for _ in range(2))
+            for a, b in ((u, v), (u if mode == "semi" else x, w)):
+                rep = correspondence_check(a, b, chars, a.radius() + b.radius(), mode=mode)
+                assert rep.agree, rep.to_json()
+                verdicts.add(all(rep.verdicts.values()))
+        assert verdicts == {True, False}
 
     def test_quotient_route_judges_the_same_window(self):
         # a G(2,2,2) commute pair whose commutator vanishes on the D=3
