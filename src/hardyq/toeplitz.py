@@ -1,8 +1,8 @@
 """Exact Toeplitz computations on the quotient Hardy spaces of the polydisc,
 plus verifiers for the operator identities: shift relations, product and
 commuting correspondences across realizations, bidisc semi-commutator
-criteria, symbol recovery from stabilized windows, and the compactness
-probe.
+criteria, symbol recovery from far-out entries checked on stabilized
+windows, and the compactness probe.
 
 Everything here is a finite Laurent-polynomial pairing; no quadrature.
 """
@@ -27,14 +27,12 @@ from .invariants import (
     ell,
     index_set,
     lowered,
-    project,
     rewrite_in_theta,
 )
 from .laurent import (
     Expo,
     LaurentPoly,
     act,
-    canonical_exponent,
     harmonic_extension,
     orbit_exponents,
     sort_sign,
@@ -1005,30 +1003,32 @@ class RecoveryResult:
         }
 
 
-def _invariant_monomial(trivial: Character, rep: Expo) -> LaurentPoly | None:
-    """Trivial-isotypic orbit sum with unit leading coefficient, or None when
-    the orbit dies under averaging."""
-    if not _projects_nonzero(trivial, rep):
-        return None
-    f = project(trivial, LaurentPoly.monomial(trivial.group.n, rep))
-    lead = f.coeff(tuple(rep))
-    return f * (1.0 / lead)
-
-
 def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
                    base_bound: int = 4, max_shifts: int = 8) -> RecoveryResult:
-    """Recover the symbol of an operator given entry access on the gamma
-    basis.
+    """Recover the symbol of an operator from its entries on the gamma
+    basis: every invariant symbol u of sup-norm radius <= base_bound is
+    recovered from T_u.  entry_fn(col_rep, row_rep) must return
+    <T gamma_col, gamma_row> for holomorphic canonical reps.
 
-    entry_fn(col_rep, row_rep) must return <T gamma_col, gamma_row> for
-    holomorphic canonical representatives.  The entries are first checked
-    against the shift relations (windows that violate them are rejected),
-    then stabilized along the diagonal shift and matched to the pairings of
-    candidate invariant Laurent monomials by least squares.
-    """
+    The window of reps of sup-norm <= D = base_bound must satisfy the shift
+    relations; it is stabilized along the diagonal shift.  Each coefficient
+    is then one entry far out, at the anchor p of _spread_anchor (p >= D,
+    sorted gaps > 2D).  For u = sum_b c_b z^b with |b| <= D and canonical e
+    with |e| <= D (so p + e is canonical), gamma_p and gamma_{p+e} are
+    signed sums of z^(sigma p) and z^(tau (p+e)) over S, and sigma p + b =
+    tau (p+e) means p_{sigma^-1 i} - p_{tau^-1 i} = e_{tau^-1 i} - b_i, at
+    most 2D in size, so sigma = tau and b = sigma e.  p and p + e have
+    distinct coordinates, so both weights are chi(sigma) = +-1 and F_p =
+    F_{p+e} = 1/sqrt(|S|): <T_u gamma_p, gamma_{p+e}> = (1/|S|) sum_sigma
+    c_{sigma e}, the orbit average of u's coefficient, c_e for invariant u.
+    e runs over the trivial index set: an invariant u carries no other
+    exponent, and z^e is fixed by the diagonal phases, so gamma_{p+e} is of
+    p's character.  u = sum_e c_e sum_{b in orbit(e)} z^b, less the c_e of
+    size <= 1e-12 * scale.  The window is then a check: `residual` is
+    max |stabilized - u's window|, and above RESIDUAL_TOL * scale it raises
+    RecoveryError naming the worst entry."""
     group = character.group
     q = group.q
-    basis = GammaBasis.shared(character)
     table = WindowTable.shared(character, base_bound)
     reps = list(table.reps)
     if not reps:
@@ -1066,74 +1066,33 @@ def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
             prev = cur
 
     stabilized = _fill(reps, lambda a: a, stabilize)
-    shifts_used = max(shifts, default=0)
 
-    # candidate exponent lattice from observed entry differences
-    cands: set[Expo] = set()
-    for j, a in enumerate(reps):
-        for i, b in enumerate(reps):
-            if abs(stabilized[i, j]) <= RESIDUAL_TOL * scale:
-                continue
-            for ob in orbit_exponents(group, b):
-                for oa in orbit_exponents(group, a):
-                    d = tuple(x - y for x, y in zip(ob, oa))
-                    cands.add(canonical_exponent(group, d))
-    trivial = make_character(group, "trivial")
-    monomials: list[tuple[Expo, LaurentPoly]] = []
-    for rep in sorted(cands):
-        mono = _invariant_monomial(trivial, rep)
-        if mono is not None:
-            monomials.append((rep, mono))
-    if not monomials:
-        zero = SymbolPair(group, LaurentPoly.zero(group.n))
-        return RecoveryResult(zero, {}, 0.0, shifts_used)
+    anchor = _spread_anchor(character, base_bound)
+    coefficients: dict[Expo, complex] = {}
+    for e in index_set(make_character(group, "trivial"), base_bound, holomorphic=False).reps:
+        c = complex(entry_fn(anchor, tuple(x + y for x, y in zip(anchor, e))))
+        if abs(c) > 1e-12 * scale:
+            coefficients[e] = c
+    terms = {b: c for e, c in coefficients.items() for b in orbit_exponents(group, e)}
 
-    # Window pairings alone alias distant candidates, so anchor the system
-    # at a widely spread index: with coordinate gaps beyond twice the
-    # candidate radius, each candidate contributes to its own entry only.
-    r_cand = max(max(abs(x) for x in rep) for rep, _ in monomials)
-    spread = 2 * r_cand + q + 2
-    anchor = _spread_anchor(character, spread)
-    rows = []
-    rhs = []
-    for rep, _ in monomials:
-        m_raw = tuple(x + y for x, y in zip(anchor, rep))
-        lift_shift = max(0, -(min(m_raw) // q) * q) if min(m_raw) < 0 else 0
-        while min(m_raw) + lift_shift < 0:
-            lift_shift += q
-        p_s = _shift(anchor, lift_shift)
-        m_s = canonical_exponent(group, _shift(m_raw, lift_shift))
-        if not _projects_nonzero(character, m_s):
-            continue
-        gp, gm = basis(p_s), basis(m_s)
-        rows.append([torus_inner(mono * gp, gm) for _, mono in monomials])
-        rhs.append(entry_fn(p_s, m_s))
-    # then every stabilized entry, against each candidate's own window
-    windows = [table.entries(mono.terms).T.ravel() for _, mono in monomials]
-    A = np.vstack([np.array(rows, dtype=complex).reshape(-1, len(monomials)),
-                   np.stack(windows, axis=1)])
-    y = np.concatenate([np.array(rhs, dtype=complex), stabilized.T.ravel()])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    residual = float(np.linalg.norm(A @ coef - y))
-
-    total = LaurentPoly.zero(group.n)
-    out_coeffs: dict[Expo, complex] = {}
-    for (rep, mono), c in zip(monomials, coef):
-        if abs(c) > 1e-12 * max(scale, 1.0):
-            out_coeffs[rep] = complex(c)
-            total = total + complex(c) * mono
-    return RecoveryResult(SymbolPair(group, total), out_coeffs, residual, shifts_used)
+    deviation = _magnitude(stabilized - table.entries(terms))
+    i, j = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
+    residual = float(deviation[i, j])
+    if residual > RESIDUAL_TOL * scale:
+        raise RecoveryError(f"recovered symbol misses the stabilized window by {residual:.3g}"
+                            f" at ({reps[j]}, {reps[i]}); not T_u with radius <= {base_bound}")
+    return RecoveryResult(SymbolPair(group, LaurentPoly(group.n, terms)), coefficients,
+                          residual, max(shifts, default=0))
 
 
-def _spread_anchor(character: Character, spread: int) -> Expo:
-    """A holomorphic canonical representative with coordinate gaps of at
-    least `spread`, found by a small offset search."""
-    group = character.group
-    n, m = group.n, group.m
-    base = tuple(i * spread for i in range(n))
-    for off in iproduct(range(2 * m), repeat=n):
-        cand = tuple(sorted(b + o for b, o in zip(base, off)))
-        cand = canonical_exponent(group, cand)
+def _spread_anchor(character: Character, bound: int) -> Expo:
+    """A holomorphic canonical rep of the character's component, >= bound in
+    every coordinate, with gaps > 2 * bound: coordinates bound + i * spread
+    plus offsets below 2m, found by a small offset search."""
+    spread = 2 * bound + 2 * character.group.m
+    base = tuple(bound + i * spread for i in range(character.group.n))
+    for off in iproduct(range(2 * character.group.m), repeat=len(base)):
+        cand = tuple(b + o for b, o in zip(base, off))
         if _projects_nonzero(character, cand):
             return cand
     raise RecoveryError("no spread anchor index found for this character")

@@ -243,6 +243,19 @@ class TestToeplitzVerb:
         assert code == 0
         assert json.loads(out)["roundtrip_deviation"] < 1e-9
 
+    def test_recover_term_beyond_window_differences(self, capsys):
+        # the G(2,1,2) sgn window at D = 4 holds only (1, 3), so no
+        # difference of window reps is (2, 2)
+        u = '{"dim":2,"terms":[{"c":[1,0],"e":[0,0]},{"c":[1,0],"e":[2,2]}]}'
+        code, out, _ = run_cli(capsys, "toeplitz", "recover", "--group", "G(2,1,2)",
+                               "--symbol", u, "-D", "4")
+        assert code == 0
+        report = json.loads(out)
+        assert [c["rep"] for c in report["coefficients"]] == [[0, 0], [2, 2]]
+        for c in report["coefficients"]:
+            assert abs(complex(*c["c"]) - 1) < 1e-12
+        assert report["roundtrip_deviation"] < 1e-12
+
     def test_semd2_consistent(self, capsys):
         v = json.dumps({"dim": 2, "terms": [{"c": [1, 0], "e": [1, 1]}]})
         code, out, _ = run_cli(
@@ -345,12 +358,11 @@ class TestPinnedBytes:
     that moves any of these bytes changes a published result and must say
     so.  The float window and Brown-Halmos report run through the gamma
     factors, the index listing through the projection norms.  `verify all`
-    is hashed without the recovery fields that come from LAPACK's lstsq,
-    whose last bits depend on the numpy build and the CPU."""
+    is hashed whole: no LAPACK call reaches it."""
 
     PINNED = {
         ("verify", "all"):
-            "76c45e108863de9c794dd7a6f4431120abec2e64c5097d666b8c77e59f9dd21a",
+            "8881ab2804ee1e35c71b02cd088f8c4bd1e47301e7fab7ef443a15d8f0aece09",
         TestWindowTableBytes.WINDOW:
             "e451ce7bf3aa847b5bfdb7b9e4d12d4dcaf0c524187ec3c633602e4f9d7d99ae",
         TestWindowTableBytes.BH:
@@ -358,24 +370,12 @@ class TestPinnedBytes:
         ("invariant", "index", "G(4,2,3)", "--character", "trivial", "-D", "6"):
             "6e681493e1c116e951886b43da6eb2acf2d8218d4214277536122468bb228a71",
     }
-    LAPACK_FIELDS = ("coeff_deviation", "lstsq_residual")
-
-    @classmethod
-    def pinned_text(cls, argv, out: str) -> str:
-        if argv != ("verify", "all"):
-            return out
-        report = json.loads(out)
-        for case in report["suites"]["recovery"]["cases"]:
-            for key in cls.LAPACK_FIELDS:
-                del case[key]
-        return json.dumps(report, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("argv", list(PINNED), ids=lambda argv: " ".join(argv[:2]))
     def test_stdout_sha256(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        text = self.pinned_text(argv, out)
-        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[argv]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[argv]
 
 
 class TestVerify:

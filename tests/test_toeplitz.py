@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from hardyq.groups import builtin_characters, make_character, make_group
-from hardyq.invariants import basic_map, ell, index_set, lower, project
+from hardyq.invariants import _projects_nonzero, basic_map, ell, index_set, lower, project
 from group_sums import (ball_toeplitz_entry, isotypic_hol_project, isotypic_toeplitz,
                         monomial_route_loop, pull_harmonic)
 from hardyq.laurent import LaurentPoly, act, torus_inner
-from hardyq.suites import random_invariant_symbol, random_onesided_symbol
+from hardyq.suites import GMPN_GRID, random_invariant_symbol, random_onesided_symbol
 from hardyq.toeplitz import (
     RESIDUAL_TOL,
     GammaBasis,
@@ -29,6 +29,7 @@ from hardyq.toeplitz import (
     symbol_recover,
     toeplitz_window,
     _monomial_route_compare,
+    _spread_anchor,
     window_entry_fn,
 )
 
@@ -569,15 +570,65 @@ class TestSemd2:
             semd2_check(sym, sym, sgn)
 
 
+# (group, character, symbol radius, base_bound), base_bound >= radius
+RECOVERY_CASES = [
+    ("G(1,1,2)", "sgn", 2, 4),
+    ("G(2,1,2)", "sgn", 2, 4),
+    ("G(1,1,3)", "sgn", 2, 2),
+    ("G(3,1,2)", "det", 3, 4),
+    ("G(4,4,2)", "sgn", 4, 4),
+    ("G(4,4,2)", "rho1", 3, 3),
+    ("G(4,4,2)", "rho2", 3, 3),
+    ("G(2,2,2)", "rho1", 2, 2),
+]
+
+
 class TestRecovery:
-    def test_roundtrip(self, ctx):
-        g, sgn, triv, bm = ctx
+    @pytest.mark.parametrize("spec, name, radius, bound", RECOVERY_CASES)
+    def test_roundtrip(self, spec, name, radius, bound):
+        g = make_group(spec)
+        ch = make_character(g, name)
+        bm = basic_map(g)
         rng = random.Random(22)
         for _ in range(3):
-            sym = random_invariant_symbol(g, rng, radius=2, terms=3)
-            res = symbol_recover(window_entry_fn(sym, sgn), sgn, bm, base_bound=4)
+            sym = random_invariant_symbol(g, rng, radius=radius, terms=3)
+            res = symbol_recover(window_entry_fn(sym, ch), ch, bm, base_bound=bound)
+            scale = max(sym.pullback.max_abs_coeff(), 1.0)
             dev = (res.symbol.pullback - sym.pullback).max_abs_coeff()
-            assert dev <= 1e-9 * max(sym.pullback.max_abs_coeff(), 1.0)
+            assert dev <= 1e-9 * scale
+            assert res.residual <= RESIDUAL_TOL * scale
+
+    def test_window_check_rejects_another_anchor_symbol(self, ctx):
+        # Toeplitz for u on the window and one shift beyond it, v's entries
+        # further out, where the anchor lies: the coefficients read there
+        # are v's, and the window check catches them
+        g, sgn, triv, bm = ctx
+        rng = random.Random(5)
+        u, v = (random_invariant_symbol(g, rng, radius=2, terms=3) for _ in range(2))
+        fu, fv = window_entry_fn(u, sgn), window_entry_fn(v, sgn)
+
+        def oracle(col, row):
+            return (fu if max(col) <= 3 + g.q else fv)(col, row)
+
+        with pytest.raises(RecoveryError, match=r"misses the stabilized window .* at \(\("):
+            symbol_recover(oracle, sgn, bm, base_bound=3)
+        assert symbol_recover(fu, sgn, bm, base_bound=3).coefficients
+
+    def test_anchor_gaps_clear_every_candidate(self):
+        # sorted gaps > 2 * bound, and p + e a holomorphic rep of p's
+        # component for every exponent e read
+        for m, p, n in GMPN_GRID:
+            g = make_group(f"G({m},{p},{n})")
+            triv = make_character(g, "trivial")
+            for bound in (1, 3):
+                cands = index_set(triv, bound, holomorphic=False).reps
+                for ch in builtin_characters(g):
+                    anchor = _spread_anchor(ch, bound)
+                    assert min(b - a for a, b in zip(anchor, anchor[1:])) > 2 * bound
+                    for e in cands:
+                        pe = tuple(x + y for x, y in zip(anchor, e))
+                        assert min(pe) >= 0 and list(pe) == sorted(pe)
+                        assert _projects_nonzero(ch, pe)
 
     def test_identity_recovers_unit(self, ctx):
         g, sgn, triv, bm = ctx
