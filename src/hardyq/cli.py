@@ -2,8 +2,8 @@
 bundled verification suites.  All computation is delegated to the library
 modules; output is deterministic, strict JSON (or CSV) for a fixed seed.  The
 kernel, toeplitz and verify verbs import their module when they run, so the
-group and invariant verbs start without numpy; so does `kernel eval`, but for
-the permanent closed form (chi = 1 on the permutations of G(m,p,n)).
+group and invariant verbs start without numpy; so does `kernel eval` on
+every closed form, since kernels loads numpy only for SeriesKernel.
 """
 
 from __future__ import annotations

@@ -161,7 +161,7 @@ class Group:
         self.q = spec.m // spec.p
         self.identity = GroupElement(tuple(range(spec.n)), (0,) * spec.n, spec.m)
         # objects other modules derive from the group and its characters
-        # (the basic map, the kernels' permutation table), built on first use
+        # (the basic map, the permanent's subset recursion), built on first use
         # and kept as long as the group
         self.derived: dict[object, object] = {}
 

@@ -3,9 +3,8 @@ Cartan domain; quotient kernels in closed form; the tetrablock kernel; and
 truncated series kernels in quotient coordinates.  The pushforward-measure
 integral is BasicMap.gram, read by QuotientRealization.moment (toeplitz).
 
-numpy is imported where it is used (the permanent of _polydisc_kernel and
-SeriesKernel), so the other closed forms, and `hardyq kernel eval` on them,
-run without it.
+numpy is imported only in SeriesKernel, so every closed form, and
+`hardyq kernel eval` on each of them, runs without it.
 """
 
 from __future__ import annotations
@@ -188,19 +187,41 @@ def quotient_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
     return _ball_kernel(spec, z, w)
 
 
-def _perm_table(group: Group) -> np.ndarray:
-    """perm_images() as an (n!, n) index array, built once per group."""
-    import numpy as np
-
-    got = group.derived.get("perm_table")
+def _permanent_steps(group: Group) -> tuple:
+    """The subset recursion of _permanent for n = group.n, built once per
+    group: one (S, |S|, ((j, S | 2^j) for each column j not in S)) per
+    column subset S < 2^n - 1, in increasing order of S."""
+    got = group.derived.get("permanent_steps")
     if got is None:
-        got = group.derived["perm_table"] = np.array(group.perm_images(), dtype=np.intp)
+        n = group.n
+        got = group.derived["permanent_steps"] = tuple(
+            (s, s.bit_count(), tuple((j, s | 1 << j) for j in range(n) if not s >> j & 1))
+            for s in range((1 << n) - 1))
     return got
 
 
+def _permanent(group: Group, rows: list[list[complex]]) -> complex:
+    """perm M = sum_sigma prod_i M[i][sigma(i)] for the n x n matrix `rows`,
+    in O(2^n n) complex operations instead of the O(n! n) of the sum over
+    S_n.  f[S] is the sum, over the bijections of rows 0..|S|-1 onto the
+    column subset S, of their products; f[{}] = 1 and
+
+        f[S | {j}] += f[S] * M[|S|][j]      (j not in S),
+
+    run over S in increasing order, so each f[S] is complete before it is
+    read, and perm M = f[all columns].  Plain complex arithmetic, no numpy."""
+    f = [0j] * (1 << group.n)
+    f[0] = 1.0 + 0j
+    for s, i, steps in _permanent_steps(group):
+        v, row = f[s], rows[i]
+        for j, t in steps:
+            f[t] += v * row[j]
+    return f[-1]
+
+
 def _polydisc_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
-    """The polydisc quotient kernel in closed form, at O(n! n) cost for the
-    permanent and O(n^2) otherwise, whatever |G|.
+    """The polydisc quotient kernel in closed form, at O(2^n n) cost for the
+    permanent (_permanent) and O(n^2) otherwise, whatever |G|.
 
     Write g = D_phi P_sigma, x_ij = z_i conj(w_j) and s = prod_i x_ii.
     Summing over A first: sum_{phi in A} conj(chi(D_phi)) prod_i
@@ -261,11 +282,8 @@ def _polydisc_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:
             for b in wm:
                 out /= 1.0 - a * b
         return out
-    import numpy as np
-
-    cauchy = 1.0 / (1.0 - np.multiply.outer(zm, wm))
-    perm = cauchy[_perm_table(group), np.arange(n)].prod(axis=1).sum()
-    return twist * complex(perm) / math.factorial(n)
+    cauchy = [[1.0 / (1.0 - a * b) for b in wm] for a in zm]
+    return twist * _permanent(group, cauchy) / math.factorial(n)
 
 
 def _split_residue_kernel(spec: KernelSpec, z: Point, w: Point) -> complex:

@@ -39,9 +39,9 @@ import functools
 import math
 from collections.abc import Callable
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 
-from .groups import Group, GroupElement, InputError, root_of_unity
+from .groups import Group, GroupElement, InputError, _invert_perm, root_of_unity
 
 CLEANUP_REL = 1e-12
 
@@ -330,6 +330,47 @@ def act(g: GroupElement, f: LaurentPoly) -> LaurentPoly:
         b = tuple([e[j] for j in perm])
         out[b] = out.get(b, 0j) + c * roots[sum([p * x for p, x in zip(phase, e)]) % m]
     return LaurentPoly._fresh(f.dim, out)
+
+
+def invariance_residual(g: GroupElement, f: LaurentPoly) -> float:
+    """max_b |(R_g f - f)_b|, the largest coefficient of act(g, f) - f, in
+    one pass over f's terms with no polynomial built.  It equals
+    (act(g, f) - f).max_abs_coeff() except for terms that act's
+    1e-12-relative cleanup drops.
+
+    R_g f carries c_a zeta^(phase . a) at a o perm for each term c_a z^a of
+    f.  A diagonal g (perm the identity) keeps every exponent, so a term
+    c z^e contributes |c zeta^(phase . e) - c|.  For any other g the
+    residual at an exponent b of f is |c_a zeta^(phase . a) - c_b| with a
+    the preimage of b (c_a = 0 off f's support), and at an image a o perm
+    outside f's support it is |c_a zeta^(phase . a)|.  A zero-phase
+    transposition sigma is its own inverse, so its term c z^e contributes
+    |f_(sigma e) - c| alone."""
+    if len(g.perm) != f.dim:
+        raise ValueError("element dimension does not match polynomial")
+    perm, phase, m = g.perm, g.phase, g.mod
+    roots = _roots(m)
+    terms = f.terms
+    if perm == tuple(range(f.dim)):
+        res = [abs(c * roots[sum(map(mul, phase, e)) % m] - c) for e, c in terms.items()]
+    else:
+        inv = _invert_perm(perm)
+        turned = any(phase)
+        # a zero-phase involution's images are its preimages, at the same |c|
+        images = turned or perm != inv
+        res = []
+        for b, c in terms.items():
+            a = tuple([b[k] for k in inv])
+            src = terms.get(a)
+            if src is None:
+                r = abs(c)
+            else:
+                r = abs((src * roots[sum(map(mul, phase, a)) % m] if turned else src) - c)
+            if images and tuple([b[j] for j in perm]) not in terms:
+                r = max(r, abs(c * roots[sum(map(mul, phase, b)) % m]))
+            res.append(r)
+    # NaN if some residual is: max passes over a NaN unless it comes first
+    return max(res, default=0.0) if (total := sum(res)) == total else math.nan
 
 
 Template = tuple[tuple[tuple[Callable[[Expo], Expo], int], ...], int]

@@ -32,8 +32,8 @@ from .invariants import (
 from .laurent import (
     Expo,
     LaurentPoly,
-    act,
     harmonic_extension,
+    invariance_residual,
     orbit_exponents,
     sort_sign,
     torus_inner,
@@ -67,12 +67,14 @@ class SymbolPair:
     computed on demand and cached.
 
     Invariance is checked on Group.generators only: a symbol fixed by every
-    generator is fixed by G.  act permutes coefficients and multiplies them
+    generator is fixed by G.  R_g permutes coefficients and multiplies them
     by roots of unity, so it preserves the coefficient sup-norm, and
     R_{gh} u - u = R_h (R_g u - u) + (R_h u - u): the residual of a word of
     length L in the generators (G is finite, so no inverses are needed) is
     at most L times the largest generator residual.  Each generator
-    residual must stay within 1e-9 * scale."""
+    residual, max |(R_g u - u)_b| read off u's coefficients in one pass by
+    laurent.invariance_residual (no polynomial is built), must stay within
+    1e-9 * scale."""
 
     group: Group
     pullback: LaurentPoly
@@ -83,7 +85,7 @@ class SymbolPair:
             raise SymbolError("symbol dimension does not match the group")
         scale = max(self.pullback.max_abs_coeff(), 1.0)
         for g in self.group.generators:
-            if not (act(g, self.pullback) - self.pullback).is_zero(tol=1e-9 * scale):
+            if not invariance_residual(g, self.pullback) <= 1e-9 * scale:
                 raise SymbolError("pullback symbol is not G-invariant")
 
     def radius(self) -> int:
@@ -723,8 +725,9 @@ class MomentWindows:
     homogeneous of degree deg ell + sum_i b_i deg theta_i, and mu(b, c) = 0
     unless b and c have the same weighted degree: G is read from the
     moments only there, which skips most entries, and is exactly zero
-    elsewhere.  The inner reps are index_set(character, inner), the wide
-    reps index_set(character, wide).  Each side keeps one real block
+    elsewhere.  On Z(m)@k^n each theta^b ell is one monomial, so only the
+    mu(b, b) are read.  The inner reps are index_set(character, inner),
+    the wide reps index_set(character, wide).  Each side keeps one real block
     E_rows^T G E_cols / c^2 per theta exponent, built on first use from
     the moments and the lowered basis alone, and only over the reps that
     side pairs: "left" is inner x wide (the left factor of a product),
@@ -781,13 +784,23 @@ class MomentWindows:
             alpha, beta = key[:n], key[n:]
             (rows, row_degree, e_rows), (cols, col_degree, e_cols) = (
                 self._basis(name) for name in self.SIDES[side])
-            offset = self._degree(alpha) - self._degree(beta)
             gram = np.zeros((len(rows), len(cols)))
-            for d, ls in row_degree.items():
-                for j in col_degree.get(d - offset, ()):
-                    a = tuple(x + y for x, y in zip(alpha, cols[j]))
-                    for l in ls:
-                        gram[l, j] = qr.moment(a + tuple(x + y for x, y in zip(beta, rows[l]))).real
+            if qr.group.spec.kind == "CyclicCoord":
+                # theta^b ell is one monomial, so mu(b, c) = 0 unless b = c
+                row_of = {a: l for l, a in enumerate(rows)}
+                for j, col in enumerate(cols):
+                    a = tuple(x + y for x, y in zip(alpha, col))
+                    l = row_of.get(tuple(x - y for x, y in zip(a, beta)))
+                    if l is not None:
+                        gram[l, j] = qr.moment(a + a).real
+            else:
+                offset = self._degree(alpha) - self._degree(beta)
+                for d, ls in row_degree.items():
+                    for j in col_degree.get(d - offset, ()):
+                        a = tuple(x + y for x, y in zip(alpha, cols[j]))
+                        for l in ls:
+                            gram[l, j] = qr.moment(
+                                a + tuple(x + y for x, y in zip(beta, rows[l]))).real
             got = self.blocks[(key, side)] = e_rows.T @ gram @ e_cols / float(qr.ellp.cnorm_sq)
         return got
 
@@ -1010,10 +1023,11 @@ def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
     recovered from T_u.  entry_fn(col_rep, row_rep) must return
     <T gamma_col, gamma_row> for holomorphic canonical reps.
 
-    The window of reps of sup-norm <= D = base_bound must satisfy the shift
-    relations; it is stabilized along the diagonal shift.  Each coefficient
-    is then one entry far out, at the anchor p of _spread_anchor (p >= D,
-    sorted gaps > 2D).  For u = sum_b c_b z^b with |b| <= D and canonical e
+    On G(m,p,n) the window of reps of sup-norm <= D = base_bound must
+    satisfy the shift relations (bh_check); on Z(m)@k^n, where they are not
+    stated, the window check below is the gate.  The window is stabilized
+    along the diagonal shift.  Each coefficient is then one entry far out,
+    at the anchor p of _spread_anchor (p >= D, sorted gaps > 2D).  For u = sum_b c_b z^b with |b| <= D and canonical e
     with |e| <= D (so p + e is canonical), gamma_p and gamma_{p+e} are
     signed sums of z^(sigma p) and z^(tau (p+e)) over S, and sigma p + b =
     tau (p+e) means p_{sigma^-1 i} - p_{tau^-1 i} = e_{tau^-1 i} - b_i, at
@@ -1035,13 +1049,14 @@ def symbol_recover(entry_fn, character: Character, bmap: BasicMap,
         raise RecoveryError("empty index window; increase base_bound")
 
     window = ToeplitzWindow(character, base_bound, reps, _fill(reps, lambda a: a, entry_fn))
-    report = bh_check(window, bmap)
-    if not report.ok:
-        raise RecoveryError(
-            f"entries violate the shift relations (max violation "
-            f"{report.max_violation:.3g} at {report.worst_pair}); "
-            "not a Toeplitz window"
-        )
+    if group.spec.kind == "Gmpn":
+        report = bh_check(window, bmap)
+        if not report.ok:
+            raise RecoveryError(
+                f"entries violate the shift relations (max violation "
+                f"{report.max_violation:.3g} at {report.worst_pair}); "
+                "not a Toeplitz window"
+            )
 
     scale = window.scale()
     shifts: list[int] = []

@@ -256,6 +256,17 @@ class TestToeplitzVerb:
             assert abs(complex(*c["c"]) - 1) < 1e-12
         assert report["roundtrip_deviation"] < 1e-12
 
+    def test_recover_on_cyclic_group(self, capsys):
+        # Z(m)@k^n has no shift relations: the window check is the gate
+        u = ('{"dim":2,"terms":[{"c":[1,0],"e":[0,0]},{"c":[0.5,0.25],"e":[2,1]},'
+             '{"c":[0.5,-0.25],"e":[-2,-1]}]}')
+        code, out, _ = run_cli(capsys, "toeplitz", "recover", "--group", "Z(2)@1^2",
+                               "--symbol", u, "-D", "2")
+        assert code == 0
+        report = json.loads(out)
+        assert [c["rep"] for c in report["coefficients"]] == [[-2, -1], [0, 0], [2, 1]]
+        assert report["roundtrip_deviation"] == 0.0
+
     def test_semd2_consistent(self, capsys):
         v = json.dumps({"dim": 2, "terms": [{"c": [1, 0], "e": [1, 1]}]})
         code, out, _ = run_cli(
@@ -517,14 +528,17 @@ class TestExitCodes:
 
 class TestNumpyFreeCore:
     """`import hardyq`, the group and invariant verbs and `kernel eval` on
-    the swap, split-residue and ball closed forms run with numpy blocked;
-    the permanent closed form, SeriesKernel, toeplitz and suites load it
-    when first used."""
+    every closed form (swap, permanent, split-residue and ball) run with
+    numpy blocked; SeriesKernel, toeplitz and suites load it when first
+    used."""
 
     GROUPS = ("G(1,1,2)", "G(4,2,3)", "Z(3)@1^2")
     # a generic pair, and one at the origin (a zero of every ell)
     POINTS = json.dumps([{"z": [[0.3, 0.1], [-0.2, 0.05]], "w": [[0.25, -0.1], [0.1, 0.3]]},
                          {"z": [[0.0, 0.0], [0.0, 0.0]], "w": [[0.2, 0.0], [0.1, 0.0]]}])
+    TRIVIAL_SPEC = '{"domain": "polydisc", "group": "G(2,1,3)", "character": "trivial"}'
+    POINTS3 = json.dumps([{"z": [[0.3, 0.1], [-0.2, 0.0], [0.0, 0.1]],
+                           "w": [[0.25, 0.0], [0.1, 0.3], [-0.15, 0.0]]}])
     CALLS = [argv for g in GROUPS for argv in (
         ["group", "info", g], ["group", "character", g],
         ["invariant", "index", g], ["invariant", "ell", g],
@@ -533,7 +547,8 @@ class TestNumpyFreeCore:
         ["invariant", "ell", "G(4,4,2)", "--character", "rho1"],
         ["kernel", "eval", "--spec", TestKernelVerb.SPEC, "--points", POINTS],
         ["kernel", "eval", "--spec", TestKernelVerb.SPLIT_SPEC, "--points", POINTS],
-        ["kernel", "eval", "--spec", TestKernelVerb.BALL_SPEC, "--points", POINTS]]
+        ["kernel", "eval", "--spec", TestKernelVerb.BALL_SPEC, "--points", POINTS],
+        ["kernel", "eval", "--spec", TRIVIAL_SPEC, "--points", POINTS3]]
 
     # a None entry in sys.modules makes every import of numpy raise
     BLOCKED = """
@@ -584,7 +599,8 @@ print(json.dumps(out))
         assert got == want
 
     def test_permanent_kernel_eval_runs_with_numpy(self, capsys):
-        # chi = 1 on the permutations of G(2,1,3): the permanent closed form
+        # chi = 1 on the permutations of G(2,1,3): the permanent closed form,
+        # in a process that has numpy loaded
         spec = '{"domain": "polydisc", "group": "G(2,1,3)", "character": "trivial"}'
         z, w = (0.3 + 0.1j, -0.2, 0.1j), (0.25, 0.1 + 0.3j, -0.15)
         points = json.dumps([{"z": [[a.real, a.imag] for a in z],

@@ -265,6 +265,58 @@ class TestClosedForm:
         assert abs(sgn - cauchy) <= 1e-13 * abs(cauchy)
 
 
+# every G(m,p,n) with 3 <= n <= 5 and |G| <= 5,000, and the n = 2 ones with
+# m <= 12 (|G| <= 5,000 holds for 4,042 groups with n = 2, m up to 2,500,
+# whose permanent is the same 2 x 2 recursion)
+SMALL_GROUPS = [f"G({m},{p},{n})" for n in range(2, 6) for m in range(1, 29)
+                for p in range(1, m + 1)
+                if m % p == 0 and m ** n * math.factorial(n) // p <= 5000 and (n > 2 or m <= 12)]
+
+
+def cauchy_permanent(z, w, m):
+    """perm M as the sum over itertools.permutations of prod_i M[i][sigma i],
+    M_ij = 1/(1 - z_i^m conj(w_j)^m)."""
+    M = [[1 / (1 - a ** m * b.conjugate() ** m) for b in w] for a in z]
+    return sum(math.prod(M[i][s] for i, s in enumerate(sigma))
+               for sigma in itertools.permutations(range(len(z))))
+
+
+class TestPermanent:
+    """The trivial-character polydisc kernel, (1/n!) sum_t s^(q t) perm M,
+    whose permanent is the subset recursion of kernels._permanent."""
+
+    @pytest.mark.parametrize("gname", SMALL_GROUPS)
+    def test_matches_group_sum(self, gname):
+        spec = make_kernel_spec("polydisc", gname, "trivial")
+        rng = random.Random(len(spec.group))
+        z, w = rnd_pt(rng, spec.group.n), rnd_pt(rng, spec.group.n)
+        want, _ = group_sum_kernel(spec, z, w)
+        assert abs(quotient_kernel(spec, z, w) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("gname", ["G(1,1,6)", "G(3,1,6)", "G(2,2,7)", "G(3,1,7)",
+                                       "G(1,1,8)", "G(3,1,8)"])
+    def test_matches_permutation_sum(self, gname):
+        spec = make_kernel_spec("polydisc", gname, "trivial")
+        g = spec.group
+        rng = random.Random(g.n)
+        z, w = rnd_pt(rng, g.n, 0.9), rnd_pt(rng, g.n, 0.9)
+        s = math.prod(a * b.conjugate() for a, b in zip(z, w))
+        want = (sum(s ** (g.q * t) for t in range(g.p)) * cauchy_permanent(z, w, g.m)
+                / math.factorial(g.n))
+        assert abs(quotient_kernel(spec, z, w) - want) <= 1e-12 * abs(want)
+
+    def test_steps_cover_each_subset_once(self):
+        # n 2^(n-1) steps, each adding one column to a smaller subset
+        g = make_group("G(2,1,5)")
+        steps = kernels._permanent_steps(g)
+        assert [s for s, _, _ in steps] == list(range(31))
+        assert sum(len(t) for _, _, t in steps) == 5 * 2 ** 4
+        for s, row, targets in steps:
+            assert row == bin(s).count("1")
+            assert all(t == s | 1 << j and not s >> j & 1 for j, t in targets)
+        assert kernels._permanent_steps(g) is steps
+
+
 class TestLazyEll:
     """ell_rho is built on the first read of KernelSpec.ellp: never by
     quotient_kernel, once by the series kernel."""

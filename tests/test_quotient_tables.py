@@ -181,13 +181,14 @@ def test_inner_matches_pull_per_entry(spec, chname, data):
     assert abs(got - want) <= (k_leaves * leaves + k_mass * mass) * EPS, (got, want, mass)
 
 
-@pytest.mark.parametrize("spec,chname", CASES)
+@pytest.mark.parametrize("spec,chname", CASES + [("Z(2)@2^3", "trivial"), ("Z(3)@1^2", "sgn")])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_block_matches_dense_gram(spec, chname, data):
     """A block reads the moments only where the weighted degrees of its two
-    halves match; with every moment of the block read, zeros included, the
-    same product gives the same block bit for bit."""
+    halves match (on Z(m)@k^n only where they are equal); with every moment
+    of the block read, zeros included, the same product gives the same
+    block bit for bit."""
     qr = realization(spec, chname)
     n = qr.group.n
     key = data.draw(st.sampled_from(sorted(data.draw(harmonic(n)).terms)))
@@ -311,6 +312,15 @@ def test_cold_route_moments_equal_pulled_moments(spec, chname, bound):
         assert mu == pulled_moment(qr, key), key
         P, Q = gram_row(key[:n]), gram_row(key[n:])
         assert mu.imag == 0.0 and mu.real == sum(c * Q.get(a, 0) for a, c in P.items()), key
+
+
+def test_cyclic_route_reads_only_equal_moments():
+    """On Z(m)@k^n each theta^b ell is one monomial, so mu(b, c) = 0 unless
+    b = c: the cold Z(2)@2^3 trivial route at D = 3 reads 46 moments, each
+    a mu(b, b), where every pair of equal weighted degree is 554."""
+    qr, _ = cold_route("Z(2)@2^3", "trivial", 3)
+    assert len(qr._moments) == 46
+    assert all(key[:3] == key[3:] for key in qr._moments)
 
 
 @pytest.mark.parametrize("spec,chname,mode", [

@@ -1,16 +1,20 @@
+import cmath
+import functools
 import math
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyq.groups import builtin_characters, make_character, make_group
 from hardyq.invariants import _projects_nonzero, basic_map, ell, index_set, lower, project
-from group_sums import (ball_toeplitz_entry, isotypic_hol_project, isotypic_toeplitz,
+from group_sums import (ball_toeplitz_entry, elements, isotypic_hol_project, isotypic_toeplitz,
                         monomial_route_loop, pull_harmonic)
-from hardyq.laurent import LaurentPoly, act, torus_inner
-from hardyq.suites import GMPN_GRID, random_invariant_symbol, random_onesided_symbol
+from hardyq.laurent import LaurentPoly, act, invariance_residual, torus_inner
+from hardyq.suites import GMPN_GRID, _orbit_sum, random_invariant_symbol, random_onesided_symbol
 from hardyq.toeplitz import (
     RESIDUAL_TOL,
     GammaBasis,
@@ -47,6 +51,16 @@ def ctx():
     return g, sgn, triv, bm
 
 
+# the suites' G(m,p,n) grid and three coordinate cyclic groups
+INVARIANCE_GROUPS = [f"G({m},{p},{n})" for m, p, n in GMPN_GRID] + [
+    "Z(3)@1^2", "Z(2)@2^3", "Z(4)@2^3"]
+
+
+@functools.cache
+def group_elements(spec):
+    return elements(make_group(spec))
+
+
 class TestSymbols:
     def test_invariance_enforced(self, ctx):
         g = ctx[0]
@@ -56,14 +70,50 @@ class TestSymbols:
     def test_invariance_checked_on_generators_only(self, g315, monkeypatch):
         calls = []
 
-        def counting_act(g, f):
+        def counting_residual(g, f):
             calls.append(g)
-            return act(g, f)
+            return invariance_residual(g, f)
 
-        monkeypatch.setattr("hardyq.toeplitz.act", counting_act)
+        monkeypatch.setattr("hardyq.toeplitz.invariance_residual", counting_residual)
         power_sum = P(5, {tuple(3 * (j == i) for j in range(5)): 1 for i in range(5)})
         SymbolPair(g315, power_sum)
         assert calls == list(g315.generators)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.sampled_from(INVARIANCE_GROUPS), seed=st.integers(0, 2 ** 16),
+           level=st.sampled_from([0.0, 1e-10, 1e-8]), data=st.data())
+    def test_invariance_residual_gives_act_verdict(self, spec, seed, level, data):
+        """On every generator, invariance_residual gives the verdict of
+        act(g, f) - f against 1e-9 * scale, and its value to 1e-12 * scale,
+        for an invariant f plus a unit-modulus term of size level * scale at
+        a drawn exponent."""
+        g = make_group(spec)
+        rng = random.Random(seed)
+        u = _orbit_sum(g, rng, range(-2, 3), 4)
+        e = data.draw(st.tuples(*[st.integers(-2, 2)] * g.n))
+        bump = level * max(u.max_abs_coeff(), 1.0) * cmath.exp(2j * math.pi * rng.random())
+        f = u + LaurentPoly.monomial(g.n, e, bump) if level else u
+        scale = max(f.max_abs_coeff(), 1.0)
+        for gen in g.generators:
+            fast, slow = invariance_residual(gen, f), (act(gen, f) - f).max_abs_coeff()
+            assert (fast <= 1e-9 * scale) == (slow <= 1e-9 * scale), gen
+            assert abs(fast - slow) <= 1e-12 * scale, gen
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.sampled_from(["G(3,1,3)", "G(4,2,3)", "G(2,2,4)", "G(4,2,2)", "Z(4)@2^3"]),
+           index=st.integers(0, 10 ** 6), seed=st.integers(0, 2 ** 16))
+    def test_invariance_residual_on_any_element(self, spec, index, seed):
+        """Every element, phased cycles included, and a polynomial that is
+        not invariant: the residual is act's to the bit.  Generators are
+        diagonal or involutions, where g and g^-1 give equal residuals;
+        here they differ."""
+        g = make_group(spec)
+        els = group_elements(spec)
+        x = els[index % len(els)]
+        rng = random.Random(seed)
+        f = LaurentPoly(g.n, {tuple(rng.randint(-2, 2) for _ in range(g.n)):
+                              complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(6)})
+        assert invariance_residual(x, f) == (act(x, f) - f).max_abs_coeff()
 
     def test_theta_form_roundtrip(self, ctx):
         g, sgn, triv, bm = ctx
@@ -597,6 +647,40 @@ class TestRecovery:
             dev = (res.symbol.pullback - sym.pullback).max_abs_coeff()
             assert dev <= 1e-9 * scale
             assert res.residual <= RESIDUAL_TOL * scale
+
+    @pytest.mark.parametrize("spec", ["Z(2)@1^2", "Z(3)@2^2", "Z(2)@2^3", "Z(4)@1^2"])
+    def test_roundtrip_on_cyclic_groups(self, spec):
+        # no shift relation is stated on Z(m)@k^n, so the window check is
+        # the gate; every built-in character with a non-empty window at
+        # D = 2 recovers exactly
+        g = make_group(spec)
+        bm = basic_map(g)
+        rng = random.Random(23)
+        for ch in builtin_characters(g):
+            if (spec, ch.name) == ("Z(4)@1^2", "sgn"):
+                with pytest.raises(RecoveryError, match="empty index window"):
+                    symbol_recover(window_entry_fn(SymbolPair(g, P(2, {})), ch), ch, bm, 2)
+                continue
+            for _ in range(3):
+                sym = random_invariant_symbol(g, rng, radius=2, terms=3)
+                res = symbol_recover(window_entry_fn(sym, ch), ch, bm, base_bound=2)
+                assert res.symbol.pullback.terms == sym.pullback.terms
+                assert res.residual == 0.0
+
+    def test_window_check_gates_cyclic_groups(self):
+        # Z(2)@1^2: u's entries on the window and one shift beyond, v's
+        # further out; with no shift relations the window check rejects it
+        g = make_group("Z(2)@1^2")
+        ch, bm = make_character(g, "trivial"), basic_map(g)
+        rng = random.Random(5)
+        u, v = (random_invariant_symbol(g, rng, radius=2, terms=3) for _ in range(2))
+        fu, fv = window_entry_fn(u, ch), window_entry_fn(v, ch)
+
+        def oracle(col, row):
+            return (fu if max(col) <= 2 + g.q else fv)(col, row)
+
+        with pytest.raises(RecoveryError, match="misses the stabilized window"):
+            symbol_recover(oracle, ch, bm, base_bound=2)
 
     def test_window_check_rejects_another_anchor_symbol(self, ctx):
         # Toeplitz for u on the window and one shift beyond it, v's entries
