@@ -191,11 +191,6 @@ class Group:
         phase = tuple((-g.phase[g.perm[j]]) % self.m for j in range(self.n))
         return GroupElement(perm, phase, self.m)
 
-    def det_turn(self, g: GroupElement) -> Fraction:
-        """det(g) as a rational turn: sign(perm) * zeta_m^(sum of phases)."""
-        turn = Fraction(_perm_parity(g.perm), 2) + Fraction(sum(g.phase), self.m)
-        return turn % 1
-
     def perm_images(self) -> tuple[tuple[int, ...], ...]:
         """Distinct permutation parts, sorted: all of S_n for G(m,p,n), the
         identity for Z(m)@k^n; built once per group."""

@@ -70,16 +70,9 @@ class BasicMap:
     than rebuilding it (basic_map returns one map per group); and the only
     table of the products ell * theta^a, `rows`: one _OrbitRows per
     character, which keeps them in orbit coordinates for both the lowered
-    rows (row()) and the integer Gram moments (gram()).  `quotients` keeps
-    the quotient-side realisation of each character (toeplitz), so its
-    moment table lives as long as the map.  `shift_tables` keeps the
-    toeplitz.ShiftTable of each (character, window reps): its shift maps,
-    and the gather plans of bh_check (built on its first call, O(width k)
-    for k reps) and of compactness_probe (built on its first call per base
-    reps, at most k_base^2 floor(D / q) index pairs), serve every later
-    symbol.  The ambient windows' integer tables are not kept here: they
-    need no theta, so toeplitz.WindowTable keeps them in Group.derived, one
-    per (character value, bound).
+    rows (row()) and the integer Gram moments (gram_block()).  The tables
+    of toeplitz (window, shift and quotient tables) are not kept here: they
+    live in Group.derived, one per character value and table key.
     """
 
     group: Group
@@ -87,8 +80,6 @@ class BasicMap:
     q: int
     _powers: dict[tuple[int, int], LaurentPoly] = _table()
     rows: dict[Character, _OrbitRows] = _table()
-    quotients: dict[Character, object] = _table()
-    shift_tables: dict[tuple, object] = _table()
 
     @property
     def dim(self) -> int:
@@ -121,8 +112,14 @@ class BasicMap:
         return self._orbit_rows(char).row(rep)
 
     def gram(self, char: Character, b: Expo, c: Expo) -> int:
-        """<theta^b ell_rho, theta^c ell_rho>, from the rows' products."""
-        return self._orbit_rows(char).gram(b, c)
+        """<theta^b ell_rho, theta^c ell_rho>: the 1 x 1 gram_block."""
+        return self._orbit_rows(char).gram_block([b], [c]).get(0, 0)
+
+    def gram_block(self, char: Character, bs: list[Expo], cs: list[Expo]) -> dict[int, int]:
+        """G[l, j] = <theta^bs[j] ell_rho, theta^cs[l] ell_rho> as
+        {l len(bs) + j: G[l, j]} over the pairs whose products share a key,
+        from the rows' products (_OrbitRows.gram_block)."""
+        return self._orbit_rows(char).gram_block(bs, cs)
 
     def _orbit_rows(self, char: Character) -> _OrbitRows:
         if char not in self.rows:
@@ -145,10 +142,11 @@ class _OrbitRows:
     u * |S| P_chi z^r = sum_e c_e |S| P_chi z^(r+e): multiplying by u reads
     (u f)[s] = sum_e c_e f(z^(s-e)) at the keys s = key(t + e) over f's
     keys t, and no orbit is enumerated.  `products` memoises
-    ellhat * theta^a per a with the monomial components' exponents zeroed
-    (a "head"); each head is one multiplication by a theta_k from a smaller
+    ellhat * theta^a per a: with the monomial components' exponents zeroed
+    (a "head"), each is one multiplication by a theta_k from a smaller
     head, and a monomial component (theta_n, and every component on
-    Z(m)@k^n) is a shift of the keys.
+    Z(m)@k^n) is a shift of the head's keys.  `weights` memoises the orbit
+    weight of each key the Gram joins meet.
     """
 
     def __init__(self, bmap: BasicMap, char: Character):
@@ -164,6 +162,7 @@ class _OrbitRows:
         self.lead = max(ellhat.terms)
         self.products: dict[Expo, dict[Expo, int]] = {
             (0,) * group.n: {e: c for e, c in ellhat.terms.items() if self.orient(e) == (e, 1)}}
+        self.weights: dict[Expo, int] = {}
         self.table: dict[Expo, LaurentPoly] = {}
 
     def orient(self, v: Expo) -> tuple[Expo, int]:
@@ -196,26 +195,53 @@ class _OrbitRows:
         return out
 
     def product(self, a: Expo) -> dict[Expo, int]:
-        """ellhat * theta^a in orbit coordinates."""
-        shift = [0] * len(a)
-        head = list(a)
-        for k, e in enumerate(self.shifts):
-            if e is not None and a[k]:
-                head[k] = 0
-                shift = [x + a[k] * y for x, y in zip(shift, e)]
-        f = self._head(tuple(head))
-        if not any(shift):
-            return f
-        # a monomial component is (z_1...z_n)^q on G(m,p,n): keys stay sorted
-        return {tuple(map(add, t, shift)): c for t, c in f.items()}
+        """ellhat * theta^a in orbit coordinates, memoised."""
+        got = self.products.get(a)
+        if got is None:
+            shift = [0] * len(a)
+            head = list(a)
+            for k, e in enumerate(self.shifts):
+                if e is not None and a[k]:
+                    head[k] = 0
+                    shift = [x + a[k] * y for x, y in zip(shift, e)]
+            got = self._head(tuple(head))
+            if any(shift):
+                # a monomial component is (z_1...z_n)^q on G(m,p,n): keys stay sorted
+                got = self.products[a] = {tuple(map(add, t, shift)): c for t, c in got.items()}
+        return got
 
-    def gram(self, b: Expo, c: Expo) -> int:
-        """<ell theta^b, ell theta^c> = kappa^2 sum_t P_b[t] P_c[t] w(t) over
-        the keys the products P = product() share, w(t) the number of images
-        of t (sign^2 = 1): |S| / _young_order(t) on G(m,p,n), 1 on Z(m)@k^n."""
-        p, q, size = self.product(b), self.product(c), self.group.perm_order
-        return self.kappa ** 2 * sum(x * q[t] * (size // _young_order(t) if self.sort else 1)
-                                     for t, x in p.items() if t in q)
+    def weight(self, t: Expo) -> int:
+        """w(t), the number of images of the key t (sign^2 = 1):
+        |S| / _young_order(t) on G(m,p,n), 1 on Z(m)@k^n; memoised."""
+        got = self.weights.get(t)
+        if got is None:
+            got = self.weights[t] = self.group.perm_order // _young_order(t) if self.sort else 1
+        return got
+
+    def gram_block(self, bs: list[Expo], cs: list[Expo]) -> dict[int, int]:
+        """G[l, j] = <ell theta^bs[j], ell theta^cs[l]>
+        = kappa^2 sum_t P_b[t] P_c[t] w(t) over the keys t the products
+        P = product() share, by one join: the keys of the row products
+        P_c are indexed, then each column product P_b is walked against
+        the index.  Returns {l len(bs) + j: G[l, j]} over the pairs that
+        share a key; every other pair is never visited, and its moment is
+        0.  Every term is a Python int, so G is exact whatever order its
+        sums run in."""
+        width = len(bs)
+        index: dict[Expo, list[tuple[int, int]]] = {}
+        for l, c in enumerate(cs):
+            for t, y in self.product(c).items():
+                index.setdefault(t, []).append((l * width, y))
+        out: dict[int, int] = {}
+        k2 = self.kappa ** 2
+        for j, b in enumerate(bs):
+            for t, x in self.product(b).items():
+                hits = index.get(t)
+                if hits:
+                    xw = k2 * x * self.weight(t)
+                    for row, y in hits:
+                        out[row + j] = out.get(row + j, 0) + xw * y
+        return out
 
     def _head(self, head: Expo) -> dict[Expo, int]:
         chain = []

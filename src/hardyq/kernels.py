@@ -1,7 +1,9 @@
 """Szego kernels: closed forms on the polydisc, ball and the rank-2 type-III
 Cartan domain; quotient kernels in closed form; the tetrablock kernel; and
 truncated series kernels in quotient coordinates.  The pushforward-measure
-integral is BasicMap.gram, read by QuotientRealization.moment (toeplitz).
+integral is BasicMap.gram_block, one key join per Gram block, read by the
+quotient windows and, one entry at a time, by QuotientRealization.moment
+(toeplitz).
 
 numpy is imported only in SeriesKernel, so every closed form, and
 `hardyq kernel eval` on each of them, runs without it.

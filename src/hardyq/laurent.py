@@ -107,12 +107,6 @@ class LaurentPoly:
             raise ValueError("exponent length does not match dim")
         return cls(dim, {tuple(int(e) for e in expo): c})
 
-    @classmethod
-    def variable(cls, dim: int, i: int) -> "LaurentPoly":
-        e = [0] * dim
-        e[i] = 1
-        return cls.monomial(dim, tuple(e))
-
     # -- queries --------------------------------------------------------
 
     def is_zero(self, tol: float = 0.0) -> bool:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product as iproduct
+from operator import add
 
 import numpy as np
 
@@ -137,7 +137,7 @@ def _fill(items: list, column, pair) -> np.ndarray:
     stabilized windows, and of the test oracles' column routes.  Ambient
     symbol windows and the isotypic product route read WindowTable
     instead, the monomial route pairs by an owner map, the quotient route
-    reads MomentWindows."""
+    reads the blocks of QuotientRealization."""
     out = np.zeros((len(items), len(items)), dtype=complex)
     for j, a in enumerate(items):
         col = column(a)
@@ -412,7 +412,7 @@ class ShiftTable:
     compactness_probe against each base window's reps: the probe plan
     (probe()), at most k_base^2 floor(D / q) pairs of flat indices for
     this window's bound D, 16 bytes a pair.  A warm call only gathers.
-    shared() keeps one table per (character, reps) on the basic map."""
+    shared() keeps one table per (character value, reps) in Group.derived."""
 
     def __init__(self, character: Character, reps: list[Expo], bmap: BasicMap):
         self.character = character
@@ -427,10 +427,12 @@ class ShiftTable:
 
     @classmethod
     def shared(cls, window: ToeplitzWindow, bmap: BasicMap) -> ShiftTable:
-        key = (window.character, tuple(window.reps))
-        got = bmap.shift_tables.get(key)
+        character = window.character
+        key = ("shift_table", character.diag, character.swap, tuple(window.reps))
+        derived = character.group.derived
+        got = derived.get(key)
         if got is None:
-            got = bmap.shift_tables[key] = cls(window.character, window.reps, bmap)
+            got = derived[key] = cls(character, window.reps, bmap)
         return got
 
     def positions(self, reps: list[Expo], k: int) -> np.ndarray:
@@ -649,31 +651,51 @@ class QuotientRealization:
     Agreement with the ambient windows is the unitary-equivalence check.
 
     Functions are (t, conj t) polynomials of dimension 2n.  The measure
-    enters only through its moments, memoised: the package's one pushforward
-    integral, a torus pairing once pushed through theta, so the moment of
-    t^b conj(t)^c is the integer Gram entry BasicMap.gram.  Operator windows
-    on the lowered basis e_r = basis_down(r) are read from MomentWindows,
-    one per (wide bound, inner bound), built from the moments and the
-    lowered basis alone.  Use shared() to reuse the moments, the lowered
-    basis and the windows' blocks across comparisons."""
+    enters only through its moments, the package's one pushforward
+    integral: a torus pairing once pushed through theta, so the moment of
+    t^b conj(t)^c is the integer Gram entry mu(b, c) = <theta^b ell,
+    theta^c ell> (moment(), BasicMap.gram).  Windows on the lowered basis
+    e_r = basis_down(r), scaled by 1/c^2 so that basis is orthonormal, are
+    M_s[i, k] = <s e_k, e_i> for theta forms s = sum s_(alpha beta)
+    t^alpha conj(t)^beta.  With E the lowered basis of the reps of one
+    bound as a matrix (one row per theta exponent of its elements, one
+    column per rep; real, since each element is an integer row times a
+    real scale),
 
-    def __init__(self, character: Character, bmap: BasicMap):
+        M_s = (1/c^2) sum_(alpha beta) s_(alpha beta) E_rows^T G E_cols,
+        G[l, j] = mu(alpha + j, beta + l),
+
+    the pairing of t^(alpha + j) conj(t)^beta with t^l.  block() fills each
+    G with one join on shared orbit keys (BasicMap.gram_block): only pairs
+    whose products ell theta^b share a key are visited, and every other
+    entry is exactly the moment 0 (on Z(m)@k^n each product is one
+    monomial, so only b = c meet).  G holds Python ints, exact in any
+    summation order, so a block is the same float matrix however the join
+    runs.  The reps of bound D are index_set(character, D); a window over
+    the reps of bound `rows` by those of bound `cols` keeps one real block
+    per (theta exponent, rows, cols), built on first use from the moments
+    and the lowered basis alone.  A warm window is a sum of scaled blocks;
+    the blocks saturate, since the symbols of one radius reach finitely
+    many theta exponents.  shared() keeps one realisation per character
+    value in Group.derived."""
+
+    def __init__(self, character: Character):
         self.character = character
         self.group = character.group
-        self.bmap = bmap
-        self.ellp = ell(character, bmap=bmap)
+        self.bmap = basic_map(self.group)
+        self.ellp = ell(character, bmap=self.bmap)
         self._down: dict[Expo, LaurentPoly] = {}
         self._reps: dict[int, list[Expo]] = {}
-        self._moments: dict[Expo, complex] = {}
-        self._windows: dict[tuple[int, int], MomentWindows] = {}
+        self._bases: dict[int, tuple[list[Expo], np.ndarray]] = {}
+        self.blocks: dict[tuple[Expo, int, int], np.ndarray] = {}
 
     @classmethod
-    def shared(cls, character: Character, bmap: BasicMap) -> QuotientRealization:
-        """The realisation of `character` kept on `bmap`: one per (group,
-        character), since basic_map keeps one map per group."""
-        got = bmap.quotients.get(character)
+    def shared(cls, character: Character) -> QuotientRealization:
+        key = ("quotient_realization", character.diag, character.swap)
+        derived = character.group.derived
+        got = derived.get(key)
         if got is None:
-            got = bmap.quotients[character] = cls(character, bmap)
+            got = derived[key] = cls(character)
         return got
 
     def basis_down(self, rep: Expo) -> LaurentPoly:
@@ -695,122 +717,49 @@ class QuotientRealization:
     def moment(self, key: Expo) -> complex:
         """mu(key) for key = b + c, the moment of t^b conj(t)^c: the integer
         Gram entry <theta^b ell, theta^c ell> of BasicMap.gram."""
-        got = self._moments.get(key)
+        n = self.group.n
+        return complex(self.bmap.gram(self.character, key[:n], key[n:]))
+
+    def _basis(self, bound: int) -> tuple[list[Expo], np.ndarray]:
+        """The theta exponents of the lowered elements of reps(bound) (t
+        halves, sorted) and E: E[l, k] the coefficient of t^l in e_k; built
+        once per bound."""
+        got = self._bases.get(bound)
         if got is None:
             n = self.group.n
-            got = self._moments[key] = complex(self.bmap.gram(self.character, key[:n], key[n:]))
-        return got
-
-    def windows(self, wide: int, inner: int) -> MomentWindows:
-        """The MomentWindows of (wide, inner), built once."""
-        got = self._windows.get((wide, inner))
-        if got is None:
-            got = self._windows[(wide, inner)] = MomentWindows(self, wide, inner)
-        return got
-
-
-class MomentWindows:
-    """Quotient-side windows M_s[i, k] = <s e_k, e_i> in L^2 of the
-    pushforward measure, scaled by 1/c^2 so the lowered basis is
-    orthonormal, for theta-form symbols s = sum s_(alpha beta) t^alpha
-    conj(t)^beta.  With E the lowered basis as a matrix (one row per theta
-    exponent of its elements, one column per rep; real, since each element
-    is an integer row times a real scale),
-
-        M_s = (1/c^2) sum_(alpha beta) s_(alpha beta) E_rows^T G E_cols,
-        G[l, j] = mu(alpha + j, beta + l),
-
-    the moments of realisation.moment: the pairing of t^(alpha + j)
-    conj(t)^beta with t^l.  Each theta_i is homogeneous, so theta^b ell is
-    homogeneous of degree deg ell + sum_i b_i deg theta_i, and mu(b, c) = 0
-    unless b and c have the same weighted degree: G is read from the
-    moments only there, which skips most entries, and is exactly zero
-    elsewhere.  On Z(m)@k^n each theta^b ell is one monomial, so only the
-    mu(b, b) are read.  The inner reps are index_set(character, inner),
-    the wide reps index_set(character, wide).  Each side keeps one real block
-    E_rows^T G E_cols / c^2 per theta exponent, built on first use from
-    the moments and the lowered basis alone, and only over the reps that
-    side pairs: "left" is inner x wide (the left factor of a product),
-    "right" wide x inner (the right factor), "inner" inner x inner.  A warm
-    window is a sum of scaled blocks; the blocks saturate, since the
-    symbols of one radius reach finitely many theta exponents."""
-
-    SIDES = {"left": ("inner", "wide"), "right": ("wide", "inner"), "inner": ("inner", "inner")}
-
-    def __init__(self, realization: QuotientRealization, wide: int, inner: int):
-        self.realization = realization
-        self.bounds = {"inner": inner, "wide": wide}
-        self._bases: dict[str, tuple] = {}
-        self.blocks: dict[tuple[Expo, str], np.ndarray] = {}
-
-    @cached_property
-    def _weights(self) -> list[int]:
-        return [comp.total_degree() for comp in self.realization.bmap.components]
-
-    def _degree(self, b: Expo) -> int:
-        return sum(x * w for x, w in zip(b, self._weights))
-
-    def reps(self, name: str) -> list[Expo]:
-        """The inner or the wide reps."""
-        return self.realization.reps(self.bounds[name])
-
-    def _basis(self, name: str) -> tuple[list[Expo], dict[int, list[int]], np.ndarray]:
-        """The theta exponents of the lowered elements of the reps of `name`
-        (t halves, sorted), their positions grouped by weighted degree, and
-        E: E[l, k] the coefficient of t^l in e_k; built once."""
-        got = self._bases.get(name)
-        if got is None:
-            qr = self.realization
-            n = qr.group.n
-            down = [qr.basis_down(r).terms for r in self.reps(name)]
+            down = [self.basis_down(r).terms for r in self.reps(bound)]
             exps = sorted({a[:n] for terms in down for a in terms})
             pos = {a: l for l, a in enumerate(exps)}
             matrix = np.zeros((len(exps), len(down)))
             for k, terms in enumerate(down):
                 for a, c in terms.items():
                     matrix[pos[a[:n]], k] = c
-            by_degree: dict[int, list[int]] = {}
-            for l, a in enumerate(exps):
-                by_degree.setdefault(self._degree(a), []).append(l)
-            got = self._bases[name] = (exps, by_degree, matrix)
+            got = self._bases[bound] = (exps, matrix)
         return got
 
-    def block(self, key: Expo, side: str) -> np.ndarray:
-        """E_rows^T G E_cols / c^2 of the theta exponent key on `side`."""
-        got = self.blocks.get((key, side))
+    def block(self, key: Expo, rows: int, cols: int) -> np.ndarray:
+        """E_rows^T G E_cols / c^2 of the theta exponent key, over the reps
+        of bound `rows` by those of bound `cols`."""
+        got = self.blocks.get((key, rows, cols))
         if got is None:
-            qr = self.realization
-            n = qr.group.n
-            alpha, beta = key[:n], key[n:]
-            (rows, row_degree, e_rows), (cols, col_degree, e_cols) = (
-                self._basis(name) for name in self.SIDES[side])
-            gram = np.zeros((len(rows), len(cols)))
-            if qr.group.spec.kind == "CyclicCoord":
-                # theta^b ell is one monomial, so mu(b, c) = 0 unless b = c
-                row_of = {a: l for l, a in enumerate(rows)}
-                for j, col in enumerate(cols):
-                    a = tuple(x + y for x, y in zip(alpha, col))
-                    l = row_of.get(tuple(x - y for x, y in zip(a, beta)))
-                    if l is not None:
-                        gram[l, j] = qr.moment(a + a).real
-            else:
-                offset = self._degree(alpha) - self._degree(beta)
-                for d, ls in row_degree.items():
-                    for j in col_degree.get(d - offset, ()):
-                        a = tuple(x + y for x, y in zip(alpha, cols[j]))
-                        for l in ls:
-                            gram[l, j] = qr.moment(
-                                a + tuple(x + y for x, y in zip(beta, rows[l]))).real
-            got = self.blocks[(key, side)] = e_rows.T @ gram @ e_cols / float(qr.ellp.cnorm_sq)
+            n = self.group.n
+            (row_exps, e_rows), (col_exps, e_cols) = self._basis(rows), self._basis(cols)
+            bs = [tuple(map(add, key[:n], j)) for j in col_exps]
+            cs = [tuple(map(add, key[n:], l)) for l in row_exps]
+            join = self.bmap.gram_block(self.character, bs, cs)
+            gram = np.zeros((len(cs), len(bs)))
+            gram.flat[list(join)] = [float(x) for x in join.values()]
+            got = self.blocks[(key, rows, cols)] = (
+                e_rows.T @ gram @ e_cols / float(self.ellp.cnorm_sq))
         return got
 
-    def window(self, terms: dict[Expo, complex], side: str) -> np.ndarray:
-        """M_s on `side` for the theta form with these terms, summed in
-        ascending exponent order."""
-        rows, cols = (len(self.reps(name)) for name in self.SIDES[side])
-        out = np.zeros((rows, cols), dtype=complex)
+    def window(self, terms: dict[Expo, complex], rows: int, cols: int) -> np.ndarray:
+        """M_s over the reps of bound `rows` by those of bound `cols`, for
+        the theta form with these terms, summed in ascending exponent
+        order."""
+        out = np.zeros((len(self.reps(rows)), len(self.reps(cols))), dtype=complex)
         for key in sorted(terms):
-            out += terms[key] * self.block(key, side)
+            out += terms[key] * self.block(key, rows, cols)
         return out
 
 
@@ -861,24 +810,23 @@ def _quotient_route_compare(u: SymbolPair, v: SymbolPair, mode: str,
     theta coordinates, inner products through the pushforward measure.
     T_v e_a projected onto the lowered basis up to bound + r_v is
     sum_k M_v[k, a] e_k, so <T_u T_v e_a, e_b> = sum_k M_u[b, k] M_v[k, a]
-    over the MomentWindows of (bound + r_v, bound): semi subtracts
-    M_uv[b, a], commute the same product over (bound + r_u, bound) with u
-    and v swapped."""
+    over the wide reps k of bound + r_v: semi subtracts M_uv[b, a], commute
+    the same product over bound + r_u with u and v swapped."""
     if mode not in ("semi", "commute"):
         raise ValueError("quotient route supports semi and commute modes")
-    qr = QuotientRealization.shared(character, bmap)
+    qr = QuotientRealization.shared(character)
     reps = qr.reps(bound)
     if not reps:  # an empty window: skip listing and lowering the wide reps
         return CompareReport._judge(mode, reps, np.zeros((0, 0)), _verdict_scale([u, v]))
     uh = u.theta_form(bmap)
     vh = v.theta_form(bmap)
-    table = qr.windows(bound + v.radius(), bound)
-    res = table.window(uh.terms, "left") @ table.window(vh.terms, "right")
+    wide = bound + v.radius()
+    res = qr.window(uh.terms, bound, wide) @ qr.window(vh.terms, wide, bound)
     if mode == "semi":
-        res -= table.window((uh * vh).terms, "inner")
+        res -= qr.window((uh * vh).terms, bound, bound)
     else:
-        swapped = qr.windows(bound + u.radius(), bound)
-        res -= swapped.window(vh.terms, "left") @ swapped.window(uh.terms, "right")
+        wide = bound + u.radius()
+        res -= qr.window(vh.terms, bound, wide) @ qr.window(uh.terms, wide, bound)
     return CompareReport._judge(mode, reps, res, _verdict_scale([u, v]))
 
 

@@ -54,7 +54,7 @@ def is_identity(g: GroupElement) -> bool:
 
 
 def det_of(group, g: GroupElement) -> complex:
-    return root_of_unity(group.det_turn(g))
+    return root_of_unity(det_turn(group, g))
 
 
 def value_inv(char, g: GroupElement) -> complex:
@@ -158,13 +158,19 @@ def numpy_nums(char) -> list[int]:
     return (np.add.outer(parity * char.swap, block) % char.den).ravel().tolist()
 
 
+def det_turn(group, g: GroupElement) -> Fraction:
+    """det(g) as a rational turn: sign(perm) * zeta_m^(sum of phases)."""
+    turn = Fraction(_perm_parity(g.perm), 2) + Fraction(sum(g.phase), group.m)
+    return turn % 1
+
+
 def det_turns(group) -> list[Fraction]:
-    """det(g) as a turn per element from Group.det_turn (Fraction arithmetic
-    on the permutation parity and the phase sum), each cross-checked against
+    """det(g) as a turn per element from det_turn (Fraction arithmetic on
+    the permutation parity and the phase sum), each cross-checked against
     the numerical determinant of the element's monomial matrix."""
     turns = []
     for g in elements(group):
-        t = group.det_turn(g)
+        t = det_turn(group, g)
         numeric = np.linalg.det(np.array(g.matrix()))
         assert abs(numeric - root_of_unity(t)) < 1e-12, (g, t, numeric)
         turns.append(t)
@@ -444,7 +450,7 @@ def quotient_route_loop(u, v, mode: str, character, bmap, bound: int,
     of the magnitudes of the leaves the entry adds up.  Also returns the
     largest number of terms any one sum adds: a product h or a projection's
     rep set."""
-    qr = QuotientRealization.shared(character, bmap)
+    qr = QuotientRealization.shared(character)
     n = character.group.n
     widest = 0
 
@@ -503,7 +509,7 @@ def quotient_route_functionals(u, v, mode: str, character, bmap,
     basis with the route.  Also returns the largest number of terms any one
     sum adds: a paired polynomial, a functional's lowered element, a
     projection's rep set or a factor of a product polynomial."""
-    qr = QuotientRealization.shared(character, bmap)
+    qr = QuotientRealization.shared(character)
     n = character.group.n
     functionals: dict[Expo, dict[Expo, complex]] = {}
     widest = 0

@@ -555,7 +555,7 @@ class TestLiftLower:
             # moments of f(t) conj(g(t)), a (t, conj t) polynomial
             from hardyq.toeplitz import QuotientRealization
 
-            qr = QuotientRealization.shared(ch, bm)
+            qr = QuotientRealization.shared(ch)
             quotient_side = sum(
                 cf * cg.conjugate() * qr.moment(ef + eg)
                 for ef, cf in f.terms.items()

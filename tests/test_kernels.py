@@ -487,7 +487,7 @@ class TestTetrablock:
 def pushforward_moment(spec, key):
     """Integral of t^key (key of length 2n, the second half the conj(t)
     exponents) against the pushforward measure |ell|^2 of the spec."""
-    return QuotientRealization.shared(spec.character, spec.bmap).moment(key)
+    return QuotientRealization.shared(spec.character).moment(key)
 
 
 class TestPushforward:

@@ -1,6 +1,7 @@
 """The quotient-side tables against the per-entry loops in group_sums.py:
-the pushforward moments and the moment windows (MomentWindows) behind the
-quotient route, and the sparse coefficient table behind SeriesKernel.eval.
+the pushforward moments, the Gram joins and the window blocks of
+QuotientRealization behind the quotient route, and the sparse coefficient
+table behind SeriesKernel.eval.
 
 Tolerances.  eps is the double-precision machine epsilon, u = eps/2 the unit
 roundoff.  A real product or a division by an integer has relative error
@@ -16,8 +17,9 @@ relative to the leaf's magnitude, so a computed entry errs by at most its
 step count times u times the sum of its leaf magnitudes.
 * Pushforward moments.  The theta components and ell have integer
   coefficients, so every moment is an exact integer: the route's Gram
-  entry (BasicMap.gram, an orbit-weighted sum over the orbit-coordinate
-  products ell theta^beta and ell theta^gamma), summed in Python ints,
+  entry (BasicMap.gram_block, an orbit-weighted sum over the keys the
+  orbit-coordinate products ell theta^beta and ell theta^gamma share, found
+  by one join per block), summed in Python ints,
   and the oracle's constant term sum_a P[a] W[-a] of the pulled monomial
   P = pull_harmonic(t^beta conj(t)^gamma) against W = |ell|^2, summed in
   doubles.  On the cases below both are exact, so they agree with ==.
@@ -100,8 +102,7 @@ from hardyq.invariants import BasicMap, _OrbitRows, basic_map, index_set
 from hardyq.kernels import KernelSpec, SeriesKernel
 from hardyq.laurent import LaurentPoly
 from hardyq.suites import random_invariant_symbol
-from hardyq.toeplitz import (MomentWindows, QuotientRealization, _quotient_route_compare,
-                             correspondence_check)
+from hardyq.toeplitz import QuotientRealization, _quotient_route_compare, correspondence_check
 
 EPS = 2.0 ** -52
 
@@ -122,7 +123,7 @@ def group(spec):
 @functools.cache
 def realization(spec, chname):
     g = group(spec)
-    return QuotientRealization.shared(make_character(g, chname), basic_map(g))
+    return QuotientRealization.shared(make_character(g, chname))
 
 
 @functools.cache
@@ -157,17 +158,16 @@ def point(draw, n):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_inner_matches_pull_per_entry(spec, chname, data):
-    """One entry M_f[i, k] = <f e_k, e_i> of a moment window, on a drawn
-    side, against the pulled pairing of f e_k with e_i."""
+    """One entry M_f[i, k] = <f e_k, e_i> of a quotient window, over drawn
+    row and column bounds, against the pulled pairing of f e_k with e_i."""
     qr = realization(spec, chname)
     n = qr.group.n
     f = data.draw(harmonic(n))
-    table = qr.windows(5, 3)
-    side = data.draw(st.sampled_from(sorted(MomentWindows.SIDES)))
-    rows, cols = (table.reps(name) for name in MomentWindows.SIDES[side])
+    row_bound, col_bound = data.draw(st.sampled_from([(3, 5), (5, 3), (3, 3)]))
+    rows, cols = qr.reps(row_bound), qr.reps(col_bound)
     i = data.draw(st.integers(0, len(rows) - 1))
     k = data.draw(st.integers(0, len(cols) - 1))
-    got = table.window(f.terms, side)[i, k]
+    got = qr.window(f.terms, row_bound, col_bound)[i, k]
     e_i, e_k = qr.basis_down(rows[i]), qr.basis_down(cols[k])
     want, mass, widest = pushforward_inner(qr, f * e_k, e_i)
     leaves = sum(abs(c) * abs(w) * abs(x) * abs(pulled_moment(qr, tuple(
@@ -185,21 +185,19 @@ def test_inner_matches_pull_per_entry(spec, chname, data):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_block_matches_dense_gram(spec, chname, data):
-    """A block reads the moments only where the weighted degrees of its two
-    halves match (on Z(m)@k^n only where they are equal); with every moment
-    of the block read, zeros included, the same product gives the same
-    block bit for bit."""
+    """A block fills its Gram by one join on shared orbit keys, which visits
+    only the pairs whose products share a key (on Z(m)@k^n only b = c);
+    with the whole Gram taken from the pull-based oracle instead, zeros
+    included, the same product gives the same block bit for bit."""
     qr = realization(spec, chname)
     n = qr.group.n
     key = data.draw(st.sampled_from(sorted(data.draw(harmonic(n)).terms)))
-    table = qr.windows(5, 3)
-    side = data.draw(st.sampled_from(sorted(MomentWindows.SIDES)))
-    (rows, _, e_rows), (cols, _, e_cols) = (
-        table._basis(name) for name in MomentWindows.SIDES[side])
-    gram = np.array([[qr.moment(tuple(x + y for x, y in zip(key, j + l))).real for j in cols]
-                     for l in rows]).reshape(len(rows), len(cols))
+    row_bound, col_bound = data.draw(st.sampled_from([(2, 3), (3, 2), (3, 3)]))
+    (rows, e_rows), (cols, e_cols) = qr._basis(row_bound), qr._basis(col_bound)
+    gram = np.array([[pulled_moment(qr, tuple(x + y for x, y in zip(key, j + l))).real
+                      for j in cols] for l in rows]).reshape(len(rows), len(cols))
     want = e_rows.T @ gram @ e_cols / float(qr.ellp.cnorm_sq)
-    assert np.array_equal(table.block(key, side), want)
+    assert np.array_equal(qr.block(key, row_bound, col_bound), want)
 
 
 ROUTE_CASES = [(g, ch.name) for g in GROUPS for ch in builtin_characters(group(g))]
@@ -214,7 +212,7 @@ def route_symbols(spec, seed, radii=(1, 1)):
 def route_widths(u, v, mode, ch, bm, bound):
     """The most terms of a lowered element of the route's reps and of a
     theta form it sums (u's, v's and, in semi mode, their product's)."""
-    qr = QuotientRealization.shared(ch, bm)
+    qr = QuotientRealization.shared(ch)
     reps = index_set(ch, bound + max(u.radius(), v.radius())).reps
     forms = [u.theta_form(bm), v.theta_form(bm)]
     if mode == "semi":
@@ -268,8 +266,8 @@ def test_route_matches_functionals(spec, chname, seed, mode, bound, radii):
     assert np.all(gap <= tol), float(np.max(gap - tol))
 
 
-# cold routes whose every moment must equal the oracle's: 8 to 541 keys, and
-# each orbit weight of BasicMap.gram: alternating keys (sgn), tied values
+# cold routes whose every Gram entry must equal the oracle's moment, and each
+# orbit weight of BasicMap.gram_block: alternating keys (sgn), tied values
 # (G(2,1,3) trivial), the split characters of G(4,4,2), and Z(m)@k^n
 GRAM_CASES = [("G(1,1,2)", "sgn", 6), ("G(1,1,2)", "trivial", 4), ("G(2,2,2)", "sgn", 4),
               ("G(2,1,2)", "trivial", 4), ("G(1,1,3)", "sgn", 3), ("G(1,1,3)", "trivial", 4),
@@ -279,7 +277,7 @@ GRAM_CASES = [("G(1,1,2)", "sgn", 6), ("G(1,1,2)", "trivial", 4), ("G(2,2,2)", "
 
 def cold_route(spec, chname, bound, mode="semi"):
     """A fresh group, two seeded symbols and one _quotient_route_compare:
-    the realisation then holds the moments of one cold route."""
+    the realisation then holds the blocks of one cold route."""
     g = make_group(spec)
     bm = basic_map(g)
     ch = make_character(g, chname)
@@ -287,16 +285,37 @@ def cold_route(spec, chname, bound, mode="semi"):
     u = random_invariant_symbol(g, rng, radius=1, terms=3)
     v = random_invariant_symbol(g, rng, radius=1, terms=3)
     report = _quotient_route_compare(u, v, mode, ch, bm, bound)
-    return QuotientRealization.shared(ch, bm), report
+    return QuotientRealization.shared(ch), report
+
+
+def route_grams(monkeypatch, spec, chname, bound):
+    """The realisation of a cold semi route and {b + c: G entry} over every
+    entry of every Gram block it joined, zeros included; an entry met twice
+    must repeat its value."""
+    entries = {}
+    real = BasicMap.gram_block
+
+    def recording(self, char, bs, cs):
+        out = real(self, char, bs, cs)
+        for l, c in enumerate(cs):
+            for j, b in enumerate(bs):
+                mu = out.get(l * len(bs) + j, 0)
+                assert entries.setdefault(b + c, mu) == mu
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BasicMap, "gram_block", recording)
+        qr, _ = cold_route(spec, chname, bound)
+    return qr, entries
 
 
 @pytest.mark.parametrize("spec,chname,bound", GRAM_CASES)
-def test_cold_route_moments_equal_pulled_moments(spec, chname, bound):
-    """Every moment of a cold route equals the oracle's pull-based moment
-    bit for bit, and is an exact integer: imaginary part 0.0 and real part
-    the Python-int Gram sum_a P_b[a] P_c[a], with P_b = ell theta^b built
-    here from the components' own powers."""
-    qr, _ = cold_route(spec, chname, bound)
+def test_cold_route_moments_equal_pulled_moments(monkeypatch, spec, chname, bound):
+    """Every entry of every Gram a cold route reads, zero or not, equals the
+    oracle's pull-based moment, and is the Python-int Gram
+    sum_a P_b[a] P_c[a], with P_b = ell theta^b built here from the
+    components' own powers."""
+    qr, entries = route_grams(monkeypatch, spec, chname, bound)
     n = qr.group.n
 
     @functools.cache
@@ -307,20 +326,21 @@ def test_cold_route_moments_equal_pulled_moments(spec, chname, bound):
         assert all(type(c) is int for c in p.terms.values())
         return p.terms
 
-    assert qr._moments
-    for key, mu in qr._moments.items():
-        assert mu == pulled_moment(qr, key), key
+    assert any(entries.values())
+    for key, mu in entries.items():
+        assert type(mu) is int and mu == pulled_moment(qr, key), key
         P, Q = gram_row(key[:n]), gram_row(key[n:])
-        assert mu.imag == 0.0 and mu.real == sum(c * Q.get(a, 0) for a, c in P.items()), key
+        assert mu == sum(c * Q.get(a, 0) for a, c in P.items()), key
 
 
-def test_cyclic_route_reads_only_equal_moments():
-    """On Z(m)@k^n each theta^b ell is one monomial, so mu(b, c) = 0 unless
-    b = c: the cold Z(2)@2^3 trivial route at D = 3 reads 46 moments, each
-    a mu(b, b), where every pair of equal weighted degree is 554."""
-    qr, _ = cold_route("Z(2)@2^3", "trivial", 3)
-    assert len(qr._moments) == 46
-    assert all(key[:3] == key[3:] for key in qr._moments)
+def test_cyclic_join_pairs_only_equal_exponents(monkeypatch):
+    """On Z(m)@k^n each ell theta^b is one monomial, so mu(b, c) = 0 unless
+    b = c: every nonzero Gram entry of the cold Z(2)@2^3 trivial route at
+    D = 3 pairs b = c, 46 moments in all."""
+    _, entries = route_grams(monkeypatch, "Z(2)@2^3", "trivial", 3)
+    nonzero = [key for key, mu in entries.items() if mu]
+    assert len(nonzero) == 46
+    assert all(key[:3] == key[3:] for key in nonzero)
 
 
 @pytest.mark.parametrize("spec,chname,mode", [
@@ -335,7 +355,7 @@ def test_cold_route_calls_no_pull(monkeypatch, spec, chname, mode):
 
     monkeypatch.setattr(BasicMap, "pull", forbidden)
     qr, report = cold_route(spec, chname, 3, mode)
-    assert qr._moments and report.reps
+    assert qr.blocks and report.reps
 
 
 @pytest.mark.parametrize("spec,chname", CASES)
@@ -416,8 +436,8 @@ def test_second_check_adds_no_moment(monkeypatch):
     u = random_invariant_symbol(g, rng, radius=1, terms=3)
     v = random_invariant_symbol(g, rng, radius=1, terms=3)
     first = correspondence_check(u, v, [sgn], 3, mode="commute")
-    qr = QuotientRealization.shared(sgn, basic_map(g))
-    sizes = len(qr._moments), len(basic_map(g).rows[sgn].products)
+    qr = QuotientRealization.shared(sgn)
+    sizes = len(qr.blocks), len(basic_map(g).rows[sgn].products)
     calls = []
     real_times = _OrbitRows.times
 
@@ -429,7 +449,7 @@ def test_second_check_adds_no_moment(monkeypatch):
     # a fresh character object: realisations are keyed by character value
     second = correspondence_check(u, v, [make_character(g, "sgn")], 3, mode="commute")
     assert calls == []
-    assert (len(qr._moments), len(basic_map(g).rows[sgn].products)) == sizes
+    assert (len(qr.blocks), len(basic_map(g).rows[sgn].products)) == sizes
     assert second.to_json() == first.to_json()
     assert basic_map(g) is basic_map(g)
 
@@ -470,7 +490,7 @@ def test_warm_route_reads_no_ambient_path(monkeypatch, mode):
 def test_seen_exponents_add_no_block(monkeypatch, spec, chname):
     """Once both modes have run on u and v, routes on rescaled symbols (the
     same theta exponents, other coefficients) read every block from the
-    tables: no moment is asked for, no block is added or rebuilt, and the
+    tables: no Gram is joined, no block is added or rebuilt, and the
     verdicts are those of the functionals oracle on the rescaled pair."""
     g = make_group(spec)
     bm = basic_map(g)
@@ -480,25 +500,23 @@ def test_seen_exponents_add_no_block(monkeypatch, spec, chname):
     v = random_invariant_symbol(g, rng, radius=1, terms=3)
     for mode in ("semi", "commute"):
         _quotient_route_compare(u, v, mode, ch, bm, 3)
-    qr = QuotientRealization.shared(ch, bm)
-    blocks = {key: dict(table.blocks) for key, table in qr._windows.items()}
-    assert blocks and all(blocks.values())
+    qr = QuotientRealization.shared(ch)
+    blocks = dict(qr.blocks)
+    assert blocks
     calls = []
-    real_moment = QuotientRealization.moment
+    real_join = BasicMap.gram_block
 
-    def counting_moment(self, key):
-        calls.append(key)
-        return real_moment(self, key)
+    def counting_join(self, char, bs, cs):
+        calls.append((bs, cs))
+        return real_join(self, char, bs, cs)
 
-    monkeypatch.setattr(QuotientRealization, "moment", counting_moment)
+    monkeypatch.setattr(BasicMap, "gram_block", counting_join)
     u2 = toeplitz.SymbolPair(g, u.pullback * (0.5 - 2j))
     v2 = toeplitz.SymbolPair(g, v.pullback * 3.0)
     reports = [_quotient_route_compare(u2, v2, mode, ch, bm, 3) for mode in ("semi", "commute")]
     assert calls == []
-    assert qr._windows.keys() == blocks.keys()
-    for key, table in qr._windows.items():
-        assert table.blocks.keys() == blocks[key].keys()
-        assert all(table.blocks[k] is b for k, b in blocks[key].items())
+    assert qr.blocks.keys() == blocks.keys()
+    assert all(qr.blocks[k] is b for k, b in blocks.items())
     monkeypatch.undo()
     for mode, got in zip(("semi", "commute"), reports):
         want, _ = quotient_route_functionals(u2, v2, mode, ch, bm, 3)

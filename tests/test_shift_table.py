@@ -7,8 +7,8 @@ expansions come from the G-module identity and the loop's from
 expand_loop of the ambient product, so they are other floats: the
 expansions and the reports agree within the bounds derived below.  Also
 a negative control for bh_check (the window of T_u T_v is Toeplitz
-exactly when the semi-commutator vanishes), the table cache on the basic
-map, the rejection of a basis of another character, a guard that a warm
+exactly when the semi-commutator vanishes), the table cache in
+Group.derived, the rejection of a basis of another character, a guard that a warm
 call only gathers, and a guard that a cold bh_check and a cold series
 build make no polynomial product."""
 
@@ -152,10 +152,18 @@ def test_bh_check_matches_loop(w):
     assert_same_bh(bh_check(w, bm), w, bm)
 
 
+def shift_tables(group) -> dict:
+    """The group's shift tables, under the keys ShiftTable.shared gives
+    them in Group.derived."""
+    return {key: table for key, table in group.derived.items()
+            if isinstance(key, tuple) and key[0] == "shift_table"}
+
+
 def fresh_map(group) -> BasicMap:
-    """The group's basic map with no shift tables yet."""
-    shared = basic_map(group)
-    return BasicMap(group, shared.components, shared.q)
+    """The group's basic map, with the group's shift tables dropped."""
+    for key in shift_tables(group):
+        del group.derived[key]
+    return basic_map(group)
 
 
 def assert_same_as_ix(w):
@@ -235,7 +243,7 @@ def test_warm_calls_only_gather(spec, monkeypatch):
     run(bm)  # builds every plan
     state = rng.getstate()
     expected = run(bm)
-    tables = list(bm.shift_tables.values())
+    tables = list(shift_tables(g).values())
     plans = [(t._relations, dict(t._probes)) for t in tables]
     calls = []
 
@@ -268,10 +276,11 @@ def test_basis_of_another_character_is_rejected():
     g, sgn, _ = setting("G(1,1,3)", "sgn")
     w = true_window("G(1,1,3)", "sgn", 5, 0)
     bm = fresh_map(g)
+    assert w.group is g
     for wrong in (GammaBasis(make_character(g, "trivial")), GammaBasis(sgn, "ball")):
         with pytest.raises(ValueError, match="polydisc gamma basis"):
             bh_check(w, bm, basis=wrong)
-    assert bm.shift_tables == {}
+    assert shift_tables(g) == {}
     right = bh_check(w, bm, basis=GammaBasis(sgn))
     assert right.checked_pairs == 300
     relations = ShiftTable.shared(w, bm)._relations
@@ -408,4 +417,4 @@ def test_second_check_adds_no_expansion(monkeypatch):
     sub = ToeplitzWindow(first.character, 5, [first.reps[i] for i in keep],
                          first.entries[np.ix_(keep, keep)])
     assert_same_bh(bh_check(sub, bm), sub, bm)
-    assert len(bm.shift_tables) == 2
+    assert len(shift_tables(g)) == 2

@@ -273,7 +273,7 @@ class TestNonFiniteWindows:
             bh_check(windows[-1], bm)
         with pytest.raises(ValueError, match="finite"):
             compactness_probe(windows, bm)
-        assert not bm.shift_tables
+        assert not [key for key in windows[-1].group.derived if key[0] == "shift_table"]
 
     def test_nan_entry_hides_no_bump(self):
         bm, w = self.fresh_window()
@@ -548,11 +548,11 @@ class TestCorrespondence:
         g, sgn, triv, bm = ctx
         rng = random.Random(20)
         for ch in (sgn, triv):
-            table = QuotientRealization(ch, bm).windows(3, 3)
+            qr = QuotientRealization(ch)
             sym = random_invariant_symbol(g, rng, radius=2, terms=3)
             w = toeplitz_window(sym, ch, 3)
-            assert table.reps("inner") == w.reps
-            got = table.window(sym.theta_form(bm).terms, "inner")
+            assert qr.reps(3) == w.reps
+            got = qr.window(sym.theta_form(bm).terms, 3, 3)
             assert np.all(np.abs(got - w.entries) < 1e-10)
 
 
