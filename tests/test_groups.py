@@ -18,6 +18,7 @@ from group_sums import (
 
 from hardyq.groups import (
     CharacterError,
+    Group,
     GroupElement,
     GroupSpecError,
     builtin_characters,
@@ -231,6 +232,12 @@ class TestCharacterTables:
             frontier = {g.mul(x, s) for x in frontier for s in g.generators} - reached
             reached = reached | frontier
         assert len(reached) == len(g)
+
+    def test_builtin_characters_never_call_det_turn(self, g315, no_element_tables):
+        # det comes from its closed form, not from a det turn per element:
+        # the package carries no per-element det and reads no element table
+        assert not hasattr(Group, "det_turn")
+        assert [c.name for c in builtin_characters(g315)] == ["trivial", "sgn", "det"]
 
     def test_turn_not_a_multiple_of_the_table_denominator(self, g212):
         # characters of G(2,1,2) take values among the lcm(2, 2) = 2nd roots
